@@ -38,6 +38,7 @@ from .linearized import (
 from .numutil import loggrid
 from .profiles import (
     BlackHoleProfile,
+    _check_dimension,
     black_hole_metric,
     cusp_metric,
     glued_metric,
@@ -46,6 +47,17 @@ from .profiles import (
 from .solver import NewtonConfig, newton_solve
 
 INDICIAL_LABELS = ("11", "12", "1j", "2j", "jk", "diag")
+
+# --profile value -> (metric from the resolved config and n, operator
+# assembled on that metric); the cusp keeps its exact Euler model.
+PROFILES = {
+    "blackhole": (lambda cfg, n: black_hole_metric(float(cfg["m"]), n),
+                  assemble_L_blackhole),
+    "cusp": (lambda cfg, n: cusp_metric(n),
+             lambda metric: assemble_L_cusp(metric.n)),
+    "glued": (lambda cfg, n: glued_metric(float(cfg["R"]), n),
+              assemble_L_blackhole),
+}
 
 
 def _parse_grid(text):
@@ -76,18 +88,15 @@ def _parse_sizes(value):
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
 
 
-def _check_dimension(n):
-    n = int(n)
-    if n <= 2:
-        raise DehnFillError(
-            f"n={n} is not allowed: the construction needs n > 2 "
-            "(a positive-dimensional transverse torus)"
-        )
-    return n
+def _profile_builders(cfg):
+    name = cfg["profile"]
+    if name not in PROFILES:
+        raise DehnFillError(f"unknown profile {name!r}")
+    return PROFILES[name]
 
 
 def _resolve(args, config, defaults):
-    """Flags override config-file values override defaults."""
+    """Flags override config-file values override defaults; n is checked."""
     resolved = dict(defaults)
     for key in defaults:
         if key in config:
@@ -95,6 +104,7 @@ def _resolve(args, config, defaults):
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             resolved[key] = cli_val
+    resolved["n"] = _check_dimension(int(resolved["n"]))
     return resolved
 
 
@@ -130,22 +140,13 @@ def cmd_curvature(args, config, input_hashes):
     defaults = {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
                 "grid": "1.3:10:64", "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
+    n = cfg["n"]
     grid = _parse_grid(cfg["grid"])
-    kind = cfg["profile"]
-    if kind == "blackhole":
-        metric = black_hole_metric(float(cfg["m"]), n)
-    elif kind == "cusp":
-        metric = cusp_metric(n)
-    elif kind == "glued":
-        metric = glued_metric(float(cfg["R"]), n)
-    else:
-        raise DehnFillError(f"unknown profile {kind!r}")
-    rep = ricci_and_deficit(metric, grid)
+    build_metric, _ = _profile_builders(cfg)
+    rep = ricci_and_deficit(build_metric(cfg, n), grid)
     summary = {
         "n": n,
-        "profile": kind,
+        "profile": cfg["profile"],
         "rows": int(grid.size),
         "max_deficit": rep.deficit_sup,
         "scalar_min": float(np.min(rep.scalar)),
@@ -161,8 +162,7 @@ def cmd_scan(args, config, input_hashes):
     defaults = {"n": 4, "sizes": "40,80,160,320,640", "delta": "auto",
                 "grid_size": 512, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
+    n = cfg["n"]
     sizes = _parse_sizes(cfg["sizes"])
     if len(sizes) < 5:
         raise DehnFillError(f"need >= 5 sizes for a slope fit, got {len(sizes)}")
@@ -188,26 +188,15 @@ def cmd_linearize(args, config, input_hashes):
     defaults = {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
                 "grid": None, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
-    kind = cfg["profile"]
-    if kind == "blackhole":
-        profile = BlackHoleProfile(m=float(cfg["m"]), n=n)
-        sys_l = assemble_L_blackhole(black_hole_metric(float(cfg["m"]), n))
-    elif kind == "glued":
-        profile = make_glued_profile(float(cfg["R"]), n)
-        sys_l = assemble_L_blackhole(glued_metric(float(cfg["R"]), n))
-    elif kind == "cusp":
-        profile = None
-        sys_l = assemble_L_cusp(n)
-    else:
-        raise DehnFillError(f"unknown profile {kind!r}")
+    n = cfg["n"]
+    build_metric, build_operator = _profile_builders(cfg)
+    sys_l = build_operator(build_metric(cfg, n))
     if cfg["grid"] is None:
-        if profile is None:
+        r_plus = sys_l.profile.r_plus
+        if r_plus is None:
             cfg["grid"] = "0.5:50:64"
         else:
-            r_plus = profile.r_plus
-            hi = min(50 * r_plus, 0.999 * profile.domain[1])
+            hi = min(50 * r_plus, 0.999 * sys_l.profile.domain[1])
             cfg["grid"] = f"{1.05 * r_plus:.6g}:{hi:.6g}:64"
     grid = _parse_grid(cfg["grid"])
     c2, c1 = sys_l.a_coefficients(grid)
@@ -224,7 +213,7 @@ def cmd_linearize(args, config, input_hashes):
         )))
     summary = {
         "n": n,
-        "profile": kind,
+        "profile": cfg["profile"],
         "indicial_roots": {lbl: list(indicial_roots(lbl, n))
                            for lbl in INDICIAL_LABELS},
     }
@@ -237,8 +226,7 @@ def cmd_linearize(args, config, input_hashes):
 def cmd_indicial(args, config, input_hashes):
     defaults = {"n": 4, "block": "all", "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
+    n = cfg["n"]
     labels = INDICIAL_LABELS if cfg["block"] == "all" else (cfg["block"],)
     roots = {lbl: list(indicial_roots(lbl, n)) for lbl in labels}
     rows = [lbl + "," + ",".join(_fmt(x) for x in rr)
@@ -255,8 +243,7 @@ def cmd_compare(args, config, input_hashes):
     defaults = {"n": 4, "m": 1.0, "window": "5:500", "num_centers": 12,
                 "grid_size": 4096, "width": 0.4, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
+    n = cfg["n"]
     lo, hi = _parse_window(cfg["window"])
     width = float(cfg["width"])
     centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
@@ -285,8 +272,7 @@ def cmd_solve(args, config, input_hashes):
                 "tol": 5e-11, "max_iters": 30, "grid_size": 256,
                 "r_out": None, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
+    n = cfg["n"]
     if cfg["from_glued"] is not None and cfg["from_blackhole"] is not None:
         raise DehnFillError("give only one of --from-glued / --from-blackhole")
     if cfg["from_glued"] is not None:
@@ -325,8 +311,7 @@ def cmd_solve(args, config, input_hashes):
 def cmd_lattice(args, config, input_hashes):
     defaults = {"n": 4, "cusp": None, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
-    n = _check_dimension(cfg["n"])
-    cfg["n"] = n
+    n = cfg["n"]
     raw = cfg["cusp"]
     if raw is None:
         raise DehnFillError("need at least one --cusp '{\"basis\":..,\"sigma\":..}'")
@@ -375,7 +360,7 @@ def build_parser():
 
     p = sp.add_parser("curvature", help="curvature report along a profile")
     _add_common(p)
-    p.add_argument("--profile", choices=["blackhole", "cusp", "glued"])
+    p.add_argument("--profile", choices=list(PROFILES))
     p.add_argument("--m", type=float)
     p.add_argument("--R", type=float)
     p.add_argument("--grid")
@@ -390,7 +375,7 @@ def build_parser():
 
     p = sp.add_parser("linearize", help="operator coefficient tables")
     _add_common(p)
-    p.add_argument("--profile", choices=["blackhole", "cusp", "glued"])
+    p.add_argument("--profile", choices=list(PROFILES))
     p.add_argument("--m", type=float)
     p.add_argument("--R", type=float)
     p.add_argument("--grid")

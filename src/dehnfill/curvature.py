@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolveFailure, OutOfDomain, StepTooLarge
-from .profiles import eval_profile
+from .profiles import _check_in_domain, eval_profile
 
 __all__ = [
     "CurvatureReport",
@@ -45,12 +45,7 @@ def _interior(metric, r):
     # The frame formulas stay regular at the core r_plus (V = 0 there but
     # nothing divides by V), so the closed domain is allowed with the same
     # ulp slack as profile evaluation.
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    lo, hi = metric.profile.domain
-    tol = 1e-12 * max(abs(lo), 1.0)
-    if np.any(r < lo - tol) or np.any(r > hi * (1 + 1e-12)):
-        raise OutOfDomain(f"radius outside profile domain [{lo}, {hi}]")
-    return r
+    return np.atleast_1d(_check_in_domain(metric.profile, r))
 
 
 def sectional_curvatures(metric, r):
@@ -139,28 +134,10 @@ def cutoff_deficit_diag(metric, r):
     cancellation in floating point, leaving O(eps) residue everywhere;
     this form is identically zero wherever chi' = chi'' = 0, which is
     what weighted norms with large core weights need. Supports the glued
-    variant (chi from its cutoff) and the black hole variant (chi
-    constant, so the deficit is the zero array).
+    profile (chi from its cutoff) and the black hole (chi constant, so the
+    deficit is the zero array); other profiles raise OutOfDomain.
     """
-    n = metric.n
-    rr = _interior(metric, r)
-    out = np.zeros((rr.size, n))
-    variant = metric.profile.variant
-    if variant == "blackhole":
-        return out
-    if variant != "glued":
-        raise OutOfDomain(
-            f"exact-support deficit applies to cutoff profiles, not {variant!r}"
-        )
-    cut = metric.profile.cutoff
-    d1 = cut.chi_d1(rr)
-    d2 = cut.chi_d2(rr)
-    rad = d2 * rr ** (3 - n) + (4 - n) * d1 * rr ** (2 - n)
-    tor = 2.0 * d1 * rr ** (2 - n)
-    out[:, 0] = rad
-    out[:, 1] = rad
-    out[:, 2:] = tor[:, None]
-    return out
+    return metric.profile.exact_deficit(_interior(metric, r), metric.n)
 
 
 def sectional_matrix(n, K12, K1perp, Kperp):

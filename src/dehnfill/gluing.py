@@ -99,16 +99,16 @@ def _cusp_deficit_norm(metric, w, cusp_index, grid_size, include_seminorms):
     profile = metric.profile
     lo, hi = profile.domain
     grid = loggrid(lo * (1.0 + 1e-9), hi * (1.0 - 1e-9), grid_size)
-    if profile.variant == "glued":
+    if profile.transition is not None:
         # the deficit lives in the transition annulus, whose log-width is
         # fixed while the domain's grows with R; refine it with a fixed
         # point count so the norm resolves the same shape at every size
-        cut = profile.cutoff
-        wlo = max(cut.lo / 1.02, lo * (1.0 + 1e-9))
-        whi = min(cut.hi * 1.02, hi * (1.0 - 1e-9))
+        tlo, thi = profile.transition
+        wlo = max(tlo / 1.02, lo * (1.0 + 1e-9))
+        whi = min(thi * 1.02, hi * (1.0 - 1e-9))
         window = loggrid(wlo, whi, grid_size)
         grid = np.unique(np.concatenate([grid, window]))
-    if profile.variant in ("glued", "blackhole"):
+    if profile.has_exact_deficit:
         # exact-support form: identically zero outside the transition, so
         # the large core weight multiplies a true zero instead of rounding
         # residue from the generic curvature path

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import sectional_curvatures
 from .errors import (
     GridTooCoarse,
     NonFiniteField,
@@ -36,15 +35,7 @@ from .errors import (
     UnknownBlock,
 )
 from .numutil import apply_diff, fit_loglog
-from .profiles import (
-    BlackHoleProfile,
-    CuspProfile,
-    FillingMetric,
-    GluedProfile,
-    black_hole_metric,
-    cusp_metric,
-    eval_profile,
-)
+from .profiles import CuspProfile, black_hole_metric, eval_profile
 
 __all__ = [
     "BLOCK_LABELS",
@@ -169,6 +160,13 @@ class ODESystemL:
             )
         return V, V1
 
+    def _curvatures(self, r):
+        """V, V' and the sectional curvatures K12 = -V''/2,
+        K1perp = -V'/(2r), Kperp = -V/r^2 at r."""
+        V, V1 = self._v(r)
+        V2 = eval_profile(self.profile, r, 2)
+        return V, V1, -0.5 * V2, -V1 / (2.0 * r), -V / r**2
+
     def a_coefficients(self, r):
         """(c2, c1) with A u = c2 u'' + c1 u'."""
         r = np.asarray(r, dtype=float)
@@ -189,9 +187,7 @@ class ODESystemL:
                 "2j": np.zeros_like(r),
                 "jk": np.zeros_like(r),
             }
-        V, V1 = self._v(r)
-        metric = FillingMetric(n=n, profile=self.profile, beta=2.0 * math.pi)
-        K12, K1p, Kpp = sectional_curvatures(metric, r)
+        V, V1, K12, K1p, Kpp = self._curvatures(r)
         return {
             "12": V1**2 / V + 2.0 * (n - 2) * V / r**2 + 2.0 * K12,
             "1j": V1**2 / (4.0 * V) + (n + 1.0) * V / r**2 + 2.0 * K1p,
@@ -216,14 +212,9 @@ class ODESystemL:
             K1p = -np.ones(npts)
             Kpp = -np.ones(npts)
         else:
-            V, V1 = self._v(r)
+            V, V1, K12, K1p, Kpp = self._curvatures(r)
             P = V1**2 / (2.0 * V)
             Vr2 = V / r**2
-            metric = FillingMetric(n=n, profile=self.profile, beta=2.0 * math.pi)
-            K12, K1p, Kpp = sectional_curvatures(metric, r)
-            K12 = np.atleast_1d(K12)
-            K1p = np.atleast_1d(K1p)
-            Kpp = np.atleast_1d(Kpp)
         M[:, 0, 0] = P + 2.0 * (n - 2) * Vr2
         M[:, 0, 1] = -(P + 2.0 * K12)
         M[:, 1, 0] = M[:, 0, 1]
@@ -257,16 +248,16 @@ def assemble_L_cusp(n):
 
 
 def _core_margin_check(sys, grid):
-    profile = sys.profile
-    if isinstance(profile, (BlackHoleProfile, GluedProfile)):
-        r_plus = profile.r_plus
-        dr = grid[1] - grid[0]
-        margin = max(0.01 * r_plus, 10.0 * dr)
-        if grid[0] < r_plus + margin:
-            raise SingularAtCore(
-                f"grid must start above r_plus + {margin:.3g} = "
-                f"{r_plus + margin:.6g}; got {grid[0]:.6g}"
-            )
+    r_plus = sys.profile.r_plus
+    if r_plus is None:
+        return
+    dr = grid[1] - grid[0]
+    margin = max(0.01 * r_plus, 10.0 * dr)
+    if grid[0] < r_plus + margin:
+        raise SingularAtCore(
+            f"grid must start above r_plus + {margin:.3g} = "
+            f"{r_plus + margin:.6g}; got {grid[0]:.6g}"
+        )
 
 
 def apply_L(sys, h):

@@ -22,7 +22,7 @@ examples in the construction this mirrors.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -30,11 +30,13 @@ from scipy.interpolate import CubicSpline
 from .errors import (
     DerivOrderUnsupported,
     InvalidMass,
+    NonPositiveProfile,
     NotInCuspRegion,
     OutOfDomain,
     RadiusTooSmall,
+    SingularAtCore,
 )
-from .numutil import smoothstep, smoothstep_d1, smoothstep_d2
+from .numutil import loggrid, smoothstep, smoothstep_d1, smoothstep_d2
 
 # Fraction of R where the cutoff transition starts and ends.
 TRANSITION_LO = 0.8
@@ -50,10 +52,10 @@ def closing_parameters(m, n):
     beta = 4 pi / ((n-1) r_+) = 4 pi / V'(r_+) is the theta-period for
     which the metric closes smoothly (flat totally geodesic core torus).
 
-    Returns (r_plus, beta). Raises InvalidMass for m <= 0.
+    Returns (r_plus, beta). Raises InvalidMass unless m is finite and positive.
     """
-    if m <= 0:
-        raise InvalidMass(f"mass must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise InvalidMass(f"mass must be positive and finite, got {m}")
     _check_dimension(n)
     r_plus = (2.0 * m) ** (1.0 / (n - 1))
     beta = 4.0 * math.pi / ((n - 1) * r_plus)
@@ -62,26 +64,40 @@ def closing_parameters(m, n):
 
 def _check_dimension(n):
     if not isinstance(n, (int, np.integer)) or n < 3:
-        raise OutOfDomain(f"dimension must be an integer >= 3, got {n!r}")
+        raise OutOfDomain(f"n={n!r} is not allowed: the construction needs an "
+                          "integer n > 2 (a positive-dimensional transverse torus)")
+    return n
+
+
+def fitted_mass(grid, values, n):
+    """Least-squares mass of the closest black-hole profile.
+
+    Minimizes sum (V - (r^2 - 2m r^(3-n)))^2 over m, i.e. regresses
+    (r^2 - V)/2 on r^(3-n).  Weighting by the regressor keeps the outer
+    samples, where r^(3-n) is tiny, from amplifying noise.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    basis = grid ** (3 - n)
+    denom = float(np.sum(basis**2))
+    if denom == 0:
+        raise InvalidMass("degenerate grid for the mass fit")
+    return float(np.sum((grid**2 - values) * basis) / (2.0 * denom))
 
 
 @dataclass(frozen=True)
 class CutoffFunction:
     """Monotone C-infinity cutoff: chi = 1 below lo, chi = 0 above hi.
 
-    Built from the exp(-1/t) smoothstep, so it is C^k for every k; the
-    k_smooth field records the smoothness actually required of it.
+    Built from the exp(-1/t) smoothstep, so it is C^k for every k.
     """
 
     lo: float
     hi: float
-    k_smooth: int = 4
 
     def __post_init__(self):
         if not (0 < self.lo < self.hi):
             raise RadiusTooSmall(f"bad transition window [{self.lo}, {self.hi}]")
-        if self.k_smooth < 4:
-            raise OutOfDomain(f"cutoff smoothness must be >= 4, got {self.k_smooth}")
 
     def _t(self, r):
         return (np.asarray(r, dtype=float) - self.lo) / (self.hi - self.lo)
@@ -96,16 +112,61 @@ class CutoffFunction:
         return -smoothstep_d2(self._t(r)) / (self.hi - self.lo) ** 2
 
 
+class _Profile:
+    """What each profile family decides for itself: its closed-form V, V',
+    V'' (_eval), its JSON params, its core (r_plus and the (r_plus, beta,
+    mass) a Newton solve starts from) and its exact-support deficit."""
+
+    r_plus = None
+    # finite outer end of the family's natural domain (Newton's default r_out)
+    outer_radius = None
+    # radial window [lo, hi] where the cutoff moves, if there is one
+    transition = None
+    has_exact_deficit = False
+
+    def params(self):
+        """Constructor arguments other than domain, as JSON values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "domain"}
+
+    @classmethod
+    def from_params(cls, params, domain):
+        return cls(domain=domain, **params)
+
+    def sample_grid(self):
+        """Radii to sample the profile on when the caller gives none:
+        512 log-spaced points over at most two decades above the core."""
+        lo, hi = self.domain
+        lo = max(lo, 1e-3)
+        hi = min(hi, 100.0 * max(lo, 1.0))
+        return loggrid(lo * (1 + 1e-9), hi, 512)
+
+    def exact_deficit(self, r, n):
+        raise OutOfDomain(
+            f"exact-support deficit applies to cutoff profiles, not {self.variant!r}"
+        )
+
+
 @dataclass(frozen=True)
-class CuspProfile:
+class CuspProfile(_Profile):
     """V = r^2, the exact hyperbolic cusp."""
 
     domain: tuple = (1e-6, _DEFAULT_RMAX)
     variant = "cusp"
 
+    def _eval(self, r, deriv_order):
+        if deriv_order == 0:
+            return r * r
+        if deriv_order == 1:
+            return 2.0 * r
+        return np.full_like(r, 2.0)
+
+    def core(self, n):
+        raise SingularAtCore("the cusp profile has no core to close")
+
 
 @dataclass(frozen=True)
-class BlackHoleProfile:
+class BlackHoleProfile(_Profile):
     """V = r^2 - 2 m r^{3-n}, Einstein for every m > 0."""
 
     m: float
@@ -118,14 +179,31 @@ class BlackHoleProfile:
             object.__setattr__(self, "domain", (r_plus, _DEFAULT_RMAX))
 
     variant = "blackhole"
+    has_exact_deficit = True
 
     @property
     def r_plus(self):
         return (2.0 * self.m) ** (1.0 / (self.n - 1))
 
+    def _eval(self, r, deriv_order):
+        m, n = self.m, self.n
+        if deriv_order == 0:
+            return r * r - 2.0 * m * r ** (3 - n)
+        if deriv_order == 1:
+            return 2.0 * r + 2.0 * m * (n - 3) * r ** (2 - n)
+        return 2.0 - 2.0 * m * (n - 3) * (n - 2) * r ** (1 - n)
+
+    def core(self, n):
+        r_plus, beta = closing_parameters(self.m, self.n)
+        return r_plus, beta, self.m
+
+    def exact_deficit(self, r, n):
+        # chi is constant: the deficit vanishes identically
+        return np.zeros((r.size, n))
+
 
 @dataclass(frozen=True)
-class GluedProfile:
+class GluedProfile(_Profile):
     """V = r^2 - 2 chi(r) r^{3-n}: black hole near the core, cusp outside."""
 
     R: float
@@ -140,15 +218,64 @@ class GluedProfile:
             object.__setattr__(self, "domain", (r_plus, self.R))
 
     variant = "glued"
+    has_exact_deficit = True
 
     @property
     def r_plus(self):
         # the core matches the unit-mass black hole by construction
         return 2.0 ** (1.0 / (self.n - 1))
 
+    @property
+    def outer_radius(self):
+        return self.domain[1]
+
+    @property
+    def transition(self):
+        return self.cutoff.lo, self.cutoff.hi
+
+    def _eval(self, r, deriv_order):
+        n = self.n
+        cut = self.cutoff
+        chi = cut.chi(r)
+        p = r ** (3 - n)
+        if deriv_order == 0:
+            return r * r - 2.0 * chi * p
+        c1 = cut.chi_d1(r)
+        p1 = (3 - n) * r ** (2 - n)
+        if deriv_order == 1:
+            return 2.0 * r - 2.0 * (c1 * p + chi * p1)
+        c2 = cut.chi_d2(r)
+        p2 = (3 - n) * (2 - n) * r ** (1 - n)
+        return 2.0 - 2.0 * (c2 * p + 2.0 * c1 * p1 + chi * p2)
+
+    def core(self, n):
+        r_plus, beta = closing_parameters(1.0, n)
+        return r_plus, beta, 1.0
+
+    def exact_deficit(self, r, n):
+        d1 = self.cutoff.chi_d1(r)
+        d2 = self.cutoff.chi_d2(r)
+        rad = d2 * r ** (3 - n) + (4 - n) * d1 * r ** (2 - n)
+        tor = 2.0 * d1 * r ** (2 - n)
+        out = np.zeros((r.size, n))
+        out[:, 0] = rad
+        out[:, 1] = rad
+        out[:, 2:] = tor[:, None]
+        return out
+
+    def params(self):
+        return {"R": self.R, "n": self.n,
+                "cutoff": {"lo": self.cutoff.lo, "hi": self.cutoff.hi}}
+
+    @classmethod
+    def from_params(cls, params, domain):
+        c = params["cutoff"]
+        return cls(R=params["R"], n=params["n"],
+                   cutoff=CutoffFunction(lo=c["lo"], hi=c["hi"]), domain=domain)
+
 
 @dataclass(frozen=True, eq=False)
-class SampledProfile:
+class SampledProfile(_Profile):
     """V given by samples on an ascending grid, evaluated by a natural
     cubic spline (so second derivatives are available everywhere).
 
@@ -170,6 +297,8 @@ class SampledProfile:
             raise OutOfDomain("sampled profile grid must be strictly increasing")
         if values.shape != grid.shape:
             raise OutOfDomain("sampled profile grid/values shape mismatch")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise OutOfDomain("sampled profile grid and values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         if self.domain is None:
@@ -184,6 +313,28 @@ class SampledProfile:
             spl = CubicSpline(self.grid, self.values, bc_type="natural")
             self.__dict__["_spline_cache"] = spl
         return spl
+
+    @property
+    def outer_radius(self):
+        return float(self.grid[-1])
+
+    def sample_grid(self):
+        return self.grid
+
+    def _eval(self, r, deriv_order):
+        return self._spline(r, nu=deriv_order)
+
+    def core(self, n):
+        m_hat = fitted_mass(self.grid, self.values, n)
+        if m_hat <= 0:
+            raise NonPositiveProfile(
+                f"sampled profile fits a nonpositive mass {m_hat:.3g}"
+            )
+        r_plus, beta = closing_parameters(m_hat, n)
+        return r_plus, beta, m_hat
+
+    def params(self):
+        return {"grid": self.grid.tolist(), "values": self.values.tolist()}
 
 
 def _check_in_domain(profile, r):
@@ -211,46 +362,11 @@ def eval_profile(profile, r, deriv_order=0):
     if deriv_order not in (0, 1, 2):
         raise DerivOrderUnsupported(f"deriv_order must be 0, 1 or 2, got {deriv_order}")
     scalar = np.isscalar(r) or (isinstance(r, np.ndarray) and r.ndim == 0)
-    rr = _check_in_domain(profile, r)
-
-    if profile.variant == "cusp":
-        out = {0: rr * rr, 1: 2.0 * rr, 2: np.full_like(rr, 2.0)}[deriv_order]
-    elif profile.variant == "blackhole":
-        out = _bh_eval(profile.m, profile.n, rr, deriv_order)
-    elif profile.variant == "glued":
-        out = _glued_eval(profile, rr, deriv_order)
-    elif profile.variant == "sampled":
-        out = profile._spline(rr, nu=deriv_order)
-    else:
-        raise OutOfDomain(f"unknown profile variant {profile.variant!r}")
+    out = profile._eval(_check_in_domain(profile, r), deriv_order)
     return float(out) if scalar else out
 
 
-def _bh_eval(m, n, r, deriv_order):
-    if deriv_order == 0:
-        return r * r - 2.0 * m * r ** (3 - n)
-    if deriv_order == 1:
-        return 2.0 * r + 2.0 * m * (n - 3) * r ** (2 - n)
-    return 2.0 - 2.0 * m * (n - 3) * (n - 2) * r ** (1 - n)
-
-
-def _glued_eval(profile, r, deriv_order):
-    n = profile.n
-    cut = profile.cutoff
-    chi = cut.chi(r)
-    p = r ** (3 - n)
-    if deriv_order == 0:
-        return r * r - 2.0 * chi * p
-    c1 = cut.chi_d1(r)
-    p1 = (3 - n) * r ** (2 - n)
-    if deriv_order == 1:
-        return 2.0 * r - 2.0 * (c1 * p + chi * p1)
-    c2 = cut.chi_d2(r)
-    p2 = (3 - n) * (2 - n) * r ** (1 - n)
-    return 2.0 - 2.0 * (c2 * p + 2.0 * c1 * p1 + chi * p2)
-
-
-def make_glued_profile(R, n, k_smooth=4):
+def make_glued_profile(R, n):
     """Glued profile with transition on [0.8 R, 0.9 R].
 
     Requires R > r_+(m=1) + 3 so the transition clears the core region;
@@ -262,7 +378,7 @@ def make_glued_profile(R, n, k_smooth=4):
         raise RadiusTooSmall(
             f"gluing radius {R} must exceed r_+ + 3 = {r_plus + 3.0:.6f}"
         )
-    cutoff = CutoffFunction(TRANSITION_LO * R, TRANSITION_HI * R, k_smooth)
+    cutoff = CutoffFunction(TRANSITION_LO * R, TRANSITION_HI * R)
     return GluedProfile(R=float(R), n=int(n), cutoff=cutoff)
 
 
@@ -322,8 +438,8 @@ class FillingMetric:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if self.beta <= 0:
-            raise OutOfDomain(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise OutOfDomain(f"beta must be positive and finite, got {self.beta}")
         gram = self.torus_gram
         if gram is None:
             gram = np.eye(self.n - 2)
@@ -352,10 +468,10 @@ def cusp_metric(n, beta=2.0 * math.pi, torus_gram=None):
                          torus_gram=torus_gram)
 
 
-def glued_metric(R, n, k_smooth=4, torus_gram=None):
+def glued_metric(R, n, torus_gram=None):
     """Glued approximate-Einstein metric at gluing radius R (beta = beta_1)."""
     _, beta1 = closing_parameters(1.0, n)
-    return FillingMetric(n=int(n), profile=make_glued_profile(R, n, k_smooth),
+    return FillingMetric(n=int(n), profile=make_glued_profile(R, n),
                          beta=beta1, torus_gram=torus_gram)
 
 
@@ -365,44 +481,19 @@ def glued_metric(R, n, k_smooth=4, torus_gram=None):
 
 
 def profile_to_dict(profile):
-    d = {"variant": profile.variant, "domain": list(profile.domain)}
-    if profile.variant == "blackhole":
-        d["params"] = {"m": profile.m, "n": profile.n}
-    elif profile.variant == "glued":
-        d["params"] = {
-            "R": profile.R,
-            "n": profile.n,
-            "cutoff": {
-                "lo": profile.cutoff.lo,
-                "hi": profile.cutoff.hi,
-                "k_smooth": profile.cutoff.k_smooth,
-            },
-        }
-    elif profile.variant == "sampled":
-        d["params"] = {"grid": profile.grid.tolist(), "values": profile.values.tolist()}
-    else:
-        d["params"] = {}
-    return d
+    return {"variant": profile.variant, "domain": list(profile.domain),
+            "params": profile.params()}
+
+
+_VARIANTS = {cls.variant: cls for cls in
+             (CuspProfile, BlackHoleProfile, GluedProfile, SampledProfile)}
 
 
 def profile_from_dict(d):
-    variant = d["variant"]
-    domain = tuple(d["domain"])
-    params = d.get("params", {})
-    if variant == "cusp":
-        return CuspProfile(domain=domain)
-    if variant == "blackhole":
-        return BlackHoleProfile(m=params["m"], n=params["n"], domain=domain)
-    if variant == "glued":
-        c = params["cutoff"]
-        cut = CutoffFunction(lo=c["lo"], hi=c["hi"], k_smooth=c["k_smooth"])
-        return GluedProfile(R=params["R"], n=params["n"], cutoff=cut, domain=domain)
-    if variant == "sampled":
-        return SampledProfile(
-            grid=np.asarray(params["grid"]), values=np.asarray(params["values"]),
-            domain=domain,
-        )
-    raise OutOfDomain(f"unknown profile variant {variant!r}")
+    cls = _VARIANTS.get(d["variant"])
+    if cls is None:
+        raise OutOfDomain(f"unknown profile variant {d['variant']!r}")
+    return cls.from_params(d.get("params", {}), tuple(d["domain"]))
 
 
 def profile_to_json(profile):

@@ -19,25 +19,16 @@ import numpy as np
 from .errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
-    InvalidMass,
     LineSearchFailed,
     MaxItersExceeded,
     NonPositiveProfile,
     OutOfDomain,
     ScanMissing,
-    SingularAtCore,
     TooFewSamples,
 )
 from .gluing import DecayScanResult
-from .numutil import cumtrapz0, diff_matrix, loggrid
-from .profiles import (
-    BlackHoleProfile,
-    CuspProfile,
-    GluedProfile,
-    SampledProfile,
-    closing_parameters,
-    eval_profile,
-)
+from .numutil import cumtrapz0, diff_matrix
+from .profiles import SampledProfile, eval_profile, fitted_mass
 
 __all__ = [
     "euler_reconstruct",
@@ -144,16 +135,7 @@ def einstein_residual(profile, n, grid=None):
     the Bianchi identity F1 = F2 + (r/2) F2'.  Returns the pair of grid
     functions ((grid, F1), (grid, F2)).
     """
-    if grid is None:
-        if isinstance(profile, SampledProfile):
-            grid = np.asarray(profile.grid, dtype=float)
-        else:
-            lo, hi = profile.domain
-            lo = max(lo, 1e-3)
-            hi = min(hi, 100.0 * max(lo, 1.0))
-            grid = loggrid(lo * (1 + 1e-9), hi, 512)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = profile.sample_grid() if grid is None else np.asarray(grid, dtype=float)
     V = eval_profile(profile, grid, 0)
     if np.any(V < 0):
         raise NonPositiveProfile("profile is negative on the grid")
@@ -162,22 +144,6 @@ def einstein_residual(profile, n, grid=None):
     F1 = -0.5 * V2 - (n - 2) * V1 / (2.0 * grid) + (n - 1)
     F2 = -V1 / grid - (n - 3) * V / grid**2 + (n - 1)
     return (grid, F1), (grid, F2)
-
-
-def fitted_mass(grid, values, n):
-    """Least-squares mass of the closest black-hole profile.
-
-    Minimizes sum (V - (r^2 - 2m r^(3-n)))^2 over m, i.e. regresses
-    (r^2 - V)/2 on r^(3-n).  Weighting by the regressor keeps the outer
-    samples, where r^(3-n) is tiny, from amplifying noise.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    basis = grid ** (3 - n)
-    denom = float(np.sum(basis**2))
-    if denom == 0:
-        raise InvalidMass("degenerate grid for the mass fit")
-    return float(np.sum((grid**2 - values) * basis) / (2.0 * denom))
 
 
 @dataclass(frozen=True)
@@ -234,27 +200,6 @@ class EinsteinSolveResult:
         }
 
 
-def _initial_core(profile, n):
-    """(r_plus guess, beta target, mass guess) from the starting profile."""
-    if isinstance(profile, BlackHoleProfile):
-        r_plus, beta = closing_parameters(profile.m, profile.n)
-        return r_plus, beta, profile.m
-    if isinstance(profile, GluedProfile):
-        r_plus, beta = closing_parameters(1.0, n)
-        return r_plus, beta, 1.0
-    if isinstance(profile, SampledProfile):
-        m_hat = fitted_mass(profile.grid, profile.values, n)
-        if m_hat <= 0:
-            raise NonPositiveProfile(
-                f"sampled profile fits a nonpositive mass {m_hat:.3g}"
-            )
-        r_plus, beta = closing_parameters(m_hat, n)
-        return r_plus, beta, m_hat
-    if isinstance(profile, CuspProfile):
-        raise SingularAtCore("the cusp profile has no core to close")
-    raise OutOfDomain(f"unsupported initial profile {type(profile).__name__}")
-
-
 def _initial_values(profile, r, m_hat, n):
     lo, hi = profile.domain
     vals = r**2 - 2.0 * m_hat * r ** (3.0 - n)
@@ -306,17 +251,13 @@ def newton_solve(initial, n, cfg=None, beta=None):
     equation, whose solutions all have leading coefficient r^2.
     """
     cfg = cfg or NewtonConfig()
-    r_plus0, beta_prof, m_hat = _initial_core(initial, n)
+    r_plus0, beta_prof, m_hat = initial.core(n)
     if beta is None:
         beta = beta_prof
-    if cfg.r_out is not None:
-        r_out = cfg.r_out
-    elif isinstance(initial, GluedProfile):
-        r_out = initial.domain[1]
-    elif isinstance(initial, SampledProfile):
-        r_out = float(initial.grid[-1])
-    else:
-        r_out = 50.0 * r_plus0
+    r_out = cfg.r_out
+    if r_out is None:
+        # a profile with a finite outer end keeps it; others get 50 r_plus
+        r_out = initial.outer_radius or 50.0 * r_plus0
     if r_out <= 2.0 * r_plus0:
         raise OutOfDomain(f"r_out={r_out} too close to the core {r_plus0}")
     N = cfg.grid_size

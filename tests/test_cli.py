@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from dehnfill.cli import main
+from dehnfill.curvature import ricci_and_deficit
+from dehnfill.linearized import assemble_L_blackhole, assemble_L_cusp
+from dehnfill.numutil import loggrid
+from dehnfill.profiles import black_hole_metric, cusp_metric, glued_metric
 
 
 def _read(out_dir):
@@ -202,3 +206,64 @@ def test_missing_config_exit_2(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+# the library calls behind each --profile value at the CLI defaults (n=4, m=1, R=10)
+_LIBRARY = {
+    "blackhole": lambda: black_hole_metric(1.0, 4),
+    "cusp": lambda: cusp_metric(4),
+    "glued": lambda: glued_metric(10.0, 4),
+}
+
+
+def _grid(text):
+    lo, hi, num = text.split(":")
+    return loggrid(float(lo), float(hi), int(num))
+
+
+@pytest.mark.parametrize("profile", sorted(_LIBRARY))
+def test_curvature_each_profile_matches_library(tmp_path, profile):
+    rc = main(["curvature", "--n", "4", "--profile", profile,
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report, summary, manifest = _read(tmp_path)
+    rep = ricci_and_deficit(_LIBRARY[profile](), _grid(manifest["config"]["grid"]))
+    assert report[1:] == list(rep.csv_rows())
+    assert summary["profile"] == profile
+
+
+@pytest.mark.parametrize("profile", sorted(_LIBRARY))
+def test_linearize_each_profile_matches_library(tmp_path, profile):
+    rc = main(["linearize", "--n", "4", "--profile", profile,
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report, summary, manifest = _read(tmp_path)
+    metric = _LIBRARY[profile]()
+    grid_text = manifest["config"]["grid"]
+    if profile == "cusp":
+        sys_l = assemble_L_cusp(4)
+        assert grid_text == "0.5:50:64"
+    else:
+        sys_l = assemble_L_blackhole(metric)
+        lo = float(grid_text.split(":")[0])
+        assert lo == pytest.approx(1.05 * metric.profile.r_plus, rel=1e-5)
+    grid = _grid(grid_text)
+    c2, c1 = sys_l.a_coefficients(grid)
+    off = sys_l.zeroth_offdiag(grid)
+    M = sys_l.coupling_diag(grid)
+    expected = np.column_stack([
+        grid, c2, c1, off["12"], off["1j"], off["2j"], off["jk"],
+        M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1], M[:, 1, 2], M[:, 2, 2],
+    ])
+    rows = np.array([[float(t) for t in line.split(",")] for line in report[1:]])
+    assert np.array_equal(rows[:, :13], expected)
+    assert summary["profile"] == profile
+
+
+@pytest.mark.parametrize("command", ["curvature", "linearize"])
+def test_unknown_profile_in_config_exit_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"profile": "bogus"}))
+    rc = main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "unknown profile 'bogus'" in capsys.readouterr().err

@@ -15,13 +15,16 @@ from dehnfill.profiles import (
     BlackHoleProfile,
     CuspProfile,
     CutoffFunction,
+    FillingMetric,
     GluedProfile,
     SampledProfile,
     closing_parameters,
     coordinate_change_to_cusp,
     eval_profile,
     make_glued_profile,
+    profile_from_dict,
     profile_from_json,
+    profile_to_dict,
     profile_to_json,
 )
 
@@ -211,3 +214,35 @@ def test_positivity_above_core():
     prof = make_glued_profile(40.0, 6)
     r = np.linspace(prof.r_plus * 1.01, 39.9, 500)
     assert np.all(eval_profile(prof, r, 0) > 0)
+
+
+_GRID = np.geomspace(1.0, 20.0, 16)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: closing_parameters(math.inf, 4), InvalidMass),
+    (lambda: closing_parameters(math.nan, 4), InvalidMass),
+    (lambda: BlackHoleProfile(m=math.nan, n=4), InvalidMass),
+    (lambda: FillingMetric(n=4, profile=CuspProfile(), beta=math.nan), OutOfDomain),
+    (lambda: FillingMetric(n=4, profile=CuspProfile(), beta=math.inf), OutOfDomain),
+    (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2)),
+     OutOfDomain),
+    (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2),
+     OutOfDomain),
+], ids=["closing-inf-mass", "closing-nan-mass", "blackhole-nan-mass",
+        "metric-nan-beta", "metric-inf-beta", "sampled-nan-values", "sampled-inf-grid"])
+def test_constructors_reject_non_finite(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_profile_from_dict_unknown_variant():
+    with pytest.raises(OutOfDomain):
+        profile_from_dict({"variant": "bogus", "domain": [1.0, 2.0], "params": {}})
+
+
+def test_glued_dict_with_legacy_k_smooth_loads():
+    prof = make_glued_profile(25.0, 4)
+    d = profile_to_dict(prof)
+    d["params"]["cutoff"]["k_smooth"] = 4
+    assert profile_from_dict(d).cutoff == prof.cutoff
