@@ -41,6 +41,8 @@ class FlatLattice:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise OutOfDomain(f"lattice basis must be square, got {basis.shape}")
+        if not np.all(np.isfinite(basis)):
+            raise OutOfDomain("lattice basis contains nan or inf")
         if abs(np.linalg.det(basis)) <= 1e-12:
             raise OutOfDomain("lattice basis is singular")
         object.__setattr__(self, "basis", basis)

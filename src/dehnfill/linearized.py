@@ -34,7 +34,7 @@ from .errors import (
     TooFewSamples,
     UnknownBlock,
 )
-from .numutil import apply_diff, fit_loglog
+from .numutil import apply_stencil, fit_loglog, stencil_weights
 from .profiles import CuspProfile, black_hole_metric, eval_profile
 
 __all__ = [
@@ -275,11 +275,13 @@ def apply_L(sys, h):
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
     _core_margin_check(sys, grid)
     c2, c1 = sys.a_coefficients(grid)
+    st1 = stencil_weights(grid, 1, 5)
+    st2 = stencil_weights(grid, 2, 6)
 
     def a_op(u):
         u = np.asarray(u, dtype=float)
-        d1 = apply_diff(grid, u, 1)
-        d2 = apply_diff(grid, u, 2, stencil=6)
+        d1 = apply_stencil(st1, u)
+        d2 = apply_stencil(st2, u)
         if u.ndim == 1:
             return c2 * d2 + c1 * d1
         return c2[:, None] * d2 + c1[:, None] * d1
@@ -352,6 +354,8 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     radial direction scales like r d/dr).  Centers should be separated
     by more than 2*width in log r so the sum keeps unit size.
     """
+    if not (math.isfinite(width) and width > 0):
+        raise OutOfDomain(f"bump width must be finite and positive, got {width}")
     grid = np.asarray(grid, dtype=float)
     x = np.log(grid)
     total = np.zeros_like(x)

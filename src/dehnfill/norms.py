@@ -87,15 +87,15 @@ class WeightSpec:
         if self.n < 3:
             raise InvalidWeight(f"need n >= 3, got n={self.n}")
         R = tuple(float(x) for x in np.atleast_1d(self.R))
-        if any(x <= 0 for x in R):
-            raise InvalidWeight("filling sizes must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in R):
+            raise InvalidWeight("filling sizes must be finite and positive")
         object.__setattr__(self, "R", R)
         delta = self.delta
         if delta is None or (isinstance(delta, str) and delta == "auto"):
             delta = default_delta(self.n)
         delta = float(delta)
-        if delta < 0:
-            raise InvalidWeight(f"delta must be nonnegative, got {delta}")
+        if not (math.isfinite(delta) and delta >= 0):
+            raise InvalidWeight(f"delta must be finite and nonnegative, got {delta}")
         if self.l2_mode:
             lo, hi = 0.5 * (self.n - 1), float(self.n - 1)
             if not (lo < delta < hi):

@@ -41,6 +41,76 @@ def fornberg_weights(x0, xs, m):
     return c[:, m]
 
 
+def _window_starts(npts, width):
+    """First index of each row's window of `width` consecutive nodes.
+
+    The window is centred on its row where possible and shifted one-sided
+    near the ends, so it always lies inside the grid.
+    """
+    if npts < width:
+        raise GridTooCoarse(f"grid has {npts} points, stencil needs {width}")
+    return np.clip(np.arange(npts) - width // 2, 0, npts - width)
+
+
+def stencil_weights(grid, deriv, width):
+    """Finite-difference stencils of every row of an ascending grid.
+
+    Returns (idx, w), both of shape (npts, width): row i approximates the
+    deriv-th derivative at grid[i] by sum_k w[i, k] f(grid[idx[i, k]]),
+    on the window of `_window_starts`.  This is `fornberg_weights` run for
+    all rows at once, looping over the width and derivative order only;
+    every arithmetic step keeps its order, so each row is bit-identical
+    to the scalar result.
+    """
+    grid = np.asarray(grid, dtype=float)
+    npts = len(grid)
+    if width < deriv + 1:
+        raise GridTooCoarse(
+            f"need at least {deriv + 1} nodes for derivative order {deriv}")
+    idx = _window_starts(npts, width)[:, None] + np.arange(width)
+    xs = grid[idx]
+    x0 = grid
+    m = deriv
+    c = np.zeros((npts, width, m + 1))
+    c[:, 0, 0] = 1.0
+    c1 = 1.0
+    c4 = xs[:, 0] - x0
+    for i in range(1, width):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[:, i] - x0
+        for j in range(i):
+            c3 = xs[:, i] - xs[:, j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1]
+                                       - c5 * c[:, i - 1, k]) / c2
+                c[:, i, 0] = -c1 * c5 * c[:, i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[:, j, k] = (c4 * c[:, j, k] - k * c[:, j, k - 1]) / c3
+            c[:, j, 0] = c4 * c[:, j, 0] / c3
+        c1 = c2
+    # a view, so each row keeps the memory stride of the scalar result:
+    # the BLAS dot in apply_stencil then takes the same kernel and rounds
+    # the same way as `fornberg_weights(...) @ window`
+    return idx, c[:, :, m]
+
+
+def apply_stencil(stencil, values):
+    """Apply (idx, w) from `stencil_weights` to samples along axis 0.
+
+    values is (npts,) or (npts, m).  Each row is reduced with a batched
+    matmul, which rounds like the per-row `w @ window` product.
+    """
+    idx, w = stencil
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        return (w[:, None, :] @ values[idx][:, :, None])[:, 0, 0]
+    return (w[:, None, :] @ values[idx])[:, 0]
+
+
 def diff_matrix(grid, deriv, stencil):
     """Dense differentiation matrix on an arbitrary ascending grid.
 
@@ -51,31 +121,21 @@ def diff_matrix(grid, deriv, stencil):
     """
     grid = np.asarray(grid, dtype=float)
     npts = len(grid)
-    if npts < stencil:
-        raise GridTooCoarse(f"grid has {npts} points, stencil needs {stencil}")
     D = np.zeros((npts, npts))
-    half = stencil // 2
-    for i in range(npts):
-        lo = min(max(i - half, 0), npts - stencil)
+    for i, lo in enumerate(_window_starts(npts, stencil).tolist()):
         window = grid[lo : lo + stencil]
         D[i, lo : lo + stencil] = fornberg_weights(grid[i], window, deriv)
     return D
 
 
 def apply_diff(grid, values, deriv, stencil=5):
-    """Differentiate grid samples without materializing the full matrix."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    npts = len(grid)
-    if npts < stencil:
-        raise GridTooCoarse(f"grid has {npts} points, stencil needs {stencil}")
-    out = np.empty_like(values)
-    half = stencil // 2
-    for i in range(npts):
-        lo = min(max(i - half, 0), npts - stencil)
-        w = fornberg_weights(grid[i], grid[lo : lo + stencil], deriv)
-        out[i] = w @ values[lo : lo + stencil]
-    return out
+    """Differentiate grid samples along axis 0 without materializing the
+    full matrix: the rows of `diff_matrix`, built vectorized by
+    `stencil_weights` and applied by `apply_stencil`.  Callers that
+    differentiate several arrays on one grid should build the stencil once
+    and call `apply_stencil` themselves.
+    """
+    return apply_stencil(stencil_weights(grid, deriv, stencil), values)
 
 
 def fit_loglog(x, y):

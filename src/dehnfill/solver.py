@@ -165,12 +165,15 @@ class NewtonConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise OutOfDomain(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.residual_tol > 0):
-            raise OutOfDomain("residual_tol must be positive")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise OutOfDomain("residual_tol must be finite and positive")
         if not (0 < self.damping <= 1):
             raise OutOfDomain("damping must lie in (0, 1]")
         if self.grid_size < 64:
             raise GridTooCoarse("grid_size must be >= 64")
+        if self.r_out is not None and not (
+                math.isfinite(self.r_out) and self.r_out > 0):
+            raise OutOfDomain(f"r_out must be finite and positive, got {self.r_out}")
 
 
 @dataclass(frozen=True)

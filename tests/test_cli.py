@@ -97,6 +97,15 @@ def test_compare_slope(tmp_path):
     assert abs(summary["slope"] + 3.0) < 0.1
 
 
+@pytest.mark.parametrize("width", ["nan", "0", "-0.4"])
+def test_compare_bad_width_exit_2(tmp_path, capsys, width):
+    rc = main(["compare", "--n", "4", "--width", width,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "bump width" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_solve_from_glued(tmp_path):
     rc = main(["solve", "--n", "4", "--from-glued", "50",
                "--out-dir", str(tmp_path)])
@@ -118,6 +127,16 @@ def test_solve_exact_blackhole_zero_iters(tmp_path):
     _, summary, _ = _read(tmp_path)
     assert summary["iters"] == 0
     assert abs(summary["fitted_m"] - 2.0) < 1e-6
+
+
+@pytest.mark.parametrize("flags", [("--r-out", "nan"), ("--r-out", "inf"),
+                                   ("--r-out", "-5"), ("--tol", "inf")],
+                         ids=["r-out-nan", "r-out-inf", "r-out-negative", "tol-inf"])
+def test_solve_non_finite_config_exit_2(tmp_path, flags):
+    rc = main(["solve", "--n", "4", "--from-glued", "15", *flags,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_solve_unreachable_tol_exit_3(tmp_path, capsys):

@@ -277,3 +277,13 @@ def test_singular_basis_rejected():
         FlatLattice(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(OutOfDomain):
         geodesic_length(FlatLattice(np.eye(3)), GeodesicClass((1, 0)))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: FlatLattice(np.array([[1.0, 0.0], [0.0, math.nan]])), OutOfDomain),
+    (lambda: FlatLattice(np.array([[1.0, math.inf], [0.0, 1.0]])), OutOfDomain),
+    (lambda: FlatLattice(np.full((2, 2), math.nan)), OutOfDomain),
+], ids=["basis-nan", "basis-inf", "basis-all-nan"])
+def test_constructors_reject_non_finite(build, error):
+    with pytest.raises(error):
+        build()

@@ -222,6 +222,12 @@ def test_bump_deformation_unit_size():
     assert h2.max_abs() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("width", [float("nan"), 0.0, -0.4, float("inf")])
+def test_bump_deformation_rejects_bad_width(width):
+    with pytest.raises(OutOfDomain):
+        bump_deformation(4, loggrid(5.0, 50.0, 200), centers=[15.0], width=width)
+
+
 def test_compare_operators_slope():
     grid = loggrid(4.0, 260.0, 4000)
     h = bump_deformation(4, grid, centers=np.geomspace(8.0, 120.0, 10))

@@ -230,3 +230,13 @@ def test_norm_axioms_random_fields():
         ncf = weighted_sup_norm((grid, c * f), w)
         assert ncf == pytest.approx(abs(c) * nf, rel=1e-12)
         assert nfg <= nf + ng + 1e-9 * (nf + ng)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: WeightSpec(n=4, R=(10.0,), delta=math.nan), InvalidWeight),
+    (lambda: WeightSpec(n=4, R=(10.0,), delta=math.inf), InvalidWeight),
+    (lambda: WeightSpec(n=4, R=(math.inf,)), InvalidWeight),
+], ids=["delta-nan", "delta-inf", "R-inf"])
+def test_constructors_reject_non_finite(build, error):
+    with pytest.raises(error):
+        build()

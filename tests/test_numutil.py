@@ -1,0 +1,91 @@
+"""The batched stencil layer against the scalar Fornberg reference.
+
+`fornberg_weights` and `diff_matrix` keep the per-row scalar recursion;
+`stencil_weights`/`apply_stencil` must reproduce it exactly.
+"""
+
+import numpy as np
+import pytest
+
+from dehnfill.errors import GridTooCoarse
+from dehnfill.numutil import (
+    apply_diff,
+    apply_stencil,
+    diff_matrix,
+    fornberg_weights,
+    stencil_weights,
+)
+
+GRIDS = {
+    "uniform": np.linspace(2.0, 6.0, 64),
+    "geometric": np.geomspace(1.0, 50.0, 80),
+    # spacings vary by a factor of 3 from node to node
+    "random": 1.0 + 0.05 * np.cumsum(
+        np.random.default_rng(5).uniform(0.5, 1.5, 50)),
+}
+STENCILS = [(1, 5), (2, 6), (1, 9), (2, 9)]
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("deriv, width", STENCILS)
+@pytest.mark.parametrize("name", GRIDS)
+def test_rows_match_scalar_fornberg_bitwise(name, deriv, width):
+    grid = GRIDS[name]
+    idx, w = stencil_weights(grid, deriv, width)
+    assert idx.shape == w.shape == (len(grid), width)
+    D = diff_matrix(grid, deriv, width)
+    for i in range(len(grid)):
+        assert np.all(np.diff(idx[i]) == 1) and idx[i, 0] <= i <= idx[i, -1]
+        assert np.array_equal(w[i], fornberg_weights(grid[i], grid[idx[i]], deriv))
+        # the same window as the dense matrix, which is zero elsewhere
+        assert np.array_equal(D[i, idx[i]], w[i])
+        assert np.count_nonzero(D[i]) == np.count_nonzero(w[i])
+
+
+@pytest.mark.parametrize("deriv, width", STENCILS)
+@pytest.mark.parametrize("name", GRIDS)
+def test_apply_diff_matches_dense_matrix(name, deriv, width):
+    grid = GRIDS[name]
+    D = diff_matrix(grid, deriv, width)
+    rng = np.random.default_rng(6)
+    for values in (np.sin(grid), rng.standard_normal((len(grid), 3))):
+        got = apply_diff(grid, values, deriv, width)
+        want = D @ values
+        assert got.shape == want.shape
+        # relative to the size of each row's terms, which the sum cancels
+        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(D) @ np.abs(values)))
+
+
+def test_apply_stencil_matches_per_row_products_bitwise():
+    grid = GRIDS["geometric"]
+    st = stencil_weights(grid, 2, 6)
+    idx = st[0]
+    for values in (np.cos(grid), np.random.default_rng(7).standard_normal((len(grid), 4))):
+        want = np.array([fornberg_weights(grid[i], grid[idx[i]], 2) @ values[idx[i]]
+                         for i in range(len(grid))])
+        assert np.array_equal(apply_stencil(st, values), want)
+
+
+@pytest.mark.parametrize("deriv, width", STENCILS)
+@pytest.mark.parametrize("name", GRIDS)
+def test_polynomials_below_width_are_exact(name, deriv, width):
+    grid = GRIDS[name]
+    mid, half = 0.5 * (grid[0] + grid[-1]), 0.5 * (grid[-1] - grid[0])
+    p = np.polynomial.Polynomial(np.random.default_rng(8).uniform(-1.0, 1.0, width),
+                                 domain=[mid - half, mid + half])
+    idx, w = stencil_weights(grid, deriv, width)
+    values = p(grid)
+    err = np.abs(apply_diff(grid, values, deriv, width) - p.deriv(deriv)(grid))
+    # rounding of the weighted sum and of the weights themselves
+    scale = np.sum(np.abs(w) * np.abs(values[idx]), axis=1)
+    assert np.all(err <= 1e3 * EPS * scale)
+
+
+@pytest.mark.parametrize("npts, deriv, width", [(4, 1, 5), (8, 2, 9), (10, 2, 2),
+                                                (10, 1, 1)])
+def test_too_coarse_is_rejected(npts, deriv, width):
+    grid = np.linspace(1.0, 2.0, npts)
+    with pytest.raises(GridTooCoarse):
+        stencil_weights(grid, deriv, width)
+    with pytest.raises(GridTooCoarse):
+        apply_diff(grid, grid, deriv, width)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,18 @@ def test_newton_config_validation():
         NewtonConfig(residual_tol=0.0)
     with pytest.raises(OutOfDomain):
         NewtonConfig(damping=1.5)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: NewtonConfig(r_out=math.nan), OutOfDomain),
+    (lambda: NewtonConfig(r_out=math.inf), OutOfDomain),
+    (lambda: NewtonConfig(r_out=-5.0), OutOfDomain),
+    (lambda: NewtonConfig(residual_tol=math.inf), OutOfDomain),
+    (lambda: NewtonConfig(residual_tol=math.nan), OutOfDomain),
+], ids=["r-out-nan", "r-out-inf", "r-out-negative", "tol-inf", "tol-nan"])
+def test_constructors_reject_non_finite(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_perturbation_budget_inversion():
