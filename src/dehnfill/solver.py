@@ -12,6 +12,7 @@ as a parameter-recovery test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,9 +152,12 @@ class NewtonConfig:
     """Iteration controls for the Einstein profile solve.
 
     The defaults put residual_tol above the rounding floor of the 9-point
-    log-grid residual evaluation (about 2e-11 at grid_size 256 over two
-    decades; the floor grows like 1/dx^2, so finer grids raise it while
-    the dx^8 truncation stays far below).
+    log-grid residual evaluation at the default grid_size.  The floor
+    grows like 1/dx^2 while the dx^8 truncation stays far below: from the
+    glued start (R=50, n=4 or 5, r_out = 50 r_plus, one BLAS thread)
+    Newton bottoms out near 3e-12 at grid_size 256, 1.2e-11 at 512,
+    5.3e-11 at 1024 and 2.5e-10 at 2048, so from 1024 on the default
+    residual_tol is out of reach.
     """
 
     max_iters: int = 30
@@ -163,14 +167,18 @@ class NewtonConfig:
     r_out: float = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise OutOfDomain(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and self.max_iters >= 1):
+            raise OutOfDomain(
+                f"max_iters must be an integer >= 1, got {self.max_iters}")
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise OutOfDomain("residual_tol must be finite and positive")
         if not (0 < self.damping <= 1):
             raise OutOfDomain("damping must lie in (0, 1]")
-        if self.grid_size < 64:
-            raise GridTooCoarse("grid_size must be >= 64")
+        if not (isinstance(self.grid_size, numbers.Integral)
+                and self.grid_size >= 64):
+            raise GridTooCoarse(
+                f"grid_size must be an integer >= 64, got {self.grid_size}")
         if self.r_out is not None and not (
                 math.isfinite(self.r_out) and self.r_out > 0):
             raise OutOfDomain(f"r_out must be finite and positive, got {self.r_out}")
@@ -212,35 +220,72 @@ def _initial_values(profile, r, m_hat, n):
     return vals
 
 
-def _residual_and_jacobian(W, p, n, x_hi, N, beta, want_jacobian):
+def _unit_stencils(N):
+    """The 9-point first- and second-derivative matrices on the grid 0..N-1.
+
+    On a uniform grid x_i = p + i h the solver's matrices are these over h
+    and h^2.  Fornberg's recursion on integer nodes sees only exact
+    differences, so every row equals the matching row of a 17-node
+    template: rows 0-3 and 13-16 give the one-sided ends, the centred row
+    8 every interior row.  The result is bit-identical to
+    diff_matrix(np.arange(N, dtype=float), d, 9) for the cost of two
+    17-node builds.
+    """
+    rows = np.arange(4, N - 4)
+    out = []
+    for deriv in (1, 2):
+        tmpl = diff_matrix(np.arange(17.0), deriv, stencil=9)
+        T = np.zeros((N, N))
+        T[:4, :9] = tmpl[:4, :9]
+        T[rows[:, None], rows[:, None] + np.arange(-4, 5)] = tmpl[8, 4:13]
+        T[N - 4:, N - 9:] = tmpl[13:, 8:]
+        out.append(T)
+    return tuple(out)
+
+
+def _residual_and_jacobian(W, p, n, x_hi, T, beta, want_jacobian):
     """Rows: W[0]=0 | F1 at 1..N-2 | F2 at N-1 | core slope = 4 pi / beta.
 
-    The grid x_i = p + i (x_hi - p)/(N-1) moves with the unknown core
-    log-radius p, so the p-column of the Jacobian is done by central
-    differences while the W-block is exact (the system is affine in W).
+    The grid x_i = p + i h, h = (x_hi - p)/(N-1), moves with the unknown
+    core log-radius p; T = (T1, T2) are `_unit_stencils`, scaled here to
+    D1 = T1/h and D2 = T2/h^2 before the product (scaling the product
+    instead rounds differently and costs criterion 6 its margin).  The
+    Jacobian is exact: the system is affine in W, and its p-column comes
+    from dD1/dp = k D1, dD2/dp = 2k D2 with k = 1/(h(N-1)) and
+    dr_i/dp = r_i (1 - i/(N-1)).  Returns (res, J) with J of shape
+    (N+1, N+1), or (res, None).
     """
+    T1, T2 = T
+    N = len(W)
     x = np.linspace(p, x_hi, N)
     r = np.exp(x)
-    D1 = diff_matrix(x, 1, stencil=9)
-    D2 = diff_matrix(x, 2, stencil=9)
+    h = (x_hi - p) / (N - 1)
+    D1 = T1 / h
+    D2 = T2 / h**2
     DxW = D1 @ W
     DxxW = D2 @ W
     res = np.empty(N + 1)
     res[0] = W[0]
     i = np.arange(1, N - 1)
-    res[1:N - 1] = (-(DxxW[i] + (n - 3) * DxW[i]) / (2.0 * r[i] ** 2)
-                    + (n - 1))
+    A = DxxW[i] + (n - 3) * DxW[i]
+    res[1:N - 1] = -A / (2.0 * r[i] ** 2) + (n - 1)
     res[N - 1] = (-DxW[N - 1] / r[N - 1] ** 2
                   - (n - 3) * W[N - 1] / r[N - 1] ** 2 + (n - 1))
     res[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
     if not want_jacobian:
         return res, None
-    J = np.zeros((N + 1, N))
+    J = np.zeros((N + 1, N + 1))
     J[0, 0] = 1.0
-    J[1:N - 1, :] = -(D2[i, :] + (n - 3) * D1[i, :]) / (2.0 * r[i, None] ** 2)
-    J[N - 1, :] = -D1[N - 1, :] / r[N - 1] ** 2
+    J[1:N - 1, :N] = -(D2[i, :] + (n - 3) * D1[i, :]) / (2.0 * r[i, None] ** 2)
+    J[N - 1, :N] = -D1[N - 1, :] / r[N - 1] ** 2
     J[N - 1, N - 1] += -(n - 3) / r[N - 1] ** 2
-    J[N, :] = D1[0, :] / r[0]
+    J[N, :N] = D1[0, :] / r[0]
+    k = 1.0 / (h * (N - 1))
+    s = 1.0 - i / (N - 1)
+    J[1:N - 1, N] = (-(2.0 * DxxW[i] + (n - 3) * DxW[i]) * k
+                     / (2.0 * r[i] ** 2) + A * s / r[i] ** 2)
+    J[N - 1, N] = -DxW[N - 1] * k / r[N - 1] ** 2
+    J[N, N] = DxW[0] / r[0] * (k - 1.0)
     return res, J
 
 
@@ -268,11 +313,12 @@ def newton_solve(initial, n, cfg=None, beta=None):
     p = math.log(r_plus0)
     W = _initial_values(initial, np.exp(np.linspace(p, x_hi, N)), m_hat, n)
     W[0] = 0.0
+    T = _unit_stencils(N)
 
     def norm(res):
         return float(np.max(np.abs(res)))
 
-    res, _ = _residual_and_jacobian(W, p, n, x_hi, N, beta, False)
+    res, _ = _residual_and_jacobian(W, p, n, x_hi, T, beta, False)
     history = [norm(res)]
 
     def finish(converged, iters):
@@ -294,13 +340,7 @@ def newton_solve(initial, n, cfg=None, beta=None):
     for it in range(cfg.max_iters):
         if history[-1] < cfg.residual_tol:
             return finish(True, it)
-        res, J_W = _residual_and_jacobian(W, p, n, x_hi, N, beta, True)
-        hp = 1e-6 * max(1.0, abs(p))
-        res_plus, _ = _residual_and_jacobian(W, p + hp, n, x_hi, N, beta, False)
-        res_minus, _ = _residual_and_jacobian(W, p - hp, n, x_hi, N, beta, False)
-        J = np.zeros((N + 1, N + 1))
-        J[:, :N] = J_W
-        J[:, N] = (res_plus - res_minus) / (2.0 * hp)
+        res, J = _residual_and_jacobian(W, p, n, x_hi, T, beta, True)
         try:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError as exc:
@@ -311,7 +351,7 @@ def newton_solve(initial, n, cfg=None, beta=None):
         for _ in range(30):
             W_new = W + t * step[:N]
             p_new = p + t * step[N]
-            res_new, _ = _residual_and_jacobian(W_new, p_new, n, x_hi, N,
+            res_new, _ = _residual_and_jacobian(W_new, p_new, n, x_hi, T,
                                                 beta, False)
             if norm(res_new) <= (1.0 - 0.25 * t) * history[-1]:
                 accepted = True

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dehnfill import solver
 from dehnfill.errors import (
     AnchorOutsideGrid,
+    GridTooCoarse,
     LineSearchFailed,
     MaxItersExceeded,
     NonPositiveProfile,
@@ -14,7 +16,7 @@ from dehnfill.errors import (
 )
 from dehnfill.gluing import DecayScanResult
 from dehnfill.norms import WeightSpec, phi_c
-from dehnfill.numutil import apply_diff, fit_loglog, loggrid
+from dehnfill.numutil import apply_diff, diff_matrix, fit_loglog, loggrid
 from dehnfill.profiles import (
     BlackHoleProfile,
     CuspProfile,
@@ -285,10 +287,71 @@ def test_newton_config_validation():
     (lambda: NewtonConfig(r_out=-5.0), OutOfDomain),
     (lambda: NewtonConfig(residual_tol=math.inf), OutOfDomain),
     (lambda: NewtonConfig(residual_tol=math.nan), OutOfDomain),
-], ids=["r-out-nan", "r-out-inf", "r-out-negative", "tol-inf", "tol-nan"])
+    (lambda: NewtonConfig(max_iters=math.nan), OutOfDomain),
+    (lambda: NewtonConfig(max_iters=math.inf), OutOfDomain),
+    (lambda: NewtonConfig(max_iters=2.5), OutOfDomain),
+    (lambda: NewtonConfig(grid_size=math.nan), GridTooCoarse),
+    (lambda: NewtonConfig(grid_size=math.inf), GridTooCoarse),
+    (lambda: NewtonConfig(grid_size=2.5), GridTooCoarse),
+], ids=["r-out-nan", "r-out-inf", "r-out-negative", "tol-inf", "tol-nan",
+        "max-iters-nan", "max-iters-inf", "max-iters-non-integer",
+        "grid-size-nan", "grid-size-inf", "grid-size-non-integer"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("N", [64, 65, 256, 512, 1024])
+def test_unit_stencils_match_diff_matrix(N):
+    # the 17-node template scattered into the band is the full per-row
+    # Fornberg build on the unit grid, bit for bit
+    T = solver._unit_stencils(N)
+    for deriv in (1, 2):
+        ref = diff_matrix(np.arange(N, dtype=float), deriv, 9)
+        assert np.array_equal(T[deriv - 1], ref)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("n", [4, 5])
+def test_analytic_p_column_matches_central_difference(n, N):
+    prof = make_glued_profile(15.0, n)
+    r_plus, beta, m_hat = prof.core(n)
+    p0, x_hi = math.log(r_plus), math.log(50.0 * r_plus)
+    W0 = solver._initial_values(prof, np.exp(np.linspace(p0, x_hi, N)),
+                                m_hat, n)
+    W0[0] = 0.0
+    T = solver._unit_stencils(N)
+    rng = np.random.default_rng(3)
+    bumped = W0 * (1.0 + 1e-3 * rng.standard_normal(N))
+    bumped[0] = 0.0
+    for W, p in ((W0, p0), (bumped, p0 + 0.01)):
+        _, J = solver._residual_and_jacobian(W, p, n, x_hi, T, beta, True)
+
+        def res(q):
+            return solver._residual_and_jacobian(W, q, n, x_hi, T, beta,
+                                                 False)[0]
+
+        # fourth-order central difference in p
+        hp = 1e-3
+        fd = (8.0 * (res(p + hp) - res(p - hp))
+              - (res(p + 2 * hp) - res(p - 2 * hp))) / (12.0 * hp)
+        assert J[0, N] == 0.0
+        assert np.max(np.abs(J[:, N] - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_newton_builds_stencils_once_per_solve(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return diff_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "diff_matrix", counting)
+    cfg = NewtonConfig(grid_size=64, damping=0.5, max_iters=60)
+    res = newton_solve(make_glued_profile(50.0, 4), 4, cfg=cfg)
+    assert res.converged
+    assert res.iterations >= 2
+    assert len(calls) == 2
 
 
 def test_perturbation_budget_inversion():
