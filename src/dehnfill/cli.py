@@ -48,6 +48,10 @@ from .solver import NewtonConfig, newton_solve
 
 INDICIAL_LABELS = ("11", "12", "1j", "2j", "jk", "diag")
 
+# settings that must be integers wherever they come from; a config-file
+# value such as 256.7 is rejected, not truncated
+INTEGER_KEYS = ("n", "grid_size", "max_iters", "num_centers")
+
 # --profile value -> (metric from the resolved config and n, operator
 # assembled on that metric); the cusp keeps its exact Euler model.
 PROFILES = {
@@ -95,8 +99,18 @@ def _profile_builders(cfg):
     return PROFILES[name]
 
 
+def _integer(key, value):
+    """value as an int; a whole float passes, anything else is an error."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DehnFillError(f"{key} must be an integer, got {value!r}")
+
+
 def _resolve(args, config, defaults):
-    """Flags override config-file values override defaults; n is checked."""
+    """Flags override config-file values override defaults; the integer
+    settings and n are checked."""
     resolved = dict(defaults)
     for key in defaults:
         if key in config:
@@ -104,7 +118,9 @@ def _resolve(args, config, defaults):
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             resolved[key] = cli_val
-    resolved["n"] = _check_dimension(int(resolved["n"]))
+        if key in INTEGER_KEYS:
+            resolved[key] = _integer(key, resolved[key])
+    _check_dimension(resolved["n"])
     return resolved
 
 
@@ -167,7 +183,7 @@ def cmd_scan(args, config, input_hashes):
     if len(sizes) < 5:
         raise DehnFillError(f"need >= 5 sizes for a slope fit, got {len(sizes)}")
     delta = None if cfg["delta"] in (None, "auto") else float(cfg["delta"])
-    result = decay_scan(n, sizes, w=delta, grid_size=int(cfg["grid_size"]))
+    result = decay_scan(n, sizes, w=delta, grid_size=cfg["grid_size"])
     cfg["delta"] = "auto" if delta is None else delta
     cfg["sizes"] = list(result.sizes)
     rows = [f"{_fmt(s)},{_fmt(v)}" for s, v in result.rows()]
@@ -247,11 +263,11 @@ def cmd_compare(args, config, input_hashes):
     lo, hi = _parse_window(cfg["window"])
     width = float(cfg["width"])
     centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
-                           int(cfg["num_centers"]))
-    grid = loggrid(lo, hi, int(cfg["grid_size"]))
+                           cfg["num_centers"])
+    grid = loggrid(lo, hi, cfg["grid_size"])
     h = bump_deformation(n, grid, centers, width=width)
     comp = compare_operators(h, r_window=(lo, hi), m=float(cfg["m"]),
-                             bins=int(cfg["num_centers"]))
+                             bins=cfg["num_centers"])
     rows = [f"{_fmt(c)},{_fmt(v)}"
             for c, v in zip(comp.bin_centers, comp.bin_max) if v > 0]
     summary = {
@@ -281,9 +297,9 @@ def cmd_solve(args, config, input_hashes):
         initial = BlackHoleProfile(m=float(cfg["from_blackhole"]), n=n)
     else:
         raise DehnFillError("need --from-glued R or --from-blackhole m")
-    ncfg = NewtonConfig(max_iters=int(cfg["max_iters"]),
+    ncfg = NewtonConfig(max_iters=cfg["max_iters"],
                         residual_tol=float(cfg["tol"]),
-                        grid_size=int(cfg["grid_size"]),
+                        grid_size=cfg["grid_size"],
                         r_out=None if cfg["r_out"] is None
                         else float(cfg["r_out"]))
     try:

@@ -16,6 +16,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import (
     AnchorOutsideGrid,
@@ -28,7 +29,7 @@ from .errors import (
     TooFewSamples,
 )
 from .gluing import DecayScanResult
-from .numutil import cumtrapz0, diff_matrix
+from .numutil import _window_starts, cumtrapz0, diff_matrix
 from .profiles import SampledProfile, eval_profile, fitted_mass
 
 __all__ = [
@@ -154,10 +155,9 @@ class NewtonConfig:
     The defaults put residual_tol above the rounding floor of the 9-point
     log-grid residual evaluation at the default grid_size.  The floor
     grows like 1/dx^2 while the dx^8 truncation stays far below: from the
-    glued start (R=50, n=4 or 5, r_out = 50 r_plus, one BLAS thread)
-    Newton bottoms out near 3e-12 at grid_size 256, 1.2e-11 at 512,
-    5.3e-11 at 1024 and 2.5e-10 at 2048, so from 1024 on the default
-    residual_tol is out of reach.
+    glued start (R=50, n=4 or 5, r_out = 50 r_plus) Newton bottoms out
+    near 1e-12 at grid_size 256, 5e-12 at 512, 2.2e-11 at 1024 and
+    9e-11 at 2048, so at 2048 the default residual_tol is out of reach.
     """
 
     max_iters: int = 30
@@ -221,49 +221,60 @@ def _initial_values(profile, r, m_hat, n):
 
 
 def _unit_stencils(N):
-    """The 9-point first- and second-derivative matrices on the grid 0..N-1.
+    """The 9-point first- and second-derivative stencils on the grid 0..N-1.
 
-    On a uniform grid x_i = p + i h the solver's matrices are these over h
-    and h^2.  Fornberg's recursion on integer nodes sees only exact
-    differences, so every row equals the matching row of a 17-node
-    template: rows 0-3 and 13-16 give the one-sided ends, the centred row
-    8 every interior row.  The result is bit-identical to
-    diff_matrix(np.arange(N, dtype=float), d, 9) for the cost of two
-    17-node builds.
+    Returns (idx, w1, w2), each of shape (N, 9): row i approximates the
+    derivative at node i by sum_k w[i, k] f(idx[i, k]) on the window of
+    `numutil._window_starts`.  On a uniform grid x_i = p + i h the solver
+    divides w1 by h and w2 by h^2.  Fornberg's recursion on integer nodes
+    sees only exact differences, so every row is a row of one 9-node
+    template: rows 0-3 give the left end, the centred row 4 every interior
+    row and rows 5-8 the right end, bit-identical to the rows of
+    diff_matrix(np.arange(N, dtype=float), d, 9) for two 9-node builds.
     """
-    rows = np.arange(4, N - 4)
-    out = []
-    for deriv in (1, 2):
-        tmpl = diff_matrix(np.arange(17.0), deriv, stencil=9)
-        T = np.zeros((N, N))
-        T[:4, :9] = tmpl[:4, :9]
-        T[rows[:, None], rows[:, None] + np.arange(-4, 5)] = tmpl[8, 4:13]
-        T[N - 4:, N - 9:] = tmpl[13:, 8:]
-        out.append(T)
-    return tuple(out)
+    start = _window_starts(N, 9)
+    idx = start[:, None] + np.arange(9)
+    row = np.arange(N) - start
+    w1 = diff_matrix(np.arange(9.0), 1, stencil=9)[row]
+    w2 = diff_matrix(np.arange(9.0), 2, stencil=9)[row]
+    return idx, w1, w2
 
 
-def _residual_and_jacobian(W, p, n, x_hi, T, beta, want_jacobian):
+# band widths of the W-block: the F2 row N-1 reaches 8 columns left, the
+# first F1 row 7 columns right
+_LOWER, _UPPER = 8, 7
+
+
+def _residual_and_jacobian(W, p, n, x_hi, stencils, beta, want_jacobian):
     """Rows: W[0]=0 | F1 at 1..N-2 | F2 at N-1 | core slope = 4 pi / beta.
 
     The grid x_i = p + i h, h = (x_hi - p)/(N-1), moves with the unknown
-    core log-radius p; T = (T1, T2) are `_unit_stencils`, scaled here to
-    D1 = T1/h and D2 = T2/h^2 before the product (scaling the product
-    instead rounds differently and costs criterion 6 its margin).  The
-    Jacobian is exact: the system is affine in W, and its p-column comes
-    from dD1/dp = k D1, dD2/dp = 2k D2 with k = 1/(h(N-1)) and
-    dr_i/dp = r_i (1 - i/(N-1)).  Returns (res, J) with J of shape
-    (N+1, N+1), or (res, None).
+    core log-radius p; stencils = (idx, w1, w2) are `_unit_stencils`.  The
+    derivatives are taken in difference form, DxW_i = sum_k (w1_ik/h)
+    (W[idx_ik] - W_i) and DxxW likewise with w2/h^2: the weights sum to
+    zero, so this is the same operator, but subtracting W_i first removes
+    the cancellation between the O(r^2) terms and lowers the rounding
+    floor about 3x against the plain sum of w W[idx].
+
+    The Jacobian is exact: the system is affine in W, and its p-column
+    comes from dD1/dp = k D1, dD2/dp = 2k D2 with k = 1/(h(N-1)) and
+    dr_i/dp = r_i (1 - i/(N-1)).  It is returned bordered, as
+    (ab, b, c, d): ab is the N x N W-block in LAPACK band storage
+    (ab[_UPPER + i - j, j] = J[i, j], shape (_LOWER + _UPPER + 1, N)),
+    b the p-column J[:N, N], c the core-slope row J[N, :9] (the other
+    entries of row N are zero) and d the corner J[N, N].  Returns
+    (res, (ab, b, c, d)), or (res, None).
     """
-    T1, T2 = T
+    idx, w1, w2 = stencils
     N = len(W)
     x = np.linspace(p, x_hi, N)
     r = np.exp(x)
     h = (x_hi - p) / (N - 1)
-    D1 = T1 / h
-    D2 = T2 / h**2
-    DxW = D1 @ W
-    DxxW = D2 @ W
+    D1 = w1 / h
+    D2 = w2 / h**2
+    dW = W[idx] - W[:, None]
+    DxW = (D1 * dW).sum(axis=1)
+    DxxW = (D2 * dW).sum(axis=1)
     res = np.empty(N + 1)
     res[0] = W[0]
     i = np.arange(1, N - 1)
@@ -274,19 +285,47 @@ def _residual_and_jacobian(W, p, n, x_hi, T, beta, want_jacobian):
     res[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
     if not want_jacobian:
         return res, None
-    J = np.zeros((N + 1, N + 1))
-    J[0, 0] = 1.0
-    J[1:N - 1, :N] = -(D2[i, :] + (n - 3) * D1[i, :]) / (2.0 * r[i, None] ** 2)
-    J[N - 1, :N] = -D1[N - 1, :] / r[N - 1] ** 2
-    J[N - 1, N - 1] += -(n - 3) / r[N - 1] ** 2
-    J[N, :N] = D1[0, :] / r[0]
+    # rows 1..N-1 of the W-block on their stencil windows; row 0 is W[0],
+    # whose one entry is the diagonal
+    rows = np.empty((N - 1, 9))
+    rows[:-1] = -(D2[i] + (n - 3) * D1[i]) / (2.0 * r[i, None] ** 2)
+    rows[-1] = -D1[N - 1] / r[N - 1] ** 2
+    rows[-1, 8] -= (n - 3) / r[N - 1] ** 2
+    ab = np.zeros((_LOWER + _UPPER + 1, N))
+    j = np.arange(1, N)
+    ab[_UPPER + j[:, None] - idx[1:], idx[1:]] = rows
+    ab[_UPPER, 0] = 1.0
     k = 1.0 / (h * (N - 1))
     s = 1.0 - i / (N - 1)
-    J[1:N - 1, N] = (-(2.0 * DxxW[i] + (n - 3) * DxW[i]) * k
-                     / (2.0 * r[i] ** 2) + A * s / r[i] ** 2)
-    J[N - 1, N] = -DxW[N - 1] * k / r[N - 1] ** 2
-    J[N, N] = DxW[0] / r[0] * (k - 1.0)
-    return res, J
+    b = np.zeros(N)
+    b[1:N - 1] = (-(2.0 * DxxW[i] + (n - 3) * DxW[i]) * k
+                  / (2.0 * r[i] ** 2) + A * s / r[i] ** 2)
+    b[N - 1] = -DxW[N - 1] * k / r[N - 1] ** 2
+    c = D1[0] / r[0]
+    d = DxW[0] / r[0] * (k - 1.0)
+    return res, (ab, b, c, d)
+
+
+def _newton_step(res, jac):
+    """Solve J step = -res for the bordered Jacobian of
+    `_residual_and_jacobian`.
+
+    One banded factorization serves both right-hand sides: A z1 = -res_W
+    and A z2 = b.  The Schur complement of A then gives the p-step
+    y = (-res_N - c.z1)/(d - c.z2) and the W-step z1 - y z2.  A singular
+    band or a zero or non-finite pivot raises np.linalg.LinAlgError; a NaN
+    in the system is not checked up front, so it ends there too.
+    """
+    ab, b, c, d = jac
+    N = len(b)
+    z = solve_banded((_LOWER, _UPPER), ab, np.column_stack((-res[:N], b)),
+                     check_finite=False)
+    z1, z2 = z[:, 0], z[:, 1]
+    pivot = d - c @ z2[:9]
+    if not (math.isfinite(pivot) and pivot != 0.0):
+        raise np.linalg.LinAlgError(f"Schur pivot {pivot}")
+    y = (-res[N] - c @ z1[:9]) / pivot
+    return np.append(z1 - y * z2, y)
 
 
 def newton_solve(initial, n, cfg=None, beta=None):
@@ -313,12 +352,12 @@ def newton_solve(initial, n, cfg=None, beta=None):
     p = math.log(r_plus0)
     W = _initial_values(initial, np.exp(np.linspace(p, x_hi, N)), m_hat, n)
     W[0] = 0.0
-    T = _unit_stencils(N)
+    stencils = _unit_stencils(N)
 
     def norm(res):
         return float(np.max(np.abs(res)))
 
-    res, _ = _residual_and_jacobian(W, p, n, x_hi, T, beta, False)
+    res, _ = _residual_and_jacobian(W, p, n, x_hi, stencils, beta, False)
     history = [norm(res)]
 
     def finish(converged, iters):
@@ -340,9 +379,10 @@ def newton_solve(initial, n, cfg=None, beta=None):
     for it in range(cfg.max_iters):
         if history[-1] < cfg.residual_tol:
             return finish(True, it)
-        res, J = _residual_and_jacobian(W, p, n, x_hi, T, beta, True)
+        res, jac = _residual_and_jacobian(W, p, n, x_hi, stencils, beta,
+                                          True)
         try:
-            step = np.linalg.solve(J, -res)
+            step = _newton_step(res, jac)
         except np.linalg.LinAlgError as exc:
             raise LineSearchFailed(f"singular Jacobian: {exc}",
                                    result=finish(False, it))
@@ -351,8 +391,8 @@ def newton_solve(initial, n, cfg=None, beta=None):
         for _ in range(30):
             W_new = W + t * step[:N]
             p_new = p + t * step[N]
-            res_new, _ = _residual_and_jacobian(W_new, p_new, n, x_hi, T,
-                                                beta, False)
+            res_new, _ = _residual_and_jacobian(W_new, p_new, n, x_hi,
+                                                stencils, beta, False)
             if norm(res_new) <= (1.0 - 0.25 * t) * history[-1]:
                 accepted = True
                 break

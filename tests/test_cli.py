@@ -286,3 +286,40 @@ def test_unknown_profile_in_config_exit_2(tmp_path, capsys, command):
     rc = main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown profile 'bogus'" in capsys.readouterr().err
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD_INTEGERS = [
+    ("solve", "grid_size", 256.7), ("solve", "n", 4.5),
+    ("solve", "max_iters", _NAN), ("solve", "grid_size", _INF),
+    ("solve", "n", True), ("solve", "grid_size", "256"),
+    ("scan", "grid_size", 512.5), ("scan", "n", 4.5), ("scan", "n", _NAN),
+    ("compare", "grid_size", 1024.5), ("compare", "num_centers", 12.5),
+    ("compare", "n", True),
+]
+
+
+@pytest.mark.parametrize("command, key, value", _BAD_INTEGERS,
+                         ids=[f"{c}-{k}-{v}" for c, k, v in _BAD_INTEGERS])
+def test_config_integer_keys_reject_non_integers(tmp_path, capsys, command,
+                                                 key, value):
+    # these used to pass through int(): 256.7 ran at 256 and 4.5 as n=4
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    argv = {"solve": ["solve", "--from-glued", "50"], "scan": ["scan"],
+            "compare": ["compare"]}[command]
+    rc = main([*argv, "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_config_whole_float_grid_size_accepted(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"grid_size": 256.0, "max_iters": 30.0}))
+    rc = main(["solve", "--from-glued", "50", "--config", str(cfg_path),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report, _, manifest = _read(tmp_path)
+    assert len(report) == 257
+    assert manifest["config"]["grid_size"] == 256

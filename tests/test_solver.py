@@ -301,35 +301,64 @@ def test_constructors_reject_non_finite(build, error):
         build()
 
 
-@pytest.mark.parametrize("N", [64, 65, 256, 512, 1024])
-def test_unit_stencils_match_diff_matrix(N):
-    # the 17-node template scattered into the band is the full per-row
-    # Fornberg build on the unit grid, bit for bit
-    T = solver._unit_stencils(N)
-    for deriv in (1, 2):
-        ref = diff_matrix(np.arange(N, dtype=float), deriv, 9)
-        assert np.array_equal(T[deriv - 1], ref)
+def _dense_stencil(idx, w):
+    D = np.zeros((len(idx), len(idx)))
+    D[np.arange(len(idx))[:, None], idx] = w
+    return D
 
 
-@pytest.mark.parametrize("N", [64, 256])
-@pytest.mark.parametrize("n", [4, 5])
-def test_analytic_p_column_matches_central_difference(n, N):
+def _dense_jacobian(jac):
+    # the (N+1)^2 matrix of the bordered band returned by the solver
+    ab, b, c, d = jac
+    lower, upper = solver._LOWER, solver._UPPER
+    N = len(b)
+    J = np.zeros((N + 1, N + 1))
+    for i in range(N):
+        for j in range(max(0, i - lower), min(N, i + upper + 1)):
+            J[i, j] = ab[upper + i - j, j]
+    J[:N, N] = b
+    J[N, :len(c)] = c
+    J[N, N] = d
+    return J
+
+
+def _glued_points(n, N):
+    """The glued start and a perturbed (W, p), with what the solver needs."""
     prof = make_glued_profile(15.0, n)
     r_plus, beta, m_hat = prof.core(n)
     p0, x_hi = math.log(r_plus), math.log(50.0 * r_plus)
     W0 = solver._initial_values(prof, np.exp(np.linspace(p0, x_hi, N)),
                                 m_hat, n)
     W0[0] = 0.0
-    T = solver._unit_stencils(N)
     rng = np.random.default_rng(3)
     bumped = W0 * (1.0 + 1e-3 * rng.standard_normal(N))
     bumped[0] = 0.0
-    for W, p in ((W0, p0), (bumped, p0 + 0.01)):
-        _, J = solver._residual_and_jacobian(W, p, n, x_hi, T, beta, True)
+    return ((W0, p0), (bumped, p0 + 0.01)), x_hi, beta
+
+
+@pytest.mark.parametrize("N", [64, 65, 256, 512, 1024])
+def test_unit_stencils_match_diff_matrix(N):
+    # the 9-node template scattered into the band is the full per-row
+    # Fornberg build on the unit grid, bit for bit
+    idx, w1, w2 = solver._unit_stencils(N)
+    for deriv, w in ((1, w1), (2, w2)):
+        ref = diff_matrix(np.arange(N, dtype=float), deriv, 9)
+        assert np.array_equal(_dense_stencil(idx, w), ref)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("n", [4, 5])
+def test_analytic_p_column_matches_central_difference(n, N):
+    points, x_hi, beta = _glued_points(n, N)
+    stencils = solver._unit_stencils(N)
+    for W, p in points:
+        _, jac = solver._residual_and_jacobian(W, p, n, x_hi, stencils, beta,
+                                               True)
+        J = _dense_jacobian(jac)
 
         def res(q):
-            return solver._residual_and_jacobian(W, q, n, x_hi, T, beta,
-                                                 False)[0]
+            return solver._residual_and_jacobian(W, q, n, x_hi, stencils,
+                                                 beta, False)[0]
 
         # fourth-order central difference in p
         hp = 1e-3
@@ -337,6 +366,99 @@ def test_analytic_p_column_matches_central_difference(n, N):
               - (res(p + 2 * hp) - res(p - 2 * hp))) / (12.0 * hp)
         assert J[0, N] == 0.0
         assert np.max(np.abs(J[:, N] - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("n", [4, 5])
+def test_bordered_step_matches_dense_solve(n, N):
+    points, x_hi, beta = _glued_points(n, N)
+    stencils = solver._unit_stencils(N)
+    for W, p in points:
+        res, jac = solver._residual_and_jacobian(W, p, n, x_hi, stencils,
+                                                 beta, True)
+        step = solver._newton_step(res, jac)
+        ref = np.linalg.solve(_dense_jacobian(jac), -res)
+        assert np.max(np.abs(step - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("n", [4, 5])
+def test_difference_form_residual_matches_dense(n, N):
+    # the residual as the dense matrices (T/h) @ W give it
+    points, x_hi, beta = _glued_points(n, N)
+    T1, T2 = (diff_matrix(np.arange(N, dtype=float), d, 9) for d in (1, 2))
+    stencils = solver._unit_stencils(N)
+    for W, p in points:
+        r = np.exp(np.linspace(p, x_hi, N))
+        h = (x_hi - p) / (N - 1)
+        DxW, DxxW = (T1 / h) @ W, (T2 / h**2) @ W
+        ref = np.empty(N + 1)
+        ref[0] = W[0]
+        ref[1:N - 1] = (-(DxxW + (n - 3) * DxW)[1:N - 1]
+                        / (2.0 * r[1:N - 1] ** 2) + (n - 1))
+        ref[N - 1] = (-DxW[-1] - (n - 3) * W[-1]) / r[-1] ** 2 + (n - 1)
+        ref[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
+        got, _ = solver._residual_and_jacobian(W, p, n, x_hi, stencils, beta,
+                                               False)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("n", [4, 5])
+def test_banded_w_block_is_the_residual_derivative(n, N):
+    # the residual is affine in W, so J[:, :N] v = res(W + v) - res(W)
+    points, x_hi, beta = _glued_points(n, N)
+    stencils = solver._unit_stencils(N)
+    rng = np.random.default_rng(5)
+    for W, p in points:
+        res, jac = solver._residual_and_jacobian(W, p, n, x_hi, stencils,
+                                                 beta, True)
+        v = 1e-3 * (W + 1.0) * rng.standard_normal(N)
+        moved, _ = solver._residual_and_jacobian(W + v, p, n, x_hi,
+                                                 stencils, beta, False)
+        J = _dense_jacobian(jac)[:, :N]
+        # row by row, against the size of that row's terms
+        scale = np.abs(J) @ np.abs(v)
+        assert np.all(np.abs(J @ v - (moved - res)) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("zeroed", [(0,), (2, 3)], ids=["band", "pivot"])
+def test_singular_jacobian_raises_line_search_failed(monkeypatch, zeroed):
+    # a zero band is singular; a zero border row and corner zero the pivot
+    real = solver._residual_and_jacobian
+
+    def singular(*args):
+        res, jac = real(*args)
+        if jac is not None:
+            jac = tuple(np.zeros_like(part) if k in zeroed else part
+                        for k, part in enumerate(jac))
+        return res, jac
+
+    monkeypatch.setattr(solver, "_residual_and_jacobian", singular)
+    with pytest.raises(LineSearchFailed, match="singular Jacobian") as exc:
+        newton_solve(make_glued_profile(50.0, 4), 4,
+                     cfg=NewtonConfig(grid_size=64))
+    assert exc.value.result.iterations == 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_newton_converges_at_grid_size_1024(n):
+    # the glued start used to stall on the rounding floor just above the
+    # default tolerance here (5.3e-11 > 5e-11)
+    res = newton_solve(make_glued_profile(50.0, n), n,
+                       NewtonConfig(grid_size=1024))
+    assert res.converged
+    assert res.residuals[-1] < NewtonConfig().residual_tol
+
+
+@pytest.mark.parametrize("R", [15.0, 19.0])
+@pytest.mark.parametrize("n", [4, 5])
+def test_newton_quadratic_ratio_at_grid_size_512(n, R):
+    # a second step taken at the rounding floor made this ratio ~1e9
+    res = newton_solve(make_glued_profile(R, n), n,
+                       NewtonConfig(grid_size=512))
+    assert res.converged
+    assert res.quadratic_ratio < 1.0
 
 
 def test_newton_builds_stencils_once_per_solve(monkeypatch):
