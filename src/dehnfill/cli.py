@@ -14,6 +14,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -366,7 +367,14 @@ def _add_common(sub):
     sub.add_argument("--n", type=int)
 
 
+@functools.cache
 def build_parser():
+    """The `dehnfill` argument parser, built once per process.
+
+    The parser is shared by every `main` call, so callers must not mutate
+    it.  Each parse_args call returns a fresh Namespace, and the one
+    list-valued flag (lattice --cusp, default None) gets a new list each
+    time, so no state carries over from one call to the next."""
     ap = argparse.ArgumentParser(
         prog="dehnfill",
         description="Numerical toolkit for Dehn-filled approximate Einstein "

@@ -59,6 +59,8 @@ class GeodesicClass:
     coeffs: tuple
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise OutOfDomain(f"non-finite geodesic coefficients {self.coeffs}")
         coeffs = tuple(int(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -356,6 +356,9 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     """
     if not (math.isfinite(width) and width > 0):
         raise OutOfDomain(f"bump width must be finite and positive, got {width}")
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
+    if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
+        raise OutOfDomain(f"bump centers must be finite and positive: {centers}")
     grid = np.asarray(grid, dtype=float)
     x = np.log(grid)
     total = np.zeros_like(x)
@@ -367,7 +370,7 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     scale = max(np.max(np.abs(ref)),
                 np.max(np.abs(d1)) / width,
                 np.max(np.abs(d2)) / width**2)
-    for c in np.atleast_1d(centers):
+    for c in centers:
         total += _unit_bump(x, math.log(c), width) / scale
     if blocks is None:
         blocks = BLOCK_LABELS

@@ -144,6 +144,8 @@ def phi_c_raw(r, r_c, R, smooth_frac=0.05):
     filling and the raw piecewise formula is returned.
     """
     r = np.asarray(r, dtype=float)
+    if not all(math.isfinite(x) for x in (r_c, R, smooth_frac)):
+        raise InvalidWeight("phi_c needs finite r_c, R and smooth_frac")
     if r_c <= 0 or R <= 0:
         raise InvalidWeight("phi_c needs positive r_c and R")
     if np.any(r <= 0):

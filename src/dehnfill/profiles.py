@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DerivOrderUnsupported,
@@ -96,7 +95,7 @@ class CutoffFunction:
     hi: float
 
     def __post_init__(self):
-        if not (0 < self.lo < self.hi):
+        if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
             raise RadiusTooSmall(f"bad transition window [{self.lo}, {self.hi}]")
 
     def _t(self, r):
@@ -310,6 +309,9 @@ class SampledProfile(_Profile):
     def _spline(self):
         spl = self.__dict__.get("_spline_cache")
         if spl is None:
+            # imported here so that `import dehnfill` does not load scipy
+            from scipy.interpolate import CubicSpline
+
             spl = CubicSpline(self.grid, self.values, bc_type="natural")
             self.__dict__["_spline_cache"] = spl
         return spl

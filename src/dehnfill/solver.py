@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     AnchorOutsideGrid,
@@ -91,6 +90,8 @@ def oscillation_closed_form(n, r_lo, r1, r2):
     C0 = r_lo^(n-1) (r2^(1-n) - r1^(1-n))/(n-1) < 0 comes from carrying
     the inner quadrature's lower limit through the outer integral.
     """
+    if not all(math.isfinite(x) for x in (r_lo, r1, r2)):
+        raise OutOfDomain(f"radii must be finite, got {r_lo}, {r1}, {r2}")
     C0 = r_lo ** (n - 1) * (r2 ** (1 - n) - r1 ** (1 - n)) / (n - 1)
     return (math.log(r2 / r1) + C0) / (n - 1)
 
@@ -316,6 +317,9 @@ def _newton_step(res, jac):
     band or a zero or non-finite pivot raises np.linalg.LinAlgError; a NaN
     in the system is not checked up front, so it ends there too.
     """
+    # imported here so that `import dehnfill` does not load scipy
+    from scipy.linalg import solve_banded
+
     ab, b, c, d = jac
     N = len(b)
     z = solve_banded((_LOWER, _UPPER), ab, np.column_stack((-res[:N], b)),
@@ -436,8 +440,9 @@ def perturbation_budget(scan, Lambda, epsilon):
     """
     if not isinstance(scan, DecayScanResult) or len(scan.sizes) == 0:
         raise ScanMissing("perturbation_budget needs a completed decay scan")
-    if Lambda <= 0 or epsilon <= 0:
-        raise OutOfDomain("Lambda and epsilon must be positive")
+    if not (math.isfinite(Lambda) and math.isfinite(epsilon)
+            and Lambda > 0 and epsilon > 0):
+        raise OutOfDomain("Lambda and epsilon must be finite and positive")
     if not (scan.slope < 0):
         raise ScanMissing(f"scan shows no decay (slope {scan.slope})")
     threshold = epsilon / Lambda

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,79 @@ def test_config_whole_float_grid_size_accepted(tmp_path):
     report, _, manifest = _read(tmp_path)
     assert len(report) == 257
     assert manifest["config"]["grid_size"] == 256
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_python(args, cwd):
+    """Start `python <args>` in a new interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+_IMPORT_CHECK = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import dehnfill, dehnfill.cli
+assert scipy_modules() == [], scipy_modules()
+from dehnfill import eval_profile, make_glued_profile, newton_solve
+result = newton_solve(make_glued_profile(50.0, 4), 4)
+assert "scipy.linalg" in sys.modules
+assert "scipy.interpolate" not in sys.modules, scipy_modules()
+eval_profile(result.profile, 3.0)
+assert "scipy.interpolate" in sys.modules
+"""
+
+
+def test_import_loads_scipy_only_where_used(tmp_path):
+    # scipy is most of a cold start; only the banded solve and the
+    # sampled-profile spline need it
+    proc = _fresh_python(["-c", _IMPORT_CHECK], tmp_path)
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0, stderr
+
+
+def _outputs(out_dir):
+    return {name: (out_dir / name).read_bytes() if (out_dir / name).exists()
+            else None for name in ("report.csv", "summary.json")}
+
+
+def test_reused_parser_matches_fresh_process(tmp_path, capsys):
+    # main() shares one parser per process; a run must not see the flags
+    # of the run before it (the appended --cusp list, a --tol left set)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n": 5, "from_glued": 30.0,
+                                    "grid_size": 256.0}))
+    c1 = json.dumps({"basis": np.eye(3).tolist(), "sigma": [10, 0, 0]})
+    c2 = json.dumps({"basis": (2.0 * np.eye(3)).tolist(), "sigma": [6, 0, 0]})
+    commands = [
+        ["lattice", "--cusp", c1, "--cusp", c2],
+        ["lattice", "--cusp", c2],
+        ["solve", "--from-glued", "50", "--tol", "1e-10"],
+        ["solve", "--from-glued", "50"],
+        ["solve", "--from-glued", "50", "--no-such-flag", "1"],
+        ["solve", "--config", str(cfg_path)],
+    ]
+    fresh = [_fresh_python(["-m", "dehnfill.cli", *argv, "--out-dir",
+                            str(tmp_path / f"fresh{k}")], tmp_path)
+             for k, argv in enumerate(commands)]
+    for k, (argv, proc) in enumerate(zip(commands, fresh)):
+        try:
+            rc = main([*argv, "--out-dir", str(tmp_path / f"here{k}")])
+        except SystemExit as exc:
+            rc = exc.code
+        stdout = capsys.readouterr().out
+        fresh_stdout, fresh_stderr = proc.communicate(timeout=120)
+        assert rc == proc.returncode, (argv, fresh_stderr)
+        assert stdout == fresh_stdout, argv
+        assert (_outputs(tmp_path / f"here{k}")
+                == _outputs(tmp_path / f"fresh{k}")), argv
+    assert [p.returncode for p in fresh] == [0, 0, 0, 0, 2, 0]

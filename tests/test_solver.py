@@ -7,19 +7,24 @@ from dehnfill import solver
 from dehnfill.errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
+    InvalidWeight,
     LineSearchFailed,
     MaxItersExceeded,
     NonPositiveProfile,
     OutOfDomain,
+    RadiusTooSmall,
     ScanMissing,
     SingularAtCore,
 )
 from dehnfill.gluing import DecayScanResult
-from dehnfill.norms import WeightSpec, phi_c
+from dehnfill.lattice import GeodesicClass
+from dehnfill.linearized import bump_deformation
+from dehnfill.norms import WeightSpec, phi_c, phi_c_raw
 from dehnfill.numutil import apply_diff, diff_matrix, fit_loglog, loggrid
 from dehnfill.profiles import (
     BlackHoleProfile,
     CuspProfile,
+    CutoffFunction,
     SampledProfile,
     closing_parameters,
     make_glued_profile,
@@ -511,3 +516,26 @@ def test_perturbation_budget_validation():
                            slope=-3.0, intercept=0.0, residual=0.0)
     with pytest.raises(OutOfDomain):
         perturbation_budget(good, -1.0, 1e-3)
+
+
+_BUDGET_SCAN = DecayScanResult(n=4, sizes=(5.0, 10.0), norms=(0.064, 0.008),
+                               slope=-3.0, intercept=np.log(8.0), residual=0.0)
+
+
+# each of these used to return a NaN, an inf-derived answer or a bare
+# ValueError instead of a DehnFillError
+@pytest.mark.parametrize("call, error", [
+    (lambda: perturbation_budget(_BUDGET_SCAN, math.nan, 0.1), OutOfDomain),
+    (lambda: perturbation_budget(_BUDGET_SCAN, 1.0, math.inf), OutOfDomain),
+    (lambda: CutoffFunction(1.0, math.inf), RadiusTooSmall),
+    (lambda: phi_c_raw(2.0, 1.5, 10.0, smooth_frac=math.nan), InvalidWeight),
+    (lambda: bump_deformation(4, loggrid(5.0, 500.0, 64), [math.nan]),
+     OutOfDomain),
+    (lambda: oscillation_closed_form(4, math.nan, 2.0, 3.0), OutOfDomain),
+    (lambda: GeodesicClass((math.nan, 0, 0)), OutOfDomain),
+], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
+        "phi-c-smooth-frac-nan", "bump-center-nan", "oscillation-r-lo-nan",
+        "geodesic-coeff-nan"])
+def test_public_functions_reject_non_finite(call, error):
+    with pytest.raises(error):
+        call()
