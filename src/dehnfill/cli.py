@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -82,6 +83,8 @@ def _parse_window(text):
     if len(parts) != 2:
         raise DehnFillError(f"window must be lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DehnFillError(f"window bounds must be finite: {text!r}")
     if not (0 < lo < hi):
         raise DehnFillError(f"window must satisfy 0 < lo < hi: {text!r}")
     return lo, hi
@@ -261,6 +264,9 @@ def cmd_compare(args, config, input_hashes):
                 "grid_size": 4096, "width": 0.4, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
     n = cfg["n"]
+    if cfg["num_centers"] < 3:
+        raise DehnFillError(
+            f"num_centers must be >= 3 for the slope fit, got {cfg['num_centers']}")
     lo, hi = _parse_window(cfg["window"])
     width = float(cfg["width"])
     centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
@@ -340,7 +346,7 @@ def cmd_lattice(args, config, input_hashes):
         d = json.loads(item) if isinstance(item, str) else item
         parsed.append(d)
         lat = FlatLattice(np.asarray(d["basis"], dtype=float))
-        sig = GeodesicClass(tuple(int(c) for c in d["sigma"]))
+        sig = GeodesicClass(tuple(d["sigma"]))
         sig.check_primitive(strict=False)
         cusps.append((lat, sig))
     cfg["cusp"] = parsed

@@ -13,6 +13,7 @@ the minimum of the geodesic lengths over the cusps.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,12 @@ class GeodesicClass:
     coeffs: tuple
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise OutOfDomain(f"non-finite geodesic coefficients {self.coeffs}")
+        # a whole float such as 2.0 passes; a fraction, nan, inf, a bool or
+        # a string is rejected rather than truncated by int()
+        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                   and float(c).is_integer() for c in self.coeffs):
+            raise OutOfDomain(
+                f"geodesic coefficients must be integers, got {self.coeffs}")
         coeffs = tuple(int(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 

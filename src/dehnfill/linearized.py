@@ -22,7 +22,8 @@ Euler operator; its indicial roots drive the oscillation estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -260,29 +261,36 @@ def _core_margin_check(sys, grid):
         )
 
 
-def apply_L(sys, h):
-    """Apply the assembled operator to a deformation on its grid.
+def _block_derivatives(h):
+    """First and second radial derivatives of every block of h.
 
-    First derivatives use 5-point stencils and second derivatives
-    6-point ones, so the one-sided rows at the grid ends keep the same
-    4th order as the interior.  Returns a deformation with every block
-    populated.
+    Builds the 5-point d1 and 6-point d2 stencils once on h.grid and
+    returns {label: (d1, d2)} for the scalar blocks 12, 1j, 2j, jk and
+    for "diag", the (npts, n) matrix of diagonal components.  They
+    depend on h alone, so operators applied to the same h can share them.
     """
-    if h.n != sys.n:
-        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
     grid = h.grid
     if grid.shape[0] < 9:
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
-    _core_margin_check(sys, grid)
-    c2, c1 = sys.a_coefficients(grid)
     st1 = stencil_weights(grid, 1, 5)
     st2 = stencil_weights(grid, 2, 6)
+    blocks = {label: h.block(label) for label in ("12", "1j", "2j", "jk")}
+    blocks["diag"] = h.diag_matrix()
+    return {label: (apply_stencil(st1, u), apply_stencil(st2, u))
+            for label, u in blocks.items()}
 
-    def a_op(u):
-        u = np.asarray(u, dtype=float)
-        d1 = apply_stencil(st1, u)
-        d2 = apply_stencil(st2, u)
-        if u.ndim == 1:
+
+def _apply(sys, h, derivs):
+    """apply_L with the derivatives of h's blocks already taken."""
+    if h.n != sys.n:
+        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
+    grid = h.grid
+    _core_margin_check(sys, grid)
+    c2, c1 = sys.a_coefficients(grid)
+
+    def a_op(label):
+        d1, d2 = derivs[label]
+        if d1.ndim == 1:
             return c2 * d2 + c1 * d1
         return c2[:, None] * d2 + c1[:, None] * d1
 
@@ -291,15 +299,27 @@ def apply_L(sys, h):
     for label in ("12", "1j", "2j", "jk"):
         u = h.block(label)
         c = coeffs[label]
-        res = a_op(u)
-        out[label] = res + (c * u if u.ndim == 1 else c[:, None] * u)
+        out[label] = a_op(label) + (c * u if u.ndim == 1 else c[:, None] * u)
     D = h.diag_matrix()
     M = sys.coupling_diag(grid)
-    LD = a_op(D) + np.einsum("pab,pb->pa", M, D)
+    LD = a_op("diag") + np.einsum("pab,pb->pa", M, D)
     out["11"] = LD[:, 0]
     out["22"] = LD[:, 1]
     out["jj"] = LD[:, 2:]
     return InvariantDeformation(n=sys.n, grid=grid, components=out)
+
+
+def apply_L(sys, h):
+    """Apply the assembled operator to a deformation on its grid.
+
+    First derivatives use 5-point stencils and second derivatives
+    6-point ones, so the one-sided rows at the grid ends keep the same
+    4th order as the interior.  The derivatives depend on h alone
+    (`_block_derivatives`); `compare_operators` takes them once and
+    shares them between its two operators.  Returns a deformation with
+    every block populated.
+    """
+    return _apply(sys, h, _block_derivatives(h))
 
 
 def indicial_roots(block, n):
@@ -346,6 +366,17 @@ def _unit_bump(x, center, width):
     return out
 
 
+@cache
+def _unit_bump_maxima():
+    """max |b|, |b'|, |b''| of the unit-width bump, from a 4001-point
+    reference and np.gradient; built on first use."""
+    xf = np.linspace(-1.0, 1.0, 4001)
+    ref = _unit_bump(xf, 0.0, 1.0)
+    d1 = np.gradient(ref, xf)
+    d2 = np.gradient(d1, xf)
+    return np.max(np.abs(ref)), np.max(np.abs(d1)), np.max(np.abs(d2))
+
+
 def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     """Sum of unit-C2 log-radial bumps, one per center.
 
@@ -362,14 +393,9 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     grid = np.asarray(grid, dtype=float)
     x = np.log(grid)
     total = np.zeros_like(x)
-    xf = np.linspace(-1.0, 1.0, 4001)
-    ref = _unit_bump(xf, 0.0, 1.0)
-    d1 = np.gradient(ref, xf)
-    d2 = np.gradient(d1, xf)
     # unit-width reference scale; derivatives of the rescaled bump gain 1/width
-    scale = max(np.max(np.abs(ref)),
-                np.max(np.abs(d1)) / width,
-                np.max(np.abs(d2)) / width**2)
+    b0, b1, b2 = _unit_bump_maxima()
+    scale = max(b0, b1 / width, b2 / width**2)
     for c in centers:
         total += _unit_bump(x, math.log(c), width) / scale
     if blocks is None:
@@ -409,14 +435,17 @@ def compare_operators(h, r_window=None, m=1.0, metric_a=None, metric_b=None,
     The pointwise difference is reduced to its maximum over blocks, then
     an envelope (binwise maximum over log-spaced bins inside r_window)
     is fitted; for unit-C2 h translated across the window the slope
-    comes out at -(n-1).  All-zero differences give slope nan.
+    comes out at -(n-1).  All-zero differences give slope nan.  The
+    radial derivatives of h are taken once and shared by both operators;
+    each operator still runs its own dimension and core-margin checks.
     """
     n = h.n
     sys_a = assemble_L_cusp(n) if metric_a is None else assemble_L_blackhole(metric_a)
     sys_b = (assemble_L_blackhole(black_hole_metric(m, n))
              if metric_b is None else assemble_L_blackhole(metric_b))
-    La = apply_L(sys_a, h)
-    Lb = apply_L(sys_b, h)
+    derivs = _block_derivatives(h)
+    La = _apply(sys_a, h, derivs)
+    Lb = _apply(sys_b, h, derivs)
     grid = h.grid
     diff = np.zeros(grid.shape[0])
     for label in BLOCK_LABELS:

@@ -148,6 +148,8 @@ def phi_c_raw(r, r_c, R, smooth_frac=0.05):
         raise InvalidWeight("phi_c needs finite r_c, R and smooth_frac")
     if r_c <= 0 or R <= 0:
         raise InvalidWeight("phi_c needs positive r_c and R")
+    if not np.all(np.isfinite(r)):
+        raise OutOfDomain("phi_c needs finite r")
     if np.any(r <= 0):
         raise OutOfDomain("phi_c is defined for positive r")
     if np.any(r > R * (1.0 + 1e-12)):

@@ -110,6 +110,25 @@ def test_compare_bad_width_exit_2(tmp_path, capsys, width):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("num_centers", ["0", "1", "2"])
+def test_compare_too_few_centers_exit_2(tmp_path, capsys, num_centers):
+    # the slope fit needs 3 bins; fewer used to write NaN into summary.json
+    rc = main(["compare", "--n", "4", "--num-centers", num_centers,
+               "--grid-size", "256", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "num_centers must be >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("window", ["5:inf", "inf:inf", "nan:500"])
+def test_compare_non_finite_window_exit_2(tmp_path, capsys, window):
+    rc = main(["compare", "--n", "4", "--window", window,
+               "--grid-size", "256", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "window bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_solve_from_glued(tmp_path):
     rc = main(["solve", "--n", "4", "--from-glued", "50",
                "--out-dir", str(tmp_path)])
@@ -177,6 +196,26 @@ def test_lattice_imprimitive_exit_2(tmp_path):
     rc = main(["lattice", "--n", "4", "--cusp", cusp,
                "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("sigma", [[10.7, 0, 0], [True, 0, 0], ["10", 0, 0]])
+def test_lattice_non_integer_sigma_exit_2(tmp_path, capsys, sigma):
+    # int() used to truncate these to a valid class and exit 0
+    cusp = json.dumps({"basis": np.eye(3).tolist(), "sigma": sigma})
+    rc = main(["lattice", "--n", "4", "--cusp", cusp,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "must be integers" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_lattice_whole_float_sigma_accepted(tmp_path):
+    cusp = json.dumps({"basis": np.eye(3).tolist(), "sigma": [10.0, 0, 0]})
+    rc = main(["lattice", "--n", "4", "--cusp", cusp,
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    _, summary, _ = _read(tmp_path)
+    assert summary["lengths"] == [10.0]
 
 
 def test_lattice_two_cusps(tmp_path):

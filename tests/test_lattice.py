@@ -287,3 +287,17 @@ def test_singular_basis_rejected():
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1.5, 0, 0), (math.inf, 0, 0), (True, 0, 0), ("1", 0, 0), (0, 10.7, 1),
+], ids=["fraction", "inf", "bool", "string", "fraction-second"])
+def test_geodesic_class_rejects_non_integers(coeffs):
+    with pytest.raises(OutOfDomain, match="must be integers"):
+        GeodesicClass(coeffs)
+
+
+def test_geodesic_class_accepts_whole_floats():
+    sig = GeodesicClass((10.0, np.int64(0), np.float64(-1.0)))
+    assert sig.coeffs == (10, 0, -1)
+    assert all(type(c) is int for c in sig.coeffs)

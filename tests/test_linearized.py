@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from dehnfill import linearized
 
 from dehnfill.errors import (
     GridTooCoarse,
@@ -243,6 +250,61 @@ def test_compare_operators_identical_metrics():
                              metric_b=cusp_metric(4))
     assert np.max(same.diff) == 0.0
     assert np.isnan(same.slope)
+
+
+def _count_stencils(monkeypatch):
+    calls = []
+    real = linearized.stencil_weights
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linearized, "stencil_weights", counting)
+    return calls
+
+
+def test_compare_operators_builds_stencils_once(monkeypatch):
+    calls = _count_stencils(monkeypatch)
+    grid = loggrid(5.0, 500.0, 1024)
+    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
+    compare_operators(h, r_window=(5.0, 500.0))
+    assert sorted(calls) == [(1, 5), (2, 6)]
+    calls.clear()
+    apply_L(assemble_L_cusp(4), h)
+    assert sorted(calls) == [(1, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_compare_operators_matches_two_apply_L(n):
+    # sharing the derivatives changes no bit of the difference
+    grid = loggrid(5.0, 500.0, 1024)
+    h = bump_deformation(n, grid, centers=np.geomspace(7.5, 335.0, 12))
+    La = apply_L(assemble_L_cusp(n), h)
+    Lb = apply_L(assemble_L_blackhole(black_hole_metric(1.0, n)), h)
+    expected = np.zeros(grid.size)
+    for label in BLOCK_LABELS:
+        d = np.abs(La.block(label) - Lb.block(label)).reshape(grid.size, -1)
+        expected = np.maximum(expected, d.max(axis=1))
+    assert np.array_equal(compare_operators(h).diff, expected)
+
+
+def test_unit_bump_maxima_cached_and_lazy():
+    xf = np.linspace(-1.0, 1.0, 4001)
+    ref = linearized._unit_bump(xf, 0.0, 1.0)
+    d1 = np.gradient(ref, xf)
+    d2 = np.gradient(d1, xf)
+    fresh = (np.max(np.abs(ref)), np.max(np.abs(d1)), np.max(np.abs(d2)))
+    assert linearized._unit_bump_maxima() == fresh
+    assert linearized._unit_bump_maxima() is linearized._unit_bump_maxima()
+    # nothing is computed at import time
+    code = ("import dehnfill.linearized as m; "
+            "print(m._unit_bump_maxima.cache_info().currsize)")
+    src = str(Path(linearized.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_torus_average_constant_input():

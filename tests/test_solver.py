@@ -529,12 +529,14 @@ _BUDGET_SCAN = DecayScanResult(n=4, sizes=(5.0, 10.0), norms=(0.064, 0.008),
     (lambda: perturbation_budget(_BUDGET_SCAN, 1.0, math.inf), OutOfDomain),
     (lambda: CutoffFunction(1.0, math.inf), RadiusTooSmall),
     (lambda: phi_c_raw(2.0, 1.5, 10.0, smooth_frac=math.nan), InvalidWeight),
+    (lambda: phi_c_raw(math.nan, 1.5, 10.0), OutOfDomain),
     (lambda: bump_deformation(4, loggrid(5.0, 500.0, 64), [math.nan]),
      OutOfDomain),
     (lambda: oscillation_closed_form(4, math.nan, 2.0, 3.0), OutOfDomain),
     (lambda: GeodesicClass((math.nan, 0, 0)), OutOfDomain),
 ], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
-        "phi-c-smooth-frac-nan", "bump-center-nan", "oscillation-r-lo-nan",
+        "phi-c-smooth-frac-nan", "phi-c-r-nan",
+        "bump-center-nan", "oscillation-r-lo-nan",
         "geodesic-coeff-nan"])
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
