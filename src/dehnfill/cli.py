@@ -73,8 +73,9 @@ def _parse_grid(text):
         raise DehnFillError(f"grid must be lo:hi:num, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
     num = int(parts[2])
-    if not (0 < lo < hi) or num < 2:
-        raise DehnFillError(f"grid must satisfy 0 < lo < hi, num >= 2: {text!r}")
+    if not (0 < lo < hi < math.inf) or num < 2:
+        raise DehnFillError(
+            f"grid must satisfy 0 < lo < hi < inf, num >= 2: {text!r}")
     return loggrid(lo, hi, num)
 
 
@@ -132,14 +133,8 @@ def _write_outputs(out_dir, command, cfg, csv_header, csv_rows, summary,
                    input_hashes):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = out / "report.csv"
-    with report.open("w") as fh:
-        fh.write(csv_header + "\n")
-        for row in csv_rows:
-            fh.write(row + "\n")
-    with (out / "summary.json").open("w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "report.csv").write_text("\n".join([csv_header, *csv_rows]) + "\n")
+    (out / "summary.json").write_text(_json_text(summary))
     manifest = {
         "command": command,
         "config": cfg,
@@ -147,9 +142,11 @@ def _write_outputs(out_dir, command, cfg, csv_header, csv_rows, summary,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "input_hashes": input_hashes,
     }
-    with (out / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "manifest.json").write_text(_json_text(manifest))
+
+
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _fmt(x):
@@ -269,6 +266,15 @@ def cmd_compare(args, config, input_hashes):
             f"num_centers must be >= 3 for the slope fit, got {cfg['num_centers']}")
     lo, hi = _parse_window(cfg["window"])
     width = float(cfg["width"])
+    if not (math.isfinite(width) and width > 0):
+        raise DehnFillError(
+            f"bump width must be finite and positive, got {width}")
+    # the first and last bump centers sit width inside each end of the
+    # window, so the window must be wider than 2*width in log r
+    if math.log(hi) - math.log(lo) <= 2 * width:
+        raise DehnFillError(
+            f"window {lo}:{hi} is too narrow for bumps of width {width}: "
+            f"need log(hi/lo) > 2*width = {2 * width}")
     centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
                            cfg["num_centers"])
     grid = loggrid(lo, hi, cfg["grid_size"])
@@ -319,8 +325,8 @@ def cmd_solve(args, config, input_hashes):
     if failure is not None:
         summary["error"] = failure
     prof = result.profile
-    rows = [f"{_fmt(r)},{_fmt(v)}"
-            for r, v in zip(prof.grid, prof.values)]
+    rows = [f"{r:.17g},{v:.17g}"
+            for r, v in zip(prof.grid.tolist(), prof.values.tolist())]
     _write_outputs(cfg["out_dir"], "solve", cfg, "r,V", rows, summary,
                    input_hashes)
     if failure is not None:

@@ -13,32 +13,44 @@ def fornberg_weights(x0, xs, m):
 
     Classic recursion (Fornberg 1988, Generation of finite difference
     formulas on arbitrarily spaced grids). Returns shape (len(xs),).
+
+    The recursion runs on Python floats, which round every + - * / the
+    same way as numpy float64 scalars but cost several times less per
+    step, so the weights are bit-identical to a numpy-scalar recursion in
+    the same order.  The result is a strided column view of the
+    (len(xs), m+1) table, not a contiguous copy: a BLAS dot picks its
+    kernel by stride, so `w @ window` rounds like `stencil_weights`' rows.
     """
     xs = np.asarray(xs, dtype=float)
     nnodes = len(xs)
     if nnodes < m + 1:
         raise GridTooCoarse(f"need at least {m + 1} nodes for derivative order {m}")
-    c = np.zeros((nnodes, m + 1))
-    c[0, 0] = 1.0
+    xs = xs.tolist()
+    x0 = float(x0)
+    c = [[0.0] * (m + 1) for _ in range(nnodes)]
+    c[0][0] = 1.0
     c1 = 1.0
     c4 = xs[0] - x0
     for i in range(1, nnodes):
-        mn = min(i, m)
+        ks = range(min(i, m), 0, -1)
         c2 = 1.0
         c5 = c4
-        c4 = xs[i] - x0
+        xi = xs[i]
+        c4 = xi - x0
+        ci, cprev = c[i], c[i - 1]
         for j in range(i):
-            c3 = xs[i] - xs[j]
+            c3 = xi - xs[j]
             c2 = c2 * c3
             if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                for k in ks:
+                    ci[k] = c1 * (k * cprev[k - 1] - c5 * cprev[k]) / c2
+                ci[0] = -c1 * c5 * cprev[0] / c2
+            cj = c[j]
+            for k in ks:
+                cj[k] = (c4 * cj[k] - k * cj[k - 1]) / c3
+            cj[0] = c4 * cj[0] / c3
         c1 = c2
-    return c[:, m]
+    return np.array(c)[:, m]
 
 
 def _window_starts(npts, width):

@@ -129,6 +129,56 @@ def test_compare_non_finite_window_exit_2(tmp_path, capsys, window):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("window", ["5:6", "5:5.1"])
+def test_compare_window_narrower_than_bumps_exit_2(tmp_path, capsys, recwarn,
+                                                   window):
+    # the bump centers run from lo*e^width to hi*e^-width, which would run
+    # backwards here
+    rc = main(["compare", "--n", "4", "--window", window,
+               "--grid-size", "256", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "too narrow for bumps" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert len(recwarn) == 0
+
+
+def test_compare_infinite_width_exit_2(tmp_path, capsys, recwarn):
+    rc = main(["compare", "--n", "4", "--width", "inf",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "bump width must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert len(recwarn) == 0
+
+
+def test_compare_default_window_exits_0(tmp_path, recwarn):
+    rc = main(["compare", "--n", "4", "--grid-size", "256",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report, _, manifest = _read(tmp_path)
+    assert manifest["config"]["window"] == "5:500"
+    centers = [float(line.split(",")[0]) for line in report[1:]]
+    assert centers == sorted(centers)
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("grid", ["1.3:inf:64", "nan:10:64"])
+def test_curvature_non_finite_grid_exit_2(tmp_path, capsys, recwarn, grid):
+    rc = main(["curvature", "--n", "4", "--grid", grid,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "grid must satisfy" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert len(recwarn) == 0
+
+
+def test_curvature_finite_grid_exits_0_without_warning(tmp_path, recwarn):
+    rc = main(["curvature", "--n", "4", "--grid", "1.3:10:64",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(recwarn) == 0
+
+
 def test_solve_from_glued(tmp_path):
     rc = main(["solve", "--n", "4", "--from-glued", "50",
                "--out-dir", str(tmp_path)])

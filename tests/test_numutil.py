@@ -1,7 +1,9 @@
-"""The batched stencil layer against the scalar Fornberg reference.
+"""The stencil layers against the scalar Fornberg reference.
 
-`fornberg_weights` and `diff_matrix` keep the per-row scalar recursion;
-`stencil_weights`/`apply_stencil` must reproduce it exactly.
+`_reference_fornberg` below is the recursion on numpy float64 scalars.
+`fornberg_weights` runs the same steps on Python floats and must match it
+bit for bit, memory strides included; `diff_matrix` is built from it row
+by row, and `stencil_weights`/`apply_stencil` must reproduce it exactly.
 """
 
 import numpy as np
@@ -25,6 +27,60 @@ GRIDS = {
 }
 STENCILS = [(1, 5), (2, 6), (1, 9), (2, 9)]
 EPS = np.finfo(float).eps
+
+
+def _reference_fornberg(x0, xs, m):
+    """Fornberg's recursion on numpy float64 scalars, step for step."""
+    xs = np.asarray(xs, dtype=float)
+    nnodes = len(xs)
+    c = np.zeros((nnodes, m + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = xs[0] - x0
+    for i in range(1, nnodes):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_fornberg_weights_match_numpy_scalar_reference_bitwise(name):
+    grid = GRIDS[name]
+    rng = np.random.default_rng(7)
+    for width in range(1, 13):
+        for m in range(min(width, 5)):
+            for lo in (0, len(grid) // 2, len(grid) - width):
+                xs = grid[lo : lo + width]
+                # on a node (each end and the middle) and off the nodes
+                x0s = [xs[0], xs[width // 2], xs[-1],
+                       rng.uniform(xs[0], xs[-1] + 0.1)]
+                for x0 in x0s:
+                    got = fornberg_weights(x0, xs, m)
+                    want = _reference_fornberg(x0, xs, m)
+                    assert np.array_equal(got, want), (width, m, x0)
+                    # a strided column view, like the reference, so BLAS
+                    # products with it round the same way
+                    assert got.shape == want.shape
+                    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("nnodes, m", [(0, 0), (1, 1), (2, 2), (3, 4)])
+def test_fornberg_weights_too_few_nodes(nnodes, m):
+    with pytest.raises(GridTooCoarse):
+        fornberg_weights(0.0, np.arange(float(nnodes)), m)
 
 
 @pytest.mark.parametrize("deriv, width", STENCILS)
