@@ -37,7 +37,7 @@ from .linearized import (
     compare_operators,
     indicial_roots,
 )
-from .numutil import loggrid
+from .numutil import csv_lines, loggrid
 from .profiles import (
     BlackHoleProfile,
     _check_dimension,
@@ -149,10 +149,6 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def cmd_curvature(args, config, input_hashes):
     defaults = {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
                 "grid": "1.3:10:64", "out_dir": "."}
@@ -187,7 +183,7 @@ def cmd_scan(args, config, input_hashes):
     result = decay_scan(n, sizes, w=delta, grid_size=cfg["grid_size"])
     cfg["delta"] = "auto" if delta is None else delta
     cfg["sizes"] = list(result.sizes)
-    rows = [f"{_fmt(s)},{_fmt(v)}" for s, v in result.rows()]
+    rows = csv_lines(result.sizes, result.norms)
     summary = {
         "n": n,
         "slope": result.slope,
@@ -220,14 +216,11 @@ def cmd_linearize(args, config, input_hashes):
     off = sys_l.zeroth_offdiag(grid)
     M = sys_l.coupling_diag(grid)
     header = "r,c2,c1,c12,c1j,c2j,cjk,M00,M01,M0j,M11,M1j,Mjj,Mjk"
-    rows = []
-    for i in range(grid.size):
-        mjk = M[i, 2, 3] if n >= 5 else (M[i, 2, 2] * 0.0)
-        rows.append(",".join(_fmt(v) for v in (
-            grid[i], c2[i], c1[i], off["12"][i], off["1j"][i], off["2j"][i],
-            off["jk"][i], M[i, 0, 0], M[i, 0, 1], M[i, 0, 2], M[i, 1, 1],
-            M[i, 1, 2], M[i, 2, 2], mjk,
-        )))
+    # below n=5 there is no second torus direction; the zero keeps Mjj's sign
+    mjk = M[:, 2, 3] if n >= 5 else M[:, 2, 2] * 0.0
+    rows = csv_lines(grid, c2, c1, off["12"], off["1j"], off["2j"], off["jk"],
+                     M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1],
+                     M[:, 1, 2], M[:, 2, 2], mjk)
     summary = {
         "n": n,
         "profile": cfg["profile"],
@@ -246,8 +239,7 @@ def cmd_indicial(args, config, input_hashes):
     n = cfg["n"]
     labels = INDICIAL_LABELS if cfg["block"] == "all" else (cfg["block"],)
     roots = {lbl: list(indicial_roots(lbl, n)) for lbl in labels}
-    rows = [lbl + "," + ",".join(_fmt(x) for x in rr)
-            for lbl, rr in roots.items()]
+    rows = [",".join([lbl, *csv_lines(rr)]) for lbl, rr in roots.items()]
     summary = {"n": n, "roots": roots}
     _write_outputs(cfg["out_dir"], "indicial", cfg, "block,roots", rows,
                    summary, input_hashes)
@@ -275,14 +267,20 @@ def cmd_compare(args, config, input_hashes):
         raise DehnFillError(
             f"window {lo}:{hi} is too narrow for bumps of width {width}: "
             f"need log(hi/lo) > 2*width = {2 * width}")
+    # the operators' coefficients scale like r**2 and r**(3-n)
+    with np.errstate(over="ignore", under="ignore"):
+        scales = np.array([lo, hi]) ** np.array([[2.0], [3.0 - n]])
+    if not np.all(np.isfinite(scales) & (scales != 0)):
+        raise DehnFillError(f"window {lo}:{hi} is out of range for n={n}: "
+                            f"r**2 and r**{3 - n} must be finite and nonzero")
     centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
                            cfg["num_centers"])
     grid = loggrid(lo, hi, cfg["grid_size"])
     h = bump_deformation(n, grid, centers, width=width)
     comp = compare_operators(h, r_window=(lo, hi), m=float(cfg["m"]),
                              bins=cfg["num_centers"])
-    rows = [f"{_fmt(c)},{_fmt(v)}"
-            for c, v in zip(comp.bin_centers, comp.bin_max) if v > 0]
+    kept = comp.bin_max > 0
+    rows = csv_lines(comp.bin_centers[kept], comp.bin_max[kept])
     summary = {
         "n": n,
         "slope": comp.slope,
@@ -325,8 +323,7 @@ def cmd_solve(args, config, input_hashes):
     if failure is not None:
         summary["error"] = failure
     prof = result.profile
-    rows = [f"{r:.17g},{v:.17g}"
-            for r, v in zip(prof.grid.tolist(), prof.values.tolist())]
+    rows = csv_lines(prof.grid, prof.values)
     _write_outputs(cfg["out_dir"], "solve", cfg, "r,V", rows, summary,
                    input_hashes)
     if failure is not None:
@@ -357,8 +354,8 @@ def cmd_lattice(args, config, input_hashes):
         cusps.append((lat, sig))
     cfg["cusp"] = parsed
     data = filling_data(cusps, n)
-    rows = [f"{i},{_fmt(L)},{_fmt(R)}"
-            for i, (L, R) in enumerate(zip(data.lengths, data.radii))]
+    rows = [f"{i},{line}" for i, line in
+            enumerate(csv_lines(data.lengths, data.radii))]
     summary = {
         "n": n,
         "lengths": list(data.lengths),

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolveFailure, OutOfDomain, StepTooLarge
+from .numutil import csv_lines
 from .profiles import _check_in_domain, eval_profile
 
 __all__ = [
@@ -81,13 +82,12 @@ class CurvatureReport:
     CSV_HEADER = "r,K12,K1perp,Kperp,ric11,ricperp,scalar,deficit_sup"
 
     def csv_rows(self):
-        for i in range(len(self.r)):
-            def_sup = float(np.max(np.abs(self.deficit_diag[i])))
-            yield (
-                f"{self.r[i]:.17g},{self.K12[i]:.17g},{self.K1perp[i]:.17g},"
-                f"{self.Kperp[i]:.17g},{self.ric_diag[i, 0]:.17g},"
-                f"{self.ric_diag[i, -1]:.17g},{self.scalar[i]:.17g},{def_sup:.17g}"
-            )
+        """The CSV_HEADER rows as a list of %.17g lines (numutil.csv_lines),
+        one per grid point; deficit_sup is that point's largest |deficit|."""
+        def_sup = np.max(np.abs(self.deficit_diag), axis=1)
+        return csv_lines(self.r, self.K12, self.K1perp, self.Kperp,
+                         self.ric_diag[:, 0], self.ric_diag[:, -1],
+                         self.scalar, def_sup)
 
     @property
     def deficit_sup(self):
@@ -206,12 +206,11 @@ def fd_curvature_oracle(metric, r, h_fd=None):
     # Gamma^0_{aa} = -dg_aa / (2 g_00) (a != 0), Gamma^0_{00} = dg_00/(2 g_00),
     # Gamma^a_{0a} = Gamma^a_{a0} = dg_aa / (2 g_aa).
     Gamma = np.zeros((5, npts, n, n, n))
-    inv_g00 = 1.0 / g5[:, :, 0]
-    for a in range(n):
-        Gamma[:, :, 0, a, a] = -dg[:, :, a] * 0.5 * inv_g00
-        Gamma[:, :, a, 0, a] = dg[:, :, a] * 0.5 / g5[:, :, a]
-        Gamma[:, :, a, a, 0] = Gamma[:, :, a, 0, a]
-    Gamma[:, :, 0, 0, 0] = dg[:, :, 0] * 0.5 * inv_g00
+    inv_g00 = 1.0 / g5[:, :, :1]
+    a = np.arange(n)
+    Gamma[:, :, 0, a, a] = -dg * 0.5 * inv_g00
+    Gamma[:, :, a, 0, a] = Gamma[:, :, a, a, 0] = dg * 0.5 / g5
+    Gamma[:, :, 0, 0, 0] = dg[:, :, 0] * 0.5 * inv_g00[:, :, 0]
 
     # dGamma/dr at the center, 4th order from the 5 Christoffel stacks
     dGamma = np.einsum("k,kpabc->pabc", _D1_W5, Gamma) / h[:, None, None, None]
@@ -223,21 +222,27 @@ def fd_curvature_oracle(metric, r, h_fd=None):
     Rud = np.zeros((npts, n, n, n, n))
     Rud[:, :, :, 0, :] += np.transpose(dGamma, (0, 1, 3, 2))
     Rud[:, :, :, :, 0] -= np.transpose(dGamma, (0, 1, 3, 2))
-    Rud += np.einsum("pace,pedb->pabcd", G0, G0)
-    Rud -= np.einsum("pade,pecb->pabcd", G0, G0)
+    # both products from one batched matmul: GG[p,a,c,d,b] = G^a_ce G^e_db
+    # (a diagonal metric leaves at most one nonzero term per sum over e, so
+    # no BLAS summation order or FMA can move a bit)
+    GG = (G0.reshape(npts, n * n, n) @ G0.reshape(npts, n, n * n)).reshape(
+        (npts,) + (n,) * 4)
+    Rud += GG.transpose(0, 1, 4, 2, 3)
+    Rud -= GG.transpose(0, 1, 4, 3, 2)
 
-    Rdown = np.einsum("pa,pabcd->pabcd", g5[2], Rud)
+    # lower the first index, then scale each index to the orthonormal frame
     scale = 1.0 / np.sqrt(g5[2])
-    Rframe = np.einsum(
-        "pabcd,pa,pb,pc,pd->pabcd", Rdown, scale, scale, scale, scale
-    )
+    Rframe = g5[2][:, :, None, None, None] * Rud
+    Rframe *= scale[:, :, None, None, None]
+    Rframe *= scale[:, None, :, None, None]
+    Rframe *= scale[:, None, None, :, None]
+    Rframe *= scale[:, None, None, None, :]
 
     # Sign convention: fix so hyperbolic space gives K_ab = -1. With the
     # index layout above, R_frame[a,b,a,b] is the sectional curvature of
     # span(e_a, e_b) directly (the cusp profile pins the sign).
     K = np.einsum("pabab->pab", Rframe)
-    for a in range(n):
-        K[:, a, a] = 0.0
+    K[:, a, a] = 0.0
 
     ric = np.einsum("pab->pa", K)
     scalar = np.einsum("pa->p", ric)

@@ -9,6 +9,7 @@ decay law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from .curvature import cutoff_deficit_diag, ricci_and_deficit
 from .errors import InvalidWeight, ScanMissing, TooFewSamples
 from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
-from .norms import WeightSpec, decay_weight, discrete_holder_seminorm, phi_c
+from .norms import (WeightSpec, _check_field, _holder_quotient, decay_weight,
+                    phi_c)
 from .numutil import fit_loglog, loggrid
 from .profiles import FillingMetric, make_glued_profile
 
@@ -122,14 +124,11 @@ def _cusp_deficit_norm(metric, w, cusp_index, grid_size, include_seminorms):
     if include_seminorms:
         # first and second derivative proxies of the weighted deficit in
         # the log-radial coordinate (the coordinate in which the filling
-        # geometry has unit scale), as adjacent divided-difference sups
-        x = np.log(grid)
+        # geometry has unit scale), as adjacent divided-difference sups,
+        # taken over all components at once after one check of the field
+        weighted, x = _check_field(weighted, np.log(grid))
         for order in (0, 1):
-            total += max(
-                discrete_holder_seminorm(weighted[:, a], x, alpha=1.0,
-                                         order=order)
-                for a in range(weighted.shape[1])
-            )
+            total += _holder_quotient(weighted, x, 1.0, order)
     return total
 
 
@@ -191,6 +190,9 @@ def decay_scan(n, L_list, w=None, grid_size=512):
     sizes = tuple(float(L) for L in L_list)
     if len(sizes) < 5:
         raise TooFewSamples(f"need at least 5 sizes, got {len(sizes)}")
+    for L in sizes:
+        if not (math.isfinite(L) and L > 0):
+            raise ScanMissing(f"sizes must be finite and positive, got {L}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ScanMissing("sizes must be strictly increasing")
     delta = None

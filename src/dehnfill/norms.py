@@ -229,7 +229,8 @@ def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):
     Forms the order-th divided differences of the field (a derivative
     proxy on the grid) and returns the maximum over adjacent windows of
     their difference divided by the window separation to the alpha.
-    order=0 is the plain Holder quotient of the field itself.
+    order=0 is the plain Holder quotient of the field itself.  gluing
+    runs the same kernel, `_holder_quotient`, on several fields at once.
     """
     field_vals, grid = _check_field(field, grid)
     if field_vals.ndim != 1:
@@ -242,11 +243,16 @@ def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):
         raise GridTooCoarse(
             f"need at least {max(3, order + 2)} points for order={order}"
         )
-    vals = field_vals
-    x = grid
+    return _holder_quotient(field_vals, grid, alpha, order)
+
+
+def _holder_quotient(vals, grid, alpha, order):
+    """discrete_holder_seminorm without its checks, maximized over every
+    column when vals is (npts, k): each column gets the 1-D arithmetic."""
+    x = grid.reshape((-1,) + (1,) * (vals.ndim - 1))
     for _ in range(order):
-        vals = np.diff(vals) / np.diff(x)
+        vals = np.diff(vals, axis=0) / np.diff(x, axis=0)
         x = 0.5 * (x[:-1] + x[1:])
-    num = np.abs(np.diff(vals))
-    den = np.diff(x) ** alpha
+    num = np.abs(np.diff(vals, axis=0))
+    den = np.diff(x, axis=0) ** alpha
     return float(np.max(num / den))

@@ -1,6 +1,6 @@
 """Small numerical helpers used throughout: finite-difference weights on
 arbitrary grids (Fornberg's algorithm), differentiation matrices, log-log
-slope fits, and the C-infinity transition bump.
+slope fits, the C-infinity transition bump and the CSV number format.
 """
 
 import numpy as np
@@ -242,3 +242,11 @@ def cumtrapz0(y, x):
 def loggrid(lo, hi, num):
     """Geometrically spaced grid, the natural sampling for r in [lo, hi]."""
     return np.geomspace(lo, hi, num)
+
+
+def csv_lines(*columns):
+    """One CSV line per index of the equal-length columns, each field %.17g,
+    which round-trips every float64 and prints like f"{float(x):.17g}"."""
+    template = ",".join(["%.17g"] * len(columns))
+    return [template % row for row in
+            zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]

@@ -442,10 +442,10 @@ class FillingMetric:
         _check_dimension(self.n)
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise OutOfDomain(f"beta must be positive and finite, got {self.beta}")
-        gram = self.torus_gram
-        if gram is None:
-            gram = np.eye(self.n - 2)
-        gram = np.asarray(gram, dtype=float)
+        if self.torus_gram is None:
+            object.__setattr__(self, "torus_gram", np.eye(self.n - 2))
+            return
+        gram = np.asarray(self.torus_gram, dtype=float)
         if gram.shape != (self.n - 2, self.n - 2):
             raise OutOfDomain(
                 f"torus_gram must be {(self.n - 2, self.n - 2)}, got {gram.shape}"

@@ -73,6 +73,17 @@ def test_scan_needs_five_sizes(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_scan_non_finite_size_exit_2(tmp_path, capsys, recwarn, bad):
+    rc = main(["scan", "--sizes", f"10,{bad},40,80,160,320",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"sizes must be finite and positive, got {bad}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "summary.json").exists()
+    assert len(recwarn) == 0
+
+
 def test_indicial_values(tmp_path):
     rc = main(["indicial", "--n", "4", "--block", "1j",
                "--out-dir", str(tmp_path)])
@@ -147,6 +158,17 @@ def test_compare_infinite_width_exit_2(tmp_path, capsys, recwarn):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "bump width must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("n", ["4", "6"])
+def test_compare_extreme_window_exit_2(tmp_path, capsys, recwarn, n):
+    # r**2 overflows at 1e300 and underflows at 1e-300
+    rc = main(["compare", "--n", n, "--window", "1e-300:1e300",
+               "--grid-size", "256", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "window 1e-300:1e+300 is out of range" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
     assert len(recwarn) == 0
 

@@ -17,6 +17,7 @@ from dehnfill.numutil import fit_loglog, loggrid
 from dehnfill.profiles import (
     black_hole_metric,
     cusp_metric,
+    eval_profile,
     glued_metric,
     make_glued_profile,
 )
@@ -255,3 +256,71 @@ def test_top_eigenvalue_n3_saturates():
     a = trace_free_top_eigenvalue(K, rep.ric_diag[0])
     b = spectral_bound(K, rep.ric_diag[0])
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def _reference_oracle(metric, r):
+    """fd_curvature_oracle's curvature step as plain einsums, step for step:
+    the two quadratic Christoffel terms as separate contractions and the
+    frame scaling as one five-operand product."""
+    n = metric.n
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    h = np.maximum(1e-4 * rr, 1e-6)
+    w5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    npts = rr.size
+    rk = rr[None, :] + np.arange(-4, 5)[:, None] * h[None, :]
+    Vk = eval_profile(metric.profile, rk.ravel(), 0).reshape(9, npts)
+    g = np.empty((9, npts, n))
+    g[:, :, 0] = 1.0 / Vk
+    g[:, :, 1] = Vk
+    g[:, :, 2:] = (rk**2)[:, :, None]
+    dg = np.empty((5, npts, n))
+    for j in range(5):
+        dg[j] = np.einsum("k,kpa->pa", w5, g[j : j + 5]) / h[:, None]
+    g5 = g[2:7]
+    Gamma = np.zeros((5, npts, n, n, n))
+    inv_g00 = 1.0 / g5[:, :, 0]
+    for a in range(n):
+        Gamma[:, :, 0, a, a] = -dg[:, :, a] * 0.5 * inv_g00
+        Gamma[:, :, a, 0, a] = dg[:, :, a] * 0.5 / g5[:, :, a]
+        Gamma[:, :, a, a, 0] = Gamma[:, :, a, 0, a]
+    Gamma[:, :, 0, 0, 0] = dg[:, :, 0] * 0.5 * inv_g00
+    dGamma = np.einsum("k,kpabc->pabc", w5, Gamma) / h[:, None, None, None]
+    G0 = Gamma[2]
+    Rud = np.zeros((npts, n, n, n, n))
+    Rud[:, :, :, 0, :] += np.transpose(dGamma, (0, 1, 3, 2))
+    Rud[:, :, :, :, 0] -= np.transpose(dGamma, (0, 1, 3, 2))
+    Rud += np.einsum("pace,pedb->pabcd", G0, G0)
+    Rud -= np.einsum("pade,pecb->pabcd", G0, G0)
+    Rdown = np.einsum("pa,pabcd->pabcd", g5[2], Rud)
+    scale = 1.0 / np.sqrt(g5[2])
+    Rframe = np.einsum(
+        "pabcd,pa,pb,pc,pd->pabcd", Rdown, scale, scale, scale, scale
+    )
+    K = np.einsum("pabab->pab", Rframe)
+    for a in range(n):
+        K[:, a, a] = 0.0
+    ric = np.einsum("pab->pa", K)
+    return {"r": rr, "R_frame": Rframe, "K": K, "ric_diag": ric,
+            "scalar": np.einsum("pa->p", ric), "deficit_diag": ric + (n - 1.0)}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("profile", ["blackhole", "cusp", "glued"])
+def test_oracle_matches_einsum_reference_bitwise(profile, n):
+    if profile == "blackhole":
+        met = black_hole_metric(1.3, n)
+        rp = met.profile.r_plus
+        r = loggrid(1.05 * rp, 50.0 * rp, 32)
+    elif profile == "cusp":
+        met = cusp_metric(n)
+        r = loggrid(0.5, 50.0, 32)
+    else:
+        met = glued_metric(30.0, n)
+        # spans the core, the transition annulus and the cusp region
+        r = loggrid(1.05 * met.profile.domain[0], 29.0, 40)
+    got = fd_curvature_oracle(met, r)
+    want = _reference_oracle(met, r)
+    assert got.keys() == want.keys()
+    for key, arr in want.items():
+        assert got[key].shape == arr.shape
+        assert got[key].tobytes() == arr.tobytes(), key

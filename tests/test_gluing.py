@@ -158,3 +158,12 @@ def test_filling_from_lengths_matches_manual():
     assert f.size == 12.0
     assert f.two_pi_ok
     assert f.radii[0] == pytest.approx(12.0 / f.beta1, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 0.0, -20.0])
+def test_decay_scan_rejects_non_finite_or_non_positive_size(bad):
+    # a nan size passes every pairwise order comparison, so it must be
+    # caught before the order check
+    with pytest.raises(ScanMissing, match=f"got {bad}"):
+        decay_scan(4, [10.0, bad, 40.0, 80.0, 160.0, 320.0], grid_size=256)

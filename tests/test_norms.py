@@ -12,6 +12,7 @@ from dehnfill.errors import (
 )
 from dehnfill.norms import (
     WeightSpec,
+    _holder_quotient,
     decay_weight,
     default_core_scale,
     default_delta,
@@ -240,3 +241,16 @@ def test_norm_axioms_random_fields():
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_holder_quotient_matches_per_column_seminorms_bitwise(order, alpha):
+    # gluing takes the seminorm of every deficit component in one call
+    rng = np.random.default_rng(7)
+    for npts, k in [(3, 1), (40, 3), (300, 6), (1024, 4)]:
+        grid = np.cumsum(rng.uniform(0.01, 1.0, npts))
+        field = rng.standard_normal((npts, k)) * 10.0 ** rng.integers(-8, 8, k)
+        want = max(discrete_holder_seminorm(field[:, a], grid, alpha=alpha,
+                                            order=order) for a in range(k))
+        assert _holder_quotient(field, grid, alpha, order) == want

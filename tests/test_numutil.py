@@ -13,6 +13,7 @@ from dehnfill.errors import GridTooCoarse
 from dehnfill.numutil import (
     apply_diff,
     apply_stencil,
+    csv_lines,
     diff_matrix,
     fornberg_weights,
     stencil_weights,
@@ -145,3 +146,18 @@ def test_too_coarse_is_rejected(npts, deriv, width):
         stencil_weights(grid, deriv, width)
     with pytest.raises(GridTooCoarse):
         apply_diff(grid, grid, deriv, width)
+
+
+def test_csv_lines_match_per_element_formatting():
+    rng = np.random.default_rng(11)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 3.0, -7.0, 2.0**60,
+               0.1, np.finfo(float).max, np.finfo(float).tiny]
+    cols = [rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40),
+            rng.uniform(-1.0, 1.0, 40),
+            np.resize(special, 40),
+            np.round(rng.uniform(-1e6, 1e6, 40))]
+    want = [",".join(f"{float(x):.17g}" for x in row) for row in zip(*cols)]
+    assert csv_lines(*cols) == want
+    # tuples of floats, one column, and round trips
+    assert csv_lines((1.5, -0.0)) == ["1.5", "-0"]
+    assert [float(x) for x in csv_lines(cols[0])] == cols[0].tolist()
