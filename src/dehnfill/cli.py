@@ -30,9 +30,7 @@ from .errors import DehnFillError, LineSearchFailed, MaxItersExceeded
 from .gluing import decay_scan
 from .lattice import FlatLattice, GeodesicClass, filling_data
 from .linearized import (
-    BLOCK_LABELS,
     assemble_L_blackhole,
-    assemble_L_cusp,
     bump_deformation,
     compare_operators,
     indicial_roots,
@@ -54,15 +52,12 @@ INDICIAL_LABELS = ("11", "12", "1j", "2j", "jk", "diag")
 # value such as 256.7 is rejected, not truncated
 INTEGER_KEYS = ("n", "grid_size", "max_iters", "num_centers")
 
-# --profile value -> (metric from the resolved config and n, operator
-# assembled on that metric); the cusp keeps its exact Euler model.
+# --profile value -> metric from the resolved config and n; every profile,
+# the cusp V = r^2 included, gets the one operator assembly on its metric
 PROFILES = {
-    "blackhole": (lambda cfg, n: black_hole_metric(float(cfg["m"]), n),
-                  assemble_L_blackhole),
-    "cusp": (lambda cfg, n: cusp_metric(n),
-             lambda metric: assemble_L_cusp(metric.n)),
-    "glued": (lambda cfg, n: glued_metric(float(cfg["R"]), n),
-              assemble_L_blackhole),
+    "blackhole": lambda cfg, n: black_hole_metric(float(cfg["m"]), n),
+    "cusp": lambda cfg, n: cusp_metric(n),
+    "glued": lambda cfg, n: glued_metric(float(cfg["R"]), n),
 }
 
 
@@ -97,11 +92,11 @@ def _parse_sizes(value):
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
 
 
-def _profile_builders(cfg):
+def _metric(cfg, n):
     name = cfg["profile"]
     if name not in PROFILES:
         raise DehnFillError(f"unknown profile {name!r}")
-    return PROFILES[name]
+    return PROFILES[name](cfg, n)
 
 
 def _integer(key, value):
@@ -155,8 +150,7 @@ def cmd_curvature(args, config, input_hashes):
     cfg = _resolve(args, config, defaults)
     n = cfg["n"]
     grid = _parse_grid(cfg["grid"])
-    build_metric, _ = _profile_builders(cfg)
-    rep = ricci_and_deficit(build_metric(cfg, n), grid)
+    rep = ricci_and_deficit(_metric(cfg, n), grid)
     summary = {
         "n": n,
         "profile": cfg["profile"],
@@ -202,8 +196,7 @@ def cmd_linearize(args, config, input_hashes):
                 "grid": None, "out_dir": "."}
     cfg = _resolve(args, config, defaults)
     n = cfg["n"]
-    build_metric, build_operator = _profile_builders(cfg)
-    sys_l = build_operator(build_metric(cfg, n))
+    sys_l = assemble_L_blackhole(_metric(cfg, n))
     if cfg["grid"] is None:
         r_plus = sys_l.profile.r_plus
         if r_plus is None:
@@ -212,9 +205,7 @@ def cmd_linearize(args, config, input_hashes):
             hi = min(50 * r_plus, 0.999 * sys_l.profile.domain[1])
             cfg["grid"] = f"{1.05 * r_plus:.6g}:{hi:.6g}:64"
     grid = _parse_grid(cfg["grid"])
-    c2, c1 = sys_l.a_coefficients(grid)
-    off = sys_l.zeroth_offdiag(grid)
-    M = sys_l.coupling_diag(grid)
+    c2, c1, off, M = sys_l.coefficients(grid)
     header = "r,c2,c1,c12,c1j,c2j,cjk,M00,M01,M0j,M11,M1j,Mjj,Mjk"
     # below n=5 there is no second torus direction; the zero keeps Mjj's sign
     mjk = M[:, 2, 3] if n >= 5 else M[:, 2, 2] * 0.0

@@ -49,15 +49,18 @@ def _interior(metric, r):
     return np.atleast_1d(_check_in_domain(metric.profile, r))
 
 
+def _frame_data(profile, r):
+    """V, V' and the sectional curvatures K12 = -V''/2, K1perp = -V'/(2r),
+    Kperp = -V/r^2 of the profile at the radii r (an array)."""
+    V = eval_profile(profile, r, 0)
+    V1 = eval_profile(profile, r, 1)
+    V2 = eval_profile(profile, r, 2)
+    return V, V1, -0.5 * V2, -V1 / (2.0 * r), -V / r**2
+
+
 def sectional_curvatures(metric, r):
     """The three distinct sectional curvatures (K12, K1perp, Kperp) at r."""
-    rr = _interior(metric, r)
-    V = eval_profile(metric.profile, rr, 0)
-    V1 = eval_profile(metric.profile, rr, 1)
-    V2 = eval_profile(metric.profile, rr, 2)
-    K12 = -0.5 * V2
-    K1perp = -V1 / (2.0 * rr)
-    Kperp = -V / rr**2
+    _, _, K12, K1perp, Kperp = _frame_data(metric.profile, _interior(metric, r))
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(K12[0]), float(K1perp[0]), float(Kperp[0])
     return K12, K1perp, Kperp
@@ -104,9 +107,6 @@ def ricci_and_deficit(metric, r):
     n = metric.n
     rr = _interior(metric, r)
     K12, K1perp, Kperp = sectional_curvatures(metric, rr)
-    K12 = np.atleast_1d(K12)
-    K1perp = np.atleast_1d(K1perp)
-    Kperp = np.atleast_1d(Kperp)
     ric_rad = K12 + (n - 2) * K1perp                 # = -V''/2 - (n-2)V'/(2r)
     ric_tor = 2.0 * K1perp + (n - 3) * Kperp          # = -V'/r - (n-3)V/r^2
     ric = np.empty((rr.size, n))

@@ -16,7 +16,8 @@ import numpy as np
 
 from .curvature import cutoff_deficit_diag, ricci_and_deficit
 from .errors import InvalidWeight, ScanMissing, TooFewSamples
-from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
+from .lattice import (DehnFillingData, FlatLattice, GeodesicClass,
+                      filling_data, quotient_generators)
 from .norms import (WeightSpec, _check_field, _holder_quotient, decay_weight,
                     phi_c)
 from .numutil import fit_loglog, loggrid
@@ -50,28 +51,19 @@ def build_approximate_solution(filling, n=None):
     """Close every cusp of the filling with a glued profile at R^i.
 
     Each cusp keeps its own transverse torus geometry (the quotient gram
-    from the filling data when present, identity otherwise) and the
-    common closing period beta_1.  Raises RadiusTooSmall when any R^i is
-    at or below r_plus + 3.
+    of its (lattice, geodesic) pair) and the common closing period
+    beta_1.  Raises RadiusTooSmall when any R^i is at or below r_plus + 3.
     """
     if n is None:
         n = filling.n
     if n != filling.n:
         raise InvalidWeight(f"dimension mismatch: {n} vs filling {filling.n}")
     metrics = []
-    for i, R in enumerate(filling.radii):
-        profile = make_glued_profile(R, n)
-        gram = None
-        cusp = filling.cusps[i]
-        if isinstance(cusp, tuple) and len(cusp) == 2:
-            from .lattice import quotient_generators
-
-            lat, sig = cusp
-            q = quotient_generators(lat, sig)
-            gram = q["torus_gram"]
+    for (lat, sig), R in zip(filling.cusps, filling.radii):
         metrics.append(
-            FillingMetric(n=n, profile=profile, beta=filling.beta1,
-                          torus_gram=gram)
+            FillingMetric(n=n, profile=make_glued_profile(R, n),
+                          beta=filling.beta1,
+                          torus_gram=quotient_generators(lat, sig)["torus_gram"])
         )
     label = f"|sigma|={filling.size:.6g}"
     return ApproximateSolution(n=int(n), filling=filling,

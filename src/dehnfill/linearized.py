@@ -27,6 +27,7 @@ from functools import cache
 
 import numpy as np
 
+from .curvature import _frame_data
 from .errors import (
     GridTooCoarse,
     NonFiniteField,
@@ -36,7 +37,7 @@ from .errors import (
     UnknownBlock,
 )
 from .numutil import apply_stencil, fit_loglog, stencil_weights
-from .profiles import CuspProfile, black_hole_metric, eval_profile
+from .profiles import black_hole_metric, cusp_metric
 
 __all__ = [
     "BLOCK_LABELS",
@@ -141,111 +142,80 @@ def metric_deformation(n, grid):
 
 @dataclass(frozen=True, eq=False)
 class ODESystemL:
-    """The assembled operator: radial coefficients plus zeroth-order data.
-
-    kind is "cusp" for the exact Euler model and "warped" for a
-    profile-backed assembly.  Coefficients are evaluated on demand as
-    functions of r.
+    """The assembled operator: radial coefficients plus zeroth-order data,
+    evaluated on demand as functions of r from the profile's V, V' and
+    frame curvatures.  The cusp model is this assembly on V = r^2, where
+    the coefficients reduce to the constants of the Euler model.
     """
 
     n: int
-    kind: str
     profile: object
 
-    def _v(self, r):
-        V = eval_profile(self.profile, r, 0)
-        V1 = eval_profile(self.profile, r, 1)
+    def coefficients(self, r):
+        """(c2, c1, offdiag, M) at the radii r, from one profile evaluation.
+
+        A u = c2 u'' + c1 u' is the shared radial part; offdiag maps the
+        scalar blocks 12, 1j, 2j, jk to their zeroth-order coefficients;
+        M is the (npts, n, n) symmetric coupling of the (11, 22, jj)
+        sector, whose row sums equal -2 ric_aa for every profile (the
+        gauge identity L(g) = -2 ric on constant deformations).
+        """
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        n = self.n
+        V, V1, K12, K1p, Kpp = _frame_data(self.profile, r)
         if np.any(V <= 0):
             raise SingularAtCore(
                 "profile vanishes on the grid; the zeroth-order terms divide by V"
             )
-        return V, V1
-
-    def _curvatures(self, r):
-        """V, V' and the sectional curvatures K12 = -V''/2,
-        K1perp = -V'/(2r), Kperp = -V/r^2 at r."""
-        V, V1 = self._v(r)
-        V2 = eval_profile(self.profile, r, 2)
-        return V, V1, -0.5 * V2, -V1 / (2.0 * r), -V / r**2
+        # P = V'^2/(2V); scaling by a power of two rounds the same way
+        # before or after the division, so the four uses share one quotient
+        Q = V1**2 / V
+        P = 0.5 * Q
+        Vr2 = V / r**2
+        c2, c1 = -V, -(V1 + (n - 2) * V / r)
+        offdiag = {
+            "12": Q + 2.0 * (n - 2) * V / r**2 + 2.0 * K12,
+            "1j": 0.25 * Q + (n + 1.0) * V / r**2 + 2.0 * K1p,
+            "2j": 0.25 * Q + Vr2 + 2.0 * K1p,
+            "jk": P + 2.0 * Kpp,
+        }
+        M = np.empty((r.shape[0], n, n))
+        M[:, 0, 0] = P + 2.0 * (n - 2) * Vr2
+        M[:, 0, 1] = M[:, 1, 0] = -(P + 2.0 * K12)
+        M[:, 1, 1] = P
+        M[:, 0, 2:] = M[:, 2:, 0] = (-2.0 * (Vr2 + K1p))[:, None]
+        M[:, 1, 2:] = M[:, 2:, 1] = (-2.0 * K1p)[:, None]
+        M[:, 2:, 2:] = (-2.0 * Kpp)[:, None, None]
+        torus = np.arange(2, n)
+        M[:, torus, torus] = (2.0 * Vr2)[:, None]
+        return c2, c1, offdiag, M
 
     def a_coefficients(self, r):
         """(c2, c1) with A u = c2 u'' + c1 u'."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "cusp":
-            return -(r**2), -float(self.n) * r
-        V, V1 = self._v(r)
-        return -V, -(V1 + (self.n - 2) * V / r)
+        return self.coefficients(r)[:2]
 
     def zeroth_offdiag(self, r):
         """Scalar zeroth-order coefficients for blocks 12, 1j, 2j, jk."""
-        r = np.asarray(r, dtype=float)
-        n = self.n
-        if self.kind == "cusp":
-            one = np.ones_like(r)
-            return {
-                "12": 2.0 * (n - 1) * one,
-                "1j": float(n) * one,
-                "2j": np.zeros_like(r),
-                "jk": np.zeros_like(r),
-            }
-        V, V1, K12, K1p, Kpp = self._curvatures(r)
-        return {
-            "12": V1**2 / V + 2.0 * (n - 2) * V / r**2 + 2.0 * K12,
-            "1j": V1**2 / (4.0 * V) + (n + 1.0) * V / r**2 + 2.0 * K1p,
-            "2j": V1**2 / (4.0 * V) + V / r**2 + 2.0 * K1p,
-            "jk": V1**2 / (2.0 * V) + 2.0 * Kpp,
-        }
+        return self.coefficients(r)[2]
 
     def coupling_diag(self, r):
-        """(npts, n, n) symmetric coupling of the (11, 22, jj) sector.
-
-        Row sums equal -2 ric_aa for every profile, which is the gauge
-        identity L(g) = -2 ric on constant deformations.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        n = self.n
-        npts = r.shape[0]
-        M = np.zeros((npts, n, n))
-        if self.kind == "cusp":
-            P = 2.0 * np.ones(npts)
-            Vr2 = np.ones(npts)
-            K12 = -np.ones(npts)
-            K1p = -np.ones(npts)
-            Kpp = -np.ones(npts)
-        else:
-            V, V1, K12, K1p, Kpp = self._curvatures(r)
-            P = V1**2 / (2.0 * V)
-            Vr2 = V / r**2
-        M[:, 0, 0] = P + 2.0 * (n - 2) * Vr2
-        M[:, 0, 1] = -(P + 2.0 * K12)
-        M[:, 1, 0] = M[:, 0, 1]
-        M[:, 1, 1] = P
-        for j in range(2, n):
-            M[:, 0, j] = -2.0 * (Vr2 + K1p)
-            M[:, j, 0] = M[:, 0, j]
-            M[:, 1, j] = -2.0 * K1p
-            M[:, j, 1] = M[:, 1, j]
-            M[:, j, j] = 2.0 * Vr2
-            for k in range(2, n):
-                if k != j:
-                    M[:, j, k] = -2.0 * Kpp
-        return M
+        """(npts, n, n) symmetric coupling of the (11, 22, jj) sector."""
+        return self.coefficients(r)[3]
 
 
 def assemble_L_blackhole(metric):
     """Operator assembly from a profile-backed metric.
 
-    Accepts any FillingMetric; with the cusp profile the coefficients
-    reduce to the exact Euler model.
+    Accepts any FillingMetric; on the cusp profile V = r^2 the
+    coefficients reduce to the exact Euler model (assemble_L_cusp).
     """
-    return ODESystemL(n=metric.n, kind="warped", profile=metric.profile)
+    return ODESystemL(n=metric.n, profile=metric.profile)
 
 
 def assemble_L_cusp(n):
-    """The exact cusp model: A = -r^2 d^2 - n r d with constant couplings."""
-    if n < 3:
-        raise OutOfDomain(f"need n >= 3, got {n}")
-    return ODESystemL(n=int(n), kind="cusp", profile=CuspProfile())
+    """The cusp model A = -r^2 d^2 - n r d with constant couplings: the
+    shared assembly on the cusp metric V = r^2."""
+    return assemble_L_blackhole(cusp_metric(n))
 
 
 def _core_margin_check(sys, grid):
@@ -280,33 +250,39 @@ def _block_derivatives(h):
             for label, u in blocks.items()}
 
 
-def _apply(sys, h, derivs):
-    """apply_L with the derivatives of h's blocks already taken."""
+def _zeroth_order(sys, h):
+    """The dimension and core-margin checks, then sys.coefficients on h's
+    grid: (c2, c1) and the zeroth-order part of L h by block, with the
+    diagonal sector under "diag".  None of it needs a derivative of h, so
+    it all runs first and the (npts, n, n) coupling is freed before the
+    stencils are built."""
     if h.n != sys.n:
         raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
-    grid = h.grid
-    _core_margin_check(sys, grid)
-    c2, c1 = sys.a_coefficients(grid)
-
-    def a_op(label):
-        d1, d2 = derivs[label]
-        if d1.ndim == 1:
-            return c2 * d2 + c1 * d1
-        return c2[:, None] * d2 + c1[:, None] * d1
-
-    out = {}
-    coeffs = sys.zeroth_offdiag(grid)
+    _core_margin_check(sys, h.grid)
+    c2, c1, offdiag, M = sys.coefficients(h.grid)
+    zeroth = {}
     for label in ("12", "1j", "2j", "jk"):
         u = h.block(label)
-        c = coeffs[label]
-        out[label] = a_op(label) + (c * u if u.ndim == 1 else c[:, None] * u)
-    D = h.diag_matrix()
-    M = sys.coupling_diag(grid)
-    LD = a_op("diag") + np.einsum("pab,pb->pa", M, D)
+        c = offdiag[label]
+        zeroth[label] = c * u if u.ndim == 1 else c[:, None] * u
+    zeroth["diag"] = np.einsum("pab,pb->pa", M, h.diag_matrix())
+    return c2, c1, zeroth
+
+
+def _apply(h, zeroth_order, derivs):
+    """apply_L from `_zeroth_order` and the derivatives of h's blocks."""
+    c2, c1, zeroth = zeroth_order
+    out = {}
+    for label, (d1, d2) in derivs.items():
+        if d1.ndim == 1:
+            out[label] = c2 * d2 + c1 * d1 + zeroth[label]
+        else:
+            out[label] = c2[:, None] * d2 + c1[:, None] * d1 + zeroth[label]
+    LD = out.pop("diag")
     out["11"] = LD[:, 0]
     out["22"] = LD[:, 1]
     out["jj"] = LD[:, 2:]
-    return InvariantDeformation(n=sys.n, grid=grid, components=out)
+    return InvariantDeformation(n=h.n, grid=h.grid, components=out)
 
 
 def apply_L(sys, h):
@@ -319,7 +295,7 @@ def apply_L(sys, h):
     shares them between its two operators.  Returns a deformation with
     every block populated.
     """
-    return _apply(sys, h, _block_derivatives(h))
+    return _apply(h, _zeroth_order(sys, h), _block_derivatives(h))
 
 
 def indicial_roots(block, n):
@@ -437,15 +413,18 @@ def compare_operators(h, r_window=None, m=1.0, metric_a=None, metric_b=None,
     is fitted; for unit-C2 h translated across the window the slope
     comes out at -(n-1).  All-zero differences give slope nan.  The
     radial derivatives of h are taken once and shared by both operators;
-    each operator still runs its own dimension and core-margin checks.
+    each operator runs its own dimension, core-margin and profile-domain
+    checks before any derivative is taken.
     """
     n = h.n
     sys_a = assemble_L_cusp(n) if metric_a is None else assemble_L_blackhole(metric_a)
     sys_b = (assemble_L_blackhole(black_hole_metric(m, n))
              if metric_b is None else assemble_L_blackhole(metric_b))
+    zeroth_a = _zeroth_order(sys_a, h)
+    zeroth_b = _zeroth_order(sys_b, h)
     derivs = _block_derivatives(h)
-    La = _apply(sys_a, h, derivs)
-    Lb = _apply(sys_b, h, derivs)
+    La = _apply(h, zeroth_a, derivs)
+    Lb = _apply(h, zeroth_b, derivs)
     grid = h.grid
     diff = np.zeros(grid.shape[0])
     for label in BLOCK_LABELS:

@@ -398,14 +398,15 @@ def coordinate_change_to_cusp(profile, R, rho):
     1 in the chi = 0 region. Raises NotInCuspRegion if rho R is not past
     the end of the transition window.
     """
-    if profile.variant != "glued":
+    if profile.transition is None:
         raise NotInCuspRegion("coordinate change applies to glued profiles")
+    end = profile.transition[1]
     rho_arr = np.asarray(rho, dtype=float)
     r = rho_arr * R
-    if np.any(r < profile.cutoff.hi):
+    if np.any(r < end):
         raise NotInCuspRegion(
             f"r = {np.min(r):.6g} is inside the transition (cutoff active "
-            f"below {profile.cutoff.hi:.6g}); no cusp form there"
+            f"below {end:.6g}); no cusp form there"
         )
     V = eval_profile(profile, r)
     # g_rhorho * rho^2, g_thetatheta / (rho R)^2, torus factor r^2/(rho R)^2
@@ -450,9 +451,11 @@ class FillingMetric:
             raise OutOfDomain(
                 f"torus_gram must be {(self.n - 2, self.n - 2)}, got {gram.shape}"
             )
+        if not np.all(np.isfinite(gram)):
+            raise OutOfDomain("torus_gram must be finite")
         if not np.allclose(gram, gram.T, atol=1e-12):
             raise OutOfDomain("torus_gram must be symmetric")
-        if self.n > 2 and gram.size and np.linalg.eigvalsh(gram).min() <= 0:
+        if np.linalg.eigvalsh(gram).min() <= 0:
             raise OutOfDomain("torus_gram must be positive definite")
         object.__setattr__(self, "torus_gram", gram)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import _frame_data
 from .errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
@@ -139,13 +140,11 @@ def einstein_residual(profile, n, grid=None):
     functions ((grid, F1), (grid, F2)).
     """
     grid = profile.sample_grid() if grid is None else np.asarray(grid, dtype=float)
-    V = eval_profile(profile, grid, 0)
+    V, _, K12, K1perp, Kperp = _frame_data(profile, grid)
     if np.any(V < 0):
         raise NonPositiveProfile("profile is negative on the grid")
-    V1 = eval_profile(profile, grid, 1)
-    V2 = eval_profile(profile, grid, 2)
-    F1 = -0.5 * V2 - (n - 2) * V1 / (2.0 * grid) + (n - 1)
-    F2 = -V1 / grid - (n - 3) * V / grid**2 + (n - 1)
+    F1 = K12 + (n - 2) * K1perp + (n - 1)
+    F2 = 2.0 * K1perp + (n - 3) * Kperp + (n - 1)
     return (grid, F1), (grid, F2)
 
 

@@ -173,6 +173,23 @@ def test_compare_extreme_window_exit_2(tmp_path, capsys, recwarn, n):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("n, window, grid_size", [
+    ("4", "5:1e70", "256"),
+    ("4", "50:1e150", "4096"),
+    ("3", "1e-100:1e100", "4096"),
+])
+def test_compare_window_outside_profile_domain_exit_2(tmp_path, capsys, recwarn,
+                                                      n, window, grid_size):
+    # finite r**2 and r**(3-n), but wide enough node spacings to overflow
+    # the stencil recursion: the domain check has to come first
+    rc = main(["compare", "--n", n, "--window", window,
+               "--grid-size", grid_size, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "radius outside profile domain" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert len(recwarn) == 0
+
+
 def test_compare_default_window_exits_0(tmp_path, recwarn):
     rc = main(["compare", "--n", "4", "--grid-size", "256",
                "--out-dir", str(tmp_path)])

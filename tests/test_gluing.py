@@ -16,9 +16,19 @@ from dehnfill.gluing import (
     deficit_norm,
     filling_from_lengths,
 )
+from dehnfill.lattice import FlatLattice, GeodesicClass, filling_data
 from dehnfill.norms import WeightSpec
 from dehnfill.numutil import loggrid
 from dehnfill.profiles import black_hole_metric, glued_metric
+
+
+def test_list_and_tuple_cusps_keep_the_same_gram():
+    lat = FlatLattice(np.array([[20.0, 0.0, 0.0], [1.0, 7.0, 0.0], [0.0, 1.0, 9.0]]))
+    sig = GeodesicClass((1, 0, 0))
+    grams = [build_approximate_solution(filling_data([cusp], 4)).metrics[0].torus_gram
+             for cusp in ((lat, sig), [lat, sig])]
+    assert not np.allclose(grams[0], np.eye(2))
+    assert np.array_equal(grams[0], grams[1])
 
 
 def test_build_single_cusp():

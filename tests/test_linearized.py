@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dehnfill import linearized
+from dehnfill import curvature, linearized
 
 from dehnfill.errors import (
     GridTooCoarse,
@@ -91,6 +91,29 @@ def test_cusp_substitution_is_exact():
         Mw = warped.coupling_diag(r)
         Me = euler.coupling_diag(r)
         assert np.max(np.abs(Mw - Me)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_cusp_coefficients_match_euler_model(n):
+    # the shared assembly on V = r^2 gives the Euler model's constants
+    r = np.geomspace(1e-3, 1e6, 200)
+    c2, c1, off, M = assemble_L_cusp(n).coefficients(r)
+    ulp = 8 * np.finfo(float).eps
+    assert np.all(np.abs(c2 + r**2) <= ulp * r**2)
+    assert np.all(np.abs(c1 + n * r) <= ulp * n * r)
+    for label, value in zip(("12", "1j", "2j", "jk"), (2.0 * (n - 1), n, 0, 0)):
+        assert np.all(np.abs(off[label] - value) <= ulp * 2 * n), label
+    P, Vr2, K = 2.0, 1.0, -1.0
+    expect = np.diag([P + 2 * (n - 2) * Vr2, P] + [2 * Vr2] * (n - 2))
+    expect[0, 1] = expect[1, 0] = -(P + 2 * K)
+    expect[0, 2:] = expect[2:, 0] = -2 * (Vr2 + K)
+    expect[1, 2:] = expect[2:, 1] = -2 * K
+    for j in range(2, n):
+        for k in range(2, n):
+            if j != k:
+                expect[j, k] = -2 * K
+    assert M.shape == (r.size, n, n)
+    assert np.all(np.abs(M - expect) <= ulp * 2 * n)
 
 
 def test_cusp_offdiag_coefficients():
@@ -273,6 +296,32 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
     calls.clear()
     apply_L(assemble_L_cusp(4), h)
     assert sorted(calls) == [(1, 5), (2, 6)]
+
+
+def test_compare_operators_evaluates_frame_data_twice(monkeypatch):
+    # one profile evaluation (V, V', V'') per operator, none per
+    # coefficient set
+    calls = []
+    real = linearized._frame_data
+
+    def counting(profile, r):
+        calls.append(profile)
+        return real(profile, r)
+
+    orders = []
+    real_eval = curvature.eval_profile
+
+    def counting_eval(profile, r, deriv_order=0):
+        orders.append(deriv_order)
+        return real_eval(profile, r, deriv_order)
+
+    monkeypatch.setattr(linearized, "_frame_data", counting)
+    monkeypatch.setattr(curvature, "eval_profile", counting_eval)
+    grid = loggrid(5.0, 500.0, 1024)
+    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
+    compare_operators(h, r_window=(5.0, 500.0))
+    assert [p.variant for p in calls] == ["cusp", "blackhole"]
+    assert orders == [0, 1, 2, 0, 1, 2]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

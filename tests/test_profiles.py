@@ -236,6 +236,13 @@ def test_constructors_reject_non_finite(build, error):
         build()
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_filling_metric_rejects_non_finite_gram(bad):
+    with pytest.raises(OutOfDomain, match="torus_gram must be finite"):
+        FillingMetric(n=4, profile=BlackHoleProfile(m=1.0, n=4), beta=2.0,
+                      torus_gram=[[bad, 0.0], [0.0, 1.0]])
+
+
 def test_profile_from_dict_unknown_variant():
     with pytest.raises(OutOfDomain):
         profile_from_dict({"variant": "bogus", "domain": [1.0, 2.0], "params": {}})
