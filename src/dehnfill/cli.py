@@ -7,6 +7,9 @@ manifest records the fully resolved configuration so that re-running it
 reproduces report.csv and summary.json byte for byte; only the manifest
 carries a timestamp.
 
+Each subcommand is declared once, in COMMANDS; each key k of its
+defaults is both a config-file key and the flag --k, with _ written as -.
+
 Exit codes: 0 success, 2 validation failure, 3 numerical
 non-convergence.
 """
@@ -51,6 +54,11 @@ INDICIAL_LABELS = ("11", "12", "1j", "2j", "jk", "diag")
 # settings that must be integers wherever they come from; a config-file
 # value such as 256.7 is rejected, not truncated
 INTEGER_KEYS = ("n", "grid_size", "max_iters", "num_centers")
+
+# settings whose flag parses as a float; a config-file value is passed on
+# as given and converted where it is used
+FLOAT_KEYS = ("m", "R", "width", "from_glued", "from_blackhole", "tol",
+              "r_out")
 
 # --profile value -> metric from the resolved config and n; every profile,
 # the cusp V = r^2 included, gets the one operator assembly on its metric
@@ -115,7 +123,7 @@ def _resolve(args, config, defaults):
     for key in defaults:
         if key in config:
             resolved[key] = config[key]
-        cli_val = getattr(args, key, None)
+        cli_val = getattr(args, key)
         if cli_val is not None:
             resolved[key] = cli_val
         if key in INTEGER_KEYS:
@@ -124,12 +132,10 @@ def _resolve(args, config, defaults):
     return resolved
 
 
-def _write_outputs(out_dir, command, cfg, csv_header, csv_rows, summary,
-                   input_hashes):
-    out = Path(out_dir)
+def _write_outputs(command, cfg, csv_header, csv_rows, summary, input_hashes):
+    out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text("\n".join([csv_header, *csv_rows]) + "\n")
-    (out / "summary.json").write_text(_json_text(summary))
     manifest = {
         "command": command,
         "config": cfg,
@@ -137,17 +143,11 @@ def _write_outputs(out_dir, command, cfg, csv_header, csv_rows, summary,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "input_hashes": input_hashes,
     }
-    (out / "manifest.json").write_text(_json_text(manifest))
+    for name, obj in (("summary.json", summary), ("manifest.json", manifest)):
+        (out / name).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def cmd_curvature(args, config, input_hashes):
-    defaults = {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
-                "grid": "1.3:10:64", "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_curvature(cfg):
     n = cfg["n"]
     grid = _parse_grid(cfg["grid"])
     rep = ricci_and_deficit(_metric(cfg, n), grid)
@@ -159,16 +159,11 @@ def cmd_curvature(args, config, input_hashes):
         "scalar_min": float(np.min(rep.scalar)),
         "scalar_max": float(np.max(rep.scalar)),
     }
-    _write_outputs(cfg["out_dir"], "curvature", cfg, rep.CSV_HEADER,
-                   rep.csv_rows(), summary, input_hashes)
-    print(f"curvature: {grid.size} rows, max deficit {rep.deficit_sup:.3e}")
-    return 0
+    return (rep.CSV_HEADER, rep.csv_rows(), summary,
+            f"curvature: {grid.size} rows, max deficit {rep.deficit_sup:.3e}")
 
 
-def cmd_scan(args, config, input_hashes):
-    defaults = {"n": 4, "sizes": "40,80,160,320,640", "delta": "auto",
-                "grid_size": 512, "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_scan(cfg):
     n = cfg["n"]
     sizes = _parse_sizes(cfg["sizes"])
     if len(sizes) < 5:
@@ -177,24 +172,14 @@ def cmd_scan(args, config, input_hashes):
     result = decay_scan(n, sizes, w=delta, grid_size=cfg["grid_size"])
     cfg["delta"] = "auto" if delta is None else delta
     cfg["sizes"] = list(result.sizes)
-    rows = csv_lines(result.sizes, result.norms)
-    summary = {
-        "n": n,
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "residual": result.residual,
-        "expected_slope": result.expected_slope,
-    }
-    _write_outputs(cfg["out_dir"], "scan", cfg, "size,norm", rows, summary,
-                   input_hashes)
-    print(f"scan: slope {result.slope:.4f} (expected {result.expected_slope})")
-    return 0
+    summary = {"n": n, "slope": result.slope, "intercept": result.intercept,
+               "residual": result.residual,
+               "expected_slope": result.expected_slope}
+    return ("size,norm", csv_lines(result.sizes, result.norms), summary,
+            f"scan: slope {result.slope:.4f} (expected {result.expected_slope})")
 
 
-def cmd_linearize(args, config, input_hashes):
-    defaults = {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
-                "grid": None, "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_linearize(cfg):
     n = cfg["n"]
     sys_l = assemble_L_blackhole(_metric(cfg, n))
     if cfg["grid"] is None:
@@ -218,31 +203,21 @@ def cmd_linearize(args, config, input_hashes):
         "indicial_roots": {lbl: list(indicial_roots(lbl, n))
                            for lbl in INDICIAL_LABELS},
     }
-    _write_outputs(cfg["out_dir"], "linearize", cfg, header, rows, summary,
-                   input_hashes)
-    print(f"linearize: {grid.size} coefficient rows")
-    return 0
+    return header, rows, summary, f"linearize: {grid.size} coefficient rows"
 
 
-def cmd_indicial(args, config, input_hashes):
-    defaults = {"n": 4, "block": "all", "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_indicial(cfg):
     n = cfg["n"]
     labels = INDICIAL_LABELS if cfg["block"] == "all" else (cfg["block"],)
     roots = {lbl: list(indicial_roots(lbl, n)) for lbl in labels}
     rows = [",".join([lbl, *csv_lines(rr)]) for lbl, rr in roots.items()]
-    summary = {"n": n, "roots": roots}
-    _write_outputs(cfg["out_dir"], "indicial", cfg, "block,roots", rows,
-                   summary, input_hashes)
-    for lbl, rr in roots.items():
-        print(f"indicial {lbl} (n={n}): {tuple(round(x, 7) for x in rr)}")
-    return 0
+    message = "\n".join(f"indicial {lbl} (n={n}): "
+                        f"{tuple(round(x, 7) for x in rr)}"
+                        for lbl, rr in roots.items())
+    return "block,roots", rows, {"n": n, "roots": roots}, message
 
 
-def cmd_compare(args, config, input_hashes):
-    defaults = {"n": 4, "m": 1.0, "window": "5:500", "num_centers": 12,
-                "grid_size": 4096, "width": 0.4, "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_compare(cfg):
     n = cfg["n"]
     if cfg["num_centers"] < 3:
         raise DehnFillError(
@@ -271,25 +246,13 @@ def cmd_compare(args, config, input_hashes):
     comp = compare_operators(h, r_window=(lo, hi), m=float(cfg["m"]),
                              bins=cfg["num_centers"])
     kept = comp.bin_max > 0
-    rows = csv_lines(comp.bin_centers[kept], comp.bin_max[kept])
-    summary = {
-        "n": n,
-        "slope": comp.slope,
-        "intercept": comp.intercept,
-        "residual": comp.residual,
-        "expected_slope": float(1 - n),
-    }
-    _write_outputs(cfg["out_dir"], "compare", cfg, "r,diff_max", rows,
-                   summary, input_hashes)
-    print(f"compare: slope {comp.slope:.4f} (expected {1 - n})")
-    return 0
+    summary = {"n": n, "slope": comp.slope, "intercept": comp.intercept,
+               "residual": comp.residual, "expected_slope": float(1 - n)}
+    return ("r,diff_max", csv_lines(comp.bin_centers[kept], comp.bin_max[kept]),
+            summary, f"compare: slope {comp.slope:.4f} (expected {1 - n})")
 
 
-def cmd_solve(args, config, input_hashes):
-    defaults = {"n": 4, "from_glued": None, "from_blackhole": None,
-                "tol": 5e-11, "max_iters": 30, "grid_size": 256,
-                "r_out": None, "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_solve(cfg):
     n = cfg["n"]
     if cfg["from_glued"] is not None and cfg["from_blackhole"] is not None:
         raise DehnFillError("give only one of --from-glued / --from-blackhole")
@@ -311,23 +274,16 @@ def cmd_solve(args, config, input_hashes):
         result = exc.result
         failure = str(exc)
     summary = result.to_dict()
+    rows = csv_lines(result.profile.grid, result.profile.values)
     if failure is not None:
         summary["error"] = failure
-    prof = result.profile
-    rows = csv_lines(prof.grid, prof.values)
-    _write_outputs(cfg["out_dir"], "solve", cfg, "r,V", rows, summary,
-                   input_hashes)
-    if failure is not None:
-        print(f"solve failed: {failure}", file=sys.stderr)
-        return 3
-    print(f"solve: m={result.fitted_m:.9f} r_plus={result.r_plus:.9f} "
-          f"iters={result.iterations}")
-    return 0
+        return "r,V", rows, summary, f"solve failed: {failure}"
+    return "r,V", rows, summary, (
+        f"solve: m={result.fitted_m:.9f} r_plus={result.r_plus:.9f} "
+        f"iters={result.iterations}")
 
 
-def cmd_lattice(args, config, input_hashes):
-    defaults = {"n": 4, "cusp": None, "out_dir": "."}
-    cfg = _resolve(args, config, defaults)
+def cmd_lattice(cfg):
     n = cfg["n"]
     raw = cfg["cusp"]
     if raw is None:
@@ -355,94 +311,82 @@ def cmd_lattice(args, config, input_hashes):
         "two_pi_ok": data.two_pi_ok,
         "beta1": data.beta1,
     }
-    _write_outputs(cfg["out_dir"], "lattice", cfg, "cusp,length,radius", rows,
-                   summary, input_hashes)
-    print(f"lattice: size {data.size:.6g}, two_pi_ok={data.two_pi_ok}")
-    return 0
+    return ("cusp,length,radius", rows, summary,
+            f"lattice: size {data.size:.6g}, two_pi_ok={data.two_pi_ok}")
 
 
-def _add_common(sub):
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--config")
-    sub.add_argument("--n", type=int)
+# name -> (command, help, defaults).  A command takes the resolved config
+# (main adds out_dir = "." to the defaults), may fill in settings it
+# derived so that the manifest echoes what ran, and returns (csv_header,
+# csv_rows, summary, message).  A summary with an "error" entry is a
+# failed solve: main still writes the files, then exits 3.
+COMMANDS = {
+    "curvature": (cmd_curvature, "curvature report along a profile",
+                  {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
+                   "grid": "1.3:10:64"}),
+    "scan": (cmd_scan, "deficit-norm decay scan",
+             {"n": 4, "sizes": "40,80,160,320,640", "delta": "auto",
+              "grid_size": 512}),
+    "linearize": (cmd_linearize, "operator coefficient tables",
+                  {"n": 4, "profile": "blackhole", "m": 1.0, "R": 10.0,
+                   "grid": None}),
+    "indicial": (cmd_indicial, "indicial roots of the cusp model",
+                 {"n": 4, "block": "all"}),
+    "compare": (cmd_compare, "cusp vs black-hole operator decay",
+                {"n": 4, "m": 1.0, "window": "5:500", "num_centers": 12,
+                 "grid_size": 4096, "width": 0.4}),
+    "solve": (cmd_solve, "Newton solve to an Einstein profile",
+              {"n": 4, "from_glued": None, "from_blackhole": None,
+               "tol": NewtonConfig.residual_tol,
+               "max_iters": NewtonConfig.max_iters,
+               "grid_size": NewtonConfig.grid_size,
+               "r_out": NewtonConfig.r_out}),
+    "lattice": (cmd_lattice, "filling data from lattices",
+                {"n": 4, "cusp": None}),
+}
+
+# how a flag parses its value; any other flag takes the string as given
+_FLAG_OPTIONS = {
+    **{key: {"type": int} for key in INTEGER_KEYS},
+    **{key: {"type": float} for key in FLOAT_KEYS},
+    "profile": {"choices": list(PROFILES)},
+    "cusp": {"action": "append"},
+}
 
 
 @functools.cache
 def build_parser():
-    """The `dehnfill` argument parser, built once per process.
+    """The `dehnfill` argument parser, built once per process from COMMANDS.
 
     The parser is shared by every `main` call, so callers must not mutate
     it.  Each parse_args call returns a fresh Namespace, and the one
     list-valued flag (lattice --cusp, default None) gets a new list each
-    time, so no state carries over from one call to the next."""
+    time, so no state carries over from one call to the next.  Flags must
+    be spelled out in full: an abbreviation such as solve --m (for
+    --max-iters) is an error, not a silent match."""
     ap = argparse.ArgumentParser(
         prog="dehnfill",
         description="Numerical toolkit for Dehn-filled approximate Einstein "
                     "metrics on solid tori",
+        allow_abbrev=False,
     )
     sp = ap.add_subparsers(dest="command", required=True)
-
-    p = sp.add_parser("curvature", help="curvature report along a profile")
-    _add_common(p)
-    p.add_argument("--profile", choices=list(PROFILES))
-    p.add_argument("--m", type=float)
-    p.add_argument("--R", type=float)
-    p.add_argument("--grid")
-    p.set_defaults(func=cmd_curvature)
-
-    p = sp.add_parser("scan", help="deficit-norm decay scan")
-    _add_common(p)
-    p.add_argument("--sizes")
-    p.add_argument("--delta")
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.set_defaults(func=cmd_scan)
-
-    p = sp.add_parser("linearize", help="operator coefficient tables")
-    _add_common(p)
-    p.add_argument("--profile", choices=list(PROFILES))
-    p.add_argument("--m", type=float)
-    p.add_argument("--R", type=float)
-    p.add_argument("--grid")
-    p.set_defaults(func=cmd_linearize)
-
-    p = sp.add_parser("indicial", help="indicial roots of the cusp model")
-    _add_common(p)
-    p.add_argument("--block")
-    p.set_defaults(func=cmd_indicial)
-
-    p = sp.add_parser("compare", help="cusp vs black-hole operator decay")
-    _add_common(p)
-    p.add_argument("--m", type=float)
-    p.add_argument("--window")
-    p.add_argument("--num-centers", dest="num_centers", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--width", type=float)
-    p.set_defaults(func=cmd_compare)
-
-    p = sp.add_parser("solve", help="Newton solve to an Einstein profile")
-    _add_common(p)
-    p.add_argument("--from-glued", dest="from_glued", type=float)
-    p.add_argument("--from-blackhole", dest="from_blackhole", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--r-out", dest="r_out", type=float)
-    p.set_defaults(func=cmd_solve)
-
-    p = sp.add_parser("lattice", help="filling data from lattices")
-    _add_common(p)
-    p.add_argument("--cusp", action="append")
-    p.set_defaults(func=cmd_lattice)
-
+    for name, (_, help_text, defaults) in COMMANDS.items():
+        p = sp.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--out-dir", dest="out_dir")
+        p.add_argument("--config")
+        for key in defaults:
+            p.add_argument("--" + key.replace("_", "-"),
+                           **_FLAG_OPTIONS.get(key, {}))
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command, _, defaults = COMMANDS[args.command]
     config = {}
     input_hashes = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             print(f"error: config file {path} not found", file=sys.stderr)
@@ -455,16 +399,19 @@ def main(argv=None):
             print(f"error: bad config JSON: {exc}", file=sys.stderr)
             return 2
     try:
-        return args.func(args, config, input_hashes)
-    except (MaxItersExceeded, LineSearchFailed) as exc:
+        cfg = _resolve(args, config, {**defaults, "out_dir": "."})
+        csv_header, rows, summary, message = command(cfg)
+        _write_outputs(args.command, cfg, csv_header, rows, summary,
+                       input_hashes)
+    except (ValueError, KeyError) as exc:
+        # every DehnFillError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if "error" in summary:
+        print(message, file=sys.stderr)
         return 3
-    except DehnFillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

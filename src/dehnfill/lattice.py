@@ -99,7 +99,12 @@ def geodesic_length(lat, sigma):
     sigma.check_primitive(strict=False)
     if len(sigma.coeffs) != lat.rank:
         raise OutOfDomain("coefficient vector length does not match lattice rank")
-    return float(np.linalg.norm(lat.basis @ np.array(sigma.coeffs, dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        length = float(np.linalg.norm(
+            lat.basis @ np.array(sigma.coeffs, dtype=float)))
+    if not math.isfinite(length):
+        raise OutOfDomain(f"geodesic length of {sigma.coeffs} overflows")
+    return length
 
 
 def extend_to_basis(lat, sigma):

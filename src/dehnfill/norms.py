@@ -182,7 +182,10 @@ def decay_weight(w, rho):
     rho = np.asarray(rho, dtype=float)
     if np.any(~np.isfinite(rho)) or np.any(rho <= 0) or np.any(rho > 2.0 + 1e-12):
         raise InvalidRho("normalized radius must lie in (0, 2]")
-    out = (2.0 / rho) ** w.delta
+    with np.errstate(over="ignore"):
+        out = (2.0 / rho) ** w.delta
+    if not np.all(np.isfinite(out)):
+        raise InvalidWeight(f"decay weight (2/rho)**{w.delta} overflows")
     return out if out.ndim else float(out)
 
 

@@ -97,6 +97,12 @@ class CutoffFunction:
     def __post_init__(self):
         if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
             raise RadiusTooSmall(f"bad transition window [{self.lo}, {self.hi}]")
+        # chi_d2 divides by the squared width; Python floats, so that an
+        # overflow gives inf, not a warning or an OverflowError
+        width = float(self.hi - self.lo)
+        if not math.isfinite(width * width):
+            raise OutOfDomain(f"transition window [{self.lo}, {self.hi}] is "
+                              "too wide: its squared width overflows")
 
     def _t(self, r):
         return (np.asarray(r, dtype=float) - self.lo) / (self.hi - self.lo)
@@ -469,7 +475,7 @@ def black_hole_metric(m, n, torus_gram=None):
 
 def cusp_metric(n, beta=2.0 * math.pi, torus_gram=None):
     """Exact hyperbolic cusp metric on the model end."""
-    return FillingMetric(n=int(n), profile=CuspProfile(), beta=beta,
+    return FillingMetric(n=n, profile=CuspProfile(), beta=beta,
                          torus_gram=torus_gram)
 
 

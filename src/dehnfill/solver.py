@@ -348,6 +348,9 @@ def newton_solve(initial, n, cfg=None, beta=None):
     if r_out is None:
         # a profile with a finite outer end keeps it; others get 50 r_plus
         r_out = initial.outer_radius or 50.0 * r_plus0
+    # the residual divides by r**2 on the grid out to r_out
+    if not math.isfinite(float(r_out) * float(r_out)):
+        raise OutOfDomain(f"r_out={r_out} is too large: r_out**2 overflows")
     if r_out <= 2.0 * r_plus0:
         raise OutOfDomain(f"r_out={r_out} too close to the core {r_plus0}")
     N = cfg.grid_size

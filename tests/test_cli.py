@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dehnfill import cli
 from dehnfill.cli import main
 from dehnfill.curvature import ricci_and_deficit
 from dehnfill.linearized import assemble_L_blackhole, assemble_L_cusp
@@ -531,3 +532,62 @@ def test_reused_parser_matches_fresh_process(tmp_path, capsys):
         assert (_outputs(tmp_path / f"here{k}")
                 == _outputs(tmp_path / f"fresh{k}")), argv
     assert [p.returncode for p in fresh] == [0, 0, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--from-glued", "50", "--m", "1"],
+    ["solve", "--from-glued", "50", "--r", "60"],
+    ["compare", "--grid", "256"],
+])
+def test_abbreviated_flag_exit_2(tmp_path, capsys, argv):
+    # argparse used to take --m as --max-iters, --r as --r-out and --grid
+    # as --grid-size; --m means the mass everywhere else
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "summary.json").exists()
+
+
+_LATTICE_OVERFLOW = '{"basis": [[1e300,0,0],[0,1,0],[0,0,1]], "sigma": [1,0,0]}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curvature", "--profile", "glued", "--R", "1e200"], "squared width overflows"),
+    (["linearize", "--profile", "glued", "--R", "1e200"], "squared width overflows"),
+    (["solve", "--from-glued", "1e300"], "squared width overflows"),
+    (["solve", "--from-glued", "50", "--r-out", "1e200"], "r_out**2 overflows"),
+    (["scan", "--delta", "1e150", "--grid-size", "256"], "decay weight"),
+    (["scan", "--sizes", "1e300,2e300,3e300,4e300,5e300"], "geodesic length"),
+    (["lattice", "--cusp", _LATTICE_OVERFLOW], "geodesic length"),
+], ids=["curvature-R", "linearize-R", "solve-from-glued", "solve-r-out",
+        "scan-delta", "scan-sizes", "lattice-basis"])
+def test_overflowing_setting_exit_2(tmp_path, capsys, argv, message):
+    # each used to crash, warn, or write "size": Infinity into summary.json
+    rc = main([*argv, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+# flags a swept setting needs to take effect: R is read by the glued
+# profile only, and solve needs a starting profile
+_SWEEP_CONTEXT = {"R": ["--profile", "glued"], "tol": ["--from-glued", "50"],
+                  "r_out": ["--from-glued", "50"]}
+_SWEEP = [(name, key, value)
+          for name, (_, _, defaults) in cli.COMMANDS.items()
+          for key in defaults if key in cli.FLOAT_KEYS
+          for value in ("nan", "inf", "-inf", "1e300", "-1e300", "1e200")]
+
+
+@pytest.mark.parametrize("name, key, value", _SWEEP,
+                         ids=[f"{n}-{k}-{v}" for n, k, v in _SWEEP])
+def test_float_flag_extremes_exit_0_or_2(tmp_path, name, key, value):
+    # a RuntimeWarning fails the test, so each of these also runs clean
+    defaults = cli.COMMANDS[name][2]
+    argv = [name, f"--{key.replace('_', '-')}={value}",
+            *_SWEEP_CONTEXT.get(key, [])]
+    if "grid_size" in defaults:
+        argv += ["--grid-size", "256"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) in (0, 2)

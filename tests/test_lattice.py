@@ -301,3 +301,25 @@ def test_geodesic_class_accepts_whole_floats():
     sig = GeodesicClass((10.0, np.int64(0), np.float64(-1.0)))
     assert sig.coeffs == (10, 0, -1)
     assert all(type(c) is int for c in sig.coeffs)
+
+
+@pytest.mark.parametrize("basis", [
+    [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1e200, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1e308, 1e308, 0], [0, 1, 0], [0, 0, 1]],
+])
+def test_geodesic_length_rejects_overflow(basis):
+    # np.linalg.norm squares the vector, so 1e200 already overflows; the
+    # last basis overflows in the product basis @ coeffs
+    with pytest.raises(OutOfDomain, match="overflows"):
+        geodesic_length(FlatLattice(np.array(basis)), GeodesicClass((1, 1, 0)))
+
+
+def test_geodesic_length_is_the_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        basis = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 100)
+        lat = FlatLattice(basis)
+        sigma = GeodesicClass((1, 2, -3))
+        assert geodesic_length(lat, sigma) == float(
+            np.linalg.norm(basis @ np.array([1.0, 2.0, -3.0])))

@@ -254,3 +254,13 @@ def test_holder_quotient_matches_per_column_seminorms_bitwise(order, alpha):
         want = max(discrete_holder_seminorm(field[:, a], grid, alpha=alpha,
                                             order=order) for a in range(k))
         assert _holder_quotient(field, grid, alpha, order) == want
+
+
+def test_decay_weight_rejects_overflow():
+    w = WeightSpec(n=4, R=(100.0,), delta=1e150)
+    with pytest.raises(InvalidWeight, match="overflows"):
+        decay_weight(w, np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(InvalidWeight, match="overflows"):
+        decay_weight(w, 0.5)
+    # at rho = 2 the weight is 1 for any delta
+    assert decay_weight(w, 2.0) == 1.0

@@ -11,6 +11,7 @@ from dehnfill.errors import (
     OutOfDomain,
     RadiusTooSmall,
 )
+from dehnfill.linearized import assemble_L_cusp
 from dehnfill.profiles import (
     BlackHoleProfile,
     CuspProfile,
@@ -20,6 +21,7 @@ from dehnfill.profiles import (
     SampledProfile,
     closing_parameters,
     coordinate_change_to_cusp,
+    cusp_metric,
     eval_profile,
     make_glued_profile,
     profile_from_dict,
@@ -253,3 +255,22 @@ def test_glued_dict_with_legacy_k_smooth_loads():
     d = profile_to_dict(prof)
     d["params"]["cutoff"]["k_smooth"] = 4
     assert profile_from_dict(d).cutoff == prof.cutoff
+
+
+def test_cutoff_rejects_window_whose_squared_width_overflows():
+    # chi_d2 divides by (hi - lo)**2, an OverflowError on Python floats
+    with pytest.raises(OutOfDomain, match="squared width overflows"):
+        CutoffFunction(8e199, 9e199)
+    with pytest.raises(OutOfDomain, match="squared width overflows"):
+        make_glued_profile(1e200, 4)
+    cut = CutoffFunction(8e150, 9e150)
+    assert math.isfinite(cut.chi_d2(8.5e150))
+
+
+@pytest.mark.parametrize("n", [4.5, 3.7])
+def test_cusp_metric_rejects_non_integer_n(n):
+    # int(n) used to truncate these to n=4 and n=3
+    with pytest.raises(OutOfDomain, match="integer n > 2"):
+        cusp_metric(n)
+    with pytest.raises(OutOfDomain, match="integer n > 2"):
+        assemble_L_cusp(n)

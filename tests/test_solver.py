@@ -541,3 +541,10 @@ _BUDGET_SCAN = DecayScanResult(n=4, sizes=(5.0, 10.0), norms=(0.064, 0.008),
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("r_out", [1e155, 1e200, 1e300])
+def test_newton_rejects_r_out_whose_square_overflows(r_out):
+    # the residual divides by r**2; this used to warn and then fail later
+    with pytest.raises(OutOfDomain, match=r"r_out\*\*2 overflows"):
+        newton_solve(make_glued_profile(50.0, 4), 4, NewtonConfig(r_out=r_out))
