@@ -44,7 +44,8 @@ class FlatLattice:
             raise OutOfDomain(f"lattice basis must be square, got {basis.shape}")
         if not np.all(np.isfinite(basis)):
             raise OutOfDomain("lattice basis contains nan or inf")
-        if abs(np.linalg.det(basis)) <= 1e-12:
+        sign, logdet = np.linalg.slogdet(basis)  # det itself can overflow
+        if sign == 0 or logdet <= math.log(1e-12):
             raise OutOfDomain("lattice basis is singular")
         object.__setattr__(self, "basis", basis)
 

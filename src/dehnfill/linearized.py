@@ -366,14 +366,18 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
         raise OutOfDomain(f"bump centers must be finite and positive: {centers}")
-    grid = np.asarray(grid, dtype=float)
+    # checked ascending here, so each bump's support is one slice of x
+    grid = InvariantDeformation(n=n, grid=grid, components={}).grid
     x = np.log(grid)
     total = np.zeros_like(x)
     # unit-width reference scale; derivatives of the rescaled bump gain 1/width
     b0, b1, b2 = _unit_bump_maxima()
     scale = max(b0, b1 / width, b2 / width**2)
     for c in centers:
-        total += _unit_bump(x, math.log(c), width) / scale
+        # the support |x - lc| < width, widened by one width against rounding
+        lc = math.log(c)
+        lo, hi = np.searchsorted(x, [lc - 2.0 * width, lc + 2.0 * width])
+        total[lo:hi] += _unit_bump(x[lo:hi], lc, width) / scale
     if blocks is None:
         blocks = BLOCK_LABELS
     npts = grid.shape[0]
@@ -409,12 +413,12 @@ def compare_operators(h, r_window=None, m=1.0, metric_a=None, metric_b=None,
 
     By default compares the cusp model against the black hole of mass m.
     The pointwise difference is reduced to its maximum over blocks, then
-    an envelope (binwise maximum over log-spaced bins inside r_window)
-    is fitted; for unit-C2 h translated across the window the slope
-    comes out at -(n-1).  All-zero differences give slope nan.  The
-    radial derivatives of h are taken once and shared by both operators;
-    each operator runs its own dimension, core-margin and profile-domain
-    checks before any derivative is taken.
+    an envelope (binwise maximum over log-spaced bins inside the finite,
+    positive r_window, each bin closed at both edges) is fitted; for unit-C2
+    h translated across the window the slope comes out at -(n-1).  All-zero
+    differences give slope nan.  The radial derivatives of h are taken once
+    and shared by both operators; each operator runs its own dimension,
+    core-margin and profile-domain checks before any derivative is taken.
     """
     n = h.n
     sys_a = assemble_L_cusp(n) if metric_a is None else assemble_L_blackhole(metric_a)
@@ -427,24 +431,20 @@ def compare_operators(h, r_window=None, m=1.0, metric_a=None, metric_b=None,
     Lb = _apply(h, zeroth_b, derivs)
     grid = h.grid
     diff = np.zeros(grid.shape[0])
-    for label in BLOCK_LABELS:
-        d = np.abs(np.atleast_2d(La.block(label).T).T
-                   - np.atleast_2d(Lb.block(label).T).T)
-        if d.size == 0:
-            continue
-        while d.ndim > 1:
-            d = d.max(axis=-1)
-        diff = np.maximum(diff, d)
+    for label, a in La.components.items():
+        d = np.abs(a - Lb.components[label])
+        np.maximum(diff, d if d.ndim == 1 else d.max(axis=1, initial=0.0),
+                   out=diff)
     if r_window is None:
         r_window = (float(grid[0]), float(grid[-1]))
     lo, hi = r_window
+    if not all(0.0 < r < math.inf for r in (lo, hi)):
+        raise OutOfDomain(f"r_window must be finite and positive: {r_window}")
     edges = np.geomspace(lo, hi, bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
-    bin_max = np.zeros(bins)
-    for i in range(bins):
-        mask = (grid >= edges[i]) & (grid <= edges[i + 1])
-        if np.any(mask):
-            bin_max[i] = np.max(diff[mask])
+    lo_i = np.searchsorted(grid, edges[:-1])
+    hi_i = np.searchsorted(grid, edges[1:], side="right")
+    bin_max = np.array([diff[a:b].max(initial=0.0) for a, b in zip(lo_i, hi_i)])
     keep = bin_max > 0
     if keep.sum() >= 3:
         slope, intercept, residual = fit_loglog(centers[keep], bin_max[keep])

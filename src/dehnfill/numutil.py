@@ -4,6 +4,7 @@ slope fits, the C-infinity transition bump and the CSV number format.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse
 
@@ -72,7 +73,8 @@ def stencil_weights(grid, deriv, width):
     on the window of `_window_starts`.  This is `fornberg_weights` run for
     all rows at once, looping over the width and derivative order only;
     every arithmetic step keeps its order, so each row is bit-identical
-    to the scalar result.
+    to the scalar result.  The table is (deriv+1, width, npts), so each
+    step runs on contiguous rows, and w is its last plane transposed.
     """
     grid = np.asarray(grid, dtype=float)
     npts = len(grid)
@@ -80,47 +82,53 @@ def stencil_weights(grid, deriv, width):
         raise GridTooCoarse(
             f"need at least {deriv + 1} nodes for derivative order {deriv}")
     idx = _window_starts(npts, width)[:, None] + np.arange(width)
-    xs = grid[idx]
-    x0 = grid
-    m = deriv
-    c = np.zeros((npts, width, m + 1))
-    c[:, 0, 0] = 1.0
+    xs = grid[idx.T]
+    c = np.zeros((deriv + 1, width, npts))
+    c[0, 0] = 1.0
     c1 = 1.0
-    c4 = xs[:, 0] - x0
+    c4 = xs[0] - grid
     for i in range(1, width):
-        mn = min(i, m)
+        mn = min(i, deriv)
         c2 = 1.0
         c5 = c4
-        c4 = xs[:, i] - x0
+        c4 = xs[i] - grid
         for j in range(i):
-            c3 = xs[:, i] - xs[:, j]
+            c3 = xs[i] - xs[j]
             c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[:, i, k] = c1 * (k * c[:, i - 1, k - 1]
-                                       - c5 * c[:, i - 1, k]) / c2
-                c[:, i, 0] = -c1 * c5 * c[:, i - 1, 0] / c2
+                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
             for k in range(mn, 0, -1):
-                c[:, j, k] = (c4 * c[:, j, k] - k * c[:, j, k - 1]) / c3
-            c[:, j, 0] = c4 * c[:, j, 0] / c3
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
         c1 = c2
-    # a view, so each row keeps the memory stride of the scalar result:
-    # the BLAS dot in apply_stencil then takes the same kernel and rounds
-    # the same way as `fornberg_weights(...) @ window`
-    return idx, c[:, :, m]
+    # a view, so each row of w has a non-unit stride like the scalar result
+    # and apply_stencil's BLAS calls round like `fornberg_weights(...) @ window`
+    return idx, c[deriv].T
 
 
 def apply_stencil(stencil, values):
     """Apply (idx, w) from `stencil_weights` to samples along axis 0.
 
-    values is (npts,) or (npts, m).  Each row is reduced with a batched
-    matmul, which rounds like the per-row `w @ window` product.
+    values is (npts,) or (npts, m).  Three batched matmuls reduce the rows
+    on the first window, those in between and those on the last against
+    `sliding_window_view(values)`, with no gathered copy.  The operands keep
+    the strides of the per-row `w @ window` product, so each row rounds
+    like it.
     """
     idx, w = stencil
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return (w[:, None, :] @ values[idx][:, :, None])[:, 0, 0]
-    return (w[:, None, :] @ values[idx])[:, 0]
+    values = np.ascontiguousarray(values, dtype=float)
+    cols = values.reshape(len(w), -1)
+    win = sliding_window_view(cols, w.shape[1], axis=0).swapaxes(1, 2)
+    # window starts rise by one from row to row between the two ends
+    s = idx[:, 0]
+    lo, hi = np.searchsorted(s, [s[0] + 1, s[-1]])
+    out = np.empty((len(w), 1, cols.shape[1]))
+    np.matmul(w[:lo, None], win[s[0]], out=out[:lo])
+    np.matmul(w[lo:hi, None], win[s[0] + 1 : s[-1]], out=out[lo:hi])
+    np.matmul(w[hi:, None], win[s[-1]], out=out[hi:])
+    return out.reshape(values.shape)
 
 
 def diff_matrix(grid, deriv, stencil):
@@ -142,10 +150,10 @@ def diff_matrix(grid, deriv, stencil):
 
 def apply_diff(grid, values, deriv, stencil=5):
     """Differentiate grid samples along axis 0 without materializing the
-    full matrix: the rows of `diff_matrix`, built vectorized by
-    `stencil_weights` and applied by `apply_stencil`.  Callers that
-    differentiate several arrays on one grid should build the stencil once
-    and call `apply_stencil` themselves.
+    full matrix or gathering the windows: the rows of `diff_matrix`, built
+    vectorized by `stencil_weights` and applied by `apply_stencil`.
+    Callers that differentiate several arrays on one grid should build the
+    stencil once and call `apply_stencil` themselves.
     """
     return apply_stencil(stencil_weights(grid, deriv, stencil), values)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,28 @@ def test_singular_basis_rejected():
         FlatLattice(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(OutOfDomain):
         geodesic_length(FlatLattice(np.eye(3)), GeodesicClass((1, 0)))
+
+
+def test_large_finite_basis_accepted_without_warning():
+    # det itself overflows here; the singularity test must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lat = FlatLattice(np.diag([1e308, 1e308, 1.0]))
+    assert lat.rank == 3
+
+
+@pytest.mark.parametrize("basis", [
+    np.zeros((2, 2)),
+    [[1.0, 2.0], [2.0, 4.0]],
+    np.diag([1e-7, 1e-6]),
+    np.diag([1e-200, 1e-200, 1e300]),
+    np.diag([1e-300, 1e-300, 1.0]),
+])
+def test_singular_bases_still_rejected(basis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain, match="singular"):
+            FlatLattice(np.array(basis))
 
 
 @pytest.mark.parametrize("build, error", [

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -273,6 +274,52 @@ def test_compare_operators_identical_metrics():
                              metric_b=cusp_metric(4))
     assert np.max(same.diff) == 0.0
     assert np.isnan(same.slope)
+
+
+def test_compare_operators_bin_edge_point_counts_in_both_bins():
+    # the only grid point of two neighbouring bins sits on their shared
+    # edge, so each bin's maximum is the difference at that point
+    lo, hi, bins, k = 6.0, 160.0, 10, 5
+    edges = np.geomspace(lo, hi, bins + 1)
+    grid = loggrid(4.0, 260.0, 800)
+    grid = np.sort(np.append(
+        grid[(grid < edges[k - 1]) | (grid > edges[k + 1])], edges[k]))
+    h = bump_deformation(4, grid, centers=[edges[k]])
+    cmp = compare_operators(h, r_window=(lo, hi), bins=bins)
+    i = int(np.searchsorted(grid, edges[k]))
+    assert grid[i] == edges[k] and cmp.diff[i] > 0.0
+    assert cmp.bin_max[k - 1] == cmp.bin_max[k] == cmp.diff[i]
+    # and every bin is the maximum over the grid points inside it, edges in
+    for j in range(bins):
+        inside = (grid >= edges[j]) & (grid <= edges[j + 1])
+        assert cmp.bin_max[j] == np.max(cmp.diff[inside], initial=0.0)
+
+
+@pytest.mark.parametrize("window", [(5.0, math.nan), (math.nan, 50.0),
+                                    (-5.0, 50.0), (0.0, 50.0), (5.0, math.inf)],
+                         ids=["hi-nan", "lo-nan", "negative", "zero", "hi-inf"])
+def test_compare_operators_rejects_bad_window(window):
+    grid = loggrid(5.0, 500.0, 256)
+    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
+    with pytest.raises(OutOfDomain, match="r_window"):
+        compare_operators(h, r_window=window)
+
+
+@pytest.mark.parametrize("centers, width", [
+    (np.geomspace(7.5, 335.0, 12), 0.4), ([3.0, 600.0, 5.0], 0.4),
+    ([15.0], 1e-3), ([15.0], 1e-15), ([15.0], 1e-17), ([15.0], 3.0),
+    ([15.0], 1e150), ([5.0, 500.0], 0.05)])
+def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
+    # each bump is evaluated on a slice around its support; no bit of the
+    # sum may change against evaluating it on the whole grid
+    grid = loggrid(5.0, 500.0, 3001)
+    h = bump_deformation(4, grid, centers, width=width)
+    b0, b1, b2 = linearized._unit_bump_maxima()
+    scale = max(b0, b1 / width, b2 / width**2)
+    want = np.zeros_like(grid)
+    for c in centers:
+        want += linearized._unit_bump(np.log(grid), math.log(c), width) / scale
+    assert np.array_equal(h.components["11"], want)
 
 
 def _count_stencils(monkeypatch):

@@ -4,7 +4,11 @@
 `fornberg_weights` runs the same steps on Python floats and must match it
 bit for bit, memory strides included; `diff_matrix` is built from it row
 by row, and `stencil_weights`/`apply_stencil` must reproduce it exactly.
+`_reference_apply` is the gathered batched product that `apply_stencil`
+replaces, which its sliding-window reduction must match bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ GRIDS = {
         np.random.default_rng(5).uniform(0.5, 1.5, 50)),
 }
 STENCILS = [(1, 5), (2, 6), (1, 9), (2, 9)]
+# the sliding-window reduction also at the operator workload's largest grid
+APPLY_GRIDS = {**GRIDS, "geometric4096": np.geomspace(5.0, 500.0, 4096)}
 EPS = np.finfo(float).eps
 
 
@@ -55,6 +61,15 @@ def _reference_fornberg(x0, xs, m):
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     return c[:, m]
+
+
+def _reference_apply(stencil, values):
+    """The stencil applied through a gathered (npts, width, cols) copy."""
+    idx, w = stencil
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        return (w[:, None, :] @ values[idx][:, :, None])[:, 0, 0]
+    return (w[:, None, :] @ values[idx])[:, 0]
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -121,6 +136,41 @@ def test_apply_stencil_matches_per_row_products_bitwise():
         want = np.array([fornberg_weights(grid[i], grid[idx[i]], 2) @ values[idx[i]]
                          for i in range(len(grid))])
         assert np.array_equal(apply_stencil(st, values), want)
+
+
+@pytest.mark.parametrize("deriv, width", STENCILS + [(0, 3)])
+@pytest.mark.parametrize("name", APPLY_GRIDS)
+def test_apply_stencil_matches_gathered_product_bitwise(name, deriv, width):
+    grid = APPLY_GRIDS[name]
+    st = stencil_weights(grid, deriv, width)
+    # the table is (deriv+1, width, npts) and w a view of its last plane
+    assert st[1].T.flags.c_contiguous
+    rng = np.random.default_rng(12)
+    for shape in [(len(grid),)] + [(len(grid), k) for k in (1, 2, 3, 6, 15)]:
+        # values of mixed magnitude, so a change of summation order shows
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        got = apply_stencil(st, values)
+        want = _reference_apply(st, values)
+        assert got.shape == want.shape == shape
+        assert np.array_equal(got, want), (shape, np.max(np.abs(got - want)))
+    # a strided input too
+    wide = rng.standard_normal((len(grid), 8))
+    assert np.array_equal(apply_stencil(st, wide[:, ::2]),
+                          _reference_apply(st, wide[:, ::2]))
+
+
+def test_apply_stencil_allocates_no_gather():
+    grid = APPLY_GRIDS["geometric4096"]
+    st = stencil_weights(grid, 2, 6)
+    values = np.random.default_rng(13).standard_normal((len(grid), 6))
+    tracemalloc.start()
+    try:
+        out = apply_stencil(st, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a gathered (npts, width, cols) copy alone would be width x the output
+    assert peak < 2 * out.nbytes
 
 
 @pytest.mark.parametrize("deriv, width", STENCILS)
