@@ -37,7 +37,7 @@ from .errors import (
     UnknownBlock,
 )
 from .numutil import apply_stencil, fit_loglog, stencil_weights
-from .profiles import black_hole_metric, cusp_metric
+from .profiles import _check_dimension, black_hole_metric, cusp_metric
 
 __all__ = [
     "BLOCK_LABELS",
@@ -74,7 +74,9 @@ class InvariantDeformation:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.shape[0] < 2:
             raise GridTooCoarse("deformation grid needs at least 2 points")
-        if np.any(np.diff(grid) <= 0):
+        if not np.isfinite(grid).all():
+            raise NonFiniteField("deformation grid contains nan or inf")
+        if (np.diff(grid) <= 0).any():
             raise GridTooCoarse("deformation grid must be strictly increasing")
         comps = {}
         for label, arr in self.components.items():
@@ -86,7 +88,7 @@ class InvariantDeformation:
                     f"block {label} has {arr.shape[0]} rows on a grid of "
                     f"{grid.shape[0]}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NonFiniteField(f"block {label} contains nan or inf")
             comps[label] = arr
         object.__setattr__(self, "grid", grid)
@@ -163,7 +165,7 @@ class ODESystemL:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         n = self.n
         V, V1, K12, K1p, Kpp = _frame_data(self.profile, r)
-        if np.any(V <= 0):
+        if (V <= 0).any():
             raise SingularAtCore(
                 "profile vanishes on the grid; the zeroth-order terms divide by V"
             )
@@ -171,11 +173,12 @@ class ODESystemL:
         # before or after the division, so the four uses share one quotient
         Q = V1**2 / V
         P = 0.5 * Q
-        Vr2 = V / r**2
+        r2 = r**2
+        Vr2 = V / r2
         c2, c1 = -V, -(V1 + (n - 2) * V / r)
         offdiag = {
-            "12": Q + 2.0 * (n - 2) * V / r**2 + 2.0 * K12,
-            "1j": 0.25 * Q + (n + 1.0) * V / r**2 + 2.0 * K1p,
+            "12": Q + 2.0 * (n - 2) * V / r2 + 2.0 * K12,
+            "1j": 0.25 * Q + (n + 1.0) * V / r2 + 2.0 * K1p,
             "2j": 0.25 * Q + Vr2 + 2.0 * K1p,
             "jk": P + 2.0 * Kpp,
         }
@@ -274,10 +277,11 @@ def _apply(h, zeroth_order, derivs):
     c2, c1, zeroth = zeroth_order
     out = {}
     for label, (d1, d2) in derivs.items():
-        if d1.ndim == 1:
-            out[label] = c2 * d2 + c1 * d1 + zeroth[label]
-        else:
-            out[label] = c2[:, None] * d2 + c1[:, None] * d1 + zeroth[label]
+        a2, a1 = (c2, c1) if d1.ndim == 1 else (c2[:, None], c1[:, None])
+        # c2 d2 + c1 d1 + zeroth, summed left to right in place
+        out[label] = Lu = a2 * d2
+        Lu += a1 * d1
+        Lu += zeroth[label]
     LD = out.pop("diag")
     out["11"] = LD[:, 0]
     out["22"] = LD[:, 1]
@@ -307,8 +311,7 @@ def indicial_roots(block, n):
     so each zeroth-order constant c contributes the polynomial
     s^2 + (n-1)s - c.
     """
-    if n < 3:
-        raise OutOfDomain(f"need n >= 3, got {n}")
+    _check_dimension(n)
 
     def roots_for(c):
         disc = (n - 1) ** 2 + 4.0 * c
@@ -363,6 +366,11 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
     """
     if not (math.isfinite(width) and width > 0):
         raise OutOfDomain(f"bump width must be finite and positive, got {width}")
+    # the scale divides by width**2; Python floats, so that an overflow gives
+    # inf and an underflow 0, not a warning or an OverflowError
+    if not 0.0 < float(width) * float(width) < math.inf:
+        raise OutOfDomain(f"bump width {width} is out of range: its square "
+                          "overflows or underflows")
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
         raise OutOfDomain(f"bump centers must be finite and positive: {centers}")

@@ -4,7 +4,6 @@ slope fits, the C-infinity transition bump and the CSV number format.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooCoarse
 
@@ -73,8 +72,10 @@ def stencil_weights(grid, deriv, width):
     on the window of `_window_starts`.  This is `fornberg_weights` run for
     all rows at once, looping over the width and derivative order only;
     every arithmetic step keeps its order, so each row is bit-identical
-    to the scalar result.  The table is (deriv+1, width, npts), so each
-    step runs on contiguous rows, and w is its last plane transposed.
+    to the scalar result.  The steps run in place on one contiguous
+    (width, npts) plane per derivative order, and w is the last plane
+    transposed, so the lower orders and the scratch rows are freed on
+    return.
     """
     grid = np.asarray(grid, dtype=float)
     npts = len(grid)
@@ -83,48 +84,78 @@ def stencil_weights(grid, deriv, width):
             f"need at least {deriv + 1} nodes for derivative order {deriv}")
     idx = _window_starts(npts, width)[:, None] + np.arange(width)
     xs = grid[idx.T]
-    c = np.zeros((deriv + 1, width, npts))
-    c[0, 0] = 1.0
+    c = [np.zeros((width, npts)) for _ in range(deriv + 1)]
+    c[0][0] = 1.0
     c1 = 1.0
-    c4 = xs[0] - grid
+    c4, c5 = xs[0] - grid, np.empty(npts)
+    c3 = np.empty((width - 1, npts))
+    # c1 is the previous step's c2, so the two alternate between buffers
+    products = np.empty((2, npts))
+    t = np.empty_like(c3)
     for i in range(1, width):
         mn = min(i, deriv)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - grid
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
+        c4, c5 = c5, c4
+        np.subtract(xs[i], grid, out=c4)
+        # c3[j] = xs[i] - xs[j]; c2 is their product over j < i, in order,
+        # from 1.0 * c3[0], which is c3[0] exactly
+        np.subtract(xs[i], xs[:i], out=c3[:i])
+        c2 = products[i % 2]
+        c2[:] = c3[0]
+        for j in range(1, i):
+            np.multiply(c2, c3[j], out=c2)
+        # row i from row i-1, which the updates below have not reached yet
+        for k in range(mn, 0, -1):
+            new = c[k][i]
+            np.multiply(c5, c[k][i - 1], out=new)
+            np.subtract(_times(k, c[k - 1][i - 1], t[0]), new, out=new)
+            np.multiply(c1, new, out=new)
+            np.divide(new, c2, out=new)
+        new = c[0][i]
+        np.negative(c1, out=new)
+        np.multiply(new, c5, out=new)
+        np.multiply(new, c[0][i - 1], out=new)
+        np.divide(new, c2, out=new)
+        # rows j < i, each row independent of the others
+        for k in range(mn, 0, -1):
+            ck = c[k][:i]
+            np.multiply(c4, ck, out=ck)
+            np.subtract(ck, _times(k, c[k - 1][:i], t[:i]), out=ck)
+            np.divide(ck, c3[:i], out=ck)
+        np.multiply(c4, c[0][:i], out=c[0][:i])
+        np.divide(c[0][:i], c3[:i], out=c[0][:i])
         c1 = c2
-    # a view, so each row of w has a non-unit stride like the scalar result
-    # and apply_stencil's BLAS calls round like `fornberg_weights(...) @ window`
+    # w is a transposed view, so each row has a non-unit stride like the
+    # scalar result and apply_stencil's BLAS calls round like
+    # `fornberg_weights(...) @ window`
     return idx, c[deriv].T
+
+
+def _times(k, a, out):
+    """k * a, into out unless k is 1, where the product is a itself."""
+    return a if k == 1 else np.multiply(k, a, out=out)
 
 
 def apply_stencil(stencil, values):
     """Apply (idx, w) from `stencil_weights` to samples along axis 0.
 
     values is (npts,) or (npts, m).  Three batched matmuls reduce the rows
-    on the first window, those in between and those on the last against
-    `sliding_window_view(values)`, with no gathered copy.  The operands keep
-    the strides of the per-row `w @ window` product, so each row rounds
-    like it.
+    on the first window, those in between and those on the last against a
+    strided view of every window of `width` consecutive rows, with no
+    gathered copy.  The operands keep the strides of the per-row
+    `w @ window` product, so each row rounds like it.
     """
     idx, w = stencil
+    npts, width = w.shape
     values = np.ascontiguousarray(values, dtype=float)
-    cols = values.reshape(len(w), -1)
-    win = sliding_window_view(cols, w.shape[1], axis=0).swapaxes(1, 2)
+    cols = values.reshape(npts, -1)
+    s0, s1 = cols.strides
+    # win[q] is rows q .. q+width-1 of cols
+    win = np.ndarray((npts - width + 1, width, cols.shape[1]), float,
+                     buffer=cols, strides=(s0, s0, s1))
     # window starts rise by one from row to row between the two ends
     s = idx[:, 0]
     lo, hi = np.searchsorted(s, [s[0] + 1, s[-1]])
-    out = np.empty((len(w), 1, cols.shape[1]))
+    out = np.empty((npts, 1, cols.shape[1]))
     np.matmul(w[:lo, None], win[s[0]], out=out[:lo])
     np.matmul(w[lo:hi, None], win[s[0] + 1 : s[-1]], out=out[lo:hi])
     np.matmul(w[hi:, None], win[s[-1]], out=out[hi:])

@@ -348,9 +348,10 @@ class SampledProfile(_Profile):
 def _check_in_domain(profile, r):
     r = np.asarray(r, dtype=float)
     lo, hi = profile.domain
-    # Allow an ulp of slack at the ends so that r_plus itself is evaluable.
+    # Allow an ulp of slack at the ends so that r_plus itself is evaluable;
+    # every comparison with nan is False, so a nan radius fails the check.
     tol = 1e-12 * max(abs(lo), 1.0)
-    if np.any(r < lo - tol) or np.any(r > hi * (1 + 1e-12)):
+    if not ((r >= lo - tol).all() and (r <= hi * (1 + 1e-12)).all()):
         raise OutOfDomain(
             f"radius outside profile domain [{lo}, {hi}]: "
             f"r in [{r.min()}, {r.max()}]"

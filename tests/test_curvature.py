@@ -109,6 +109,13 @@ def test_glued_deficit_sup_decay_slope():
     assert abs(slope + (n - 1)) < 0.1
 
 
+@pytest.mark.parametrize("fn", [sectional_curvatures, ricci_and_deficit])
+def test_curvatures_reject_nan_grid(fn):
+    grid = np.array([2.0, np.nan, 4.0])
+    with pytest.raises(OutOfDomain):
+        fn(black_hole_metric(1.0, 4), grid)
+
+
 def test_cutoff_deficit_rejects_cusp():
     with pytest.raises(OutOfDomain):
         cutoff_deficit_diag(cusp_metric(4), np.array([1.0, 2.0]))

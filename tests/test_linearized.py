@@ -189,6 +189,15 @@ def test_indicial_errors():
         indicial_roots("11", 2)
 
 
+@pytest.mark.parametrize("block, n", [("11", math.nan), ("1j", math.inf),
+                                      ("11", 4.5), ("11", 1e300), ("diag", 4.0)])
+def test_indicial_roots_reject_non_integer_n(block, n):
+    # these used to give (nan, nan), (1.0, -inf), roots for n=4.5 and an
+    # OverflowError
+    with pytest.raises(OutOfDomain, match="integer n > 2"):
+        indicial_roots(block, n)
+
+
 def test_euler_annihilation_decaying_root():
     # r^{-n} solves the 1j block; the application residue is pure
     # discretization error of the 4th-order stencils
@@ -253,7 +262,9 @@ def test_bump_deformation_unit_size():
     assert h2.max_abs() <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("width", [float("nan"), 0.0, -0.4, float("inf")])
+# 1e300 and 1e-200 are finite, but their squares overflow and underflow
+@pytest.mark.parametrize("width", [float("nan"), 0.0, -0.4, float("inf"),
+                                   1e300, 1e-200, np.float64(1e300)])
 def test_bump_deformation_rejects_bad_width(width):
     with pytest.raises(OutOfDomain):
         bump_deformation(4, loggrid(5.0, 50.0, 200), centers=[15.0], width=width)
@@ -468,3 +479,16 @@ def test_deformation_validation():
     with pytest.raises(GridTooCoarse):
         InvariantDeformation(n=4, grid=grid[::-1].copy(),
                              components={"11": np.ones(10)})
+
+
+@pytest.mark.parametrize("grid", [[1.0, 2.0, math.nan], [1.0, 2.0, math.inf],
+                                  [-math.inf, 1.0, 2.0], [1.0, math.nan, 2.0]])
+@pytest.mark.parametrize("build", [
+    lambda grid: InvariantDeformation(n=4, grid=grid, components={}),
+    lambda grid: metric_deformation(4, grid),
+    lambda grid: bump_deformation(4, grid, centers=[1.5]),
+], ids=["InvariantDeformation", "metric_deformation", "bump_deformation"])
+def test_deformations_reject_non_finite_grid(build, grid):
+    # a spacing of nan compares False with 0, and one of inf is positive
+    with pytest.raises(NonFiniteField):
+        build(grid)

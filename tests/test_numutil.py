@@ -159,6 +159,30 @@ def test_apply_stencil_matches_gathered_product_bitwise(name, deriv, width):
                           _reference_apply(st, wide[:, ::2]))
 
 
+@pytest.mark.parametrize("deriv, width", STENCILS + [(0, 3)])
+@pytest.mark.parametrize("name", GRIDS)
+def test_apply_stencil_on_a_single_window_bitwise(name, deriv, width):
+    # npts == width: every row shares window 0, and with one more point
+    # the first and last windows are neighbours, with nothing in between
+    rng = np.random.default_rng(14)
+    for npts in (width, width + 1):
+        grid = GRIDS[name][:npts]
+        st = stencil_weights(grid, deriv, width)
+        for shape in [(npts,), (npts, 1), (npts, 4)]:
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+            got = apply_stencil(st, values)
+            assert got.shape == shape
+            assert np.array_equal(got, _reference_apply(st, values)), (npts, shape)
+
+
+@pytest.mark.parametrize("deriv, width", STENCILS + [(0, 3)])
+def test_stencil_weights_keep_only_their_plane(deriv, width):
+    # w views one (width, npts) plane; the lower derivative orders and the
+    # scratch rows of the recursion are freed on return
+    w = stencil_weights(APPLY_GRIDS["geometric4096"], deriv, width)[1]
+    assert w.base.nbytes == w.nbytes == 4096 * width * 8
+
+
 def test_apply_stencil_allocates_no_gather():
     grid = APPLY_GRIDS["geometric4096"]
     st = stencil_weights(grid, 2, 6)

@@ -56,6 +56,14 @@ def test_eval_profile_domain_and_order_errors():
         eval_profile(prof, 2.0, 3)
 
 
+@pytest.mark.parametrize("r", [math.nan, [5.0, math.nan, 10.0]])
+def test_eval_profile_rejects_nan_radius(r):
+    # every comparison with nan is False, so a domain check written as
+    # "any radius below or above" let it through to a RuntimeWarning
+    with pytest.raises(OutOfDomain):
+        eval_profile(make_glued_profile(20.0, 4), r)
+
+
 def test_closing_parameters_values():
     r_plus, beta = closing_parameters(1.0, 4)
     assert r_plus == pytest.approx(1.2599210, abs=1e-6)
