@@ -53,41 +53,48 @@ def fornberg_weights(x0, xs, m):
     return np.array(c)[:, m]
 
 
-def _window_starts(npts, width):
-    """First index of each row's window of `width` consecutive nodes.
+def _window_starts(npts, width, pos=None):
+    """First index of the window of `width` consecutive nodes for each row
+    of a grid of npts nodes, or for each position pos (the index at which
+    a query point falls, from `np.searchsorted`).
 
     The window is centred on its row where possible and shifted one-sided
     near the ends, so it always lies inside the grid.
     """
     if npts < width:
         raise GridTooCoarse(f"grid has {npts} points, stencil needs {width}")
-    return np.clip(np.arange(npts) - width // 2, 0, npts - width)
+    pos = np.arange(npts) if pos is None else pos
+    return np.clip(pos - width // 2, 0, npts - width)
 
 
-def stencil_weights(grid, deriv, width):
-    """Finite-difference stencils of every row of an ascending grid.
+def stencil_weights(grid, deriv, width, at=None):
+    """Finite-difference stencils of every row of an ascending grid, or of
+    every point of the 1-d array `at`.
 
-    Returns (idx, w), both of shape (npts, width): row i approximates the
-    deriv-th derivative at grid[i] by sum_k w[i, k] f(grid[idx[i, k]]),
-    on the window of `_window_starts`.  This is `fornberg_weights` run for
-    all rows at once, looping over the width and derivative order only;
-    every arithmetic step keeps its order, so each row is bit-identical
-    to the scalar result.  The steps run in place on one contiguous
-    (width, npts) plane per derivative order, and w is the last plane
-    transposed, so the lower orders and the scratch rows are freed on
-    return.
+    Returns (idx, w), both of shape (npts, width) for npts rows: row q
+    approximates the deriv-th derivative at at[q] (default grid[q]) by
+    sum_k w[q, k] f(grid[idx[q, k]]), on the window of `_window_starts`
+    around the index where at[q] falls; deriv 0 interpolates.  This is
+    `fornberg_weights` run for all rows at once, looping over the width
+    and derivative order only; every arithmetic step keeps its order, so
+    each row is bit-identical to the scalar result.  The steps run in
+    place on one contiguous (width, npts) plane per derivative order, and
+    w is the last plane transposed, so the lower orders and the scratch
+    rows are freed on return.
     """
     grid = np.asarray(grid, dtype=float)
-    npts = len(grid)
     if width < deriv + 1:
         raise GridTooCoarse(
             f"need at least {deriv + 1} nodes for derivative order {deriv}")
-    idx = _window_starts(npts, width)[:, None] + np.arange(width)
+    x0 = grid if at is None else np.asarray(at, dtype=float)
+    pos = None if at is None else np.searchsorted(grid, x0)
+    idx = _window_starts(len(grid), width, pos)[:, None] + np.arange(width)
     xs = grid[idx.T]
+    npts = len(x0)
     c = [np.zeros((width, npts)) for _ in range(deriv + 1)]
     c[0][0] = 1.0
     c1 = 1.0
-    c4, c5 = xs[0] - grid, np.empty(npts)
+    c4, c5 = xs[0] - x0, np.empty(npts)
     c3 = np.empty((width - 1, npts))
     # c1 is the previous step's c2, so the two alternate between buffers
     products = np.empty((2, npts))
@@ -95,7 +102,7 @@ def stencil_weights(grid, deriv, width):
     for i in range(1, width):
         mn = min(i, deriv)
         c4, c5 = c5, c4
-        np.subtract(xs[i], grid, out=c4)
+        np.subtract(xs[i], x0, out=c4)
         # c3[j] = xs[i] - xs[j]; c2 is their product over j < i, in order,
         # from 1.0 * c3[0], which is c3[0] exactly
         np.subtract(xs[i], xs[:i], out=c3[:i])

@@ -35,13 +35,20 @@ from .errors import (
     RadiusTooSmall,
     SingularAtCore,
 )
-from .numutil import loggrid, smoothstep, smoothstep_d1, smoothstep_d2
+from .numutil import (loggrid, smoothstep, smoothstep_d1, smoothstep_d2,
+                      stencil_weights)
 
 # Fraction of R where the cutoff transition starts and ends.
 TRANSITION_LO = 0.8
 TRANSITION_HI = 0.9
 
 _DEFAULT_RMAX = 1e9
+
+# Largest dimension n accepted anywhere.  The operator blocks hold
+# (npts, n, n) and (npts, (n-2)(n-3)/2) arrays, so memory grows like n^2
+# per grid point, and a huge n overflows float arithmetic such as the
+# indicial discriminant (n-1)^2 + 4c.
+MAX_DIMENSION = 32
 
 
 def closing_parameters(m, n):
@@ -65,7 +72,15 @@ def _check_dimension(n):
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise OutOfDomain(f"n={n!r} is not allowed: the construction needs an "
                           "integer n > 2 (a positive-dimensional transverse torus)")
+    if n > MAX_DIMENSION:
+        raise OutOfDomain(f"dimensions n > {MAX_DIMENSION} are not supported")
     return n
+
+
+def _check_own_dimension(profile, n):
+    if n != profile.n:
+        raise OutOfDomain(f"the {profile.variant} profile is built for "
+                          f"n={profile.n}, not n={n!r}")
 
 
 def fitted_mass(grid, values, n):
@@ -199,6 +214,7 @@ class BlackHoleProfile(_Profile):
         return 2.0 - 2.0 * m * (n - 3) * (n - 2) * r ** (1 - n)
 
     def core(self, n):
+        _check_own_dimension(self, n)
         r_plus, beta = closing_parameters(self.m, self.n)
         return r_plus, beta, self.m
 
@@ -254,6 +270,7 @@ class GluedProfile(_Profile):
         return 2.0 - 2.0 * (c2 * p + 2.0 * c1 * p1 + chi * p2)
 
     def core(self, n):
+        _check_own_dimension(self, n)
         r_plus, beta = closing_parameters(1.0, n)
         return r_plus, beta, 1.0
 
@@ -281,13 +298,8 @@ class GluedProfile(_Profile):
 
 @dataclass(frozen=True, eq=False)
 class SampledProfile(_Profile):
-    """V given by samples on an ascending grid, evaluated by a natural
-    cubic spline (so second derivatives are available everywhere).
-
-    Natural ends pin S'' = 0 at the two boundary knots, so V'' carries a
-    boundary layer there that decays geometrically into the interior
-    (factor 2 - sqrt(3) per interval); derivative-based diagnostics
-    should be read a safe number of intervals away from the ends."""
+    """V given by samples on an ascending grid of positive radii, evaluated
+    by the Newton solve's own 9-node Fornberg stencils in x = log r."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -304,23 +316,14 @@ class SampledProfile(_Profile):
             raise OutOfDomain("sampled profile grid/values shape mismatch")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
             raise OutOfDomain("sampled profile grid and values must be finite")
+        if grid[0] <= 0:
+            raise OutOfDomain("sampled profile grid must be positive (log r)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         if self.domain is None:
             object.__setattr__(self, "domain", (float(grid[0]), float(grid[-1])))
 
     variant = "sampled"
-
-    @property
-    def _spline(self):
-        spl = self.__dict__.get("_spline_cache")
-        if spl is None:
-            # imported here so that `import dehnfill` does not load scipy
-            from scipy.interpolate import CubicSpline
-
-            spl = CubicSpline(self.grid, self.values, bc_type="natural")
-            self.__dict__["_spline_cache"] = spl
-        return spl
 
     @property
     def outer_radius(self):
@@ -330,7 +333,17 @@ class SampledProfile(_Profile):
         return self.grid
 
     def _eval(self, r, deriv_order):
-        return self._spline(r, nu=deriv_order)
+        # 9 nodes in x = log r, where V_x = r V' and V_xx = r V' + r^2 V''
+        x, at = np.log(self.grid), np.log(r).ravel()
+
+        def d(k):
+            idx, w = stencil_weights(x, k, 9, at=at)
+            return (w * self.values[idx]).sum(axis=1).reshape(r.shape)
+
+        if deriv_order == 0:
+            return d(0)
+        Vx = d(1)
+        return Vx / r if deriv_order == 1 else (d(2) - Vx) / (r * r)
 
     def core(self, n):
         m_hat = fitted_mass(self.grid, self.values, n)
@@ -366,7 +379,7 @@ def eval_profile(profile, r, deriv_order=0):
     DerivOrderUnsupported. Radii outside the profile domain raise
     OutOfDomain. Cusp, black-hole and glued profiles are evaluated from
     their closed forms (the cutoff derivatives are analytic as well);
-    sampled profiles go through their spline.
+    sampled profiles by 9-node stencils in log r.
     """
     if deriv_order not in (0, 1, 2):
         raise DerivOrderUnsupported(f"deriv_order must be 0, 1 or 2, got {deriv_order}")

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .gluing import DecayScanResult
 from .numutil import _window_starts, cumtrapz0, diff_matrix
-from .profiles import SampledProfile, eval_profile, fitted_mass
+from .profiles import (SampledProfile, _check_dimension, eval_profile,
+                       fitted_mass)
 
 __all__ = [
     "euler_reconstruct",
@@ -139,6 +140,7 @@ def einstein_residual(profile, n, grid=None):
     the Bianchi identity F1 = F2 + (r/2) F2'.  Returns the pair of grid
     functions ((grid, F1), (grid, F2)).
     """
+    _check_dimension(n)
     grid = profile.sample_grid() if grid is None else np.asarray(grid, dtype=float)
     V, _, K12, K1perp, Kperp = _frame_data(profile, grid)
     if np.any(V < 0):
@@ -396,6 +398,8 @@ def newton_solve(initial, n, cfg=None, beta=None):
         accepted = False
         for _ in range(30):
             W_new = W + t * step[:N]
+            # row 0 is W[0] = 0, which the step meets only to rounding
+            W_new[0] = 0.0
             p_new = p + t * step[N]
             res_new, _ = _residual_and_jacobian(W_new, p_new, n, x_hi,
                                                 stencils, beta, False)

@@ -482,15 +482,13 @@ assert scipy_modules() == [], scipy_modules()
 from dehnfill import eval_profile, make_glued_profile, newton_solve
 result = newton_solve(make_glued_profile(50.0, 4), 4)
 assert "scipy.linalg" in sys.modules
+eval_profile(result.profile, 3.0, 2)
 assert "scipy.interpolate" not in sys.modules, scipy_modules()
-eval_profile(result.profile, 3.0)
-assert "scipy.interpolate" in sys.modules
 """
 
 
 def test_import_loads_scipy_only_where_used(tmp_path):
-    # scipy is most of a cold start; only the banded solve and the
-    # sampled-profile spline need it
+    # scipy is most of a cold start; only the banded solve needs it
     proc = _fresh_python(["-c", _IMPORT_CHECK], tmp_path)
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr
@@ -561,8 +559,10 @@ _LATTICE_OVERFLOW = '{"basis": [[1e300,0,0],[0,1,0],[0,0,1]], "sigma": [1,0,0]}'
     (["scan", "--delta", "1e150", "--grid-size", "256"], "decay weight"),
     (["scan", "--sizes", "1e300,2e300,3e300,4e300,5e300"], "geodesic length"),
     (["lattice", "--cusp", _LATTICE_OVERFLOW], "geodesic length"),
+    (["indicial", "--n", "1" + "0" * 400], "n > 32"),
+    (["compare", "--n", "1000"], "n > 32"),
 ], ids=["curvature-R", "linearize-R", "solve-from-glued", "solve-r-out",
-        "scan-delta", "scan-sizes", "lattice-basis"])
+        "scan-delta", "scan-sizes", "lattice-basis", "indicial-n", "compare-n"])
 def test_overflowing_setting_exit_2(tmp_path, capsys, argv, message):
     # each used to crash, warn, or write "size": Infinity into summary.json
     rc = main([*argv, "--out-dir", str(tmp_path)])

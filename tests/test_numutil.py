@@ -116,6 +116,35 @@ def test_rows_match_scalar_fornberg_bitwise(name, deriv, width):
 
 @pytest.mark.parametrize("deriv, width", STENCILS)
 @pytest.mark.parametrize("name", GRIDS)
+def test_stencils_at_the_nodes_are_the_row_stencils_bitwise(name, deriv, width):
+    grid = GRIDS[name]
+    idx, w = stencil_weights(grid, deriv, width)
+    idx_at, w_at = stencil_weights(grid, deriv, width, at=grid)
+    assert np.array_equal(idx_at, idx)
+    assert np.array_equal(w_at, w)
+    assert w_at.strides == w.strides
+
+
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+@pytest.mark.parametrize("name", GRIDS)
+def test_stencils_at_points_match_scalar_fornberg_bitwise(name, deriv):
+    grid = GRIDS[name]
+    width, npts = 9, len(grid)
+    at = np.sort(np.random.default_rng(9).uniform(grid[0], grid[-1], 60))
+    at = np.concatenate([grid[:1], at, grid[-1:]])
+    idx, w = stencil_weights(grid, deriv, width, at=at)
+    assert idx.shape == w.shape == (len(at), width)
+    for q, x in enumerate(at):
+        assert np.all(np.diff(idx[q]) == 1)
+        assert grid[idx[q, 0]] <= x <= grid[idx[q, -1]]
+        # centred on the interval that holds x, away from the ends
+        if 0 < idx[q, 0] < npts - width:
+            assert grid[idx[q, width // 2 - 1]] < x <= grid[idx[q, width // 2]]
+        assert np.array_equal(w[q], fornberg_weights(x, grid[idx[q]], deriv))
+
+
+@pytest.mark.parametrize("deriv, width", STENCILS)
+@pytest.mark.parametrize("name", GRIDS)
 def test_apply_diff_matches_dense_matrix(name, deriv, width):
     grid = GRIDS[name]
     D = diff_matrix(grid, deriv, width)

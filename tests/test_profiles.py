@@ -11,8 +11,9 @@ from dehnfill.errors import (
     OutOfDomain,
     RadiusTooSmall,
 )
-from dehnfill.linearized import assemble_L_cusp
+from dehnfill.linearized import assemble_L_cusp, indicial_roots
 from dehnfill.profiles import (
+    MAX_DIMENSION,
     BlackHoleProfile,
     CuspProfile,
     CutoffFunction,
@@ -218,6 +219,37 @@ def test_sampled_profile_validation():
     grid = np.array([1.0, 2.0, 1.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
     with pytest.raises(OutOfDomain):
         SampledProfile(grid=grid, values=grid**2)
+
+
+def test_sampled_profile_rejects_non_positive_grid():
+    # V is interpolated in log r, which needs r > 0
+    for lo in (0.0, -1.0):
+        grid = np.linspace(lo, lo + 8.0, 9)
+        with pytest.raises(OutOfDomain, match="positive"):
+            SampledProfile(grid=grid, values=grid**2)
+
+
+def test_sampled_profile_between_nodes_matches_closed_form():
+    bh = BlackHoleProfile(m=1.0, n=5)
+    grid = np.geomspace(bh.r_plus, 50.0 * bh.r_plus, 256)
+    prof = SampledProfile(grid=grid, values=eval_profile(bh, grid, 0))
+    r = np.geomspace(grid[0], grid[-1], 1001)
+    for k in (0, 1, 2):
+        want = eval_profile(bh, r, k)
+        err = np.abs(eval_profile(prof, r, k) - want)
+        assert np.all(err <= 1e-9 * np.maximum(np.abs(want), 1.0))
+    assert isinstance(eval_profile(prof, 3.0, 2), float)
+    assert eval_profile(prof, np.full((2, 3), 3.0), 1).shape == (2, 3)
+
+
+@pytest.mark.parametrize("n", [MAX_DIMENSION + 1, 10**400])
+def test_dimension_above_the_bound_is_rejected(n):
+    # 10**400 used to reach float arithmetic and raise OverflowError
+    cusp_metric(MAX_DIMENSION)
+    with pytest.raises(OutOfDomain, match=f"n > {MAX_DIMENSION}"):
+        cusp_metric(n)
+    with pytest.raises(OutOfDomain, match=f"n > {MAX_DIMENSION}"):
+        indicial_roots("11", n)
 
 
 def test_positivity_above_core():
