@@ -246,6 +246,12 @@ def cmd_compare(cfg):
     comp = compare_operators(h, r_window=(lo, hi), m=float(cfg["m"]),
                              bins=cfg["num_centers"])
     kept = comp.bin_max > 0
+    # a NaN or infinite fit would not even be valid JSON in summary.json
+    if not all(map(math.isfinite, (comp.slope, comp.intercept, comp.residual))):
+        raise DehnFillError(
+            f"no finite decay fit for n={n} on the window {lo}:{hi}: "
+            f"{int(kept.sum())} of {kept.size} bins have a nonzero operator "
+            "difference (a fit needs 3)")
     summary = {"n": n, "slope": comp.slope, "intercept": comp.intercept,
                "residual": comp.residual, "expected_slope": float(1 - n)}
     return ("r,diff_max", csv_lines(comp.bin_centers[kept], comp.bin_max[kept]),

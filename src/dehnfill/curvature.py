@@ -97,6 +97,21 @@ class CurvatureReport:
         return float(np.max(np.abs(self.deficit_diag)))
 
 
+def _ricci_diag(n, K12, K1perp, Kperp):
+    """(ric, deficit), each (npts, n): the frame-diagonal Ricci entries
+    from the sectional curvatures,
+
+        ric_11 = ric_22 = K12 + (n-2) K1perp = -V''/2 - (n-2) V'/(2r),
+        ric_jj = 2 K1perp + (n-3) Kperp = -V'/r - (n-3) V/r^2,
+
+    and the Einstein deficit ric + (n-1), whose columns 0 and 2 are the
+    residuals F1 and F2 of solver.einstein_residual."""
+    ric = np.empty((K12.size, n))
+    ric[:, 0] = ric[:, 1] = K12 + (n - 2) * K1perp
+    ric[:, 2:] = (2.0 * K1perp + (n - 3) * Kperp)[:, None]
+    return ric, ric + (n - 1.0)
+
+
 def ricci_and_deficit(metric, r):
     """Diagonal Ricci, scalar curvature and Einstein deficit along r.
 
@@ -106,15 +121,9 @@ def ricci_and_deficit(metric, r):
     """
     n = metric.n
     rr = _interior(metric, r)
-    K12, K1perp, Kperp = sectional_curvatures(metric, rr)
-    ric_rad = K12 + (n - 2) * K1perp                 # = -V''/2 - (n-2)V'/(2r)
-    ric_tor = 2.0 * K1perp + (n - 3) * Kperp          # = -V'/r - (n-3)V/r^2
-    ric = np.empty((rr.size, n))
-    ric[:, 0] = ric_rad
-    ric[:, 1] = ric_rad
-    ric[:, 2:] = ric_tor[:, None]
-    scalar = 2.0 * ric_rad + (n - 2) * ric_tor
-    deficit = ric + (n - 1.0)
+    _, _, K12, K1perp, Kperp = _frame_data(metric.profile, rr)
+    ric, deficit = _ricci_diag(n, K12, K1perp, Kperp)
+    scalar = 2.0 * ric[:, 0] + (n - 2) * ric[:, 2]
     return CurvatureReport(
         n=n, r=rr, K12=K12, K1perp=K1perp, Kperp=Kperp,
         ric_diag=ric, scalar=scalar, deficit_diag=deficit,
@@ -160,16 +169,17 @@ def sectional_matrix(n, K12, K1perp, Kperp):
 _D1_W5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def fd_curvature_oracle(metric, r, h_fd=None):
+def fd_curvature_oracle(metric, r):
     """Frame curvature components from raw metric coefficient samples.
 
     Independent check of the closed forms: builds the coordinate metric
     diag(1/V, V, r^2, ..., r^2) from profile *values only* (never the
     analytic V' or V''), forms Christoffel symbols and the full curvature
     tensor with nested 4th-order finite differences, and converts to the
-    orthonormal frame. A non-identity torus Gram matrix is absorbed
-    beforehand by the exact linear change of torus coordinates that makes
-    the flat factor Euclidean, which changes no curvature component.
+    orthonormal frame. The step at each radius is max(1e-4 r, 1e-6). A
+    non-identity torus Gram matrix is absorbed beforehand by the exact
+    linear change of torus coordinates that makes the flat factor
+    Euclidean, which changes no curvature component.
 
     Returns a dict with the full frame tensor R[a,b,c,d] of shape
     (npts, n, n, n, n), the sectional matrix K of shape (npts, n, n),
@@ -179,11 +189,11 @@ def fd_curvature_oracle(metric, r, h_fd=None):
     n = metric.n
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     lo, hi = metric.profile.domain
-    h = np.maximum(1e-4 * rr, 1e-6) if h_fd is None else np.full_like(rr, h_fd)
+    h = np.maximum(1e-4 * rr, 1e-6)
     if np.any(rr - 4 * h <= lo) or np.any(rr + 4 * h >= hi):
         raise StepTooLarge(
             "finite-difference superstencil leaves the profile domain; "
-            "move r inward or shrink h_fd"
+            "move r inward"
         )
 
     npts = rr.size

@@ -40,7 +40,6 @@ class ApproximateSolution:
     n: int
     filling: DehnFillingData
     metrics: tuple
-    label: str
 
     @property
     def size(self):
@@ -65,9 +64,8 @@ def build_approximate_solution(filling, n=None):
                           beta=filling.beta1,
                           torus_gram=quotient_generators(lat, sig)["torus_gram"])
         )
-    label = f"|sigma|={filling.size:.6g}"
     return ApproximateSolution(n=int(n), filling=filling,
-                               metrics=tuple(metrics), label=label)
+                               metrics=tuple(metrics))
 
 
 def filling_from_lengths(lengths, n):
@@ -127,29 +125,25 @@ def _cusp_deficit_norm(metric, w, cusp_index, grid_size, include_seminorms):
 def deficit_norm(sol, w=None, grid_size=512, include_seminorms=True):
     """Weighted norm of the Einstein deficit, maximized over cusps.
 
-    Per cusp: sup over a log grid of decay_weight * phi_c**-1 * |deficit|
-    plus (unless include_seminorms is False) first and second
-    finite-difference seminorms of the weighted deficit, taken as
-    divided-difference derivative sups in log r.  Deterministic for a
+    sol is an ApproximateSolution or a single FillingMetric, which counts
+    as one cusp.  Per cusp: sup over a log grid of decay_weight *
+    phi_c**-1 * |deficit| plus (unless include_seminorms is False) first
+    and second finite-difference seminorms of the weighted deficit, taken
+    as divided-difference derivative sups in log r.  Deterministic for a
     fixed grid_size.
     """
     if grid_size < 256:
         raise TooFewSamples(f"grid_size must be >= 256, got {grid_size}")
-    if isinstance(sol, FillingMetric):
-        sol = ApproximateSolution(
-            n=sol.n,
-            filling=filling_from_lengths([sol.profile.domain[1]], sol.n),
-            metrics=(sol,), label="single metric",
-        )
+    metrics = (sol,) if isinstance(sol, FillingMetric) else sol.metrics
     if w is None:
-        w = WeightSpec(n=sol.n, R=tuple(m.profile.domain[1] for m in sol.metrics))
-    if w.num_cusps != len(sol.metrics):
+        w = WeightSpec(n=sol.n, R=tuple(m.profile.domain[1] for m in metrics))
+    if w.num_cusps != len(metrics):
         raise InvalidWeight(
-            f"weight covers {w.num_cusps} cusps, solution has {len(sol.metrics)}"
+            f"weight covers {w.num_cusps} cusps, solution has {len(metrics)}"
         )
     return max(
         _cusp_deficit_norm(m, w, i, grid_size, include_seminorms)
-        for i, m in enumerate(sol.metrics)
+        for i, m in enumerate(metrics)
     )
 
 

@@ -356,8 +356,8 @@ def _unit_bump_maxima():
     return np.max(np.abs(ref)), np.max(np.abs(d1)), np.max(np.abs(d2))
 
 
-def bump_deformation(n, grid, centers, width=0.4, blocks=None):
-    """Sum of unit-C2 log-radial bumps, one per center.
+def bump_deformation(n, grid, centers, width=0.4):
+    """Sum of unit-C2 log-radial bumps, one per center, in every block.
 
     Each bump lives in x = log r with half-width `width` and is scaled
     so that max(|b|, |b'|, |b''|) = 1 with derivatives in x (the frame
@@ -386,11 +386,8 @@ def bump_deformation(n, grid, centers, width=0.4, blocks=None):
         lc = math.log(c)
         lo, hi = np.searchsorted(x, [lc - 2.0 * width, lc + 2.0 * width])
         total[lo:hi] += _unit_bump(x[lo:hi], lc, width) / scale
-    if blocks is None:
-        blocks = BLOCK_LABELS
-    npts = grid.shape[0]
     comps = {}
-    for label in blocks:
+    for label in BLOCK_LABELS:
         if label == "jj":
             comps[label] = np.tile(total[:, None], (1, n - 2))
         elif label == "jk":
@@ -415,12 +412,11 @@ class OperatorComparison:
     residual: float
 
 
-def compare_operators(h, r_window=None, m=1.0, metric_a=None, metric_b=None,
-                      bins=12):
+def compare_operators(h, r_window=None, m=1.0, bins=12):
     """|L_C h - L_BH h| on the grid of h, with a log-log envelope fit.
 
-    By default compares the cusp model against the black hole of mass m.
-    The pointwise difference is reduced to its maximum over blocks, then
+    Compares the cusp model against the black hole of mass m.  The
+    pointwise difference is reduced to its maximum over blocks, then
     an envelope (binwise maximum over log-spaced bins inside the finite,
     positive r_window, each bin closed at both edges) is fitted; for unit-C2
     h translated across the window the slope comes out at -(n-1).  All-zero
@@ -429,9 +425,8 @@ def compare_operators(h, r_window=None, m=1.0, metric_a=None, metric_b=None,
     core-margin and profile-domain checks before any derivative is taken.
     """
     n = h.n
-    sys_a = assemble_L_cusp(n) if metric_a is None else assemble_L_blackhole(metric_a)
-    sys_b = (assemble_L_blackhole(black_hole_metric(m, n))
-             if metric_b is None else assemble_L_blackhole(metric_b))
+    sys_a = assemble_L_cusp(n)
+    sys_b = assemble_L_blackhole(black_hole_metric(m, n))
     zeroth_a = _zeroth_order(sys_a, h)
     zeroth_b = _zeroth_order(sys_b, h)
     derivs = _block_derivatives(h)

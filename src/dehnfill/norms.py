@@ -17,7 +17,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -91,7 +90,7 @@ class WeightSpec:
             raise InvalidWeight("filling sizes must be finite and positive")
         object.__setattr__(self, "R", R)
         delta = self.delta
-        if delta is None or (isinstance(delta, str) and delta == "auto"):
+        if delta is None:
             delta = default_delta(self.n)
         delta = float(delta)
         if not (math.isfinite(delta) and delta >= 0):
@@ -104,7 +103,7 @@ class WeightSpec:
                 )
         object.__setattr__(self, "delta", delta)
         r_c = self.r_c
-        if r_c is None or (isinstance(r_c, str) and r_c == "auto"):
+        if r_c is None:
             r_c = tuple(default_core_scale(x, self.n) for x in R)
         else:
             r_c = tuple(float(x) for x in np.atleast_1d(r_c))
@@ -119,33 +118,23 @@ class WeightSpec:
     def num_cusps(self):
         return len(self.R)
 
-    def to_dict(self):
-        return {"n": self.n, "R": list(self.R), "delta": self.delta,
-                "r_c": list(self.r_c), "l2_mode": self.l2_mode}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(n=d["n"], R=tuple(d["R"]), delta=d.get("delta", "auto"),
-                   r_c=tuple(d["r_c"]) if isinstance(d.get("r_c"), (list, tuple))
-                   else d.get("r_c", "auto"),
-                   l2_mode=bool(d.get("l2_mode", False)))
+# half-width of the window that smooths phi_c's corner, as a fraction of r_c
+_SMOOTH_FRAC = 0.05
 
 
-def phi_c_raw(r, r_c, R, smooth_frac=0.05):
+def phi_c_raw(r, r_c, R):
     """Cusp comparison weight: max(r, r_c)/R with a smoothed corner.
 
     Piecewise the weight is r_c/R for r <= r_c and r/R beyond; the kink
-    at r = r_c is mollified over a window of half-width smooth_frac*r_c
+    at r = r_c is mollified over a window of half-width _SMOOTH_FRAC*r_c
     by blending the two branches with a C-infinity step.  When r_c sits
     within a window-width of R there is no room to smooth inside the
     filling and the raw piecewise formula is returned.
     """
     r = np.asarray(r, dtype=float)
-    if not all(math.isfinite(x) for x in (r_c, R, smooth_frac)):
-        raise InvalidWeight("phi_c needs finite r_c, R and smooth_frac")
+    if not all(math.isfinite(x) for x in (r_c, R)):
+        raise InvalidWeight("phi_c needs finite r_c and R")
     if r_c <= 0 or R <= 0:
         raise InvalidWeight("phi_c needs positive r_c and R")
     if not np.all(np.isfinite(r)):
@@ -154,7 +143,7 @@ def phi_c_raw(r, r_c, R, smooth_frac=0.05):
         raise OutOfDomain("phi_c is defined for positive r")
     if np.any(r > R * (1.0 + 1e-12)):
         raise OutOfDomain(f"radius beyond the filling size {R}")
-    w = smooth_frac * r_c
+    w = _SMOOTH_FRAC * r_c
     base = np.maximum(r, r_c) / R
     if w <= 0 or r_c >= R - w:
         return base if base.ndim else float(base)
@@ -205,18 +194,15 @@ def _check_field(field_vals, grid):
     return field_vals, grid
 
 
-def weighted_sup_norm(field, w, metric=None, cusp_index=0, rho=None):
+def weighted_sup_norm(field, w, cusp_index=0, rho=None):
     """sup over the grid of decay_weight * phi_c**-1 * |field|.
 
     field is a (grid, values) pair; values may carry trailing component
     axes, reduced pointwise by the absolute maximum.  rho defaults to
-    r / R for the chosen cusp.  metric, when given, only validates that
-    the dimensions agree.
+    r / R for the chosen cusp.
     """
     grid, vals = field
     vals, grid = _check_field(vals, grid)
-    if metric is not None and metric.n != w.n:
-        raise InvalidWeight(f"metric dimension {metric.n} != weight dimension {w.n}")
     amp = np.abs(vals)
     while amp.ndim > 1:
         amp = amp.max(axis=-1)

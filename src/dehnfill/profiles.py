@@ -20,9 +20,8 @@ At R = 10 the window is [8, 9], the same interval used by the worked
 examples in the construction this mirrors.
 """
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +133,8 @@ class CutoffFunction:
 
 class _Profile:
     """What each profile family decides for itself: its closed-form V, V',
-    V'' (_eval), its JSON params, its core (r_plus and the (r_plus, beta,
-    mass) a Newton solve starts from) and its exact-support deficit."""
+    V'' (_eval), its core (r_plus and the (r_plus, beta, mass) a Newton
+    solve starts from) and its exact-support deficit."""
 
     r_plus = None
     # finite outer end of the family's natural domain (Newton's default r_out)
@@ -143,15 +142,6 @@ class _Profile:
     # radial window [lo, hi] where the cutoff moves, if there is one
     transition = None
     has_exact_deficit = False
-
-    def params(self):
-        """Constructor arguments other than domain, as JSON values."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "domain"}
-
-    @classmethod
-    def from_params(cls, params, domain):
-        return cls(domain=domain, **params)
 
     def sample_grid(self):
         """Radii to sample the profile on when the caller gives none:
@@ -285,16 +275,6 @@ class GluedProfile(_Profile):
         out[:, 2:] = tor[:, None]
         return out
 
-    def params(self):
-        return {"R": self.R, "n": self.n,
-                "cutoff": {"lo": self.cutoff.lo, "hi": self.cutoff.hi}}
-
-    @classmethod
-    def from_params(cls, params, domain):
-        c = params["cutoff"]
-        return cls(R=params["R"], n=params["n"],
-                   cutoff=CutoffFunction(lo=c["lo"], hi=c["hi"]), domain=domain)
-
 
 @dataclass(frozen=True, eq=False)
 class SampledProfile(_Profile):
@@ -353,9 +333,6 @@ class SampledProfile(_Profile):
             )
         r_plus, beta = closing_parameters(m_hat, n)
         return r_plus, beta, m_hat
-
-    def params(self):
-        return {"grid": self.grid.tolist(), "values": self.values.tolist()}
 
 
 def _check_in_domain(profile, r):
@@ -480,50 +457,19 @@ class FillingMetric:
         object.__setattr__(self, "torus_gram", gram)
 
 
-def black_hole_metric(m, n, torus_gram=None):
+def black_hole_metric(m, n):
     """Black-hole filling metric with the smooth-closing period beta_m."""
-    r_plus, beta = closing_parameters(m, n)
+    _, beta = closing_parameters(m, n)
     return FillingMetric(n=int(n), profile=BlackHoleProfile(m=float(m), n=int(n)),
-                         beta=beta, torus_gram=torus_gram)
+                         beta=beta)
 
 
-def cusp_metric(n, beta=2.0 * math.pi, torus_gram=None):
-    """Exact hyperbolic cusp metric on the model end."""
-    return FillingMetric(n=n, profile=CuspProfile(), beta=beta,
-                         torus_gram=torus_gram)
+def cusp_metric(n):
+    """Exact hyperbolic cusp metric on the model end (beta = 2 pi)."""
+    return FillingMetric(n=n, profile=CuspProfile(), beta=2.0 * math.pi)
 
 
-def glued_metric(R, n, torus_gram=None):
+def glued_metric(R, n):
     """Glued approximate-Einstein metric at gluing radius R (beta = beta_1)."""
     _, beta1 = closing_parameters(1.0, n)
-    return FillingMetric(n=int(n), profile=make_glued_profile(R, n),
-                         beta=beta1, torus_gram=torus_gram)
-
-
-# ----------------------------------------------------------------------
-# JSON round-trip
-# ----------------------------------------------------------------------
-
-
-def profile_to_dict(profile):
-    return {"variant": profile.variant, "domain": list(profile.domain),
-            "params": profile.params()}
-
-
-_VARIANTS = {cls.variant: cls for cls in
-             (CuspProfile, BlackHoleProfile, GluedProfile, SampledProfile)}
-
-
-def profile_from_dict(d):
-    cls = _VARIANTS.get(d["variant"])
-    if cls is None:
-        raise OutOfDomain(f"unknown profile variant {d['variant']!r}")
-    return cls.from_params(d.get("params", {}), tuple(d["domain"]))
-
-
-def profile_to_json(profile):
-    return json.dumps(profile_to_dict(profile), sort_keys=True)
-
-
-def profile_from_json(text):
-    return profile_from_dict(json.loads(text))
+    return FillingMetric(n=int(n), profile=make_glued_profile(R, n), beta=beta1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _frame_data
+from .curvature import _frame_data, _ricci_diag
 from .errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
@@ -105,20 +105,15 @@ def oscillation_bound(rhs, phi, r1, r2, n):
     quadrature applied to the envelope s^(n-2) phi(s) and scaled by
     sup |rhs/phi|.  Because both sides use the one trapezoid rule with
     positive weights, measured <= bound holds termwise, not merely in
-    the continuum limit.  phi may be None (unit weight), an array on
-    the grid, or a callable of r.
+    the continuum limit.  phi is None (unit weight) or an array of
+    positive weights on the grid.
     """
     grid, vals = _as_grid_function(rhs)
     if not (grid[0] <= r1 < r2 <= grid[-1]):
         raise OutOfDomain(
             f"need grid[0] <= r1 < r2 <= grid[-1], got r1={r1}, r2={r2}"
         )
-    if phi is None:
-        weight = np.ones_like(grid)
-    elif callable(phi):
-        weight = np.asarray(phi(grid), dtype=float)
-    else:
-        weight = np.asarray(phi, dtype=float)
+    weight = np.ones_like(grid) if phi is None else np.asarray(phi, dtype=float)
     if weight.shape != grid.shape or np.any(weight <= 0):
         raise OutOfDomain("phi must be positive on the grid")
     sup = float(np.max(np.abs(vals) / weight))
@@ -145,9 +140,8 @@ def einstein_residual(profile, n, grid=None):
     V, _, K12, K1perp, Kperp = _frame_data(profile, grid)
     if np.any(V < 0):
         raise NonPositiveProfile("profile is negative on the grid")
-    F1 = K12 + (n - 2) * K1perp + (n - 1)
-    F2 = 2.0 * K1perp + (n - 3) * Kperp + (n - 1)
-    return (grid, F1), (grid, F2)
+    _, deficit = _ricci_diag(n, K12, K1perp, Kperp)
+    return (grid, deficit[:, 0]), (grid, deficit[:, 2])
 
 
 @dataclass(frozen=True)
@@ -160,11 +154,11 @@ class NewtonConfig:
     glued start (R=50, n=4 or 5, r_out = 50 r_plus) Newton bottoms out
     near 1e-12 at grid_size 256, 5e-12 at 512, 2.2e-11 at 1024 and
     9e-11 at 2048, so at 2048 the default residual_tol is out of reach.
+    Each line search starts from the full step t = 1 and halves it.
     """
 
     max_iters: int = 30
     residual_tol: float = 5e-11
-    damping: float = 1.0
     grid_size: int = 256
     r_out: float = None
 
@@ -175,8 +169,6 @@ class NewtonConfig:
                 f"max_iters must be an integer >= 1, got {self.max_iters}")
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise OutOfDomain("residual_tol must be finite and positive")
-        if not (0 < self.damping <= 1):
-            raise OutOfDomain("damping must lie in (0, 1]")
         if not (isinstance(self.grid_size, numbers.Integral)
                 and self.grid_size >= 64):
             raise GridTooCoarse(
@@ -333,19 +325,18 @@ def _newton_step(res, jac):
     return np.append(z1 - y * z2, y)
 
 
-def newton_solve(initial, n, cfg=None, beta=None):
+def newton_solve(initial, n, cfg=None):
     """Damped Newton iteration for the exact Einstein profile.
 
     Unknowns are the profile values on a log grid from the free core
     radius r_plus = exp(p) out to a fixed r_out, plus p itself.  The
     closing conditions V(r_plus) = 0, V'(r_plus) = 4 pi / beta pin the
-    smooth-cone core; the outer row enforces the first-order Einstein
+    smooth-cone core, with beta the closing period of the initial
+    profile's core; the outer row enforces the first-order Einstein
     equation, whose solutions all have leading coefficient r^2.
     """
     cfg = cfg or NewtonConfig()
-    r_plus0, beta_prof, m_hat = initial.core(n)
-    if beta is None:
-        beta = beta_prof
+    r_plus0, beta, m_hat = initial.core(n)
     r_out = cfg.r_out
     if r_out is None:
         # a profile with a finite outer end keeps it; others get 50 r_plus
@@ -394,7 +385,7 @@ def newton_solve(initial, n, cfg=None, beta=None):
         except np.linalg.LinAlgError as exc:
             raise LineSearchFailed(f"singular Jacobian: {exc}",
                                    result=finish(False, it))
-        t = cfg.damping
+        t = 1.0
         accepted = False
         for _ in range(30):
             W_new = W + t * step[:N]

@@ -113,6 +113,26 @@ def test_compare_slope(tmp_path):
     assert abs(summary["slope"] + 3.0) < 0.1
 
 
+@pytest.mark.parametrize("n, slope", [("4", -2.921846829250409),
+                                      ("5", -3.9290048601779564),
+                                      ("6", -4.9273775989394855)])
+def test_compare_default_slopes(tmp_path, n, slope):
+    rc = main(["compare", "--n", n, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert _read(tmp_path)[1]["slope"] == pytest.approx(slope, rel=1e-12)
+
+
+def test_compare_without_finite_fit_exit_2(tmp_path, capsys):
+    # at n = 20 only 2 of the 12 bins see a nonzero operator difference;
+    # the NaN fit used to be written into summary.json with exit 0
+    rc = main(["compare", "--n", "20", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no finite decay fit for n=20 on the window 5.0:500.0" in err
+    assert "2 of 12 bins" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("width", ["nan", "0", "-0.4"])
 def test_compare_bad_width_exit_2(tmp_path, capsys, width):
     rc = main(["compare", "--n", "4", "--width", width,

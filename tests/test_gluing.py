@@ -66,6 +66,15 @@ def test_deficit_norm_blackhole_is_zero():
     assert deficit_norm(bh, grid_size=512) == 0.0
 
 
+@pytest.mark.parametrize("metric", [glued_metric(50.0, 4),
+                                    black_hole_metric(1.0, 4)],
+                         ids=["glued-R50", "blackhole"])
+def test_deficit_norm_of_a_metric_is_its_one_cusp_solution(metric):
+    filling = filling_from_lengths([metric.profile.domain[1]], metric.n)
+    sol = ApproximateSolution(n=metric.n, filling=filling, metrics=(metric,))
+    assert deficit_norm(metric) == deficit_norm(sol)
+
+
 def test_deficit_norm_unit_weights_is_plain_sup():
     n, R = 4, 50.0
     met = glued_metric(R, n)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -25,10 +24,6 @@ from dehnfill.profiles import (
     cusp_metric,
     eval_profile,
     make_glued_profile,
-    profile_from_dict,
-    profile_from_json,
-    profile_to_dict,
-    profile_to_json,
 )
 
 
@@ -194,24 +189,6 @@ def test_coordinate_change_to_cusp():
         coordinate_change_to_cusp(prof, 100.0, 0.85)
 
 
-def test_profile_serialization_roundtrip():
-    for prof in (CuspProfile(), BlackHoleProfile(m=2.0, n=6),
-                 make_glued_profile(25.0, 4)):
-        back = profile_from_json(profile_to_json(prof))
-        r = np.linspace(prof.domain[0] + 0.1, min(prof.domain[1], 20.0), 17)
-        assert np.array_equal(eval_profile(back, r, 0), eval_profile(prof, r, 0))
-
-
-def test_sampled_profile_roundtrip_exact():
-    grid = np.geomspace(1.0, 20.0, 64)
-    vals = grid**2 - 2.0 / grid
-    prof = SampledProfile(grid=grid, values=vals)
-    back = profile_from_json(profile_to_json(prof))
-    assert np.array_equal(back.grid, prof.grid)
-    assert np.array_equal(back.values, prof.values)
-    assert np.array_equal(eval_profile(back, grid, 0), eval_profile(prof, grid, 0))
-
-
 def test_sampled_profile_validation():
     grid = np.linspace(1.0, 2.0, 8)
     with pytest.raises(OutOfDomain):
@@ -283,18 +260,6 @@ def test_filling_metric_rejects_non_finite_gram(bad):
     with pytest.raises(OutOfDomain, match="torus_gram must be finite"):
         FillingMetric(n=4, profile=BlackHoleProfile(m=1.0, n=4), beta=2.0,
                       torus_gram=[[bad, 0.0], [0.0, 1.0]])
-
-
-def test_profile_from_dict_unknown_variant():
-    with pytest.raises(OutOfDomain):
-        profile_from_dict({"variant": "bogus", "domain": [1.0, 2.0], "params": {}})
-
-
-def test_glued_dict_with_legacy_k_smooth_loads():
-    prof = make_glued_profile(25.0, 4)
-    d = profile_to_dict(prof)
-    d["params"]["cutoff"]["k_smooth"] = 4
-    assert profile_from_dict(d).cutoff == prof.cutoff
 
 
 def test_cutoff_rejects_window_whose_squared_width_overflows():
