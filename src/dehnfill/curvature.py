@@ -16,8 +16,10 @@ finite-difference oracle below, which knows nothing about these
 reductions and differentiates raw metric coefficient samples instead.
 
 The Einstein deficit is tau = ric + (n-1) g, reported through its frame
-diagonal. Black-hole profiles have tau identically zero and scalar
-curvature -n(n-1).
+diagonal. The profile supplies it with the curvatures (frame_data): on
+the mass form V = r^2 - 2 mu r^{3-n} of the cusp, black-hole and glued
+profiles it depends on mu' and mu'' alone, so the black hole and the
+cusp have tau = 0 and scalar curvature -n(n-1) exactly in floating point.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import EigenSolveFailure, OutOfDomain, StepTooLarge
 from .numutil import csv_lines
-from .profiles import _check_in_domain, eval_profile
+from .profiles import eval_profile
 
 __all__ = [
     "CurvatureReport",
@@ -42,25 +44,18 @@ __all__ = [
 ]
 
 
-def _interior(metric, r):
-    # The frame formulas stay regular at the core r_plus (V = 0 there but
-    # nothing divides by V), so the closed domain is allowed with the same
-    # ulp slack as profile evaluation.
-    return np.atleast_1d(_check_in_domain(metric.profile, r))
-
-
-def _frame_data(profile, r):
-    """V, V' and the sectional curvatures K12 = -V''/2, K1perp = -V'/(2r),
-    Kperp = -V/r^2 of the profile at the radii r (an array)."""
-    V = eval_profile(profile, r, 0)
-    V1 = eval_profile(profile, r, 1)
-    V2 = eval_profile(profile, r, 2)
-    return V, V1, -0.5 * V2, -V1 / (2.0 * r), -V / r**2
+def _deficit_diag(n, rad, tor):
+    """The (npts, n) frame diagonal of the deficit: rad, rad, tor, ..., tor."""
+    out = np.empty((rad.size, n))
+    out[:, 0] = out[:, 1] = rad
+    out[:, 2:] = tor[:, None]
+    return out
 
 
 def sectional_curvatures(metric, r):
     """The three distinct sectional curvatures (K12, K1perp, Kperp) at r."""
-    _, _, K12, K1perp, Kperp = _frame_data(metric.profile, _interior(metric, r))
+    _, _, K12, K1perp, Kperp, _, _ = metric.profile.frame_data(
+        np.atleast_1d(r), metric.n)
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(K12[0]), float(K1perp[0]), float(Kperp[0])
     return K12, K1perp, Kperp
@@ -97,32 +92,19 @@ class CurvatureReport:
         return float(np.max(np.abs(self.deficit_diag)))
 
 
-def _ricci_diag(n, K12, K1perp, Kperp):
-    """(ric, deficit), each (npts, n): the frame-diagonal Ricci entries
-    from the sectional curvatures,
-
-        ric_11 = ric_22 = K12 + (n-2) K1perp = -V''/2 - (n-2) V'/(2r),
-        ric_jj = 2 K1perp + (n-3) Kperp = -V'/r - (n-3) V/r^2,
-
-    and the Einstein deficit ric + (n-1), whose columns 0 and 2 are the
-    residuals F1 and F2 of solver.einstein_residual."""
-    ric = np.empty((K12.size, n))
-    ric[:, 0] = ric[:, 1] = K12 + (n - 2) * K1perp
-    ric[:, 2:] = (2.0 * K1perp + (n - 3) * Kperp)[:, None]
-    return ric, ric + (n - 1.0)
-
-
 def ricci_and_deficit(metric, r):
     """Diagonal Ricci, scalar curvature and Einstein deficit along r.
 
-    ric_11 = ric_22 = -V''/2 - (n-2) V'/(2r),
-    ric_jj = -V'/r - (n-3) V/r^2 for the torus directions,
-    deficit = ric_diag + (n-1).
+    ric_11 = ric_22 = K12 + (n-2) K1perp = -V''/2 - (n-2) V'/(2r),
+    ric_jj = 2 K1perp + (n-3) Kperp = -V'/r - (n-3) V/r^2 for the torus
+    directions, deficit = ric_diag + (n-1): the profile gives the deficit
+    (cutoff_deficit_diag) and ric_diag is formed from it.
     """
     n = metric.n
-    rr = _interior(metric, r)
-    _, _, K12, K1perp, Kperp = _frame_data(metric.profile, rr)
-    ric, deficit = _ricci_diag(n, K12, K1perp, Kperp)
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    _, _, K12, K1perp, Kperp, rad, tor = metric.profile.frame_data(rr, n)
+    deficit = _deficit_diag(n, rad, tor)
+    ric = deficit - (n - 1.0)
     scalar = 2.0 * ric[:, 0] + (n - 2) * ric[:, 2]
     return CurvatureReport(
         n=n, r=rr, K12=K12, K1perp=K1perp, Kperp=Kperp,
@@ -131,22 +113,22 @@ def ricci_and_deficit(metric, r):
 
 
 def cutoff_deficit_diag(metric, r):
-    """Einstein deficit of a cutoff profile, in exact-support form.
+    """The (npts, n) Einstein deficit diagonal along r, without the rest
+    of ricci_and_deficit's report.
 
-    For V = r^2 - 2 chi(r) r^{3-n} the chi r^{1-n} terms and the constant
-    terms of ric + (n-1)g cancel symbolically, leaving
+    On the mass form V = r^2 - 2 mu(r) r^{3-n} the profile evaluates it
+    from mu' and mu'' alone (profiles._Profile.frame_data derives it):
 
-        deficit_11 = deficit_22 = chi'' r^{3-n} + (4-n) chi' r^{2-n}
-        deficit_jj = 2 chi' r^{2-n}  (torus directions).
+        deficit_11 = deficit_22 = mu'' r^{3-n} + (4-n) mu' r^{2-n}
+        deficit_jj = 2 mu' r^{2-n}  (torus directions).
 
-    The generic curvature path computes the same numbers through the
-    cancellation in floating point, leaving O(eps) residue everywhere;
-    this form is identically zero wherever chi' = chi'' = 0, which is
-    what weighted norms with large core weights need. Supports the glued
-    profile (chi from its cutoff) and the black hole (chi constant, so the
-    deficit is the zero array); other profiles raise OutOfDomain.
+    It is identically zero wherever mu' = mu'' = 0: everywhere for the
+    cusp and the black hole, off the transition annulus for a glued
+    profile, which is what weighted norms with large core weights need.
+    A sampled profile forms it through the cancellation of ric + (n-1).
     """
-    return metric.profile.exact_deficit(_interior(metric, r), metric.n)
+    rad, tor = metric.profile.frame_data(np.atleast_1d(r), metric.n)[5:]
+    return _deficit_diag(metric.n, rad, tor)
 
 
 def sectional_matrix(n, K12, K1perp, Kperp):

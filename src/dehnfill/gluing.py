@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import cutoff_deficit_diag, ricci_and_deficit
+from .curvature import cutoff_deficit_diag
 from .errors import InvalidWeight, ScanMissing, TooFewSamples
 from .lattice import (DehnFillingData, FlatLattice, GeodesicClass,
                       filling_data, quotient_generators)
-from .norms import (WeightSpec, _check_field, _holder_quotient, decay_weight,
-                    phi_c)
+from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
 from .numutil import fit_loglog, loggrid
 from .profiles import FillingMetric, make_glued_profile
 
@@ -100,16 +99,10 @@ def _cusp_deficit_norm(metric, w, cusp_index, grid_size, include_seminorms):
         whi = min(thi * 1.02, hi * (1.0 - 1e-9))
         window = loggrid(wlo, whi, grid_size)
         grid = np.unique(np.concatenate([grid, window]))
-    if profile.has_exact_deficit:
-        # exact-support form: identically zero outside the transition, so
-        # the large core weight multiplies a true zero instead of rounding
-        # residue from the generic curvature path
-        deficit = cutoff_deficit_diag(metric, grid)
-    else:
-        deficit = ricci_and_deficit(metric, grid).deficit_diag
-    R = w.R[cusp_index]
-    wt = decay_weight(w, grid / R) / phi_c(w, cusp_index, grid)
-    weighted = wt[:, None] * deficit
+    # exact-support on the mass form: identically zero outside the
+    # transition, so the large core weight multiplies a true zero
+    deficit = cutoff_deficit_diag(metric, grid)
+    weighted = _cusp_weight(w, cusp_index, grid)[:, None] * deficit
     total = float(np.max(np.abs(weighted)))
     if include_seminorms:
         # first and second derivative proxies of the weighted deficit in

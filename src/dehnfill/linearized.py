@@ -27,7 +27,6 @@ from functools import cache
 
 import numpy as np
 
-from .curvature import _frame_data
 from .errors import (
     GridTooCoarse,
     NonFiniteField,
@@ -122,11 +121,6 @@ class InvariantDeformation:
         d[:, 2:] = jj
         return d
 
-    def max_abs(self):
-        return max(
-            float(np.max(np.abs(arr))) for arr in self.components.values()
-        )
-
 
 def metric_deformation(n, grid):
     """h = g itself: unit diagonal frame components on the grid."""
@@ -164,7 +158,7 @@ class ODESystemL:
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         n = self.n
-        V, V1, K12, K1p, Kpp = _frame_data(self.profile, r)
+        V, V1, K12, K1p, Kpp, _, _ = self.profile.frame_data(r, n)
         if (V <= 0).any():
             raise SingularAtCore(
                 "profile vanishes on the grid; the zeroth-order terms divide by V"

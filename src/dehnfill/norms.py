@@ -72,15 +72,13 @@ class WeightSpec:
     R and r_c are per-cusp tuples of equal length; R is carried here
     because every weight evaluation needs the filling size alongside the
     core scale.  delta defaults to default_delta(n) and r_c entries to
-    sqrt(r_plus * R).  With l2_mode=True the delta band required for
-    square-integrability is enforced at construction.
+    sqrt(r_plus * R).
     """
 
     n: int
     R: tuple
     delta: float = None
     r_c: tuple = None
-    l2_mode: bool = False
 
     def __post_init__(self):
         if self.n < 3:
@@ -95,12 +93,6 @@ class WeightSpec:
         delta = float(delta)
         if not (math.isfinite(delta) and delta >= 0):
             raise InvalidWeight(f"delta must be finite and nonnegative, got {delta}")
-        if self.l2_mode:
-            lo, hi = 0.5 * (self.n - 1), float(self.n - 1)
-            if not (lo < delta < hi):
-                raise InvalidWeight(
-                    f"l2_mode needs delta in ({lo}, {hi}), got {delta}"
-                )
         object.__setattr__(self, "delta", delta)
         r_c = self.r_c
         if r_c is None:
@@ -206,10 +198,17 @@ def weighted_sup_norm(field, w, cusp_index=0, rho=None):
     amp = np.abs(vals)
     while amp.ndim > 1:
         amp = amp.max(axis=-1)
+    return float(np.max(_cusp_weight(w, cusp_index, grid, rho) * amp))
+
+
+def _cusp_weight(w, cusp_index, grid, rho=None):
+    """decay_weight * phi_c**-1 on the grid of one cusp, rho = r / R unless
+    given.  It is positive and rounding is monotone, so the sup of the
+    weight times |field| is the same taken before or after a max over
+    components."""
     if rho is None:
         rho = grid / w.R[cusp_index]
-    wt = decay_weight(w, rho) / phi_c(w, cusp_index, grid)
-    return float(np.max(wt * amp))
+    return decay_weight(w, rho) / phi_c(w, cusp_index, grid)
 
 
 def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):

@@ -4,11 +4,15 @@ Everything in this package lives on the cohomogeneity-one ansatz
 
     g = V(r)^{-1} dr^2 + V(r) dtheta^2 + r^2 g_T,
 
-over a flat torus T^{n-2}. The two closed-form profiles are the hyperbolic
-cusp V = r^2 and the black-hole family V = r^2 - 2m r^{3-n}, which closes
-smoothly at the core radius r_+ = (2m)^{1/(n-1)} when the circle period is
-beta_m = 4 pi / ((n-1) r_+). A glued profile interpolates between the two
-with a monotone C-infinity cutoff chi, V = r^2 - 2 chi(r) r^{3-n}.
+over a flat torus T^{n-2}. The three closed-form families share the mass
+form V = r^2 - 2 mu(r) r^{3-n}: the hyperbolic cusp has mu = 0, the black
+hole mu = m, and a glued profile mu = chi(r), a monotone C-infinity cutoff
+that is 1 near the core and 0 outside. The black hole closes smoothly at
+the core radius r_+ = (2m)^{1/(n-1)} when the circle period is
+beta_m = 4 pi / ((n-1) r_+). Each family supplies mu, mu' and mu'' only;
+V, V', V'', the frame curvatures and the Einstein deficit all follow from
+them, the curvatures as -1 plus mass terms and the deficit from mu' and
+mu'' alone, so it is exactly zero wherever the mass is constant.
 
 The cutoff transition is placed on the proportional window
 [0.8 R, 0.9 R]. A transition window of fixed unit width would leave the
@@ -132,16 +136,17 @@ class CutoffFunction:
 
 
 class _Profile:
-    """What each profile family decides for itself: its closed-form V, V',
-    V'' (_eval), its core (r_plus and the (r_plus, beta, mass) a Newton
-    solve starts from) and its exact-support deficit."""
+    """What each profile family decides for itself: its core (r_plus and
+    the (r_plus, beta, mass) a Newton solve starts from) and its mass
+    function.  A closed-form family supplies (mu, mu', mu'')[:order + 1]
+    of V = r^2 - 2 mu(r) r^{3-n} (_mass); V, V', V'' (_eval) and the frame
+    data (frame_data) follow here.  SampledProfile overrides both."""
 
     r_plus = None
     # finite outer end of the family's natural domain (Newton's default r_out)
     outer_radius = None
     # radial window [lo, hi] where the cutoff moves, if there is one
     transition = None
-    has_exact_deficit = False
 
     def sample_grid(self):
         """Radii to sample the profile on when the caller gives none:
@@ -151,25 +156,67 @@ class _Profile:
         hi = min(hi, 100.0 * max(lo, 1.0))
         return loggrid(lo * (1 + 1e-9), hi, 512)
 
-    def exact_deficit(self, r, n):
-        raise OutOfDomain(
-            f"exact-support deficit applies to cutoff profiles, not {self.variant!r}"
-        )
+    def _eval(self, r, deriv_order):
+        n = self.n
+        mu = self._mass(r, deriv_order)
+        p = r ** (3 - n)
+        if deriv_order == 0:
+            return r * r - 2.0 * mu[0] * p
+        p1 = (3 - n) * r ** (2 - n)
+        if deriv_order == 1:
+            return 2.0 * r - 2.0 * (mu[1] * p + mu[0] * p1)
+        p2 = (3 - n) * (2 - n) * r ** (1 - n)
+        return 2.0 - 2.0 * (mu[2] * p + 2.0 * mu[1] * p1 + mu[0] * p2)
+
+    def frame_data(self, r, n):
+        """(V, V', K12, K1perp, Kperp, rad, tor) at the radii r (an array).
+
+        K12 = -V''/2, K1perp = -V'/(2r) and Kperp = -V/r^2 are the frame
+        sectional curvatures, and rad and tor the Einstein deficit
+        ric + (n-1) in the 11 = 22 and in the torus directions.  With
+        u = 2 mu r^{1-n} the curvatures are -1 plus mass terms,
+
+            K12 = -1 + mu'' r^{3-n} + 2(3-n) mu' r^{2-n} + (3-n)(2-n) u/2,
+            K1perp = -1 + mu' r^{2-n} + (3-n) u/2,
+            Kperp = -1 + u,
+
+        and in ric_11 = K12 + (n-2) K1perp, ric_jj = 2 K1perp + (n-3) Kperp
+        the u terms cancel symbolically, leaving
+
+            rad = mu'' r^{3-n} + (4-n) mu' r^{2-n},   tor = 2 mu' r^{2-n},
+
+        exactly zero in floating point wherever mu' = mu'' = 0.  Radii
+        outside the domain raise OutOfDomain; the frame formulas stay
+        regular at the core r_plus (V = 0 there but nothing divides by V),
+        so it is allowed with the ulp slack of eval_profile.
+        """
+        r = _check_in_domain(self, r)
+        _check_own_dimension(self, n)
+        mu, mu1, mu2 = self._mass(r, 2)
+        p, q = r ** (3 - n), r ** (2 - n)
+        u = 2.0 * mu * r ** (1 - n)
+        V = r * r - 2.0 * mu * p
+        V1 = 2.0 * r - 2.0 * (mu1 * p + mu * ((3 - n) * q))
+        K12 = (mu2 * p + 2 * (3 - n) * mu1 * q
+               + 0.5 * (3 - n) * (2 - n) * u - 1.0)
+        K1perp = mu1 * q + 0.5 * (3 - n) * u - 1.0
+        rad = mu2 * p + (4 - n) * mu1 * q
+        return V, V1, K12, K1perp, u - 1.0, rad, 2.0 * mu1 * q
 
 
 @dataclass(frozen=True)
 class CuspProfile(_Profile):
-    """V = r^2, the exact hyperbolic cusp."""
+    """V = r^2, the exact hyperbolic cusp: mu = 0."""
 
+    n: int
     domain: tuple = (1e-6, _DEFAULT_RMAX)
     variant = "cusp"
 
-    def _eval(self, r, deriv_order):
-        if deriv_order == 0:
-            return r * r
-        if deriv_order == 1:
-            return 2.0 * r
-        return np.full_like(r, 2.0)
+    def __post_init__(self):
+        _check_dimension(self.n)
+
+    def _mass(self, r, order):
+        return (0.0,) * (order + 1)
 
     def core(self, n):
         raise SingularAtCore("the cusp profile has no core to close")
@@ -177,7 +224,7 @@ class CuspProfile(_Profile):
 
 @dataclass(frozen=True)
 class BlackHoleProfile(_Profile):
-    """V = r^2 - 2 m r^{3-n}, Einstein for every m > 0."""
+    """V = r^2 - 2 m r^{3-n}, Einstein for every m > 0: mu = m."""
 
     m: float
     n: int
@@ -189,28 +236,18 @@ class BlackHoleProfile(_Profile):
             object.__setattr__(self, "domain", (r_plus, _DEFAULT_RMAX))
 
     variant = "blackhole"
-    has_exact_deficit = True
 
     @property
     def r_plus(self):
         return (2.0 * self.m) ** (1.0 / (self.n - 1))
 
-    def _eval(self, r, deriv_order):
-        m, n = self.m, self.n
-        if deriv_order == 0:
-            return r * r - 2.0 * m * r ** (3 - n)
-        if deriv_order == 1:
-            return 2.0 * r + 2.0 * m * (n - 3) * r ** (2 - n)
-        return 2.0 - 2.0 * m * (n - 3) * (n - 2) * r ** (1 - n)
+    def _mass(self, r, order):
+        return (self.m,) + (0.0,) * order
 
     def core(self, n):
         _check_own_dimension(self, n)
         r_plus, beta = closing_parameters(self.m, self.n)
         return r_plus, beta, self.m
-
-    def exact_deficit(self, r, n):
-        # chi is constant: the deficit vanishes identically
-        return np.zeros((r.size, n))
 
 
 @dataclass(frozen=True)
@@ -229,7 +266,6 @@ class GluedProfile(_Profile):
             object.__setattr__(self, "domain", (r_plus, self.R))
 
     variant = "glued"
-    has_exact_deficit = True
 
     @property
     def r_plus(self):
@@ -244,36 +280,14 @@ class GluedProfile(_Profile):
     def transition(self):
         return self.cutoff.lo, self.cutoff.hi
 
-    def _eval(self, r, deriv_order):
-        n = self.n
+    def _mass(self, r, order):
         cut = self.cutoff
-        chi = cut.chi(r)
-        p = r ** (3 - n)
-        if deriv_order == 0:
-            return r * r - 2.0 * chi * p
-        c1 = cut.chi_d1(r)
-        p1 = (3 - n) * r ** (2 - n)
-        if deriv_order == 1:
-            return 2.0 * r - 2.0 * (c1 * p + chi * p1)
-        c2 = cut.chi_d2(r)
-        p2 = (3 - n) * (2 - n) * r ** (1 - n)
-        return 2.0 - 2.0 * (c2 * p + 2.0 * c1 * p1 + chi * p2)
+        return [f(r) for f in (cut.chi, cut.chi_d1, cut.chi_d2)[:order + 1]]
 
     def core(self, n):
         _check_own_dimension(self, n)
         r_plus, beta = closing_parameters(1.0, n)
         return r_plus, beta, 1.0
-
-    def exact_deficit(self, r, n):
-        d1 = self.cutoff.chi_d1(r)
-        d2 = self.cutoff.chi_d2(r)
-        rad = d2 * r ** (3 - n) + (4 - n) * d1 * r ** (2 - n)
-        tor = 2.0 * d1 * r ** (2 - n)
-        out = np.zeros((r.size, n))
-        out[:, 0] = rad
-        out[:, 1] = rad
-        out[:, 2:] = tor[:, None]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,6 +339,19 @@ class SampledProfile(_Profile):
         Vx = d(1)
         return Vx / r if deriv_order == 1 else (d(2) - Vx) / (r * r)
 
+    def frame_data(self, r, n):
+        # the generic path: the curvatures from V, V', V'' and the deficit
+        # through the cancellation of ric + (n-1) in floating point
+        r = _check_in_domain(self, r)
+        V = self._eval(r, 0)
+        V1 = self._eval(r, 1)
+        K12 = -0.5 * self._eval(r, 2)
+        K1perp = -V1 / (2.0 * r)
+        Kperp = -V / r**2
+        rad = K12 + (n - 2) * K1perp + (n - 1.0)
+        tor = 2.0 * K1perp + (n - 3) * Kperp + (n - 1.0)
+        return V, V1, K12, K1perp, Kperp, rad, tor
+
     def core(self, n):
         m_hat = fitted_mass(self.grid, self.values, n)
         if m_hat <= 0:
@@ -355,7 +382,7 @@ def eval_profile(profile, r, deriv_order=0):
     deriv_order must be 0, 1 or 2; anything else raises
     DerivOrderUnsupported. Radii outside the profile domain raise
     OutOfDomain. Cusp, black-hole and glued profiles are evaluated from
-    their closed forms (the cutoff derivatives are analytic as well);
+    their mass form (the cutoff derivatives are analytic as well);
     sampled profiles by 9-node stencils in log r.
     """
     if deriv_order not in (0, 1, 2):
@@ -466,7 +493,7 @@ def black_hole_metric(m, n):
 
 def cusp_metric(n):
     """Exact hyperbolic cusp metric on the model end (beta = 2 pi)."""
-    return FillingMetric(n=n, profile=CuspProfile(), beta=2.0 * math.pi)
+    return FillingMetric(n=n, profile=CuspProfile(n), beta=2.0 * math.pi)
 
 
 def glued_metric(R, n):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _frame_data, _ricci_diag
 from .errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
@@ -137,11 +136,10 @@ def einstein_residual(profile, n, grid=None):
     """
     _check_dimension(n)
     grid = profile.sample_grid() if grid is None else np.asarray(grid, dtype=float)
-    V, _, K12, K1perp, Kperp = _frame_data(profile, grid)
+    V, _, _, _, _, F1, F2 = profile.frame_data(grid, n)
     if np.any(V < 0):
         raise NonPositiveProfile("profile is negative on the grid")
-    _, deficit = _ricci_diag(n, K12, K1perp, Kperp)
-    return (grid, deficit[:, 0]), (grid, deficit[:, 2])
+    return (grid, F1), (grid, F2)
 
 
 @dataclass(frozen=True)

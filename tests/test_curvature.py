@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,14 @@ from dehnfill.curvature import (
     trace_free_top_eigenvalue,
 )
 from dehnfill.errors import OutOfDomain
+from dehnfill.gluing import deficit_norm
 from dehnfill.numutil import fit_loglog, loggrid
 from dehnfill.profiles import (
+    BlackHoleProfile,
+    CuspProfile,
+    FillingMetric,
     black_hole_metric,
+    closing_parameters,
     cusp_metric,
     eval_profile,
     glued_metric,
@@ -116,9 +123,39 @@ def test_curvatures_reject_nan_grid(fn):
         fn(black_hole_metric(1.0, 4), grid)
 
 
-def test_cutoff_deficit_rejects_cusp():
-    with pytest.raises(OutOfDomain):
-        cutoff_deficit_diag(cusp_metric(4), np.array([1.0, 2.0]))
+def test_cutoff_deficit_cusp_is_zero():
+    # the cusp is the mass form with mu = 0: its deficit is a true zero
+    dv = cutoff_deficit_diag(cusp_metric(4), np.array([1.0, 2.0]))
+    assert dv.shape == (2, 4)
+    assert np.all(dv == 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+@pytest.mark.parametrize("m", [1.0, 3.5])
+def test_constant_mass_deficit_is_exactly_zero(n, m):
+    # deficit = mu'' r^{3-n} + (4-n) mu' r^{2-n}, 2 mu' r^{2-n} on the mass
+    # form: 0.0 for mu = m and mu = 0 through every deficit path, from the
+    # core out to r = 1e8, where cancelling ric + (n-1) in floating point
+    # left up to 5.7e-14 (m = 1) and 1.1e-13 (m = 3.5) at n = 32
+    r_plus, beta = closing_parameters(m, n)
+    domain = (r_plus, 1e8)
+    grid = loggrid(r_plus, 1e8, 2000)
+    for met in (FillingMetric(n, BlackHoleProfile(m, n, domain), beta),
+                FillingMetric(n, CuspProfile(n, domain), 2.0 * math.pi)):
+        rep = ricci_and_deficit(met, grid)
+        assert np.all(rep.deficit_diag == 0.0)
+        assert np.all(rep.ric_diag == 1.0 - n)
+        assert np.all(rep.scalar == -n * (n - 1.0))
+        assert np.all(cutoff_deficit_diag(met, grid) == 0.0)
+        assert deficit_norm(met) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_glued_report_deficit_is_the_cutoff_deficit(n):
+    met = glued_metric(40.0, n)
+    grid = loggrid(met.profile.domain[0], 40.0, 1024)
+    assert np.array_equal(ricci_and_deficit(met, grid).deficit_diag,
+                          cutoff_deficit_diag(met, grid))
 
 
 def test_einstein_exactness_grid():

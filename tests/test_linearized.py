@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dehnfill import curvature, linearized
+from dehnfill import linearized, profiles
 
 from dehnfill.errors import (
     GridTooCoarse,
@@ -222,7 +222,7 @@ def test_euler_annihilation_growing_root():
     sys = assemble_L_cusp(4)
     s = indicial_roots("11", 4)[0]
     sups = []
-    for npts in (100, 200, 400):
+    for npts in (50, 100, 200, 400):
         grid = np.linspace(2.0, 6.0, npts)
         h = InvariantDeformation(n=4, grid=grid,
                                  components={"11": grid**s})
@@ -230,7 +230,11 @@ def test_euler_annihilation_growing_root():
         # an indicial solution shows up in its own component
         out = apply_L(sys, h)
         sups.append(float(np.max(np.abs(out.block("11")))))
-    order, _, _ = fit_loglog(np.array([100.0, 200.0, 400.0]), np.array(sups))
+    # the order is fitted below N=400, whose error (4.5e-9 to 7.7e-9,
+    # depending on the BLAS kernel) already sits at the rounding floor:
+    # 50/100/200 read -3.81 on every kernel, 100/200/400 only -3.46 on
+    # OpenBLAS's generic one
+    order, _, _ = fit_loglog(np.array([50.0, 100.0, 200.0]), np.array(sups[:3]))
     assert order < -3.5
     assert sups[-1] < 1e-8
 
@@ -254,10 +258,10 @@ def test_linear_1j_annihilated():
 def test_bump_deformation_unit_size():
     grid = loggrid(5.0, 50.0, 2000)
     h = bump_deformation(4, grid, centers=[15.0])
-    assert 0.0 < h.max_abs() <= 1.0 + 1e-12
+    assert 0.0 < max(np.max(np.abs(a)) for a in h.components.values()) <= 1.0 + 1e-12
     # well-separated centers keep unit size
     h2 = bump_deformation(4, grid, centers=[8.0, 30.0])
-    assert h2.max_abs() <= 1.0 + 1e-12
+    assert max(np.max(np.abs(a)) for a in h2.components.values()) <= 1.0 + 1e-12
 
 
 # 1e300 and 1e-200 are finite, but their squares overflow and underflow
@@ -358,29 +362,29 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
 
 
 def test_compare_operators_evaluates_frame_data_twice(monkeypatch):
-    # one profile evaluation (V, V', V'') per operator, none per
-    # coefficient set
+    # one profile evaluation (the frame data) per operator, none per
+    # coefficient set, and no separate V, V', V'' evaluations
     calls = []
-    real = linearized._frame_data
+    real = profiles._Profile.frame_data
 
-    def counting(profile, r):
+    def counting(profile, r, n):
         calls.append(profile)
-        return real(profile, r)
+        return real(profile, r, n)
 
     orders = []
-    real_eval = curvature.eval_profile
+    real_eval = profiles._Profile._eval
 
-    def counting_eval(profile, r, deriv_order=0):
+    def counting_eval(profile, r, deriv_order):
         orders.append(deriv_order)
         return real_eval(profile, r, deriv_order)
 
-    monkeypatch.setattr(linearized, "_frame_data", counting)
-    monkeypatch.setattr(curvature, "eval_profile", counting_eval)
+    monkeypatch.setattr(profiles._Profile, "frame_data", counting)
+    monkeypatch.setattr(profiles._Profile, "_eval", counting_eval)
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
     assert [p.variant for p in calls] == ["cusp", "blackhole"]
-    assert orders == [0, 1, 2, 0, 1, 2]
+    assert orders == []
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

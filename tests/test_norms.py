@@ -154,17 +154,6 @@ def test_seminorm_validation():
         discrete_holder_seminorm(grid.copy(), grid, alpha=1.5)
 
 
-def test_weightspec_l2_window():
-    WeightSpec(n=4, R=(50.0,), delta=2.25, l2_mode=True)
-    with pytest.raises(InvalidWeight):
-        WeightSpec(n=4, R=(50.0,), delta=1.0, l2_mode=True)
-    with pytest.raises(InvalidWeight):
-        WeightSpec(n=4, R=(50.0,), delta=3.0, l2_mode=True)
-    # same deltas pass without the L2 requirement
-    WeightSpec(n=4, R=(50.0,), delta=1.0)
-    WeightSpec(n=4, R=(50.0,), delta=3.0)
-
-
 def test_weightspec_validation_and_defaults():
     with pytest.raises(InvalidWeight):
         WeightSpec(n=2, R=(10.0,))
@@ -192,7 +181,7 @@ def _decade_mass(w, k):
 
 def test_l2_window_square_summability():
     n = 5
-    w_in = WeightSpec(n=n, R=(10.0,), l2_mode=True)
+    w_in = WeightSpec(n=n, R=(10.0,))
     masses = [_decade_mass(w_in, k) for k in range(6)]
     ratios = [masses[k + 1] / masses[k] for k in range(5)]
     assert all(rat < 1.0 for rat in ratios)

@@ -28,9 +28,9 @@ from dehnfill.profiles import (
 
 
 def test_eval_profile_cusp():
-    assert eval_profile(CuspProfile(), 3.0, 0) == 9.0
-    assert eval_profile(CuspProfile(), 3.0, 1) == 6.0
-    assert eval_profile(CuspProfile(), 3.0, 2) == 2.0
+    assert eval_profile(CuspProfile(4), 3.0, 0) == 9.0
+    assert eval_profile(CuspProfile(4), 3.0, 1) == 6.0
+    assert eval_profile(CuspProfile(4), 3.0, 2) == 2.0
 
 
 def test_eval_profile_blackhole_values():
@@ -156,7 +156,7 @@ def _fd(prof, r, h, order):
 
 def test_analytic_derivatives_match_fd():
     profiles = [
-        (CuspProfile(domain=(0.5, 50.0)), np.linspace(1.0, 40.0, 23)),
+        (CuspProfile(n=4, domain=(0.5, 50.0)), np.linspace(1.0, 40.0, 23)),
         (BlackHoleProfile(m=1.0, n=4), np.linspace(1.5, 40.0, 23)),
         (BlackHoleProfile(m=2.0, n=7), np.linspace(1.6, 40.0, 23)),
         (make_glued_profile(30.0, 5), np.linspace(2.0, 29.0, 41)),
@@ -242,8 +242,8 @@ _GRID = np.geomspace(1.0, 20.0, 16)
     (lambda: closing_parameters(math.inf, 4), InvalidMass),
     (lambda: closing_parameters(math.nan, 4), InvalidMass),
     (lambda: BlackHoleProfile(m=math.nan, n=4), InvalidMass),
-    (lambda: FillingMetric(n=4, profile=CuspProfile(), beta=math.nan), OutOfDomain),
-    (lambda: FillingMetric(n=4, profile=CuspProfile(), beta=math.inf), OutOfDomain),
+    (lambda: FillingMetric(n=4, profile=CuspProfile(4), beta=math.nan), OutOfDomain),
+    (lambda: FillingMetric(n=4, profile=CuspProfile(4), beta=math.inf), OutOfDomain),
     (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2)),
      OutOfDomain),
     (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2),

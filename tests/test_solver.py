@@ -156,7 +156,7 @@ def test_einstein_residual_exact_profiles():
     (_, F1), (_, F2) = einstein_residual(BlackHoleProfile(1.0, 4), 4)
     assert np.max(np.abs(F1)) < 1e-10
     assert np.max(np.abs(F2)) < 1e-10
-    (_, F1), (_, F2) = einstein_residual(CuspProfile(), 4)
+    (_, F1), (_, F2) = einstein_residual(CuspProfile(4), 4)
     assert np.max(np.abs(F1)) < 1e-12
     assert np.max(np.abs(F2)) < 1e-12
 
@@ -311,7 +311,7 @@ def test_newton_rejects_profile_of_another_dimension():
 
 def test_newton_rejects_cusp_start():
     with pytest.raises(SingularAtCore):
-        newton_solve(CuspProfile(), 4)
+        newton_solve(CuspProfile(4), 4)
 
 
 def test_newton_config_validation():
