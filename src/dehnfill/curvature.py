@@ -16,10 +16,11 @@ finite-difference oracle below, which knows nothing about these
 reductions and differentiates raw metric coefficient samples instead.
 
 The Einstein deficit is tau = ric + (n-1) g, reported through its frame
-diagonal. The profile supplies it with the curvatures (frame_data): on
-the mass form V = r^2 - 2 mu r^{3-n} of the cusp, black-hole and glued
-profiles it depends on mu' and mu'' alone, so the black hole and the
-cusp have tau = 0 and scalar curvature -n(n-1) exactly in floating point.
+diagonal. The profile supplies it with the curvatures' mass terms K + 1
+(frame_data): on the mass form V = r^2 - 2 mu r^{3-n} of the cusp,
+black-hole and glued profiles it depends on mu' and mu'' alone, so the
+black hole and the cusp have tau = 0 and scalar curvature -n(n-1)
+exactly in floating point.
 """
 
 from dataclasses import dataclass
@@ -54,8 +55,9 @@ def _deficit_diag(n, rad, tor):
 
 def sectional_curvatures(metric, r):
     """The three distinct sectional curvatures (K12, K1perp, Kperp) at r."""
-    _, _, K12, K1perp, Kperp, _, _ = metric.profile.frame_data(
+    _, _, k12, k1perp, kperp, _, _ = metric.profile.frame_data(
         np.atleast_1d(r), metric.n)
+    K12, K1perp, Kperp = k12 - 1.0, k1perp - 1.0, kperp - 1.0
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(K12[0]), float(K1perp[0]), float(Kperp[0])
     return K12, K1perp, Kperp
@@ -102,12 +104,12 @@ def ricci_and_deficit(metric, r):
     """
     n = metric.n
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    _, _, K12, K1perp, Kperp, rad, tor = metric.profile.frame_data(rr, n)
+    _, _, k12, k1perp, kperp, rad, tor = metric.profile.frame_data(rr, n)
     deficit = _deficit_diag(n, rad, tor)
     ric = deficit - (n - 1.0)
     scalar = 2.0 * ric[:, 0] + (n - 2) * ric[:, 2]
     return CurvatureReport(
-        n=n, r=rr, K12=K12, K1perp=K1perp, Kperp=Kperp,
+        n=n, r=rr, K12=k12 - 1.0, K1perp=k1perp - 1.0, Kperp=kperp - 1.0,
         ric_diag=ric, scalar=scalar, deficit_diag=deficit,
     )
 

@@ -26,10 +26,6 @@ class RadiusTooSmall(DehnFillError):
     """Gluing radius too close to the core for the transition to fit."""
 
 
-class NotInCuspRegion(DehnFillError):
-    """Coordinate change to cusp form requested where the cutoff is active."""
-
-
 class StepTooLarge(DehnFillError):
     """Finite-difference step does not fit inside the domain margin."""
 
@@ -59,7 +55,7 @@ class GridTooCoarse(DehnFillError):
 
 
 class TooFewSamples(DehnFillError):
-    """Torus averaging needs at least 16 sample points per radius."""
+    """A field or block has the wrong number of samples for its grid."""
 
 
 class UnknownBlock(DehnFillError):

@@ -16,7 +16,12 @@ profile, which is 2(n-1) delta_ab when the background is Einstein.  That
 identity is the structural check used throughout the tests.
 
 The cusp model (V = r^2, all curvatures -1) reduces every block to an
-Euler operator; its indicial roots drive the oscillation estimates.
+Euler operator with constant couplings; its indicial roots drive the
+oscillation estimates.  Every coefficient is assembled as its Euler
+constant plus a mass part built from the curvatures' own mass terms
+K + 1, so the black hole's mass part is the operator difference
+L_BH - L_C itself, of size O(r^(1-n)), with no O(1) terms cancelling
+in it; compare_operators applies exactly that.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ __all__ = [
     "bump_deformation",
     "OperatorComparison",
     "compare_operators",
-    "torus_average",
 ]
 
 BLOCK_LABELS = ("11", "22", "12", "1j", "2j", "jj", "jk")
@@ -139,10 +143,9 @@ def metric_deformation(n, grid):
 @dataclass(frozen=True, eq=False)
 class ODESystemL:
     """The assembled operator: radial coefficients plus zeroth-order data,
-    evaluated on demand as functions of r from the profile's V, V' and
-    frame curvatures.  The cusp model is this assembly on V = r^2, where
-    the coefficients reduce to the constants of the Euler model.
-    """
+    evaluated on demand as functions of r.  Each coefficient is its
+    constant in the cusp's Euler model plus a mass part taken from the
+    profile's frame data, which is zero on the cusp V = r^2."""
 
     n: int
     profile: object
@@ -154,50 +157,62 @@ class ODESystemL:
         scalar blocks 12, 1j, 2j, jk to their zeroth-order coefficients;
         M is the (npts, n, n) symmetric coupling of the (11, 22, jj)
         sector, whose row sums equal -2 ric_aa for every profile (the
-        gauge identity L(g) = -2 ric on constant deformations).
+        gauge identity L(g) = -2 ric on constant deformations).  The Euler
+        constants are c2 = -r^2, c1 = -n r, 2(n-1) for 12, n for 1j, 0 for
+        2j and jk, and M00 = 2(n-1), M01 = M0j = 0 and 2 in every other
+        entry of M; _mass_part gives the rest.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         n = self.n
-        V, V1, K12, K1p, Kpp, _, _ = self.profile.frame_data(r, n)
+        c2, c1, offdiag, M = self._mass_part(r)
+        c2 -= r**2
+        c1 -= n * r
+        offdiag["12"] += 2.0 * (n - 1)
+        offdiag["1j"] += n
+        M[:, 0, 0] += 2.0 * (n - 1)
+        M[:, 1:, 1:] += 2.0
+        return c2, c1, offdiag, M
+
+    def _mass_part(self, r):
+        """coefficients minus the Euler constants, on a 1-D array r.
+
+        Built from the curvature mass terms k = K + 1 of frame_data, never
+        from V - r^2, so every entry keeps its digits when the mass term
+        u = 2 mu r^{1-n} is far below 1.  With e = V/r^2 = 1 - kperp and
+        s = 2(kperp - k1perp):
+
+            c2 = kperp r^2,   c1 = (n kperp - s) r,
+            12: 2 k12 - 2n kperp + 4s + s^2/e,   1j: -n kperp + s^2/(4e),
+            2j: s^2/(4e),   jk: 2s + s^2/(2e),
+            M00 = 2(1-n) kperp + 2s + s^2/(2e),
+            M01 = 2(kperp - k12) - 2s - s^2/(2e),
+            M11 = -2 kperp + 2s + s^2/(2e),   M0j = s,   M1j = s - 2 kperp,
+            Mjj = Mjk = -2 kperp.
+        """
+        n = self.n
+        V, _, k12, k1p, kp, _, _ = self.profile.frame_data(r, n)
         if (V <= 0).any():
             raise SingularAtCore(
                 "profile vanishes on the grid; the zeroth-order terms divide by V"
             )
-        # P = V'^2/(2V); scaling by a power of two rounds the same way
-        # before or after the division, so the four uses share one quotient
-        Q = V1**2 / V
-        P = 0.5 * Q
         r2 = r**2
-        Vr2 = V / r2
-        c2, c1 = -V, -(V1 + (n - 2) * V / r)
+        s = 2.0 * (kp - k1p)
+        t = s * s / (V / r2)
+        jk = 2.0 * s + 0.5 * t
         offdiag = {
-            "12": Q + 2.0 * (n - 2) * V / r2 + 2.0 * K12,
-            "1j": 0.25 * Q + (n + 1.0) * V / r2 + 2.0 * K1p,
-            "2j": 0.25 * Q + Vr2 + 2.0 * K1p,
-            "jk": P + 2.0 * Kpp,
+            "12": 2.0 * k12 - 2.0 * n * kp + 4.0 * s + t,
+            "1j": 0.25 * t - n * kp,
+            "2j": 0.25 * t,
+            "jk": jk,
         }
         M = np.empty((r.shape[0], n, n))
-        M[:, 0, 0] = P + 2.0 * (n - 2) * Vr2
-        M[:, 0, 1] = M[:, 1, 0] = -(P + 2.0 * K12)
-        M[:, 1, 1] = P
-        M[:, 0, 2:] = M[:, 2:, 0] = (-2.0 * (Vr2 + K1p))[:, None]
-        M[:, 1, 2:] = M[:, 2:, 1] = (-2.0 * K1p)[:, None]
-        M[:, 2:, 2:] = (-2.0 * Kpp)[:, None, None]
-        torus = np.arange(2, n)
-        M[:, torus, torus] = (2.0 * Vr2)[:, None]
-        return c2, c1, offdiag, M
-
-    def a_coefficients(self, r):
-        """(c2, c1) with A u = c2 u'' + c1 u'."""
-        return self.coefficients(r)[:2]
-
-    def zeroth_offdiag(self, r):
-        """Scalar zeroth-order coefficients for blocks 12, 1j, 2j, jk."""
-        return self.coefficients(r)[2]
-
-    def coupling_diag(self, r):
-        """(npts, n, n) symmetric coupling of the (11, 22, jj) sector."""
-        return self.coefficients(r)[3]
+        M[:, 0, 0] = 2.0 * (s - (n - 1) * kp) + 0.5 * t
+        M[:, 0, 1] = M[:, 1, 0] = 2.0 * (kp - k12) - jk
+        M[:, 1, 1] = jk - 2.0 * kp
+        M[:, 0, 2:] = M[:, 2:, 0] = s[:, None]
+        M[:, 1, 2:] = M[:, 2:, 1] = (s - 2.0 * kp)[:, None]
+        M[:, 2:, 2:] = (-2.0 * kp)[:, None, None]
+        return kp * r2, (n * kp - s) * r, offdiag, M
 
 
 def assemble_L_blackhole(metric):
@@ -247,16 +262,18 @@ def _block_derivatives(h):
             for label, u in blocks.items()}
 
 
-def _zeroth_order(sys, h):
-    """The dimension and core-margin checks, then sys.coefficients on h's
-    grid: (c2, c1) and the zeroth-order part of L h by block, with the
-    diagonal sector under "diag".  None of it needs a derivative of h, so
-    it all runs first and the (npts, n, n) coupling is freed before the
-    stencils are built."""
+def _zeroth_order(sys, h, coefficients):
+    """The dimension check, coefficients(h.grid) (sys.coefficients or
+    sys._mass_part, both of which check the profile's domain, so a grid
+    reaching below the core is reported as outside it) and the
+    core-margin check, then (c2, c1) and the zeroth-order part of the
+    operator on h by block, with the diagonal sector under "diag".  None
+    of it needs a derivative of h, so it all runs first and the
+    (npts, n, n) coupling is freed before the stencils are built."""
     if h.n != sys.n:
         raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
+    c2, c1, offdiag, M = coefficients(h.grid)
     _core_margin_check(sys, h.grid)
-    c2, c1, offdiag, M = sys.coefficients(h.grid)
     zeroth = {}
     for label in ("12", "1j", "2j", "jk"):
         u = h.block(label)
@@ -267,7 +284,8 @@ def _zeroth_order(sys, h):
 
 
 def _apply(h, zeroth_order, derivs):
-    """apply_L from `_zeroth_order` and the derivatives of h's blocks."""
+    """The operator on h from `_zeroth_order` and the derivatives of h's
+    blocks."""
     c2, c1, zeroth = zeroth_order
     out = {}
     for label, (d1, d2) in derivs.items():
@@ -288,12 +306,11 @@ def apply_L(sys, h):
 
     First derivatives use 5-point stencils and second derivatives
     6-point ones, so the one-sided rows at the grid ends keep the same
-    4th order as the interior.  The derivatives depend on h alone
-    (`_block_derivatives`); `compare_operators` takes them once and
-    shares them between its two operators.  Returns a deformation with
-    every block populated.
+    4th order as the interior.  Returns a deformation with every block
+    populated.
     """
-    return _apply(h, _zeroth_order(sys, h), _block_derivatives(h))
+    return _apply(h, _zeroth_order(sys, h, sys.coefficients),
+                  _block_derivatives(h))
 
 
 def indicial_roots(block, n):
@@ -319,8 +336,7 @@ def indicial_roots(block, n):
     if block in ("2j", "jk"):
         return (0.0, float(1 - n))
     if block in ("diag", "coupled"):
-        sys = assemble_L_cusp(n)
-        M = sys.coupling_diag(np.array([1.0]))[0]
+        M = assemble_L_cusp(n).coefficients(np.array([1.0]))[3][0]
         eigvals = np.linalg.eigvalsh(M)
         exps = []
         for lam in eigvals:
@@ -395,7 +411,7 @@ def bump_deformation(n, grid, centers, width=0.4):
 
 @dataclass(frozen=True, eq=False)
 class OperatorComparison:
-    """Pointwise difference of two operator applications with a decay fit."""
+    """Pointwise operator difference on a grid with a decay fit."""
 
     grid: np.ndarray
     diff: np.ndarray
@@ -410,26 +426,22 @@ def compare_operators(h, r_window=None, m=1.0, bins=12):
     """|L_C h - L_BH h| on the grid of h, with a log-log envelope fit.
 
     Compares the cusp model against the black hole of mass m.  The
-    pointwise difference is reduced to its maximum over blocks, then
-    an envelope (binwise maximum over log-spaced bins inside the finite,
-    positive r_window, each bin closed at both edges) is fitted; for unit-C2
-    h translated across the window the slope comes out at -(n-1).  All-zero
-    differences give slope nan.  The radial derivatives of h are taken once
-    and shared by both operators; each operator runs its own dimension,
-    core-margin and profile-domain checks before any derivative is taken.
+    difference is the black hole's mass part (ODESystemL._mass_part)
+    applied to h, one operator application that keeps its digits however
+    far the difference falls below either operator.  It is reduced
+    pointwise to its maximum over blocks, then an envelope (binwise maximum
+    over log-spaced bins inside the finite, positive r_window, each bin
+    closed at both edges) is fitted; for unit-C2 h translated across the
+    window the slope comes out at -(n-1).  All-zero differences give slope
+    nan.  The dimension, profile-domain and core-margin checks run before
+    any derivative is taken.
     """
-    n = h.n
-    sys_a = assemble_L_cusp(n)
-    sys_b = assemble_L_blackhole(black_hole_metric(m, n))
-    zeroth_a = _zeroth_order(sys_a, h)
-    zeroth_b = _zeroth_order(sys_b, h)
-    derivs = _block_derivatives(h)
-    La = _apply(h, zeroth_a, derivs)
-    Lb = _apply(h, zeroth_b, derivs)
+    sys = assemble_L_blackhole(black_hole_metric(m, h.n))
+    Lh = _apply(h, _zeroth_order(sys, h, sys._mass_part), _block_derivatives(h))
     grid = h.grid
     diff = np.zeros(grid.shape[0])
-    for label, a in La.components.items():
-        d = np.abs(a - Lb.components[label])
+    for d in Lh.components.values():
+        np.abs(d, out=d)
         np.maximum(diff, d if d.ndim == 1 else d.max(axis=1, initial=0.0),
                    out=diff)
     if r_window is None:
@@ -450,20 +462,3 @@ def compare_operators(h, r_window=None, m=1.0, bins=12):
     return OperatorComparison(grid=grid, diff=diff, bin_centers=centers,
                               bin_max=bin_max, slope=slope,
                               intercept=intercept, residual=residual)
-
-
-def torus_average(n, grid, samples):
-    """Componentwise mean over torus sample points (the last axis).
-
-    samples maps block labels to arrays (npts, ..., nsamples) of the
-    lifted field evaluated at >= 16 torus points per radius.
-    """
-    averaged = {}
-    for label, arr in samples.items():
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim < 2 or arr.shape[-1] < 16:
-            raise TooFewSamples(
-                f"block {label}: need >= 16 torus samples per radius"
-            )
-        averaged[label] = arr.mean(axis=-1)
-    return InvariantDeformation(n=n, grid=grid, components=averaged)

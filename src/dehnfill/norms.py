@@ -40,7 +40,6 @@ __all__ = [
     "phi_c",
     "phi_c_raw",
     "decay_weight",
-    "weighted_sup_norm",
     "discrete_holder_seminorm",
 ]
 
@@ -186,29 +185,10 @@ def _check_field(field_vals, grid):
     return field_vals, grid
 
 
-def weighted_sup_norm(field, w, cusp_index=0, rho=None):
-    """sup over the grid of decay_weight * phi_c**-1 * |field|.
-
-    field is a (grid, values) pair; values may carry trailing component
-    axes, reduced pointwise by the absolute maximum.  rho defaults to
-    r / R for the chosen cusp.
-    """
-    grid, vals = field
-    vals, grid = _check_field(vals, grid)
-    amp = np.abs(vals)
-    while amp.ndim > 1:
-        amp = amp.max(axis=-1)
-    return float(np.max(_cusp_weight(w, cusp_index, grid, rho) * amp))
-
-
-def _cusp_weight(w, cusp_index, grid, rho=None):
-    """decay_weight * phi_c**-1 on the grid of one cusp, rho = r / R unless
-    given.  It is positive and rounding is monotone, so the sup of the
-    weight times |field| is the same taken before or after a max over
-    components."""
-    if rho is None:
-        rho = grid / w.R[cusp_index]
-    return decay_weight(w, rho) / phi_c(w, cusp_index, grid)
+def _cusp_weight(w, cusp_index, grid):
+    """decay_weight * phi_c**-1 on the grid of one cusp, at rho = r / R:
+    the weight of gluing.deficit_norm's sup."""
+    return decay_weight(w, grid / w.R[cusp_index]) / phi_c(w, cusp_index, grid)
 
 
 def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):

@@ -33,7 +33,6 @@ from .errors import (
     DerivOrderUnsupported,
     InvalidMass,
     NonPositiveProfile,
-    NotInCuspRegion,
     OutOfDomain,
     RadiusTooSmall,
     SingularAtCore,
@@ -169,16 +168,16 @@ class _Profile:
         return 2.0 - 2.0 * (mu[2] * p + 2.0 * mu[1] * p1 + mu[0] * p2)
 
     def frame_data(self, r, n):
-        """(V, V', K12, K1perp, Kperp, rad, tor) at the radii r (an array).
+        """(V, V', k12, k1perp, kperp, rad, tor) at the radii r (an array).
 
-        K12 = -V''/2, K1perp = -V'/(2r) and Kperp = -V/r^2 are the frame
-        sectional curvatures, and rad and tor the Einstein deficit
-        ric + (n-1) in the 11 = 22 and in the torus directions.  With
-        u = 2 mu r^{1-n} the curvatures are -1 plus mass terms,
+        k = K + 1 are the mass terms of the frame sectional curvatures
+        K12 = -V''/2, K1perp = -V'/(2r) and Kperp = -V/r^2, which are -1
+        on the cusp; rad and tor are the Einstein deficit ric + (n-1) in
+        the 11 = 22 and in the torus directions.  With u = 2 mu r^{1-n},
 
-            K12 = -1 + mu'' r^{3-n} + 2(3-n) mu' r^{2-n} + (3-n)(2-n) u/2,
-            K1perp = -1 + mu' r^{2-n} + (3-n) u/2,
-            Kperp = -1 + u,
+            k12 = mu'' r^{3-n} + 2(3-n) mu' r^{2-n} + (3-n)(2-n) u/2,
+            k1perp = mu' r^{2-n} + (3-n) u/2,
+            kperp = u,
 
         and in ric_11 = K12 + (n-2) K1perp, ric_jj = 2 K1perp + (n-3) Kperp
         the u terms cancel symbolically, leaving
@@ -197,11 +196,10 @@ class _Profile:
         u = 2.0 * mu * r ** (1 - n)
         V = r * r - 2.0 * mu * p
         V1 = 2.0 * r - 2.0 * (mu1 * p + mu * ((3 - n) * q))
-        K12 = (mu2 * p + 2 * (3 - n) * mu1 * q
-               + 0.5 * (3 - n) * (2 - n) * u - 1.0)
-        K1perp = mu1 * q + 0.5 * (3 - n) * u - 1.0
+        k12 = mu2 * p + 2 * (3 - n) * mu1 * q + 0.5 * (3 - n) * (2 - n) * u
+        k1perp = mu1 * q + 0.5 * (3 - n) * u
         rad = mu2 * p + (4 - n) * mu1 * q
-        return V, V1, K12, K1perp, u - 1.0, rad, 2.0 * mu1 * q
+        return V, V1, k12, k1perp, u, rad, 2.0 * mu1 * q
 
 
 @dataclass(frozen=True)
@@ -350,7 +348,7 @@ class SampledProfile(_Profile):
         Kperp = -V / r**2
         rad = K12 + (n - 2) * K1perp + (n - 1.0)
         tor = 2.0 * K1perp + (n - 3) * Kperp + (n - 1.0)
-        return V, V1, K12, K1perp, Kperp, rad, tor
+        return V, V1, K12 + 1.0, K1perp + 1.0, Kperp + 1.0, rad, tor
 
     def core(self, n):
         m_hat = fitted_mass(self.grid, self.values, n)
@@ -406,46 +404,6 @@ def make_glued_profile(R, n):
         )
     cutoff = CutoffFunction(TRANSITION_LO * R, TRANSITION_HI * R)
     return GluedProfile(R=float(R), n=int(n), cutoff=cutoff)
-
-
-def coordinate_change_to_cusp(profile, R, rho):
-    """Rescale the outer region of a glued profile to cusp coordinates.
-
-    With rho = r/R the metric V^{-1} dr^2 + V dtheta^2 + r^2 g_T becomes,
-    wherever V = r^2 exactly (cutoff fully off),
-
-        rho^{-2} drho^2 + rho^2 (d(R theta)^2 + R^2 g_T),
-
-    the standard cusp with boundary torus scaled by 1/R (equivalently the
-    torus coordinates scaled by R). Returns a dict with the three metric
-    coefficient ratios against the exact cusp form, all of which should be
-    1 in the chi = 0 region. Raises NotInCuspRegion if rho R is not past
-    the end of the transition window.
-    """
-    if profile.transition is None:
-        raise NotInCuspRegion("coordinate change applies to glued profiles")
-    end = profile.transition[1]
-    rho_arr = np.asarray(rho, dtype=float)
-    r = rho_arr * R
-    if np.any(r < end):
-        raise NotInCuspRegion(
-            f"r = {np.min(r):.6g} is inside the transition (cutoff active "
-            f"below {end:.6g}); no cusp form there"
-        )
-    V = eval_profile(profile, r)
-    # g_rhorho * rho^2, g_thetatheta / (rho R)^2, torus factor r^2/(rho R)^2
-    radial = (R * R / V) * rho_arr * rho_arr
-    circle = V / (r * r)
-    torus = np.ones_like(rho_arr)
-    return {
-        "rho": rho_arr,
-        "radial_ratio": radial,
-        "circle_ratio": circle,
-        "torus_ratio": torus,
-        "max_mismatch": float(
-            np.max(np.abs(np.stack([radial - 1.0, circle - 1.0, torus - 1.0])))
-        ),
-    }
 
 
 # ----------------------------------------------------------------------

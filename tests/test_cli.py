@@ -113,9 +113,9 @@ def test_compare_slope(tmp_path):
     assert abs(summary["slope"] + 3.0) < 0.1
 
 
-@pytest.mark.parametrize("n, slope", [("4", -2.921846829250409),
-                                      ("5", -3.9290048601779564),
-                                      ("6", -4.9273775989394855)])
+@pytest.mark.parametrize("n, slope", [("4", -2.9218468292326896),
+                                      ("5", -3.929004790599664),
+                                      ("6", -4.927360864160351)])
 def test_compare_default_slopes(tmp_path, n, slope):
     rc = main(["compare", "--n", n, "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -123,14 +123,29 @@ def test_compare_default_slopes(tmp_path, n, slope):
 
 
 def test_compare_without_finite_fit_exit_2(tmp_path, capsys):
-    # at n = 20 only 2 of the 12 bins see a nonzero operator difference;
-    # the NaN fit used to be written into summary.json with exit 0
-    rc = main(["compare", "--n", "20", "--out-dir", str(tmp_path)])
+    # at n = 20 a mass of 1e-307 leaves only 2 of the 12 bins with a
+    # nonzero operator difference; the NaN fit used to be written into
+    # summary.json with exit 0
+    rc = main(["compare", "--n", "20", "--m", "1e-307",
+               "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "no finite decay fit for n=20 on the window 5.0:500.0" in err
     assert "2 of 12 bins" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("n", ["19", "20", "21", "22", "23", "24"])
+def test_compare_large_n_keeps_every_bin(tmp_path, recwarn, n):
+    # the operator difference is O(r^(1-n)), far below the size of either
+    # operator at these n; every bin still sees it (slopes -17.61 at n = 19
+    # to -22.51 at n = 24)
+    rc = main(["compare", "--n", n, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report, summary, _ = _read(tmp_path)
+    assert len(report) == 13
+    assert abs(summary["slope"] - (1 - int(n))) < 0.6
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize("width", ["nan", "0", "-0.4"])
@@ -420,9 +435,7 @@ def test_linearize_each_profile_matches_library(tmp_path, profile):
         lo = float(grid_text.split(":")[0])
         assert lo == pytest.approx(1.05 * metric.profile.r_plus, rel=1e-5)
     grid = _grid(grid_text)
-    c2, c1 = sys_l.a_coefficients(grid)
-    off = sys_l.zeroth_offdiag(grid)
-    M = sys_l.coupling_diag(grid)
+    c2, c1, off, M = sys_l.coefficients(grid)
     expected = np.column_stack([
         grid, c2, c1, off["12"], off["1j"], off["2j"], off["jk"],
         M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1], M[:, 1, 2], M[:, 2, 2],

@@ -17,7 +17,7 @@ from dehnfill.gluing import (
     filling_from_lengths,
 )
 from dehnfill.lattice import FlatLattice, GeodesicClass, filling_data
-from dehnfill.norms import WeightSpec
+from dehnfill.norms import WeightSpec, decay_weight, phi_c
 from dehnfill.numutil import loggrid
 from dehnfill.profiles import black_hole_metric, glued_metric
 
@@ -83,6 +83,18 @@ def test_deficit_norm_unit_weights_is_plain_sup():
     fine = loggrid(0.75 * R, 0.95 * R, 8192)
     sup = float(np.max(np.abs(cutoff_deficit_diag(met, fine))))
     assert norm == pytest.approx(sup, rel=0.02)
+
+
+def test_deficit_norm_is_the_weighted_sup():
+    # the default weight decay_weight(r/R) / phi_c against a fine grid
+    n, R = 4, 50.0
+    met = glued_metric(R, n)
+    w = WeightSpec(n=n, R=(R,))
+    norm = deficit_norm(met, w, grid_size=512, include_seminorms=False)
+    fine = loggrid(0.75 * R, 0.95 * R, 8192)
+    weight = decay_weight(w, fine / R) / phi_c(w, 0, fine)
+    deficit = np.abs(cutoff_deficit_diag(met, fine)).max(axis=1)
+    assert norm == pytest.approx(float(np.max(weight * deficit)), rel=0.02)
 
 
 def test_deficit_norm_size_ratio():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,9 @@ from dehnfill.linearized import (
     compare_operators,
     indicial_roots,
     metric_deformation,
-    torus_average,
 )
 from dehnfill.numutil import fit_loglog, loggrid
-from dehnfill.profiles import black_hole_metric, cusp_metric, glued_metric
+from dehnfill.profiles import black_hole_metric, glued_metric
 
 
 def test_gauge_identity_blackhole():
@@ -75,25 +75,6 @@ def test_zero_deformation_maps_to_zero():
         assert np.max(np.abs(out.block(label))) == 0.0
 
 
-def test_cusp_substitution_is_exact():
-    # the warped assembly with V = r^2 must reduce to the Euler model
-    for n in (4, 6):
-        r = np.linspace(0.5, 40.0, 97)
-        warped = assemble_L_blackhole(cusp_metric(n))
-        euler = assemble_L_cusp(n)
-        cw2, cw1 = warped.a_coefficients(r)
-        ce2, ce1 = euler.a_coefficients(r)
-        assert np.max(np.abs(cw2 - ce2)) < 1e-14 * np.max(np.abs(ce2))
-        assert np.max(np.abs(cw1 - ce1)) < 1e-14 * np.max(np.abs(ce1))
-        zw = warped.zeroth_offdiag(r)
-        ze = euler.zeroth_offdiag(r)
-        for label in ("12", "1j", "2j", "jk"):
-            assert np.max(np.abs(zw[label] - ze[label])) < 1e-12
-        Mw = warped.coupling_diag(r)
-        Me = euler.coupling_diag(r)
-        assert np.max(np.abs(Mw - Me)) < 1e-12
-
-
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_cusp_coefficients_match_euler_model(n):
     # the shared assembly on V = r^2 gives the Euler model's constants
@@ -120,7 +101,7 @@ def test_cusp_coefficients_match_euler_model(n):
 def test_cusp_offdiag_coefficients():
     sys = assemble_L_cusp(4)
     r = np.array([1.0, 3.0])
-    z = sys.zeroth_offdiag(r)
+    z = sys.coefficients(r)[2]
     assert np.allclose(z["12"], 6.0)
     assert np.allclose(z["1j"], 4.0)
     assert np.allclose(z["2j"], 0.0)
@@ -137,7 +118,26 @@ def test_blackhole_12_coefficient_formula():
     V1 = 2.0 * r + 2.0 * m / r**2
     K12 = -1.0 + (n - 3) * (n - 2) * m / r ** (n - 1)
     expect = V1**2 / V + 2.0 * (n - 2) * V / r**2 + 2.0 * K12
-    assert np.allclose(sys.zeroth_offdiag(r)["12"], expect, rtol=1e-13)
+    assert np.allclose(sys.coefficients(r)[2]["12"], expect, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_blackhole_mass_coefficients_exact(n):
+    # c2j, cjk and M0j of the unit-mass black hole are O(u), u = 2 r^(1-n),
+    # and have no O(1) part; at r = 2^k, where u is exact in floating
+    # point, each must match its closed form in exact rational arithmetic
+    # (s = (n-1)u, e = 1-u) to a few ulps, however small u is
+    ks = range(1, 30)
+    r = np.array([2.0**k for k in ks])
+    _, _, off, M = assemble_L_blackhole(black_hole_metric(1.0, n)).coefficients(r)
+    ulps = 4 * Fraction(2) ** -52
+    for i, k in enumerate(ks):
+        u = Fraction(2, 2 ** (k * (n - 1)))
+        s, e = (n - 1) * u, 1 - u
+        for label, got, want in (("c2j", off["2j"][i], s * s / (4 * e)),
+                                 ("cjk", off["jk"][i], 2 * s + s * s / (2 * e)),
+                                 ("M0j", M[i, 0, 2], s)):
+            assert abs(Fraction(float(got)) - want) <= ulps * want, (label, k)
 
 
 def test_coupling_row_sums():
@@ -146,7 +146,7 @@ def test_coupling_row_sums():
 
     met = glued_metric(25.0, 5)
     r = np.linspace(19.0, 24.0, 11)
-    M = assemble_L_blackhole(met).coupling_diag(r)
+    M = assemble_L_blackhole(met).coefficients(r)[3]
     ric = ricci_and_deficit(met, r).ric_diag
     assert np.max(np.abs(M.sum(axis=2) + 2.0 * ric)) < 1e-10
 
@@ -361,9 +361,9 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
     assert sorted(calls) == [(1, 5), (2, 6)]
 
 
-def test_compare_operators_evaluates_frame_data_twice(monkeypatch):
-    # one profile evaluation (the frame data) per operator, none per
-    # coefficient set, and no separate V, V', V'' evaluations
+def test_compare_operators_evaluates_frame_data_once(monkeypatch):
+    # one profile evaluation, the black hole's frame data for its mass
+    # part: no cusp operator and no separate V, V', V'' evaluations
     calls = []
     real = profiles._Profile.frame_data
 
@@ -383,22 +383,46 @@ def test_compare_operators_evaluates_frame_data_twice(monkeypatch):
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
-    assert [p.variant for p in calls] == ["cusp", "blackhole"]
+    assert [p.variant for p in calls] == ["blackhole"]
     assert orders == []
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_compare_operators_matches_two_apply_L(n):
-    # sharing the derivatives changes no bit of the difference
+def test_compare_operators_applies_one_operator(monkeypatch):
+    # the mass part alone: one zeroth-order pass and one application
+    counts = {"_zeroth_order": 0, "_apply": 0}
+    for name in counts:
+        real = getattr(linearized, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linearized, name, counting)
     grid = loggrid(5.0, 500.0, 1024)
-    h = bump_deformation(n, grid, centers=np.geomspace(7.5, 335.0, 12))
+    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
+    compare_operators(h, r_window=(5.0, 500.0))
+    assert counts == {"_zeroth_order": 1, "_apply": 1}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_compare_operators_matches_two_apply_L(n):
+    # at compare's defaults, where the subtraction of two full operators
+    # still resolves the difference, the mass part gives the same diff to
+    # a few ulps of the operators' size (2.7e-16 to 3.3e-16 measured)
+    grid = loggrid(5.0, 500.0, 4096)
+    centers = np.geomspace(5.0 * math.exp(0.4), 500.0 * math.exp(-0.4), 12)
+    h = bump_deformation(n, grid, centers)
     La = apply_L(assemble_L_cusp(n), h)
     Lb = apply_L(assemble_L_blackhole(black_hole_metric(1.0, n)), h)
     expected = np.zeros(grid.size)
+    scale = 0.0
     for label in BLOCK_LABELS:
-        d = np.abs(La.block(label) - Lb.block(label)).reshape(grid.size, -1)
+        a = La.block(label).reshape(grid.size, -1)
+        d = np.abs(a - Lb.block(label).reshape(grid.size, -1))
         expected = np.maximum(expected, d.max(axis=1))
-    assert np.array_equal(compare_operators(h).diff, expected)
+        scale = max(scale, float(np.max(np.abs(a))))
+    diff = compare_operators(h).diff
+    assert np.max(np.abs(diff - expected)) <= 1e-15 * scale
 
 
 def test_unit_bump_maxima_cached_and_lazy():
@@ -417,41 +441,6 @@ def test_unit_bump_maxima_cached_and_lazy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "0"
-
-
-def test_torus_average_constant_input():
-    grid = np.linspace(1.0, 5.0, 20)
-    base = np.linspace(0.0, 1.0, 20)
-    samples = {"11": np.repeat(base[:, None], 16, axis=1)}
-    out = torus_average(4, grid, samples)
-    assert np.array_equal(out.block("11"), base)
-
-
-def test_torus_average_kills_oscillation():
-    grid = np.linspace(1.0, 5.0, 20)
-    theta = 2.0 * np.pi * np.arange(32) / 32.0
-    samples = {"11": np.broadcast_to(np.sin(theta), (20, 32)).copy()}
-    out = torus_average(4, grid, samples)
-    assert np.max(np.abs(out.block("11"))) < 1e-14
-
-
-def test_torus_average_lift_slope():
-    # oscillation amplitude proportional to the torus diameter r/R leaves
-    # a residual of exactly that order after averaging
-    R = 100.0
-    grid = np.geomspace(1.0, 80.0, 25)
-    theta = 2.0 * np.pi * np.arange(64) / 64.0
-    lift = (grid[:, None] / R) * np.sin(theta)[None, :]
-    avg = torus_average(4, grid, {"11": lift})
-    resid = np.max(np.abs(lift - avg.block("11")[:, None]), axis=1)
-    slope, _, _ = fit_loglog(grid, resid)
-    assert slope == pytest.approx(1.0, abs=0.05)
-
-
-def test_torus_average_needs_samples():
-    grid = np.linspace(1.0, 5.0, 20)
-    with pytest.raises(TooFewSamples):
-        torus_average(4, grid, {"11": np.ones((20, 8))})
 
 
 def test_apply_L_grid_too_coarse():

@@ -6,7 +6,6 @@ import pytest
 from dehnfill.errors import (
     DerivOrderUnsupported,
     InvalidMass,
-    NotInCuspRegion,
     OutOfDomain,
     RadiusTooSmall,
 )
@@ -20,7 +19,6 @@ from dehnfill.profiles import (
     GluedProfile,
     SampledProfile,
     closing_parameters,
-    coordinate_change_to_cusp,
     cusp_metric,
     eval_profile,
     make_glued_profile,
@@ -172,21 +170,6 @@ def test_analytic_derivatives_match_fd():
 def test_make_glued_profile_too_small():
     with pytest.raises(RadiusTooSmall):
         make_glued_profile(1.8, 4)
-
-
-def test_coordinate_change_to_cusp():
-    prof = make_glued_profile(100.0, 4)
-    out = coordinate_change_to_cusp(prof, 100.0, 0.995)
-    assert out["rho"] == pytest.approx(0.995)
-    assert out["max_mismatch"] < 1e-14
-
-    prof50 = make_glued_profile(50.0, 4)
-    out = coordinate_change_to_cusp(prof50, 50.0, 0.99)
-    assert out["max_mismatch"] < 1e-14
-
-    # below the end of the transition the profile is not the cusp form
-    with pytest.raises(NotInCuspRegion):
-        coordinate_change_to_cusp(prof, 100.0, 0.85)
 
 
 def test_sampled_profile_validation():
