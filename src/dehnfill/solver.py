@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -212,52 +213,67 @@ def _initial_values(profile, r, m_hat, n):
     return vals
 
 
+# band widths of the W-block: the F2 row N-1 reaches 8 columns left, the
+# first F1 row 7 columns right
+_LOWER, _UPPER = 8, 7
+
+
+@cache
 def _unit_stencils(N):
     """The 9-point first- and second-derivative stencils on the grid 0..N-1.
 
-    Returns (idx, w1, w2), each of shape (N, 9): row i approximates the
-    derivative at node i by sum_k w[i, k] f(idx[i, k]) on the window of
-    `numutil._window_starts`.  On a uniform grid x_i = p + i h the solver
-    divides w1 by h and w2 by h^2.  Fornberg's recursion on integer nodes
-    sees only exact differences, so every row is a row of one 9-node
-    template: rows 0-3 give the left end, the centred row 4 every interior
-    row and rows 5-8 the right end, bit-identical to the rows of
-    diff_matrix(np.arange(N, dtype=float), d, 9) for two 9-node builds.
+    Returns (idx, w1, w2, band).  idx, w1 and w2 have shape (N, 9): row i
+    approximates the derivative at node i by sum_k w[i, k] f(idx[i, k]) on
+    the window of `numutil._window_starts`.  On a uniform grid
+    x_i = p + i h the solver divides w1 by h and w2 by h^2.  Fornberg's
+    recursion on integer nodes sees only exact differences, so every row
+    is a row of one 9-node template: rows 0-3 give the left end, the
+    centred row 4 every interior row and rows 5-8 the right end,
+    bit-identical to the rows of diff_matrix(np.arange(N, dtype=float), d,
+    9) for two 9-node builds.
+    band, shape (N - 1, 9), gives the flat positions in the Jacobian's
+    band storage (see `_residual`) of rows 1..N-1 on their windows.
+
+    All four depend on N alone, so they are built once per grid size per
+    process and kept, read-only: about 216 N bytes a size for the
+    stencils and 72 N for band.
     """
     start = _window_starts(N, 9)
     idx = start[:, None] + np.arange(9)
     row = np.arange(N) - start
     w1 = diff_matrix(np.arange(9.0), 1, stencil=9)[row]
     w2 = diff_matrix(np.arange(9.0), 2, stencil=9)[row]
-    return idx, w1, w2
+    j = np.arange(1, N)[:, None]
+    band = (_UPPER + j - idx[1:]) * N + idx[1:]
+    for a in (idx, w1, w2, band):
+        a.setflags(write=False)
+    return idx, w1, w2, band
 
 
-# band widths of the W-block: the F2 row N-1 reaches 8 columns left, the
-# first F1 row 7 columns right
-_LOWER, _UPPER = 8, 7
-
-
-def _residual_and_jacobian(W, p, n, x_hi, stencils, beta, want_jacobian):
+def _residual(W, p, n, x_hi, stencils, beta):
     """Rows: W[0]=0 | F1 at 1..N-2 | F2 at N-1 | core slope = 4 pi / beta.
 
     The grid x_i = p + i h, h = (x_hi - p)/(N-1), moves with the unknown
-    core log-radius p; stencils = (idx, w1, w2) are `_unit_stencils`.  The
-    derivatives are taken in difference form, DxW_i = sum_k (w1_ik/h)
-    (W[idx_ik] - W_i) and DxxW likewise with w2/h^2: the weights sum to
-    zero, so this is the same operator, but subtracting W_i first removes
-    the cancellation between the O(r^2) terms and lowers the rounding
-    floor about 3x against the plain sum of w W[idx].
+    core log-radius p; stencils are `_unit_stencils(N)`.  The derivatives
+    are taken in difference form, DxW_i = sum_k (w1_ik/h) (W[idx_ik] - W_i)
+    and DxxW likewise with w2/h^2: the weights sum to zero, so this is the
+    same operator, but subtracting W_i first removes the cancellation
+    between the O(r^2) terms and lowers the rounding floor about 3x
+    against the plain sum of w W[idx].
 
-    The Jacobian is exact: the system is affine in W, and its p-column
-    comes from dD1/dp = k D1, dD2/dp = 2k D2 with k = 1/(h(N-1)) and
-    dr_i/dp = r_i (1 - i/(N-1)).  It is returned bordered, as
-    (ab, b, c, d): ab is the N x N W-block in LAPACK band storage
-    (ab[_UPPER + i - j, j] = J[i, j], shape (_LOWER + _UPPER + 1, N)),
-    b the p-column J[:N, N], c the core-slope row J[N, :9] (the other
-    entries of row N are zero) and d the corner J[N, N].  Returns
-    (res, (ab, b, c, d)), or (res, None).
+    Returns (res, jacobian).  jacobian() builds the Jacobian at the same
+    (W, p) from this evaluation's D1, D2, DxW, DxxW, r and h, so a Newton
+    iterate is evaluated once, as a line-search trial, and its Jacobian is
+    built only when the trial is accepted.  The Jacobian is exact: the
+    system is affine in W, and its p-column comes from dD1/dp = k D1,
+    dD2/dp = 2k D2 with k = 1/(h(N-1)) and dr_i/dp = r_i (1 - i/(N-1)).
+    It is bordered, (ab, b, c, d): ab is the N x N W-block in LAPACK band
+    storage (ab[_UPPER + i - j, j] = J[i, j], shape
+    (_LOWER + _UPPER + 1, N)), b the p-column J[:N, N], c the core-slope
+    row J[N, :9] (the other entries of row N are zero) and d the corner
+    J[N, N].
     """
-    idx, w1, w2 = stencils
+    idx, w1, w2, band = stencils
     N = len(W)
     x = np.linspace(p, x_hi, N)
     r = np.exp(x)
@@ -269,38 +285,38 @@ def _residual_and_jacobian(W, p, n, x_hi, stencils, beta, want_jacobian):
     DxxW = (D2 * dW).sum(axis=1)
     res = np.empty(N + 1)
     res[0] = W[0]
-    i = np.arange(1, N - 1)
+    i = slice(1, N - 1)
     A = DxxW[i] + (n - 3) * DxW[i]
-    res[1:N - 1] = -A / (2.0 * r[i] ** 2) + (n - 1)
+    res[i] = -A / (2.0 * r[i] ** 2) + (n - 1)
     res[N - 1] = (-DxW[N - 1] / r[N - 1] ** 2
                   - (n - 3) * W[N - 1] / r[N - 1] ** 2 + (n - 1))
     res[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
-    if not want_jacobian:
-        return res, None
-    # rows 1..N-1 of the W-block on their stencil windows; row 0 is W[0],
-    # whose one entry is the diagonal
-    rows = np.empty((N - 1, 9))
-    rows[:-1] = -(D2[i] + (n - 3) * D1[i]) / (2.0 * r[i, None] ** 2)
-    rows[-1] = -D1[N - 1] / r[N - 1] ** 2
-    rows[-1, 8] -= (n - 3) / r[N - 1] ** 2
-    ab = np.zeros((_LOWER + _UPPER + 1, N))
-    j = np.arange(1, N)
-    ab[_UPPER + j[:, None] - idx[1:], idx[1:]] = rows
-    ab[_UPPER, 0] = 1.0
-    k = 1.0 / (h * (N - 1))
-    s = 1.0 - i / (N - 1)
-    b = np.zeros(N)
-    b[1:N - 1] = (-(2.0 * DxxW[i] + (n - 3) * DxW[i]) * k
-                  / (2.0 * r[i] ** 2) + A * s / r[i] ** 2)
-    b[N - 1] = -DxW[N - 1] * k / r[N - 1] ** 2
-    c = D1[0] / r[0]
-    d = DxW[0] / r[0] * (k - 1.0)
-    return res, (ab, b, c, d)
+
+    def jacobian():
+        # rows 1..N-1 of the W-block on their stencil windows; row 0 is
+        # W[0], whose one entry is the diagonal
+        rows = np.empty((N - 1, 9))
+        rows[:-1] = -(D2[i] + (n - 3) * D1[i]) / (2.0 * r[i, None] ** 2)
+        rows[-1] = -D1[N - 1] / r[N - 1] ** 2
+        rows[-1, 8] -= (n - 3) / r[N - 1] ** 2
+        ab = np.zeros((_LOWER + _UPPER + 1, N))
+        ab.ravel()[band] = rows
+        ab[_UPPER, 0] = 1.0
+        k = 1.0 / (h * (N - 1))
+        s = 1.0 - np.arange(1, N - 1) / (N - 1)
+        b = np.zeros(N)
+        b[i] = (-(2.0 * DxxW[i] + (n - 3) * DxW[i]) * k
+                / (2.0 * r[i] ** 2) + A * s / r[i] ** 2)
+        b[N - 1] = -DxW[N - 1] * k / r[N - 1] ** 2
+        c = D1[0] / r[0]
+        d = DxW[0] / r[0] * (k - 1.0)
+        return ab, b, c, d
+
+    return res, jacobian
 
 
 def _newton_step(res, jac):
-    """Solve J step = -res for the bordered Jacobian of
-    `_residual_and_jacobian`.
+    """Solve J step = -res for the bordered Jacobian of `_residual`.
 
     One banded factorization serves both right-hand sides: A z1 = -res_W
     and A z2 = b.  The Schur complement of A then gives the p-step
@@ -354,7 +370,7 @@ def newton_solve(initial, n, cfg=None):
     def norm(res):
         return float(np.max(np.abs(res)))
 
-    res, _ = _residual_and_jacobian(W, p, n, x_hi, stencils, beta, False)
+    res, jacobian = _residual(W, p, n, x_hi, stencils, beta)
     history = [norm(res)]
 
     def finish(converged, iters):
@@ -376,34 +392,30 @@ def newton_solve(initial, n, cfg=None):
     for it in range(cfg.max_iters):
         if history[-1] < cfg.residual_tol:
             return finish(True, it)
-        res, jac = _residual_and_jacobian(W, p, n, x_hi, stencils, beta,
-                                          True)
         try:
-            step = _newton_step(res, jac)
+            step = _newton_step(res, jacobian())
         except np.linalg.LinAlgError as exc:
             raise LineSearchFailed(f"singular Jacobian: {exc}",
                                    result=finish(False, it))
         t = 1.0
-        accepted = False
         for _ in range(30):
             W_new = W + t * step[:N]
             # row 0 is W[0] = 0, which the step meets only to rounding
             W_new[0] = 0.0
             p_new = p + t * step[N]
-            res_new, _ = _residual_and_jacobian(W_new, p_new, n, x_hi,
-                                                stencils, beta, False)
+            res_new, jacobian_new = _residual(W_new, p_new, n, x_hi,
+                                              stencils, beta)
             if norm(res_new) <= (1.0 - 0.25 * t) * history[-1]:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise LineSearchFailed(
                 f"no acceptable step at iteration {it} "
                 f"(residual {history[-1]:.3e})",
                 result=finish(False, it),
             )
-        W, p = W_new, p_new
-        history.append(norm(res_new))
+        W, p, res, jacobian = W_new, p_new, res_new, jacobian_new
+        history.append(norm(res))
     if history[-1] < cfg.residual_tol:
         return finish(True, cfg.max_iters)
     raise MaxItersExceeded(

@@ -380,7 +380,7 @@ def _glued_points(n, N):
 def test_unit_stencils_match_diff_matrix(N):
     # the 9-node template scattered into the band is the full per-row
     # Fornberg build on the unit grid, bit for bit
-    idx, w1, w2 = solver._unit_stencils(N)
+    idx, w1, w2, _ = solver._unit_stencils(N)
     for deriv, w in ((1, w1), (2, w2)):
         ref = diff_matrix(np.arange(N, dtype=float), deriv, 9)
         assert np.array_equal(_dense_stencil(idx, w), ref)
@@ -392,13 +392,11 @@ def test_analytic_p_column_matches_central_difference(n, N):
     points, x_hi, beta = _glued_points(n, N)
     stencils = solver._unit_stencils(N)
     for W, p in points:
-        _, jac = solver._residual_and_jacobian(W, p, n, x_hi, stencils, beta,
-                                               True)
-        J = _dense_jacobian(jac)
+        _, jacobian = solver._residual(W, p, n, x_hi, stencils, beta)
+        J = _dense_jacobian(jacobian())
 
         def res(q):
-            return solver._residual_and_jacobian(W, q, n, x_hi, stencils,
-                                                 beta, False)[0]
+            return solver._residual(W, q, n, x_hi, stencils, beta)[0]
 
         # fourth-order central difference in p
         hp = 1e-3
@@ -414,8 +412,8 @@ def test_bordered_step_matches_dense_solve(n, N):
     points, x_hi, beta = _glued_points(n, N)
     stencils = solver._unit_stencils(N)
     for W, p in points:
-        res, jac = solver._residual_and_jacobian(W, p, n, x_hi, stencils,
-                                                 beta, True)
+        res, jacobian = solver._residual(W, p, n, x_hi, stencils, beta)
+        jac = jacobian()
         step = solver._newton_step(res, jac)
         ref = np.linalg.solve(_dense_jacobian(jac), -res)
         assert np.max(np.abs(step - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -438,8 +436,7 @@ def test_difference_form_residual_matches_dense(n, N):
                         / (2.0 * r[1:N - 1] ** 2) + (n - 1))
         ref[N - 1] = (-DxW[-1] - (n - 3) * W[-1]) / r[-1] ** 2 + (n - 1)
         ref[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
-        got, _ = solver._residual_and_jacobian(W, p, n, x_hi, stencils, beta,
-                                               False)
+        got, _ = solver._residual(W, p, n, x_hi, stencils, beta)
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
@@ -451,12 +448,10 @@ def test_banded_w_block_is_the_residual_derivative(n, N):
     stencils = solver._unit_stencils(N)
     rng = np.random.default_rng(5)
     for W, p in points:
-        res, jac = solver._residual_and_jacobian(W, p, n, x_hi, stencils,
-                                                 beta, True)
+        res, jacobian = solver._residual(W, p, n, x_hi, stencils, beta)
         v = 1e-3 * (W + 1.0) * rng.standard_normal(N)
-        moved, _ = solver._residual_and_jacobian(W + v, p, n, x_hi,
-                                                 stencils, beta, False)
-        J = _dense_jacobian(jac)[:, :N]
+        moved, _ = solver._residual(W + v, p, n, x_hi, stencils, beta)
+        J = _dense_jacobian(jacobian())[:, :N]
         # row by row, against the size of that row's terms
         scale = np.abs(J) @ np.abs(v)
         assert np.all(np.abs(J @ v - (moved - res)) <= 1e-9 * scale)
@@ -465,16 +460,18 @@ def test_banded_w_block_is_the_residual_derivative(n, N):
 @pytest.mark.parametrize("zeroed", [(0,), (2, 3)], ids=["band", "pivot"])
 def test_singular_jacobian_raises_line_search_failed(monkeypatch, zeroed):
     # a zero band is singular; a zero border row and corner zero the pivot
-    real = solver._residual_and_jacobian
+    real = solver._residual
 
     def singular(*args):
-        res, jac = real(*args)
-        if jac is not None:
-            jac = tuple(np.zeros_like(part) if k in zeroed else part
-                        for k, part in enumerate(jac))
-        return res, jac
+        res, jacobian = real(*args)
 
-    monkeypatch.setattr(solver, "_residual_and_jacobian", singular)
+        def zeroed_jacobian():
+            return tuple(np.zeros_like(part) if k in zeroed else part
+                         for k, part in enumerate(jacobian()))
+
+        return res, zeroed_jacobian
+
+    monkeypatch.setattr(solver, "_residual", singular)
     with pytest.raises(LineSearchFailed, match="singular Jacobian") as exc:
         newton_solve(make_glued_profile(50.0, 4), 4,
                      cfg=NewtonConfig(grid_size=64))
@@ -501,7 +498,7 @@ def test_newton_quadratic_ratio_at_grid_size_512(n, R):
     assert res.quadratic_ratio < 1.0
 
 
-def test_newton_builds_stencils_once_per_solve(monkeypatch):
+def test_newton_builds_stencils_once_per_grid_size(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -509,11 +506,90 @@ def test_newton_builds_stencils_once_per_solve(monkeypatch):
         return diff_matrix(*args, **kwargs)
 
     monkeypatch.setattr(solver, "diff_matrix", counting)
-    cfg = NewtonConfig(grid_size=64, max_iters=60)
-    res = newton_solve(make_glued_profile(50.0, 4), 4, cfg=cfg)
-    assert res.converged
-    assert res.iterations >= 2
-    assert len(calls) == 2
+    solver._unit_stencils.cache_clear()
+    made = []
+    for N in (64, 64, 128):
+        before = len(calls)
+        cfg = NewtonConfig(grid_size=N, max_iters=60)
+        res = newton_solve(make_glued_profile(50.0, 4), 4, cfg=cfg)
+        assert res.converged
+        made.append(len(calls) - before)
+    # the first solve at a size builds the two templates, later ones reuse
+    assert made == [2, 0, 2]
+    for a in solver._unit_stencils(64):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+
+
+def _solve_events(monkeypatch, *args):
+    """newton_solve(*args) with a log of its residual evaluations ("res"),
+    Jacobian builds ("jac") and Newton steps ("step"), in order."""
+    log = []
+    residual, newton_step = solver._residual, solver._newton_step
+
+    def counting_residual(*a):
+        log.append("res")
+        res, jacobian = residual(*a)
+
+        def counting_jacobian():
+            log.append("jac")
+            return jacobian()
+
+        return res, counting_jacobian
+
+    def counting_step(*a):
+        log.append("step")
+        return newton_step(*a)
+
+    monkeypatch.setattr(solver, "_residual", counting_residual)
+    monkeypatch.setattr(solver, "_newton_step", counting_step)
+    try:
+        result = newton_solve(*args)
+    except (LineSearchFailed, MaxItersExceeded) as exc:
+        result = exc.result
+    monkeypatch.undo()
+    return result, log
+
+
+def _trials(log):
+    """Residual evaluations before the first Newton step, then after each."""
+    counts = [0]
+    for event in log:
+        if event == "step":
+            counts.append(0)
+        elif event == "res":
+            counts[-1] += 1
+    return counts
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("n", [4, 5])
+def test_newton_cold_and_warm_stencils_agree(monkeypatch, n, N):
+    start, cfg = make_glued_profile(50.0, n), NewtonConfig(grid_size=N)
+    solver._unit_stencils.cache_clear()
+    cold, log = _solve_events(monkeypatch, start, n, cfg)
+    warm = newton_solve(start, n, cfg)
+    assert cold.converged and warm.converged
+    assert warm.residuals == cold.residuals
+    assert np.array_equal(warm.profile.values, cold.profile.values)
+    assert warm.r_plus == cold.r_plus
+    assert warm.fitted_m == cold.fitted_m
+    # one evaluation at the start, one per line-search trial, and each
+    # Jacobian is built from the evaluation of the iterate it is taken at
+    assert log == ["res"] + ["jac", "step", "res"] * cold.iterations
+
+
+@pytest.mark.parametrize("R, n, N", [(50.0, 4, 2048), (10000.0, 3, 256)],
+                         ids=["stall-2048", "fail-10000"])
+def test_newton_evaluates_each_iterate_once(monkeypatch, R, n, N):
+    # solves whose line searches damp the step
+    result, log = _solve_events(monkeypatch, make_glued_profile(R, n), n,
+                                NewtonConfig(grid_size=N))
+    assert not result.converged
+    first, *trials = _trials(log)
+    assert first == 1 and min(trials) >= 1 and max(trials) > 1
+    assert log.count("res") == 1 + sum(trials)
+    assert log.count("jac") == log.count("step") == len(trials)
 
 
 def test_perturbation_budget_inversion():
