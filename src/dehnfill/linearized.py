@@ -8,7 +8,11 @@ shares the radial part
 
 and carries a zeroth-order piece built from V, r and the sectional
 curvatures.  The diagonal blocks (11, 22, jj) couple through a symmetric
-matrix whose rows sum to -2 ric_aa; off-diagonal blocks are scalar.
+matrix whose rows sum to -2 ric_aa; off-diagonal blocks are scalar.  A
+deformation is therefore stored as one (npts, K) array, the diagonal
+sector's n columns first and then one column per off-diagonal component,
+and the operator is one stencil pass per derivative over all K columns
+plus the coupling on the first n and one coefficient per other column.
 
 Applying the operator to the metric itself (h_ab = delta_ab in the
 orthonormal frame) therefore returns -2 ric_aa on the diagonal for any
@@ -27,7 +31,7 @@ in it; compare_operators applies exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -60,20 +64,36 @@ __all__ = [
 BLOCK_LABELS = ("11", "22", "12", "1j", "2j", "jj", "jk")
 
 
+def _columns(n):
+    """Where each block sits in InvariantDeformation.values at dimension n:
+    an index for the one-column blocks, a slice for jj and jk."""
+    npair = (n - 2) * (n - 3) // 2
+    return {"11": 0, "22": 1, "jj": slice(2, n), "12": n, "1j": n + 1,
+            "2j": n + 2, "jk": slice(n + 3, n + 3 + npair)}
+
+
+def _blocks(values, n):
+    """{label: view of the block's columns in the packed values}."""
+    return {label: values[:, col] for label, col in _columns(n).items()}
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantDeformation:
-    """Frame components of a torus-invariant symmetric 2-tensor.
-
-    components maps block labels to arrays whose leading axis runs over
-    the grid.  Blocks jj and jk may carry one column per torus direction
-    or unordered pair; scalar blocks may be (npts,) or (npts, m).
-    """
+    """Frame components of a torus-invariant symmetric 2-tensor, packed
+    once into one (npts, K) array `values` with the columns 11, 22,
+    jj_1..jj_{n-2}, 12, 1j, 2j, jk_1..jk_P, P = (n-2)(n-3)/2 torus pairs.
+    `components` maps labels to arrays over the grid, with n-2 columns for
+    jj, P for jk and one, which may be 1-D, for every other block; absent
+    blocks are zero.  Afterwards `components`, `block` and `diag_matrix`
+    are views of values."""
 
     n: int
     grid: np.ndarray
     components: dict
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_dimension(self.n)
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.shape[0] < 2:
             raise GridTooCoarse("deformation grid needs at least 2 points")
@@ -81,63 +101,41 @@ class InvariantDeformation:
             raise NonFiniteField("deformation grid contains nan or inf")
         if (np.diff(grid) <= 0).any():
             raise GridTooCoarse("deformation grid must be strictly increasing")
-        comps = {}
+        npts = grid.shape[0]
+        cols = _columns(self.n)
+        values = np.zeros((npts, cols["jk"].stop))
         for label, arr in self.components.items():
-            if label not in BLOCK_LABELS:
+            if label not in cols:
                 raise UnknownBlock(f"unknown block label {label!r}")
             arr = np.asarray(arr, dtype=float)
-            if arr.shape[0] != grid.shape[0]:
+            view = values[:, cols[label]]
+            if arr.shape != view.shape and not (
+                    view.size == npts and arr.shape in ((npts,), (npts, 1))):
                 raise TooFewSamples(
-                    f"block {label} has {arr.shape[0]} rows on a grid of "
-                    f"{grid.shape[0]}"
-                )
+                    f"block {label} needs shape {view.shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise NonFiniteField(f"block {label} contains nan or inf")
-            comps[label] = arr
+            view[...] = arr.reshape(view.shape)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "components", _blocks(values, self.n))
 
     def block(self, label):
-        """Component array for label, zeros if absent."""
-        if label in self.components:
-            return self.components[label]
-        npts = self.grid.shape[0]
-        if label == "jj":
-            return np.zeros((npts, self.n - 2))
-        if label == "jk":
-            npair = (self.n - 2) * (self.n - 3) // 2
-            return np.zeros((npts, npair))
-        return np.zeros(npts)
+        """label's columns: (npts,) for a one-column block, else 2-D."""
+        if label not in self.components:
+            raise UnknownBlock(f"unknown block label {label!r}")
+        return self.components[label]
 
     def diag_matrix(self):
-        """(npts, n) array of diagonal components (11, 22, jj...)."""
-        npts = self.grid.shape[0]
-        d = np.zeros((npts, self.n))
-        d[:, 0] = np.asarray(self.block("11")).reshape(npts)
-        d[:, 1] = np.asarray(self.block("22")).reshape(npts)
-        jj = np.atleast_2d(self.block("jj"))
-        if jj.shape[0] != npts:
-            jj = jj.T
-        if jj.shape != (npts, self.n - 2):
-            raise TooFewSamples(
-                f"jj block must have {self.n - 2} columns, got {jj.shape}"
-            )
-        d[:, 2:] = jj
-        return d
+        """(npts, n) view of the diagonal components (11, 22, jj...)."""
+        return self.values[:, : self.n]
 
 
 def metric_deformation(n, grid):
     """h = g itself: unit diagonal frame components on the grid."""
-    grid = np.asarray(grid, dtype=float)
-    npts = grid.shape[0]
-    return InvariantDeformation(
-        n=n, grid=grid,
-        components={
-            "11": np.ones(npts),
-            "22": np.ones(npts),
-            "jj": np.ones((npts, n - 2)),
-        },
-    )
+    h = InvariantDeformation(n=n, grid=grid, components={})
+    h.values[:, :n] = 1.0
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,87 +228,49 @@ def assemble_L_cusp(n):
     return assemble_L_blackhole(cusp_metric(n))
 
 
-def _core_margin_check(sys, grid):
-    r_plus = sys.profile.r_plus
-    if r_plus is None:
-        return
-    dr = grid[1] - grid[0]
-    margin = max(0.01 * r_plus, 10.0 * dr)
-    if grid[0] < r_plus + margin:
-        raise SingularAtCore(
-            f"grid must start above r_plus + {margin:.3g} = "
-            f"{r_plus + margin:.6g}; got {grid[0]:.6g}"
-        )
-
-
-def _block_derivatives(h):
-    """First and second radial derivatives of every block of h.
-
-    Builds the 5-point d1 and 6-point d2 stencils once on h.grid and
-    returns {label: (d1, d2)} for the scalar blocks 12, 1j, 2j, jk and
-    for "diag", the (npts, n) matrix of diagonal components.  They
-    depend on h alone, so operators applied to the same h can share them.
+def _apply(sys, h, coefficients):
+    """The operator with coefficients(r) (sys.coefficients or
+    sys._mass_part, which check the profile's domain) on h, packed like
+    h.values.  The checks and the zeroth-order term come first, and the
+    (npts, n, n) coupling is freed before any derivative is taken; then
+    the 6-point d2 and 5-point d1 stencils, which keep the interior's 4th
+    order on the one-sided end rows, are each applied once to every column.
     """
-    grid = h.grid
+    n = h.n
+    if n != sys.n:
+        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {n}")
+    grid, values = h.grid, h.values
+    c2, c1, offdiag, M = coefficients(grid)
+    r_plus = sys.profile.r_plus
+    if r_plus is not None:
+        margin = max(0.01 * r_plus, 10.0 * (grid[1] - grid[0]))
+        if grid[0] < r_plus + margin:
+            raise SingularAtCore(
+                f"grid must start above r_plus + {margin:.3g} = "
+                f"{r_plus + margin:.6g}; got {grid[0]:.6g}")
+    zeroth = np.empty_like(values)
+    np.einsum("pab,pb->pa", M, values[:, :n], out=zeroth[:, :n])
+    del M
+    # the other columns: 12, 1j, 2j, then one jk column per torus pair
+    npair = values.shape[1] - n - 3
+    scalar = np.column_stack([offdiag["12"], offdiag["1j"], offdiag["2j"]]
+                             + [offdiag["jk"]] * npair)
+    np.multiply(scalar, values[:, n:], out=zeroth[:, n:])
     if grid.shape[0] < 9:
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
-    st1 = stencil_weights(grid, 1, 5)
-    st2 = stencil_weights(grid, 2, 6)
-    blocks = {label: h.block(label) for label in ("12", "1j", "2j", "jk")}
-    blocks["diag"] = h.diag_matrix()
-    return {label: (apply_stencil(st1, u), apply_stencil(st2, u))
-            for label, u in blocks.items()}
-
-
-def _zeroth_order(sys, h, coefficients):
-    """The dimension check, coefficients(h.grid) (sys.coefficients or
-    sys._mass_part, both of which check the profile's domain, so a grid
-    reaching below the core is reported as outside it) and the
-    core-margin check, then (c2, c1) and the zeroth-order part of the
-    operator on h by block, with the diagonal sector under "diag".  None
-    of it needs a derivative of h, so it all runs first and the
-    (npts, n, n) coupling is freed before the stencils are built."""
-    if h.n != sys.n:
-        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
-    c2, c1, offdiag, M = coefficients(h.grid)
-    _core_margin_check(sys, h.grid)
-    zeroth = {}
-    for label in ("12", "1j", "2j", "jk"):
-        u = h.block(label)
-        c = offdiag[label]
-        zeroth[label] = c * u if u.ndim == 1 else c[:, None] * u
-    zeroth["diag"] = np.einsum("pab,pb->pa", M, h.diag_matrix())
-    return c2, c1, zeroth
-
-
-def _apply(h, zeroth_order, derivs):
-    """The operator on h from `_zeroth_order` and the derivatives of h's
-    blocks."""
-    c2, c1, zeroth = zeroth_order
-    out = {}
-    for label, (d1, d2) in derivs.items():
-        a2, a1 = (c2, c1) if d1.ndim == 1 else (c2[:, None], c1[:, None])
-        # c2 d2 + c1 d1 + zeroth, summed left to right in place
-        out[label] = Lu = a2 * d2
-        Lu += a1 * d1
-        Lu += zeroth[label]
-    LD = out.pop("diag")
-    out["11"] = LD[:, 0]
-    out["22"] = LD[:, 1]
-    out["jj"] = LD[:, 2:]
-    return InvariantDeformation(n=h.n, grid=h.grid, components=out)
+    # c2 d2 + c1 d1 + zeroth, summed left to right in place
+    Lh = c2[:, None] * apply_stencil(stencil_weights(grid, 2, 6), values)
+    Lh += c1[:, None] * apply_stencil(stencil_weights(grid, 1, 5), values)
+    Lh += zeroth
+    return Lh
 
 
 def apply_L(sys, h):
-    """Apply the assembled operator to a deformation on its grid.
-
-    First derivatives use 5-point stencils and second derivatives
-    6-point ones, so the one-sided rows at the grid ends keep the same
-    4th order as the interior.  Returns a deformation with every block
-    populated.
-    """
-    return _apply(h, _zeroth_order(sys, h, sys.coefficients),
-                  _block_derivatives(h))
+    """Apply the assembled operator to a deformation on its grid; returns
+    a deformation with every block populated."""
+    Lh = _apply(sys, h, sys.coefficients)
+    return InvariantDeformation(n=h.n, grid=h.grid,
+                                components=_blocks(Lh, h.n))
 
 
 def indicial_roots(block, n):
@@ -384,9 +344,9 @@ def bump_deformation(n, grid, centers, width=0.4):
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
         raise OutOfDomain(f"bump centers must be finite and positive: {centers}")
-    # checked ascending here, so each bump's support is one slice of x
-    grid = InvariantDeformation(n=n, grid=grid, components={}).grid
-    x = np.log(grid)
+    # checks n and the grid, ascending, so each bump's support is a slice of x
+    h = InvariantDeformation(n=n, grid=grid, components={})
+    x = np.log(h.grid)
     total = np.zeros_like(x)
     # unit-width reference scale; derivatives of the rescaled bump gain 1/width
     b0, b1, b2 = _unit_bump_maxima()
@@ -396,17 +356,8 @@ def bump_deformation(n, grid, centers, width=0.4):
         lc = math.log(c)
         lo, hi = np.searchsorted(x, [lc - 2.0 * width, lc + 2.0 * width])
         total[lo:hi] += _unit_bump(x[lo:hi], lc, width) / scale
-    comps = {}
-    for label in BLOCK_LABELS:
-        if label == "jj":
-            comps[label] = np.tile(total[:, None], (1, n - 2))
-        elif label == "jk":
-            npair = (n - 2) * (n - 3) // 2
-            if npair:
-                comps[label] = np.tile(total[:, None], (1, npair))
-        else:
-            comps[label] = total.copy()
-    return InvariantDeformation(n=n, grid=grid, components=comps)
+    h.values[:] = total[:, None]
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,13 +388,8 @@ def compare_operators(h, r_window=None, m=1.0, bins=12):
     any derivative is taken.
     """
     sys = assemble_L_blackhole(black_hole_metric(m, h.n))
-    Lh = _apply(h, _zeroth_order(sys, h, sys._mass_part), _block_derivatives(h))
+    diff = np.abs(_apply(sys, h, sys._mass_part)).max(axis=1)
     grid = h.grid
-    diff = np.zeros(grid.shape[0])
-    for d in Lh.components.values():
-        np.abs(d, out=d)
-        np.maximum(diff, d if d.ndim == 1 else d.max(axis=1, initial=0.0),
-                   out=diff)
     if r_window is None:
         r_window = (float(grid[0]), float(grid[-1]))
     lo, hi = r_window

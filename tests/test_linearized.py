@@ -29,7 +29,7 @@ from dehnfill.linearized import (
     indicial_roots,
     metric_deformation,
 )
-from dehnfill.numutil import fit_loglog, loggrid
+from dehnfill.numutil import apply_diff, fit_loglog, loggrid
 from dehnfill.profiles import black_hole_metric, glued_metric
 
 
@@ -339,26 +339,39 @@ def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
 
 
 def _count_stencils(monkeypatch):
-    calls = []
-    real = linearized.stencil_weights
+    # (deriv, width) of each stencil built and the shape of each array a
+    # stencil is applied to
+    built, applied = [], []
+    real_weights = linearized.stencil_weights
+    real_apply = linearized.apply_stencil
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:])
-        return real(*args, **kwargs)
+    def counting_weights(*args, **kwargs):
+        built.append(args[1:])
+        return real_weights(*args, **kwargs)
 
-    monkeypatch.setattr(linearized, "stencil_weights", counting)
-    return calls
+    def counting_apply(stencil, values):
+        applied.append(values.shape)
+        return real_apply(stencil, values)
+
+    monkeypatch.setattr(linearized, "stencil_weights", counting_weights)
+    monkeypatch.setattr(linearized, "apply_stencil", counting_apply)
+    return built, applied
 
 
 def test_compare_operators_builds_stencils_once(monkeypatch):
-    calls = _count_stencils(monkeypatch)
+    # each stencil is built once and applied once, to every column of h
+    built, applied = _count_stencils(monkeypatch)
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
-    assert sorted(calls) == [(1, 5), (2, 6)]
-    calls.clear()
+    # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
+    assert sorted(built) == [(1, 5), (2, 6)]
+    assert applied == [(1024, 8), (1024, 8)]
+    built.clear()
+    applied.clear()
     apply_L(assemble_L_cusp(4), h)
-    assert sorted(calls) == [(1, 5), (2, 6)]
+    assert sorted(built) == [(1, 5), (2, 6)]
+    assert applied == [(1024, 8), (1024, 8)]
 
 
 def test_compare_operators_evaluates_frame_data_once(monkeypatch):
@@ -388,20 +401,71 @@ def test_compare_operators_evaluates_frame_data_once(monkeypatch):
 
 
 def test_compare_operators_applies_one_operator(monkeypatch):
-    # the mass part alone: one zeroth-order pass and one application
-    counts = {"_zeroth_order": 0, "_apply": 0}
-    for name in counts:
-        real = getattr(linearized, name)
+    # the mass part alone: one zeroth-order pass (the black hole's mass
+    # part, never the full coefficients) and one application
+    counts = {"_apply": 0, "coefficients": 0, "_mass_part": 0}
+    real = linearized._apply
 
-        def counting(*args, _real=real, _name=name):
+    def counting(*args):
+        counts["_apply"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(linearized, "_apply", counting)
+    for name in ("coefficients", "_mass_part"):
+        real_method = getattr(linearized.ODESystemL, name)
+
+        def counting_method(sys, r, _real=real_method, _name=name):
             counts[_name] += 1
-            return _real(*args)
+            return _real(sys, r)
 
-        monkeypatch.setattr(linearized, name, counting)
+        monkeypatch.setattr(linearized.ODESystemL, name, counting_method)
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
-    assert counts == {"_zeroth_order": 1, "_apply": 1}
+    assert counts == {"_apply": 1, "coefficients": 0, "_mass_part": 1}
+
+
+def _reference_apply_L(sys, grid, comps):
+    """The operator block by block from sys.coefficients and apply_diff,
+    knowing nothing of the packed layout: the diagonal sector (11, 22, jj)
+    through M, every other block through its own scalar coefficient.
+    Returns {label: (npts, m) array} and the largest term's size."""
+    c2, c1, off, M = sys.coefficients(grid)
+    terms = []
+
+    def op(u, zeroth):
+        terms.extend([c2[:, None] * apply_diff(grid, u, 2, 6),
+                      c1[:, None] * apply_diff(grid, u, 1, 5), zeroth])
+        return terms[-3] + terms[-2] + terms[-1]
+
+    diag = np.column_stack([comps["11"], comps["22"], comps["jj"]])
+    Ld = op(diag, np.einsum("pab,pb->pa", M, diag))
+    out = {"11": Ld[:, :1], "22": Ld[:, 1:2], "jj": Ld[:, 2:]}
+    for label in ("12", "1j", "2j", "jk"):
+        u = comps[label].reshape(grid.size, -1)
+        out[label] = op(u, off[label][:, None] * u)
+    return out, max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_apply_L_matches_per_block_reference(n):
+    # pins the column layout: a 1j/2j swap or a jk pair at the wrong
+    # offset gives some column another block's coefficient
+    met = black_hole_metric(1.0, n)
+    grid = loggrid(3.0, 40.0, 400)
+    rng = np.random.default_rng(n)
+    widths = {"11": 1, "22": 1, "jj": n - 2, "12": 1, "1j": 1, "2j": 1,
+              "jk": (n - 2) * (n - 3) // 2}
+    # rough samples, so that no term is a cancellation far below the
+    # rounding of the stencil sums
+    comps = {label: rng.normal(size=(grid.size, w))
+             for label, w in widths.items()}
+    sys = assemble_L_blackhole(met)
+    got = apply_L(sys, InvariantDeformation(n=n, grid=grid, components=comps))
+    want, scale = _reference_apply_L(sys, grid, comps)
+    for label in BLOCK_LABELS:
+        err = np.abs(got.block(label).reshape(grid.size, -1) - want[label])
+        assert np.max(err, initial=0.0) <= 1e-14 * scale, label
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -486,3 +550,51 @@ def test_deformations_reject_non_finite_grid(build, grid):
     # a spacing of nan compares False with 0, and one of inf is positive
     with pytest.raises(NonFiniteField):
         build(grid)
+
+
+@pytest.mark.parametrize("n", [math.nan, 2.5, True, 2, 40, 4.0])
+@pytest.mark.parametrize("build", [
+    lambda n, grid: InvariantDeformation(n=n, grid=grid, components={}),
+    lambda n, grid: metric_deformation(n, grid),
+    lambda n, grid: bump_deformation(n, grid, centers=[15.0]),
+], ids=["InvariantDeformation", "metric_deformation", "bump_deformation"])
+def test_deformations_reject_bad_dimension(build, n):
+    # these used to be accepted, or to fail later with a TypeError
+    with pytest.raises(OutOfDomain):
+        build(n, loggrid(5.0, 50.0, 64))
+
+
+@pytest.mark.parametrize("n, label, shape", [
+    (4, "jk", (64, 3)), (4, "12", (64, 5)), (4, "jj", (64, 3)),
+    (4, "jj", (64,)), (5, "jk", (64,)), (3, "jk", (64,)), (3, "jk", (64, 1)),
+    (4, "11", (64, 1, 1)), (4, "11", ())])
+def test_deformation_rejects_wrong_block_width(n, label, shape):
+    # jj has n-2 columns, jk (n-2)(n-3)/2 and every other block one
+    with pytest.raises(TooFewSamples):
+        InvariantDeformation(n=n, grid=loggrid(5.0, 50.0, 64),
+                             components={label: np.ones(shape)})
+
+
+def test_deformation_packs_blocks_into_views():
+    # columns 11, 22, jj_1..jj_{n-2}, 12, 1j, 2j, jk_1..jk_P; a one-column
+    # block may be given 1-D or as one column, absent blocks are zero
+    n, grid = 5, loggrid(5.0, 50.0, 16)
+    ones = np.ones(16)
+    h = InvariantDeformation(n=n, grid=grid, components={
+        "11": 1 * ones, "22": 2 * ones[:, None],
+        "jj": np.tile([3.0, 4.0, 5.0], (16, 1)), "1j": 7 * ones,
+        "jk": np.tile([9.0, 10.0, 11.0], (16, 1))})
+    want = [1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 7.0, 0.0, 9.0, 10.0, 11.0]
+    assert np.array_equal(h.values, np.tile(want, (16, 1)))
+    assert h.block("22").shape == (16,) and h.block("jj").shape == (16, 3)
+    for label in BLOCK_LABELS:
+        assert np.shares_memory(h.values, h.block(label)), label
+    assert np.shares_memory(h.values, h.diag_matrix())
+    assert np.array_equal(h.diag_matrix(), h.values[:, :n])
+    assert h.components.keys() == set(BLOCK_LABELS)
+    with pytest.raises(UnknownBlock):
+        h.block("33")
+    h3 = InvariantDeformation(n=3, grid=grid, components={"jj": ones})
+    assert h3.values.shape == (16, 6) and h3.block("jk").shape == (16, 0)
+    h4 = InvariantDeformation(n=4, grid=grid, components={"jk": ones})
+    assert np.array_equal(h4.block("jk"), ones[:, None])

@@ -83,9 +83,11 @@ def test_euler_reconstruct_applyL_roundtrip():
     n = 5
     grid = loggrid(1.0, 20.0, 8000)
     f_true = np.cos(np.log(grid))
-    h = InvariantDeformation(n=n, grid=grid, components={"jk": f_true})
+    # jk has one column per torus pair, (n-2)(n-3)/2 = 3 at n = 5
+    h = InvariantDeformation(n=n, grid=grid,
+                             components={"jk": np.tile(f_true[:, None], 3)})
     out = apply_L(assemble_L_cusp(n), h)
-    rhs = -out.block("jk")
+    rhs = -out.block("jk")[:, 0]
     _, f = euler_reconstruct(n, (grid, rhs), (1.0, 1.0))
     assert np.max(np.abs(f - f_true)) < 1e-6
 
