@@ -33,6 +33,7 @@ from .errors import DehnFillError, LineSearchFailed, MaxItersExceeded
 from .gluing import decay_scan
 from .lattice import FlatLattice, GeodesicClass, filling_data
 from .linearized import (
+    COEFFICIENTS,
     assemble_L_blackhole,
     bump_deformation,
     compare_operators,
@@ -190,13 +191,11 @@ def cmd_linearize(cfg):
             hi = min(50 * r_plus, 0.999 * sys_l.profile.domain[1])
             cfg["grid"] = f"{1.05 * r_plus:.6g}:{hi:.6g}:64"
     grid = _parse_grid(cfg["grid"])
-    c2, c1, off, M = sys_l.coefficients(grid)
-    header = "r,c2,c1,c12,c1j,c2j,cjk,M00,M01,M0j,M11,M1j,Mjj,Mjk"
-    # below n=5 there is no second torus direction; the zero keeps Mjj's sign
-    mjk = M[:, 2, 3] if n >= 5 else M[:, 2, 2] * 0.0
-    rows = csv_lines(grid, c2, c1, off["12"], off["1j"], off["2j"], off["jk"],
-                     M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1],
-                     M[:, 1, 2], M[:, 2, 2], mjk)
+    C = sys_l.coefficients(grid)
+    header = ",".join(("r", *COEFFICIENTS, "Mjk"))
+    # Mjk = Mjj; below n=5 there is no second torus direction, and the
+    # zero keeps Mjj's sign
+    rows = csv_lines(grid, *C, C[-1] if n >= 5 else C[-1] * 0.0)
     summary = {
         "n": n,
         "profile": cfg["profile"],

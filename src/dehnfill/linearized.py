@@ -8,11 +8,13 @@ shares the radial part
 
 and carries a zeroth-order piece built from V, r and the sectional
 curvatures.  The diagonal blocks (11, 22, jj) couple through a symmetric
-matrix whose rows sum to -2 ric_aa; off-diagonal blocks are scalar.  A
-deformation is therefore stored as one (npts, K) array, the diagonal
-sector's n columns first and then one column per off-diagonal component,
-and the operator is one stencil pass per derivative over all K columns
-plus the coupling on the first n and one coefficient per other column.
+matrix whose rows sum to -2 ric_aa and whose torus rows are equal, so it
+is its six distinct entries; off-diagonal blocks are scalar.  Twelve
+numbers per radius (COEFFICIENTS) give the operator.  A deformation is
+stored as one (npts, K) array, the diagonal sector's n columns first and
+then one column per off-diagonal component, and the operator is one
+stencil pass per derivative over all K columns plus the coupling on the
+first n and one coefficient per other column.
 
 Applying the operator to the metric itself (h_ab = delta_ab in the
 orthonormal frame) therefore returns -2 ric_aa on the diagonal for any
@@ -49,6 +51,7 @@ from .profiles import _check_dimension, black_hole_metric, cusp_metric
 
 __all__ = [
     "BLOCK_LABELS",
+    "COEFFICIENTS",
     "InvariantDeformation",
     "ODESystemL",
     "assemble_L_blackhole",
@@ -62,6 +65,10 @@ __all__ = [
 ]
 
 BLOCK_LABELS = ("11", "22", "12", "1j", "2j", "jj", "jk")
+# the rows of ODESystemL.coefficients: the radial part, the scalar blocks'
+# coefficients, then the six distinct entries of the diagonal coupling
+COEFFICIENTS = ("c2", "c1", "c12", "c1j", "c2j", "cjk",
+                "M00", "M01", "M0j", "M11", "M1j", "Mjj")
 
 
 def _columns(n):
@@ -149,27 +156,29 @@ class ODESystemL:
     profile: object
 
     def coefficients(self, r):
-        """(c2, c1, offdiag, M) at the radii r, from one profile evaluation.
+        """The (12, npts) table of COEFFICIENTS at the radii r, from one
+        profile evaluation.
 
-        A u = c2 u'' + c1 u' is the shared radial part; offdiag maps the
-        scalar blocks 12, 1j, 2j, jk to their zeroth-order coefficients;
-        M is the (npts, n, n) symmetric coupling of the (11, 22, jj)
-        sector, whose row sums equal -2 ric_aa for every profile (the
-        gauge identity L(g) = -2 ric on constant deformations).  The Euler
-        constants are c2 = -r^2, c1 = -n r, 2(n-1) for 12, n for 1j, 0 for
-        2j and jk, and M00 = 2(n-1), M01 = M0j = 0 and 2 in every other
-        entry of M; _mass_part gives the rest.
+        A u = c2 u'' + c1 u' is the shared radial part; c12, c1j, c2j and
+        cjk are the scalar blocks' zeroth-order coefficients.  The rest
+        are the six distinct entries of the symmetric (11, 22, jj)
+        coupling M, whose torus rows are equal (M0j, M1j, Mjj = Mjk) and
+        whose row sums are -2 ric_aa for every profile (the gauge identity
+        L(g) = -2 ric on constant deformations).  The Euler constants are
+        c2 = -r^2, c1 = -n r, c12 = M00 = 2(n-1), c1j = n, 2 for M11, M1j
+        and Mjj and 0 for c2j, cjk, M01 and M0j; _mass_part adds the rest.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         n = self.n
-        c2, c1, offdiag, M = self._mass_part(r)
+        C = self._mass_part(r)
+        c2, c1, c12, c1j, _, _, m00 = C[:7]
         c2 -= r**2
         c1 -= n * r
-        offdiag["12"] += 2.0 * (n - 1)
-        offdiag["1j"] += n
-        M[:, 0, 0] += 2.0 * (n - 1)
-        M[:, 1:, 1:] += 2.0
-        return c2, c1, offdiag, M
+        c12 += 2.0 * (n - 1)
+        c1j += n
+        m00 += 2.0 * (n - 1)
+        C[9:] += 2.0  # M11, M1j, Mjj
+        return C
 
     def _mass_part(self, r):
         """coefficients minus the Euler constants, on a 1-D array r.
@@ -180,12 +189,12 @@ class ODESystemL:
         s = 2(kperp - k1perp):
 
             c2 = kperp r^2,   c1 = (n kperp - s) r,
-            12: 2 k12 - 2n kperp + 4s + s^2/e,   1j: -n kperp + s^2/(4e),
-            2j: s^2/(4e),   jk: 2s + s^2/(2e),
+            c12 = 2 k12 - 2n kperp + 4s + s^2/e,   c1j = -n kperp + s^2/(4e),
+            c2j = s^2/(4e),   cjk = 2s + s^2/(2e),
             M00 = 2(1-n) kperp + 2s + s^2/(2e),
             M01 = 2(kperp - k12) - 2s - s^2/(2e),
             M11 = -2 kperp + 2s + s^2/(2e),   M0j = s,   M1j = s - 2 kperp,
-            Mjj = Mjk = -2 kperp.
+            Mjj = -2 kperp.
         """
         n = self.n
         V, _, k12, k1p, kp, _, _ = self.profile.frame_data(r, n)
@@ -197,20 +206,14 @@ class ODESystemL:
         s = 2.0 * (kp - k1p)
         t = s * s / (V / r2)
         jk = 2.0 * s + 0.5 * t
-        offdiag = {
-            "12": 2.0 * k12 - 2.0 * n * kp + 4.0 * s + t,
-            "1j": 0.25 * t - n * kp,
-            "2j": 0.25 * t,
-            "jk": jk,
-        }
-        M = np.empty((r.shape[0], n, n))
-        M[:, 0, 0] = 2.0 * (s - (n - 1) * kp) + 0.5 * t
-        M[:, 0, 1] = M[:, 1, 0] = 2.0 * (kp - k12) - jk
-        M[:, 1, 1] = jk - 2.0 * kp
-        M[:, 0, 2:] = M[:, 2:, 0] = s[:, None]
-        M[:, 1, 2:] = M[:, 2:, 1] = (s - 2.0 * kp)[:, None]
-        M[:, 2:, 2:] = (-2.0 * kp)[:, None, None]
-        return kp * r2, (n * kp - s) * r, offdiag, M
+        return np.array([
+            kp * r2, (n * kp - s) * r,                          # c2, c1
+            2.0 * k12 - 2.0 * n * kp + 4.0 * s + t,             # c12
+            0.25 * t - n * kp, 0.25 * t, jk,                    # c1j, c2j, cjk
+            2.0 * (s - (n - 1) * kp) + 0.5 * t,                 # M00
+            2.0 * (kp - k12) - jk, s,                           # M01, M0j
+            jk - 2.0 * kp, s - 2.0 * kp, -2.0 * kp,             # M11, M1j, Mjj
+        ])
 
 
 def assemble_L_blackhole(metric):
@@ -231,16 +234,17 @@ def assemble_L_cusp(n):
 def _apply(sys, h, coefficients):
     """The operator with coefficients(r) (sys.coefficients or
     sys._mass_part, which check the profile's domain) on h, packed like
-    h.values.  The checks and the zeroth-order term come first, and the
-    (npts, n, n) coupling is freed before any derivative is taken; then
-    the 6-point d2 and 5-point d1 stencils, which keep the interior's 4th
-    order on the one-sided end rows, are each applied once to every column.
+    h.values.  The checks and the zeroth-order term come first, the
+    coupling through S, the sum of the jj columns; then the 6-point d2 and
+    5-point d1 stencils, which keep the interior's 4th order on the
+    one-sided end rows, are each applied once to every column.
     """
     n = h.n
     if n != sys.n:
         raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {n}")
     grid, values = h.grid, h.values
-    c2, c1, offdiag, M = coefficients(grid)
+    C = coefficients(grid)
+    c2, c1, _, _, _, _, m00, m01, m0j, m11, m1j, mjj = C
     r_plus = sys.profile.r_plus
     if r_plus is not None:
         margin = max(0.01 * r_plus, 10.0 * (grid[1] - grid[0]))
@@ -248,14 +252,15 @@ def _apply(sys, h, coefficients):
             raise SingularAtCore(
                 f"grid must start above r_plus + {margin:.3g} = "
                 f"{r_plus + margin:.6g}; got {grid[0]:.6g}")
+    h11, h22, S = values[:, 0], values[:, 1], values[:, 2:n].sum(axis=1)
     zeroth = np.empty_like(values)
-    np.einsum("pab,pb->pa", M, values[:, :n], out=zeroth[:, :n])
-    del M
-    # the other columns: 12, 1j, 2j, then one jk column per torus pair
+    zeroth[:, 0] = m00 * h11 + m01 * h22 + m0j * S
+    zeroth[:, 1] = m01 * h11 + m11 * h22 + m1j * S
+    zeroth[:, 2:n] = (m0j * h11 + m1j * h22 + mjj * S)[:, None]
+    # the other columns, 12, 1j, 2j and one jk per torus pair, take the
+    # rows c12, c1j, c2j and cjk
     npair = values.shape[1] - n - 3
-    scalar = np.column_stack([offdiag["12"], offdiag["1j"], offdiag["2j"]]
-                             + [offdiag["jk"]] * npair)
-    np.multiply(scalar, values[:, n:], out=zeroth[:, n:])
+    np.multiply(C[[2, 3, 4] + [5] * npair].T, values[:, n:], out=zeroth[:, n:])
     if grid.shape[0] < 9:
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
     # c2 d2 + c1 d1 + zeroth, summed left to right in place
@@ -296,11 +301,8 @@ def indicial_roots(block, n):
     if block in ("2j", "jk"):
         return (0.0, float(1 - n))
     if block in ("diag", "coupled"):
-        M = assemble_L_cusp(n).coefficients(np.array([1.0]))[3][0]
-        eigvals = np.linalg.eigvalsh(M)
-        exps = []
-        for lam in eigvals:
-            exps.extend(roots_for(float(lam)))
+        # the Euler coupling's eigenvalues are 2(n-1) twice and 0 n-2 times
+        exps = 2 * roots_for(2.0 * (n - 1)) + (n - 2) * roots_for(0.0)
         return tuple(sorted(exps, reverse=True))
     raise UnknownBlock(f"unknown block label {block!r}")
 

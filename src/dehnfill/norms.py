@@ -139,7 +139,7 @@ def phi_c_raw(r, r_c, R):
     if w <= 0 or r_c >= R - w:
         return base if base.ndim else float(base)
     t = np.clip((r - (r_c - w)) / (2.0 * w), 0.0, 1.0)
-    s = np.where(t <= 0, 0.0, np.where(t >= 1, 1.0, smoothstep(t)))
+    s = smoothstep(t)
     out = ((1.0 - s) * r_c + s * np.maximum(r, r_c)) / R
     return out if out.ndim else float(out)
 

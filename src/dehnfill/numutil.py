@@ -223,44 +223,42 @@ def fit_loglog(x, y):
 # ----------------------------------------------------------------------
 
 
-def _bump_e(t):
+# exp(-1/t) is exactly 0 once 1/t > 745.2, so up to _T_EDGE the step is 0
+# and its derivatives too; evaluating there gives 0 * inf once t**2
+# underflows.  Below t = 1, 1 - t >= 2**-53, so that end needs no guard.
+_T_EDGE = 1.0 / 746.0
+
+
+def _edge_terms(t):
+    """t as an array, the mask of (_T_EDGE, 1), and t, E(t), E(1-t) there."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    inside = (t > _T_EDGE) & (t < 1.0)
+    tm = t[inside]
+    return t, inside, tm, np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
 
 
 def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    a = _bump_e(t)
-    b = _bump_e(1.0 - t)
-    return a / (a + b)
+    t, inside, _, a, b = _edge_terms(t)
+    out = np.heaviside(t - 0.5, 1.0, out=np.empty_like(t))
+    out[inside] = a / (a + b)
+    return out
 
 
 def smoothstep_d1(t):
     """First derivative of smoothstep (analytic)."""
-    t = np.asarray(t, dtype=float)
+    t, inside, tm, a, b = _edge_terms(t)
     out = np.zeros_like(t)
-    mask = (t > 0) & (t < 1)
-    tm = t[mask]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
     s = a + b
     # d/dt [a/(a+b)] = (a' b - a b') / s^2 with a' = a/t^2, b' = -b/(1-t)^2
-    out[mask] = (a * b / s**2) * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2)
+    out[inside] = (a * b / s**2) * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2)
     return out
 
 
 def smoothstep_d2(t):
     """Second derivative of smoothstep (analytic)."""
-    t = np.asarray(t, dtype=float)
+    t, inside, tm, a, b = _edge_terms(t)
     out = np.zeros_like(t)
-    mask = (t > 0) & (t < 1)
-    tm = t[mask]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
     s = a + b
     u = 1.0 / tm**2
     v = 1.0 / (1.0 - tm) ** 2
@@ -272,7 +270,7 @@ def smoothstep_d2(t):
         - 2.0 * (a * u - b * v) / s
         + (-2.0 / tm**3 + 2.0 / (1.0 - tm) ** 3) / (u + v)
     )
-    out[mask] = w * dlog
+    out[inside] = w * dlog
     return out
 
 

@@ -46,10 +46,10 @@ TRANSITION_HI = 0.9
 
 _DEFAULT_RMAX = 1e9
 
-# Largest dimension n accepted anywhere.  The operator blocks hold
-# (npts, n, n) and (npts, (n-2)(n-3)/2) arrays, so memory grows like n^2
-# per grid point, and a huge n overflows float arithmetic such as the
-# indicial discriminant (n-1)^2 + 4c.
+# Largest dimension n accepted anywhere.  A deformation holds one column
+# per torus pair, (n-2)(n-3)/2 of them, so memory grows like n^2 per grid
+# point, and a huge n overflows float arithmetic such as the indicial
+# discriminant (n-1)^2 + 4c.
 MAX_DIMENSION = 32
 
 

@@ -30,6 +30,7 @@ from dehnfill.lattice import (
     quotient_generators,
 )
 from dehnfill.linearized import (
+    COEFFICIENTS,
     InvariantDeformation,
     apply_L,
     assemble_L_blackhole,
@@ -340,16 +341,16 @@ def test_criterion_10_exact_identity_suite():
     r = np.linspace(0.5, 30.0, 64)
     worst_sub = 0.0
     for n in (3, 4, 6, 8):
-        c2, c1, off, M = assemble_L_cusp(n).coefficients(r)
-        euler_M = np.full((n, n), 2.0)
-        euler_M[0, :] = euler_M[:, 0] = 0.0
-        euler_M[0, 0] = 2.0 * (n - 1)
-        euler_off = {"12": 2.0 * (n - 1), "1j": float(n), "2j": 0.0, "jk": 0.0}
-        worst_sub = max(worst_sub, float(np.max(np.abs(c2 + r**2))),
-                        float(np.max(np.abs(c1 + n * r))),
-                        float(np.max(np.abs(M - euler_M))),
-                        *(float(np.max(np.abs(off[label] - value)))
-                          for label, value in euler_off.items()))
+        C = assemble_L_cusp(n).coefficients(r)
+        # the coupling's six distinct entries: M00, M01 = M0j = 0, and 2
+        # everywhere else
+        euler = {"c2": -r**2, "c1": -n * r, "c12": 2.0 * (n - 1),
+                 "c1j": float(n), "c2j": 0.0, "cjk": 0.0,
+                 "M00": 2.0 * (n - 1), "M01": 0.0, "M0j": 0.0,
+                 "M11": 2.0, "M1j": 2.0, "Mjj": 2.0}
+        worst_sub = max(worst_sub,
+                        *(float(np.max(np.abs(row - euler[name])))
+                          for name, row in zip(COEFFICIENTS, C, strict=True)))
 
     ok = worst_dec < 1e-12 and worst_gauge < 1e-8 and worst_sub < 1e-11
     _report(10, "exact identity suite", ok,

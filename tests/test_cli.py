@@ -397,9 +397,9 @@ def test_missing_config_exit_2(tmp_path, capsys):
 
 # the library calls behind each --profile value at the CLI defaults (n=4, m=1, R=10)
 _LIBRARY = {
-    "blackhole": lambda: black_hole_metric(1.0, 4),
-    "cusp": lambda: cusp_metric(4),
-    "glued": lambda: glued_metric(10.0, 4),
+    "blackhole": lambda n=4: black_hole_metric(1.0, n),
+    "cusp": lambda n=4: cusp_metric(n),
+    "glued": lambda n=4: glued_metric(10.0, n),
 }
 
 
@@ -421,28 +421,35 @@ def test_curvature_each_profile_matches_library(tmp_path, profile):
 
 @pytest.mark.parametrize("profile", sorted(_LIBRARY))
 def test_linearize_each_profile_matches_library(tmp_path, profile):
-    rc = main(["linearize", "--n", "4", "--profile", profile,
-               "--out-dir", str(tmp_path)])
-    assert rc == 0
-    report, summary, manifest = _read(tmp_path)
-    metric = _LIBRARY[profile]()
-    grid_text = manifest["config"]["grid"]
-    if profile == "cusp":
-        sys_l = assemble_L_cusp(4)
-        assert grid_text == "0.5:50:64"
-    else:
-        sys_l = assemble_L_blackhole(metric)
-        lo = float(grid_text.split(":")[0])
-        assert lo == pytest.approx(1.05 * metric.profile.r_plus, rel=1e-5)
-    grid = _grid(grid_text)
-    c2, c1, off, M = sys_l.coefficients(grid)
-    expected = np.column_stack([
-        grid, c2, c1, off["12"], off["1j"], off["2j"], off["jk"],
-        M[:, 0, 0], M[:, 0, 1], M[:, 0, 2], M[:, 1, 1], M[:, 1, 2], M[:, 2, 2],
-    ])
-    rows = np.array([[float(t) for t in line.split(",")] for line in report[1:]])
-    assert np.array_equal(rows[:, :13], expected)
-    assert summary["profile"] == profile
+    # all 14 columns; Mjk is Mjj at n = 5 and a zero of Mjj's sign at n = 4,
+    # which has one torus direction
+    for n in (4, 5):
+        out_dir = tmp_path / f"n{n}"
+        rc = main(["linearize", "--n", str(n), "--profile", profile,
+                   "--out-dir", str(out_dir)])
+        assert rc == 0
+        report, summary, manifest = _read(out_dir)
+        metric = _LIBRARY[profile](n)
+        grid_text = manifest["config"]["grid"]
+        if profile == "cusp":
+            sys_l = assemble_L_cusp(n)
+            assert grid_text == "0.5:50:64"
+        else:
+            sys_l = assemble_L_blackhole(metric)
+            lo = float(grid_text.split(":")[0])
+            assert lo == pytest.approx(1.05 * metric.profile.r_plus, rel=1e-5)
+        grid = _grid(grid_text)
+        C = sys_l.coefficients(grid)
+        mjk = C[-1] if n == 5 else np.copysign(0.0, C[-1])
+        expected = np.column_stack([grid, *C, mjk])
+        assert report[0] == ("r,c2,c1,c12,c1j,c2j,cjk,"
+                             "M00,M01,M0j,M11,M1j,Mjj,Mjk")
+        rows = np.array([[float(t) for t in line.split(",")]
+                         for line in report[1:]])
+        assert rows.shape == (64, 14)
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(np.signbit(rows), np.signbit(expected))
+        assert summary["profile"] == profile
 
 
 @pytest.mark.parametrize("command", ["curvature", "linearize"])

@@ -20,6 +20,7 @@ from dehnfill.errors import (
 )
 from dehnfill.linearized import (
     BLOCK_LABELS,
+    COEFFICIENTS,
     InvariantDeformation,
     apply_L,
     assemble_L_blackhole,
@@ -30,7 +31,27 @@ from dehnfill.linearized import (
     metric_deformation,
 )
 from dehnfill.numutil import apply_diff, fit_loglog, loggrid
-from dehnfill.profiles import black_hole_metric, glued_metric
+from dehnfill.profiles import (black_hole_metric, cusp_metric, eval_profile,
+                               glued_metric)
+
+
+def _named(C):
+    """{name: row} of a coefficient table."""
+    assert C.shape[0] == len(COEFFICIENTS)
+    return dict(zip(COEFFICIENTS, C))
+
+
+def _coupling(C, n):
+    """The (npts, n, n) coupling of the diagonal sector, written out entry
+    by entry from the table's six distinct ones."""
+    k = _named(C)
+    M = np.empty((C.shape[1], n, n))
+    M[:, 2:, 2:] = k["Mjj"][:, None, None]
+    M[:, 0, 0], M[:, 1, 1] = k["M00"], k["M11"]
+    M[:, 0, 1] = M[:, 1, 0] = k["M01"]
+    M[:, 0, 2:] = M[:, 2:, 0] = k["M0j"][:, None]
+    M[:, 1, 2:] = M[:, 2:, 1] = k["M1j"][:, None]
+    return M
 
 
 def test_gauge_identity_blackhole():
@@ -79,12 +100,14 @@ def test_zero_deformation_maps_to_zero():
 def test_cusp_coefficients_match_euler_model(n):
     # the shared assembly on V = r^2 gives the Euler model's constants
     r = np.geomspace(1e-3, 1e6, 200)
-    c2, c1, off, M = assemble_L_cusp(n).coefficients(r)
+    C = assemble_L_cusp(n).coefficients(r)
+    assert C.shape == (len(COEFFICIENTS), r.size)
+    coef, M = _named(C), _coupling(C, n)
     ulp = 8 * np.finfo(float).eps
-    assert np.all(np.abs(c2 + r**2) <= ulp * r**2)
-    assert np.all(np.abs(c1 + n * r) <= ulp * n * r)
-    for label, value in zip(("12", "1j", "2j", "jk"), (2.0 * (n - 1), n, 0, 0)):
-        assert np.all(np.abs(off[label] - value) <= ulp * 2 * n), label
+    assert np.all(np.abs(coef["c2"] + r**2) <= ulp * r**2)
+    assert np.all(np.abs(coef["c1"] + n * r) <= ulp * n * r)
+    for name, value in zip(("c12", "c1j", "c2j", "cjk"), (2.0 * (n - 1), n, 0, 0)):
+        assert np.all(np.abs(coef[name] - value) <= ulp * 2 * n), name
     P, Vr2, K = 2.0, 1.0, -1.0
     expect = np.diag([P + 2 * (n - 2) * Vr2, P] + [2 * Vr2] * (n - 2))
     expect[0, 1] = expect[1, 0] = -(P + 2 * K)
@@ -94,18 +117,17 @@ def test_cusp_coefficients_match_euler_model(n):
         for k in range(2, n):
             if j != k:
                 expect[j, k] = -2 * K
-    assert M.shape == (r.size, n, n)
     assert np.all(np.abs(M - expect) <= ulp * 2 * n)
 
 
 def test_cusp_offdiag_coefficients():
     sys = assemble_L_cusp(4)
     r = np.array([1.0, 3.0])
-    z = sys.coefficients(r)[2]
-    assert np.allclose(z["12"], 6.0)
-    assert np.allclose(z["1j"], 4.0)
-    assert np.allclose(z["2j"], 0.0)
-    assert np.allclose(z["jk"], 0.0)
+    z = _named(sys.coefficients(r))
+    assert np.allclose(z["c12"], 6.0)
+    assert np.allclose(z["c1j"], 4.0)
+    assert np.allclose(z["c2j"], 0.0)
+    assert np.allclose(z["cjk"], 0.0)
 
 
 def test_blackhole_12_coefficient_formula():
@@ -118,7 +140,7 @@ def test_blackhole_12_coefficient_formula():
     V1 = 2.0 * r + 2.0 * m / r**2
     K12 = -1.0 + (n - 3) * (n - 2) * m / r ** (n - 1)
     expect = V1**2 / V + 2.0 * (n - 2) * V / r**2 + 2.0 * K12
-    assert np.allclose(sys.coefficients(r)[2]["12"], expect, rtol=1e-13)
+    assert np.allclose(_named(sys.coefficients(r))["c12"], expect, rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -129,26 +151,42 @@ def test_blackhole_mass_coefficients_exact(n):
     # (s = (n-1)u, e = 1-u) to a few ulps, however small u is
     ks = range(1, 30)
     r = np.array([2.0**k for k in ks])
-    _, _, off, M = assemble_L_blackhole(black_hole_metric(1.0, n)).coefficients(r)
+    coef = _named(assemble_L_blackhole(black_hole_metric(1.0, n)).coefficients(r))
     ulps = 4 * Fraction(2) ** -52
     for i, k in enumerate(ks):
         u = Fraction(2, 2 ** (k * (n - 1)))
         s, e = (n - 1) * u, 1 - u
-        for label, got, want in (("c2j", off["2j"][i], s * s / (4 * e)),
-                                 ("cjk", off["jk"][i], 2 * s + s * s / (2 * e)),
-                                 ("M0j", M[i, 0, 2], s)):
+        for label, want in (("c2j", s * s / (4 * e)),
+                            ("cjk", 2 * s + s * s / (2 * e)),
+                            ("M0j", s)):
+            got = coef[label][i]
             assert abs(Fraction(float(got)) - want) <= ulps * want, (label, k)
 
 
 def test_coupling_row_sums():
-    # row sums of the diagonal coupling are -2 ric for any profile
+    # row sums of the diagonal coupling are -2 ric for any profile: the
+    # 11, 22 and every jj row, from the six distinct entries
     from dehnfill.curvature import ricci_and_deficit
 
-    met = glued_metric(25.0, 5)
-    r = np.linspace(19.0, 24.0, 11)
-    M = assemble_L_blackhole(met).coefficients(r)[3]
-    ric = ricci_and_deficit(met, r).ric_diag
-    assert np.max(np.abs(M.sum(axis=2) + 2.0 * ric)) < 1e-10
+    for n in range(3, 9):
+        glued = glued_metric(25.0, n)
+        r_plus = glued.profile.r_plus
+        samples = loggrid(1.1 * r_plus, 24.9, 400)
+        sampled = profiles.FillingMetric(
+            n=n, beta=glued.beta, profile=profiles.SampledProfile(
+                grid=samples, values=eval_profile(glued.profile, samples)))
+        # from near the core, then across the glued transition annulus
+        r = np.concatenate([loggrid(1.2 * r_plus, 19.0, 11),
+                            np.linspace(19.0, 24.0, 11)])
+        for met in (black_hole_metric(1.0, n), cusp_metric(n), glued, sampled):
+            k = _named(assemble_L_blackhole(met).coefficients(r))
+            ric = ricci_and_deficit(met, r).ric_diag
+            sums = (k["M00"] + k["M01"] + (n - 2) * k["M0j"],
+                    k["M01"] + k["M11"] + (n - 2) * k["M1j"],
+                    k["M0j"] + k["M1j"] + (n - 2) * k["Mjj"])
+            for a in range(n):
+                err = np.max(np.abs(sums[min(a, 2)] + 2.0 * ric[:, a]))
+                assert err < 1e-10, (met.profile.variant, n, a)
 
 
 def test_indicial_roots_scalar_blocks():
@@ -180,6 +218,15 @@ def test_indicial_diag_sector():
     r11 = indicial_roots("11", n)
     assert exps[0] == pytest.approx(r11[0], abs=1e-10)
     assert exps[-1] == pytest.approx(r11[1], abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_indicial_diag_roots_exact(n):
+    # the Euler coupling's eigenvalues are 2(n-1) twice and 0 n-2 times, so
+    # the diagonal sector's exponents are the 11 pair twice and (0, 1-n)
+    # n-2 times, with no eigensolver rounding
+    want = 2 * indicial_roots("11", n) + (n - 2) * (0.0, float(1 - n))
+    assert indicial_roots("diag", n) == tuple(sorted(want, reverse=True))
 
 
 def test_indicial_errors():
@@ -430,7 +477,9 @@ def _reference_apply_L(sys, grid, comps):
     knowing nothing of the packed layout: the diagonal sector (11, 22, jj)
     through M, every other block through its own scalar coefficient.
     Returns {label: (npts, m) array} and the largest term's size."""
-    c2, c1, off, M = sys.coefficients(grid)
+    C = sys.coefficients(grid)
+    c2, c1, off = C[0], C[1], _named(C)
+    M = _coupling(C, sys.n)
     terms = []
 
     def op(u, zeroth):
@@ -443,7 +492,7 @@ def _reference_apply_L(sys, grid, comps):
     out = {"11": Ld[:, :1], "22": Ld[:, 1:2], "jj": Ld[:, 2:]}
     for label in ("12", "1j", "2j", "jk"):
         u = comps[label].reshape(grid.size, -1)
-        out[label] = op(u, off[label][:, None] * u)
+        out[label] = op(u, off["c" + label][:, None] * u)
     return out, max(float(np.max(np.abs(t), initial=0.0)) for t in terms)
 
 

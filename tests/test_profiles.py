@@ -23,6 +23,7 @@ from dehnfill.profiles import (
     eval_profile,
     make_glued_profile,
 )
+from dehnfill.numutil import smoothstep, smoothstep_d1, smoothstep_d2
 
 
 def test_eval_profile_cusp():
@@ -253,6 +254,28 @@ def test_cutoff_rejects_window_whose_squared_width_overflows():
         make_glued_profile(1e200, 4)
     cut = CutoffFunction(8e150, 9e150)
     assert math.isfinite(cut.chi_d2(8.5e150))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cutoff_finite_where_the_step_variable_is_tiny():
+    # a wide window puts t = (r - lo)/(hi - lo) below 1e-150, where t**2 and
+    # t**3 underflow and 1/t can overflow: these were nan (0 * inf) with
+    # RuntimeWarnings; the step is exactly 0 there and so are its derivatives
+    cut = CutoffFunction(1.0, 1e150)
+    assert cut.chi_d1(1.0000000000000002) == 0.0
+    assert cut.chi_d2(2.0) == 0.0
+    assert cut.chi(2.0) == 1.0
+    prof = GluedProfile(R=2e150, n=4, cutoff=cut)
+    for order in (0, 1, 2):
+        assert np.all(np.isfinite(eval_profile(prof, [1.3, 2.6], order)))
+    # a subnormal t
+    tiny = CutoffFunction(1e-150, 1e150)
+    assert tiny.chi(np.nextafter(1e-150, 1.0)) == 1.0
+    for t in (5e-324, 1e-300, 1e-3, np.nextafter(1.0, 0.0), 1.0, 2.0):
+        assert smoothstep(t) == (1.0 if t > 0.5 else 0.0)
+        assert smoothstep_d1(t) == 0.0
+        assert smoothstep_d2(t) == 0.0
+    assert math.isnan(smoothstep(math.nan))
 
 
 @pytest.mark.parametrize("n", [4.5, 3.7])
