@@ -51,7 +51,8 @@ class NonFiniteField(DehnFillError):
 
 
 class GridTooCoarse(DehnFillError):
-    """Too few grid points for the requested stencil or seminorm."""
+    """Too few grid points for the requested stencil or seminorm, or a grid
+    of the wrong shape for it: not increasing, or not uniform in log r."""
 
 
 class TooFewSamples(DehnFillError):

@@ -236,7 +236,8 @@ def _unit_stencils(N):
 
     All four depend on N alone, so they are built once per grid size per
     process and kept, read-only: about 216 N bytes a size for the
-    stencils and 72 N for band.
+    stencils and 72 N for band.  The linearized operator applies the same
+    idx, w1 and w2 on its uniform grid in log r.
     """
     start = _window_starts(N, 9)
     idx = start[:, None] + np.arange(9)

@@ -113,9 +113,10 @@ def test_compare_slope(tmp_path):
     assert abs(summary["slope"] + 3.0) < 0.1
 
 
-@pytest.mark.parametrize("n, slope", [("4", -2.9218468292326896),
-                                      ("5", -3.929004790599664),
-                                      ("6", -4.927360864160351)])
+@pytest.mark.parametrize("n, slope", [("4", -2.9218468330828036),
+                                      ("5", -3.929004793853923),
+                                      ("6", -4.927360866640134)],
+                         ids=["4", "5", "6"])
 def test_compare_default_slopes(tmp_path, n, slope):
     rc = main(["compare", "--n", n, "--out-dir", str(tmp_path)])
     assert rc == 0

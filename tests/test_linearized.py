@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dehnfill import linearized, profiles
+from dehnfill import linearized, numutil, profiles, solver
 
 from dehnfill.errors import (
     GridTooCoarse,
@@ -30,7 +30,7 @@ from dehnfill.linearized import (
     indicial_roots,
     metric_deformation,
 )
-from dehnfill.numutil import apply_diff, fit_loglog, loggrid
+from dehnfill.numutil import diff_matrix, fit_loglog, loggrid
 from dehnfill.profiles import (black_hole_metric, cusp_metric, eval_profile,
                                glued_metric)
 
@@ -68,7 +68,7 @@ def test_gauge_identity_blackhole():
 
 def test_gauge_identity_cusp():
     sys = assemble_L_cusp(5)
-    grid = np.linspace(1.0, 30.0, 300)
+    grid = loggrid(1.0, 30.0, 300)
     out = apply_L(sys, metric_deformation(5, grid))
     assert np.max(np.abs(out.diag_matrix() - 2.0 * 4.0)) < 1e-9
 
@@ -247,20 +247,22 @@ def test_indicial_roots_reject_non_integer_n(block, n):
 
 def test_euler_annihilation_decaying_root():
     # r^{-n} solves the 1j block; the application residue is pure
-    # discretization error of the 4th-order stencils
+    # discretization error of the 9-node template in log r.  On [2, 2e4]
+    # every size sits far above the rounding floor; N=800 would not (it
+    # reads 1.91e-10 or 1.86e-10 depending on the BLAS kernel)
     sys = assemble_L_cusp(4)
-    expected = {100: 2.785968e-4, 200: 2.096571e-5,
-                400: 1.441345e-6, 800: 9.459893e-8}
+    expected = {50: 6.151353e-3, 100: 1.579004e-4,
+                200: 2.295799e-6, 400: 2.462883e-8}
     sups = []
     for npts, val in expected.items():
-        grid = np.linspace(2.0, 6.0, npts)
+        grid = loggrid(2.0, 2e4, npts)
         h = InvariantDeformation(n=4, grid=grid,
                                  components={"1j": grid ** (-4.0)})
         sup = float(np.max(np.abs(apply_L(sys, h).block("1j"))))
         assert sup == pytest.approx(val, rel=1e-3)
         sups.append(sup)
     order, _, _ = fit_loglog(
-        np.array([100.0, 200.0, 400.0, 800.0]), np.array(sups)
+        np.array([50.0, 100.0, 200.0, 400.0]), np.array(sups)
     )
     assert order < -3.5
 
@@ -269,26 +271,27 @@ def test_euler_annihilation_growing_root():
     sys = assemble_L_cusp(4)
     s = indicial_roots("11", 4)[0]
     sups = []
-    for npts in (50, 100, 200, 400):
-        grid = np.linspace(2.0, 6.0, npts)
+    for npts in (12, 24, 48, 96):
+        grid = loggrid(2.0, 12.0, npts)
         h = InvariantDeformation(n=4, grid=grid,
                                  components={"11": grid**s})
         # the 11 block couples into the diagonal sector; the residual of
         # an indicial solution shows up in its own component
         out = apply_L(sys, h)
         sups.append(float(np.max(np.abs(out.block("11")))))
-    # the order is fitted below N=400, whose error (4.5e-9 to 7.7e-9,
+    # the order is fitted below N=96, whose error (0.9e-9 to 1.2e-9,
     # depending on the BLAS kernel) already sits at the rounding floor:
-    # 50/100/200 read -3.81 on every kernel, 100/200/400 only -3.46 on
-    # OpenBLAS's generic one
-    order, _, _ = fit_loglog(np.array([50.0, 100.0, 200.0]), np.array(sups[:3]))
+    # 12/24/48 read -6.96 on every kernel.  The template reaches that
+    # floor early, so the grids are coarse: on [2, 6] it is reached by
+    # N=48, and at N=100..800 a fit reads a spurious order of +1
+    order, _, _ = fit_loglog(np.array([12.0, 24.0, 48.0]), np.array(sups[:3]))
     assert order < -3.5
     assert sups[-1] < 1e-8
 
 
 def test_constant_jk_annihilated():
     sys = assemble_L_cusp(4)
-    grid = np.linspace(2.0, 6.0, 200)
+    grid = loggrid(2.0, 6.0, 200)
     h = InvariantDeformation(n=4, grid=grid,
                              components={"jk": np.ones((200, 1))})
     assert np.max(np.abs(apply_L(sys, h).block("jk"))) < 1e-8
@@ -297,7 +300,7 @@ def test_constant_jk_annihilated():
 def test_linear_1j_annihilated():
     # r^1 is the growing indicial solution of the 1j block
     sys = assemble_L_cusp(4)
-    grid = np.linspace(2.0, 6.0, 200)
+    grid = loggrid(2.0, 6.0, 200)
     h = InvariantDeformation(n=4, grid=grid, components={"1j": grid.copy()})
     assert np.max(np.abs(apply_L(sys, h).block("1j"))) < 1e-7
 
@@ -341,12 +344,12 @@ def test_compare_operators_identical_metrics():
 
 def test_compare_operators_bin_edge_point_counts_in_both_bins():
     # the only grid point of two neighbouring bins sits on their shared
-    # edge, so each bin's maximum is the difference at that point
-    lo, hi, bins, k = 6.0, 160.0, 10, 5
+    # edge, so each bin's maximum is the difference at that point: the
+    # bins are 0.029 wide in log r, the grid's step 0.05, and the grid
+    # is exp-spaced from that edge, so that one node is the edge exactly
+    lo, hi, bins, k = 6.0, 8.0, 10, 5
     edges = np.geomspace(lo, hi, bins + 1)
-    grid = loggrid(4.0, 260.0, 800)
-    grid = np.sort(np.append(
-        grid[(grid < edges[k - 1]) | (grid > edges[k + 1])], edges[k]))
+    grid = edges[k] * np.exp(0.05 * np.arange(-11, 50))
     h = bump_deformation(4, grid, centers=[edges[k]])
     cmp = compare_operators(h, r_window=(lo, hi), bins=bins)
     i = int(np.searchsorted(grid, edges[k]))
@@ -386,38 +389,46 @@ def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
 
 
 def _count_stencils(monkeypatch):
-    # (deriv, width) of each stencil built and the shape of each array a
+    # the name of each stencil builder called, under every name it has in
+    # numutil, linearized and solver, and the shape of each array a
     # stencil is applied to
     built, applied = [], []
-    real_weights = linearized.stencil_weights
-    real_apply = linearized.apply_stencil
+    for module in (numutil, linearized, solver):
+        for name in ("fornberg_weights", "stencil_weights", "diff_matrix"):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
 
-    def counting_weights(*args, **kwargs):
-        built.append(args[1:])
-        return real_weights(*args, **kwargs)
+            def counting(*args, _real=real, _name=name, **kwargs):
+                built.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    real_apply = linearized.apply_stencil
 
     def counting_apply(stencil, values):
         applied.append(values.shape)
         return real_apply(stencil, values)
 
-    monkeypatch.setattr(linearized, "stencil_weights", counting_weights)
     monkeypatch.setattr(linearized, "apply_stencil", counting_apply)
     return built, applied
 
 
 def test_compare_operators_builds_stencils_once(monkeypatch):
-    # each stencil is built once and applied once, to every column of h
+    # the template is built once per grid size, by Newton's cache; with it
+    # warm, an application builds no stencil and applies the template's
+    # two derivatives once each, to every column of h
+    solver._unit_stencils(1024)
     built, applied = _count_stencils(monkeypatch)
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
     # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
-    assert sorted(built) == [(1, 5), (2, 6)]
+    assert built == []
     assert applied == [(1024, 8), (1024, 8)]
-    built.clear()
     applied.clear()
     apply_L(assemble_L_cusp(4), h)
-    assert sorted(built) == [(1, 5), (2, 6)]
+    assert built == []
     assert applied == [(1024, 8), (1024, 8)]
 
 
@@ -473,18 +484,28 @@ def test_compare_operators_applies_one_operator(monkeypatch):
 
 
 def _reference_apply_L(sys, grid, comps):
-    """The operator block by block from sys.coefficients and apply_diff,
-    knowing nothing of the packed layout: the diagonal sector (11, 22, jj)
-    through M, every other block through its own scalar coefficient.
-    Returns {label: (npts, m) array} and the largest term's size."""
+    """The operator block by block from sys.coefficients, knowing nothing
+    of the packed layout: the diagonal sector (11, 22, jj) through M,
+    every other block through its own scalar coefficient.  The radial
+    derivatives are dense 9-node differentiation matrices in x = log r,
+    built on the integer nodes (whose differences are exact) and scaled by
+    the step, and taken to r by the chain rule u_r = u_x / r,
+    u_rr = (u_xx - u_x) / r^2.  Returns {label: (npts, m) array} and the
+    largest term's size."""
     C = sys.coefficients(grid)
     c2, c1, off = C[0], C[1], _named(C)
     M = _coupling(C, sys.n)
+    nodes = np.arange(grid.size, dtype=float)
+    hx = (math.log(grid[-1]) - math.log(grid[0])) / (grid.size - 1)
+    Dx = diff_matrix(nodes, 1, 9) / hx
+    Dxx = diff_matrix(nodes, 2, 9) / hx**2
+    r = grid[:, None]
     terms = []
 
     def op(u, zeroth):
-        terms.extend([c2[:, None] * apply_diff(grid, u, 2, 6),
-                      c1[:, None] * apply_diff(grid, u, 1, 5), zeroth])
+        ux, uxx = Dx @ u, Dxx @ u
+        terms.extend([c2[:, None] * (uxx - ux) / r**2,
+                      c1[:, None] * ux / r, zeroth])
         return terms[-3] + terms[-2] + terms[-1]
 
     diag = np.column_stack([comps["11"], comps["22"], comps["jj"]])
@@ -558,7 +579,7 @@ def test_unit_bump_maxima_cached_and_lazy():
 
 def test_apply_L_grid_too_coarse():
     sys = assemble_L_cusp(4)
-    grid = np.linspace(2.0, 6.0, 8)
+    grid = loggrid(2.0, 6.0, 8)
     h = InvariantDeformation(n=4, grid=grid, components={"11": np.ones(8)})
     with pytest.raises(GridTooCoarse):
         apply_L(sys, h)
@@ -567,14 +588,14 @@ def test_apply_L_grid_too_coarse():
 def test_apply_L_core_margin():
     met = black_hole_metric(1.0, 4)
     rp = met.profile.r_plus
-    grid = np.linspace(rp + 1e-4, 10.0, 200)
+    grid = loggrid(rp + 1e-4, 10.0, 200)
     h = InvariantDeformation(n=4, grid=grid, components={"11": np.ones(200)})
     with pytest.raises(SingularAtCore):
         apply_L(assemble_L_blackhole(met), h)
 
 
 def test_deformation_validation():
-    grid = np.linspace(1.0, 2.0, 10)
+    grid = loggrid(1.0, 2.0, 10)
     with pytest.raises(UnknownBlock):
         InvariantDeformation(n=4, grid=grid, components={"33": np.ones(10)})
     with pytest.raises(TooFewSamples):
@@ -599,6 +620,52 @@ def test_deformations_reject_non_finite_grid(build, grid):
     # a spacing of nan compares False with 0, and one of inf is positive
     with pytest.raises(NonFiniteField):
         build(grid)
+
+
+def _nudged_loggrid():
+    grid = loggrid(5.0, 500.0, 256)
+    grid[100] *= 1.0 + 1e-6
+    return grid
+
+
+@pytest.mark.parametrize("grid", [np.linspace(5.0, 500.0, 256),
+                                  _nudged_loggrid()],
+                         ids=["linspace", "nudged-loggrid"])
+def test_operator_rejects_grid_not_uniform_in_log_r(monkeypatch, grid):
+    # the operator takes its derivatives on a uniform grid in log r; a
+    # deformation on any other grid cannot be built, so every entry point
+    # raises before a stencil is built or applied
+    built, applied = _count_stencils(monkeypatch)
+    entry_points = [
+        lambda: apply_L(assemble_L_cusp(4), metric_deformation(4, grid)),
+        lambda: compare_operators(
+            InvariantDeformation(n=4, grid=grid, components={})),
+        lambda: bump_deformation(4, grid, centers=[50.0]),
+    ]
+    for call in entry_points:
+        with pytest.raises(GridTooCoarse, match="uniform in log r"):
+            call()
+    assert built == [] and applied == []
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-100, 1e100), (50.0, 1e150)])
+def test_deformation_accepts_wide_geomspace_grids(lo, hi):
+    # the tolerance follows the rounding of log, which grows with |log r|
+    h = InvariantDeformation(n=4, grid=np.geomspace(lo, hi, 4096),
+                             components={})
+    assert h.grid.size == 4096
+
+
+def test_deformation_grid_is_positive_and_read_only():
+    with pytest.raises(OutOfDomain, match="positive"):
+        InvariantDeformation(n=4, grid=[-1.0, 1.0, 3.0], components={})
+    grid = loggrid(5.0, 50.0, 16)
+    h = InvariantDeformation(n=4, grid=grid, components={})
+    # a copy: changing the caller's array afterwards cannot undo the checks
+    grid[3] = 7.0
+    assert h.grid[3] != 7.0
+    with pytest.raises(ValueError):
+        h.grid[3] = 7.0
 
 
 @pytest.mark.parametrize("n", [math.nan, 2.5, True, 2, 40, 4.0])
