@@ -293,7 +293,7 @@ def _apply(sys, h, coefficients):
     npts = grid.shape[0]
     if npts < 9:
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
-    idx, w1, w2, _ = _unit_stencils(npts)
+    idx, w1, w2 = _unit_stencils(npts)
     hx = (math.log(grid[-1]) - math.log(grid[0])) / (npts - 1)
     a2 = c2 / grid**2
     a1 = c1 / grid - a2

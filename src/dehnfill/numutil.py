@@ -9,48 +9,10 @@ from .errors import GridTooCoarse
 
 
 def fornberg_weights(x0, xs, m):
-    """Weights w with sum_k w[k] f(xs[k]) ~ f^(m)(x0) for nodes xs.
-
-    Classic recursion (Fornberg 1988, Generation of finite difference
-    formulas on arbitrarily spaced grids). Returns shape (len(xs),).
-
-    The recursion runs on Python floats, which round every + - * / the
-    same way as numpy float64 scalars but cost several times less per
-    step, so the weights are bit-identical to a numpy-scalar recursion in
-    the same order.  The result is a strided column view of the
-    (len(xs), m+1) table, not a contiguous copy: a BLAS dot picks its
-    kernel by stride, so `w @ window` rounds like `stencil_weights`' rows.
+    """Weights w with sum_k w[k] f(xs[k]) ~ f^(m)(x0) for nodes xs, shape
+    (len(xs),): `stencil_weights` on the one window xs at the one point x0.
     """
-    xs = np.asarray(xs, dtype=float)
-    nnodes = len(xs)
-    if nnodes < m + 1:
-        raise GridTooCoarse(f"need at least {m + 1} nodes for derivative order {m}")
-    xs = xs.tolist()
-    x0 = float(x0)
-    c = [[0.0] * (m + 1) for _ in range(nnodes)]
-    c[0][0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, nnodes):
-        ks = range(min(i, m), 0, -1)
-        c2 = 1.0
-        c5 = c4
-        xi = xs[i]
-        c4 = xi - x0
-        ci, cprev = c[i], c[i - 1]
-        for j in range(i):
-            c3 = xi - xs[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in ks:
-                    ci[k] = c1 * (k * cprev[k - 1] - c5 * cprev[k]) / c2
-                ci[0] = -c1 * c5 * cprev[0] / c2
-            cj = c[j]
-            for k in ks:
-                cj[k] = (c4 * cj[k] - k * cj[k - 1]) / c3
-            cj[0] = c4 * cj[0] / c3
-        c1 = c2
-    return np.array(c)[:, m]
+    return stencil_weights(xs, m, len(xs), at=[x0])[1][0]
 
 
 def _window_starts(npts, width, pos=None):
@@ -74,13 +36,11 @@ def stencil_weights(grid, deriv, width, at=None):
     Returns (idx, w), both of shape (npts, width) for npts rows: row q
     approximates the deriv-th derivative at at[q] (default grid[q]) by
     sum_k w[q, k] f(grid[idx[q, k]]), on the window of `_window_starts`
-    around the index where at[q] falls; deriv 0 interpolates.  This is
-    `fornberg_weights` run for all rows at once, looping over the width
-    and derivative order only; every arithmetic step keeps its order, so
-    each row is bit-identical to the scalar result.  The steps run in
-    place on one contiguous (width, npts) plane per derivative order, and
-    w is the last plane transposed, so the lower orders and the scratch
-    rows are freed on return.
+    around the index where at[q] falls; deriv 0 interpolates.  The weights
+    come from Fornberg's recursion (Fornberg 1988, Generation of finite
+    difference formulas on arbitrarily spaced grids), run for all rows at
+    once on one (width, npts) plane per derivative order; w is the last
+    plane transposed, so the lower orders are freed on return.
     """
     grid = np.asarray(grid, dtype=float)
     if width < deriv + 1:
@@ -90,56 +50,30 @@ def stencil_weights(grid, deriv, width, at=None):
     pos = None if at is None else np.searchsorted(grid, x0)
     idx = _window_starts(len(grid), width, pos)[:, None] + np.arange(width)
     xs = grid[idx.T]
-    npts = len(x0)
-    c = [np.zeros((width, npts)) for _ in range(deriv + 1)]
+    c = [np.zeros((width, len(x0))) for _ in range(deriv + 1)]
     c[0][0] = 1.0
     c1 = 1.0
-    c4, c5 = xs[0] - x0, np.empty(npts)
-    c3 = np.empty((width - 1, npts))
-    # c1 is the previous step's c2, so the two alternate between buffers
-    products = np.empty((2, npts))
-    t = np.empty_like(c3)
+    c4 = xs[0] - x0
     for i in range(1, width):
-        mn = min(i, deriv)
-        c4, c5 = c5, c4
-        np.subtract(xs[i], x0, out=c4)
-        # c3[j] = xs[i] - xs[j]; c2 is their product over j < i, in order,
-        # from 1.0 * c3[0], which is c3[0] exactly
-        np.subtract(xs[i], xs[:i], out=c3[:i])
-        c2 = products[i % 2]
-        c2[:] = c3[0]
-        for j in range(1, i):
-            np.multiply(c2, c3[j], out=c2)
+        ks = range(min(i, deriv), 0, -1)
+        c5, c4 = c4, xs[i] - x0
+        c3 = xs[i] - xs[:i]
+        c2 = c3[0]
+        for d in c3[1:]:
+            c2 = c2 * d
         # row i from row i-1, which the updates below have not reached yet
-        for k in range(mn, 0, -1):
-            new = c[k][i]
-            np.multiply(c5, c[k][i - 1], out=new)
-            np.subtract(_times(k, c[k - 1][i - 1], t[0]), new, out=new)
-            np.multiply(c1, new, out=new)
-            np.divide(new, c2, out=new)
-        new = c[0][i]
-        np.negative(c1, out=new)
-        np.multiply(new, c5, out=new)
-        np.multiply(new, c[0][i - 1], out=new)
-        np.divide(new, c2, out=new)
+        for k in ks:
+            c[k][i] = c1 * (k * c[k - 1][i - 1] - c5 * c[k][i - 1]) / c2
+        c[0][i] = -c1 * c5 * c[0][i - 1] / c2
         # rows j < i, each row independent of the others
-        for k in range(mn, 0, -1):
-            ck = c[k][:i]
-            np.multiply(c4, ck, out=ck)
-            np.subtract(ck, _times(k, c[k - 1][:i], t[:i]), out=ck)
-            np.divide(ck, c3[:i], out=ck)
-        np.multiply(c4, c[0][:i], out=c[0][:i])
-        np.divide(c[0][:i], c3[:i], out=c[0][:i])
+        for k in ks:
+            c[k][:i] = (c4 * c[k][:i] - k * c[k - 1][:i]) / c3
+        c[0][:i] = c4 * c[0][:i] / c3
         c1 = c2
-    # w is a transposed view, so each row has a non-unit stride like the
-    # scalar result and apply_stencil's BLAS calls round like
-    # `fornberg_weights(...) @ window`
+    # w is a transposed view: a row has a non-unit stride, as a column of
+    # the scalar recursion's (width, deriv+1) table has, and a BLAS dot
+    # picks its kernel by stride, so the two round a product alike
     return idx, c[deriv].T
-
-
-def _times(k, a, out):
-    """k * a, into out unless k is 1, where the product is a itself."""
-    return a if k == 1 else np.multiply(k, a, out=out)
 
 
 def apply_stencil(stencil, values):

@@ -222,33 +222,39 @@ _LOWER, _UPPER = 8, 7
 def _unit_stencils(N):
     """The 9-point first- and second-derivative stencils on the grid 0..N-1.
 
-    Returns (idx, w1, w2, band).  idx, w1 and w2 have shape (N, 9): row i
-    approximates the derivative at node i by sum_k w[i, k] f(idx[i, k]) on
-    the window of `numutil._window_starts`.  On a uniform grid
-    x_i = p + i h the solver divides w1 by h and w2 by h^2.  Fornberg's
-    recursion on integer nodes sees only exact differences, so every row
-    is a row of one 9-node template: rows 0-3 give the left end, the
-    centred row 4 every interior row and rows 5-8 the right end,
-    bit-identical to the rows of diff_matrix(np.arange(N, dtype=float), d,
-    9) for two 9-node builds.
-    band, shape (N - 1, 9), gives the flat positions in the Jacobian's
-    band storage (see `_residual`) of rows 1..N-1 on their windows.
+    Returns (idx, w1, w2), each of shape (N, 9): row i approximates the
+    derivative at node i by sum_k w[i, k] f(idx[i, k]) on the window of
+    `numutil._window_starts`.  On a uniform grid x_i = p + i h the solver
+    divides w1 by h and w2 by h^2.  Fornberg's recursion on integer nodes
+    sees only exact differences, so every row is a row of one 9-node
+    template: rows 0-3 give the left end, the centred row 4 every interior
+    row and rows 5-8 the right end, bit-identical to the rows of
+    diff_matrix(np.arange(N, dtype=float), d, 9) for two 9-node builds.
 
-    All four depend on N alone, so they are built once per grid size per
-    process and kept, read-only: about 216 N bytes a size for the
-    stencils and 72 N for band.  The linearized operator applies the same
-    idx, w1 and w2 on its uniform grid in log r.
+    All three depend on N alone, so they are built once per grid size per
+    process and kept, read-only: about 216 N bytes a size.  The linearized
+    operator applies the same template on its uniform grid in log r.
     """
     start = _window_starts(N, 9)
     idx = start[:, None] + np.arange(9)
     row = np.arange(N) - start
     w1 = diff_matrix(np.arange(9.0), 1, stencil=9)[row]
     w2 = diff_matrix(np.arange(9.0), 2, stencil=9)[row]
-    j = np.arange(1, N)[:, None]
-    band = (_UPPER + j - idx[1:]) * N + idx[1:]
-    for a in (idx, w1, w2, band):
+    for a in (idx, w1, w2):
         a.setflags(write=False)
-    return idx, w1, w2, band
+    return idx, w1, w2
+
+
+@cache
+def _band(N):
+    """Flat positions in the Jacobian's band storage (see `_residual`) of
+    rows 1..N-1 on their stencil windows, shape (N - 1, 9), read-only.
+    Only Newton's Jacobian reads them, so the operator's grid sizes do not
+    keep their 72 N bytes."""
+    idx = _unit_stencils(N)[0][1:]
+    band = (_UPPER + np.arange(1, N)[:, None] - idx) * N + idx
+    band.setflags(write=False)
+    return band
 
 
 def _residual(W, p, n, x_hi, stencils, beta):
@@ -274,7 +280,7 @@ def _residual(W, p, n, x_hi, stencils, beta):
     row J[N, :9] (the other entries of row N are zero) and d the corner
     J[N, N].
     """
-    idx, w1, w2, band = stencils
+    idx, w1, w2 = stencils
     N = len(W)
     x = np.linspace(p, x_hi, N)
     r = np.exp(x)
@@ -301,7 +307,7 @@ def _residual(W, p, n, x_hi, stencils, beta):
         rows[-1] = -D1[N - 1] / r[N - 1] ** 2
         rows[-1, 8] -= (n - 3) / r[N - 1] ** 2
         ab = np.zeros((_LOWER + _UPPER + 1, N))
-        ab.ravel()[band] = rows
+        ab.ravel()[_band(N)] = rows
         ab[_UPPER, 0] = 1.0
         k = 1.0 / (h * (N - 1))
         s = 1.0 - np.arange(1, N - 1) / (N - 1)

@@ -432,6 +432,20 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
     assert applied == [(1024, 8), (1024, 8)]
 
 
+def test_compare_operators_caches_no_jacobian_band():
+    # the operator reads the template alone; the band positions are
+    # Newton's, built and kept only for the sizes it solves at
+    solver._unit_stencils.cache_clear()
+    solver._band.cache_clear()
+    grid = loggrid(5.0, 500.0, 1000)
+    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
+    compare_operators(h, r_window=(5.0, 500.0))
+    assert solver._unit_stencils.cache_info().currsize == 1
+    assert solver._band.cache_info().currsize == 0
+    band = solver._band(1000)
+    assert band.shape == (999, 9) and not band.flags.writeable
+
+
 def test_compare_operators_evaluates_frame_data_once(monkeypatch):
     # one profile evaluation, the black hole's frame data for its mass
     # part: no cusp operator and no separate V, V', V'' evaluations

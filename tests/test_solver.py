@@ -19,7 +19,7 @@ from dehnfill.gluing import DecayScanResult
 from dehnfill.lattice import GeodesicClass
 from dehnfill.linearized import bump_deformation
 from dehnfill.norms import WeightSpec, phi_c, phi_c_raw
-from dehnfill.numutil import diff_matrix, loggrid
+from dehnfill.numutil import diff_matrix, loggrid, stencil_weights
 from dehnfill.profiles import (
     MAX_DIMENSION,
     BlackHoleProfile,
@@ -382,10 +382,22 @@ def _glued_points(n, N):
 def test_unit_stencils_match_diff_matrix(N):
     # the 9-node template scattered into the band is the full per-row
     # Fornberg build on the unit grid, bit for bit
-    idx, w1, w2, _ = solver._unit_stencils(N)
+    idx, w1, w2 = solver._unit_stencils(N)
     for deriv, w in ((1, w1), (2, w2)):
         ref = diff_matrix(np.arange(N, dtype=float), deriv, 9)
         assert np.array_equal(_dense_stencil(idx, w), ref)
+
+
+@pytest.mark.parametrize("N", [64, 65, 1024])
+def test_unit_stencils_are_the_integer_template_rows(N):
+    # one stencil_weights build on the nodes 0..8, its rows mapped onto
+    # the N-node windows, is the cached template bit for bit
+    idx, w1, w2 = solver._unit_stencils(N)
+    assert np.array_equal(idx, stencil_weights(np.arange(N, dtype=float), 1, 9)[0])
+    row = np.arange(N) - idx[:, 0]
+    for deriv, w in ((1, w1), (2, w2)):
+        template = stencil_weights(np.arange(9.0), deriv, 9)[1]
+        assert np.array_equal(w, template[row])
 
 
 @pytest.mark.parametrize("N", [64, 256])
