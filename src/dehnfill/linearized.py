@@ -13,19 +13,21 @@ is its six distinct entries; off-diagonal blocks are scalar.  Twelve
 numbers per radius (COEFFICIENTS) give the operator.  A deformation is
 stored as one (npts, K) array, the diagonal sector's n columns first and
 then one column per off-diagonal component, and the operator is one
-stencil pass per derivative over all K columns plus the coupling on the
-first n and one coefficient per other column.
+derivative pass over all K columns plus the coupling on the first n and
+one coefficient per other column.
 
 The derivatives are taken in x = log r, where A has O(1) coefficients,
-with the 9-node template of Newton's solve (solver._unit_stencils), so
-the operator and the solver share one stencil source and no stencil is
-built per application.  A deformation's grid must therefore be positive
-and uniform in log r (numutil.loggrid, np.geomspace).
+by Newton's kernel (solver._derivatives on the cached 9-node template),
+so the operator and the solver share one discretization and no stencil
+is built per application.  A deformation's grid must therefore be
+positive and uniform in log r (numutil.loggrid, np.geomspace).
 
 Applying the operator to the metric itself (h_ab = delta_ab in the
 orthonormal frame) therefore returns -2 ric_aa on the diagonal for any
 profile, which is 2(n-1) delta_ab when the background is Einstein.  That
-identity is the structural check used throughout the tests.
+identity is the structural check used throughout the tests; the kernel
+takes its differences first, so the derivatives of a constant are
+exactly zero and the identity holds to rounding on any grid.
 
 The cusp model (V = r^2, all curvatures -1) reduces every block to an
 Euler operator with constant couplings; its indicial roots drive the
@@ -39,6 +41,7 @@ in it; compare_operators applies exactly that.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -52,9 +55,9 @@ from .errors import (
     TooFewSamples,
     UnknownBlock,
 )
-from .numutil import apply_stencil, fit_loglog
+from .numutil import fit_loglog
 from .profiles import _check_dimension, black_hole_metric, cusp_metric
-from .solver import _unit_stencils
+from .solver import _derivatives, _unit_stencils
 
 __all__ = [
     "BLOCK_LABELS",
@@ -264,9 +267,8 @@ def _apply(sys, h, coefficients):
         c2 d^2/dr^2 + c1 d/dr = a2 d^2/dx^2 + a1 d/dx,
         a2 = c2/r^2,  a1 = c1/r - a2,
 
-    with the 9-node template that Newton's solve uses
-    (`solver._unit_stencils`, cached per grid size), each derivative
-    applied once to every column.
+    with both derivatives of every column from one call of Newton's
+    kernel, `solver._derivatives`, on the template cached per grid size.
     """
     n = h.n
     if n != sys.n:
@@ -293,13 +295,13 @@ def _apply(sys, h, coefficients):
     npts = grid.shape[0]
     if npts < 9:
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
-    idx, w1, w2 = _unit_stencils(npts)
+    d1, d2 = _derivatives(values, _unit_stencils(npts))
     hx = (math.log(grid[-1]) - math.log(grid[0])) / (npts - 1)
     a2 = c2 / grid**2
     a1 = c1 / grid - a2
     # a2 d2 + a1 d1 + zeroth, summed left to right in place
-    Lh = (a2 / hx**2)[:, None] * apply_stencil((idx, w2), values)
-    Lh += (a1 / hx)[:, None] * apply_stencil((idx, w1), values)
+    Lh = (a2 / hx**2)[:, None] * d2
+    Lh += (a1 / hx)[:, None] * d1
     Lh += zeroth
     return Lh
 
@@ -420,17 +422,19 @@ def compare_operators(h, r_window=None, m=1.0, bins=12):
     over log-spaced bins inside the finite, positive r_window, each bin
     closed at both edges) is fitted; for unit-C2 h translated across the
     window the slope comes out at -(n-1).  All-zero differences give slope
-    nan.  The dimension, profile-domain and core-margin checks run before
-    any derivative is taken.
+    nan.  The window (lo < hi, meeting the grid), the bin count (an integer
+    >= 3, as the fit needs three bins), the dimension, profile-domain and
+    core-margin checks run before any derivative is taken.
     """
+    grid = h.grid
+    lo, hi = (grid[0], grid[-1]) if r_window is None else r_window
+    if not (0.0 < lo < hi < math.inf and lo <= grid[-1] and hi >= grid[0]):
+        raise OutOfDomain(f"r_window must be finite and positive, with lo < hi,"
+                          f" and meet the grid: {r_window}")
+    if not (isinstance(bins, numbers.Integral) and bins >= 3):
+        raise OutOfDomain(f"bins must be an integer >= 3, got {bins}")
     sys = assemble_L_blackhole(black_hole_metric(m, h.n))
     diff = np.abs(_apply(sys, h, sys._mass_part)).max(axis=1)
-    grid = h.grid
-    if r_window is None:
-        r_window = (float(grid[0]), float(grid[-1]))
-    lo, hi = r_window
-    if not all(0.0 < r < math.inf for r in (lo, hi)):
-        raise OutOfDomain(f"r_window must be finite and positive: {r_window}")
     edges = np.geomspace(lo, hi, bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     lo_i = np.searchsorted(grid, edges[:-1])

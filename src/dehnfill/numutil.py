@@ -70,37 +70,7 @@ def stencil_weights(grid, deriv, width, at=None):
             c[k][:i] = (c4 * c[k][:i] - k * c[k - 1][:i]) / c3
         c[0][:i] = c4 * c[0][:i] / c3
         c1 = c2
-    # w is a transposed view: a row has a non-unit stride, as a column of
-    # the scalar recursion's (width, deriv+1) table has, and a BLAS dot
-    # picks its kernel by stride, so the two round a product alike
     return idx, c[deriv].T
-
-
-def apply_stencil(stencil, values):
-    """Apply (idx, w) from `stencil_weights` to samples along axis 0.
-
-    values is (npts,) or (npts, m).  Three batched matmuls reduce the rows
-    on the first window, those in between and those on the last against a
-    strided view of every window of `width` consecutive rows, with no
-    gathered copy.  The operands keep the strides of the per-row
-    `w @ window` product, so each row rounds like it.
-    """
-    idx, w = stencil
-    npts, width = w.shape
-    values = np.ascontiguousarray(values, dtype=float)
-    cols = values.reshape(npts, -1)
-    s0, s1 = cols.strides
-    # win[q] is rows q .. q+width-1 of cols
-    win = np.ndarray((npts - width + 1, width, cols.shape[1]), float,
-                     buffer=cols, strides=(s0, s0, s1))
-    # window starts rise by one from row to row between the two ends
-    s = idx[:, 0]
-    lo, hi = np.searchsorted(s, [s[0] + 1, s[-1]])
-    out = np.empty((npts, 1, cols.shape[1]))
-    np.matmul(w[:lo, None], win[s[0]], out=out[:lo])
-    np.matmul(w[lo:hi, None], win[s[0] + 1 : s[-1]], out=out[lo:hi])
-    np.matmul(w[hi:, None], win[s[-1]], out=out[hi:])
-    return out.reshape(values.shape)
 
 
 def diff_matrix(grid, deriv, stencil):
@@ -121,13 +91,10 @@ def diff_matrix(grid, deriv, stencil):
 
 
 def apply_diff(grid, values, deriv, stencil=5):
-    """Differentiate grid samples along axis 0 without materializing the
-    full matrix or gathering the windows: the rows of `diff_matrix`, built
-    vectorized by `stencil_weights` and applied by `apply_stencil`.
-    Callers that differentiate several arrays on one grid should build the
-    stencil once and call `apply_stencil` themselves.
-    """
-    return apply_stencil(stencil_weights(grid, deriv, stencil), values)
+    """Differentiate grid samples along axis 0: the rows of `diff_matrix`,
+    built by `stencil_weights`, summed over the gathered windows."""
+    idx, w = stencil_weights(grid, deriv, stencil)
+    return np.einsum("ik,ik...->i...", w, np.asarray(values, dtype=float)[idx])
 
 
 def fit_loglog(x, y):

@@ -151,7 +151,7 @@ class NewtonConfig:
     log-grid residual evaluation at the default grid_size.  The floor
     grows like 1/dx^2 while the dx^8 truncation stays far below: from the
     glued start (R=50, n=4 or 5, r_out = 50 r_plus) Newton bottoms out
-    near 1e-12 at grid_size 256, 5e-12 at 512, 2.2e-11 at 1024 and
+    near 1.1e-12 at grid_size 256, 4.5e-12 at 512, 2.1e-11 at 1024 and
     9e-11 at 2048, so at 2048 the default residual_tol is out of reach.
     Each line search starts from the full step t = 1 and halves it.
     """
@@ -257,39 +257,65 @@ def _band(N):
     return band
 
 
+def _derivatives(U, stencils):
+    """The unscaled template sums in difference form, shape (2,) + U.shape:
+    sum_k w1[i, k] (U[idx[i, k]] - U[i]) and the same with w2, for U of
+    shape (N,) or (N, K) and stencils `_unit_stencils(N)`.  The weights sum
+    to zero only to rounding, so the plain sum of w U[idx] loses digits
+    like 1/h^2 on nearly constant U; the differences are exact on
+    constants.  The 4 rows at each end take the 9 nodes at that end; every
+    row between uses the centred template row 4 on eight shifted slices of
+    U, taken in blocks of rows, so no (N, 9, K) copy is made.
+    """
+    _, w1, w2 = stencils
+    N = len(U)
+    V = U.reshape(N, -1)
+    K = V.shape[1]
+    out = np.empty((2, N, K))
+    for rows, window in ((slice(0, 4), V[:9]), (slice(N - 4, N), V[N - 9:])):
+        np.einsum("drk,rkc->drc", np.array((w1[rows], w2[rows])),
+                  window - V[rows, None], out=out[:, rows])
+    t = np.array((w1[4], w2[4]))
+    # blocks of <= 8192 samples a slice keep D small; D[4] stays zero
+    step = max(1, 8192 // K)
+    D = np.zeros((9, min(step, N - 8), K))
+    for a in range(4, N - 4, step):
+        b = min(a + step, N - 4)
+        for k in (0, 1, 2, 3, 5, 6, 7, 8):
+            np.subtract(V[a - 4 + k:b - 4 + k], V[a:b], out=D[k, :b - a])
+        np.einsum("dk,kmc->dmc", t, D[:, :b - a], out=out[:, a:b])
+    return out.reshape((2,) + U.shape)
+
+
 def _residual(W, p, n, x_hi, stencils, beta):
-    """Rows: W[0]=0 | F1 at 1..N-2 | F2 at N-1 | core slope = 4 pi / beta.
+    """Rows: W[0]=0 | F1 at 1..N-2 | F2 at N-1 | core slope/(4 pi/beta) - 1.
 
     The grid x_i = p + i h, h = (x_hi - p)/(N-1), moves with the unknown
     core log-radius p; stencils are `_unit_stencils(N)`.  The derivatives
-    are taken in difference form, DxW_i = sum_k (w1_ik/h) (W[idx_ik] - W_i)
-    and DxxW likewise with w2/h^2: the weights sum to zero, so this is the
-    same operator, but subtracting W_i first removes the cancellation
-    between the O(r^2) terms and lowers the rounding floor about 3x
-    against the plain sum of w W[idx].
+    are `_derivatives(W, stencils)` divided by h and h^2, so they are
+    exact on constants.  The core-slope row is divided by s = 4 pi/beta,
+    which grows like r_plus, so that it is O(1) like every other row;
+    scaling a row leaves the Newton step unchanged.
 
     Returns (res, jacobian).  jacobian() builds the Jacobian at the same
-    (W, p) from this evaluation's D1, D2, DxW, DxxW, r and h, so a Newton
-    iterate is evaluated once, as a line-search trial, and its Jacobian is
-    built only when the trial is accepted.  The Jacobian is exact: the
-    system is affine in W, and its p-column comes from dD1/dp = k D1,
-    dD2/dp = 2k D2 with k = 1/(h(N-1)) and dr_i/dp = r_i (1 - i/(N-1)).
-    It is bordered, (ab, b, c, d): ab is the N x N W-block in LAPACK band
-    storage (ab[_UPPER + i - j, j] = J[i, j], shape
-    (_LOWER + _UPPER + 1, N)), b the p-column J[:N, N], c the core-slope
-    row J[N, :9] (the other entries of row N are zero) and d the corner
-    J[N, N].
+    (W, p) from this evaluation's DxW, DxxW, r and h, so a Newton iterate
+    is evaluated once, as a line-search trial, and its Jacobian, with the
+    derivative matrices D1 = w1/h and D2 = w2/h^2, is built only when the
+    trial is accepted.  The Jacobian is exact: the system is affine in W,
+    and its p-column comes from dD1/dp = k D1, dD2/dp = 2k D2 with
+    k = 1/(h(N-1)) and dr_i/dp = r_i (1 - i/(N-1)).  It is bordered,
+    (ab, b, c, d): ab is the N x N W-block in LAPACK band storage
+    (ab[_UPPER + i - j, j] = J[i, j], shape (_LOWER + _UPPER + 1, N)), b
+    the p-column J[:N, N], c the core-slope row J[N, :9] (the other
+    entries of row N are zero) and d the corner J[N, N].
     """
-    idx, w1, w2 = stencils
+    _, w1, w2 = stencils
     N = len(W)
-    x = np.linspace(p, x_hi, N)
-    r = np.exp(x)
+    r = np.exp(np.linspace(p, x_hi, N))
     h = (x_hi - p) / (N - 1)
-    D1 = w1 / h
-    D2 = w2 / h**2
-    dW = W[idx] - W[:, None]
-    DxW = (D1 * dW).sum(axis=1)
-    DxxW = (D2 * dW).sum(axis=1)
+    DxW, DxxW = _derivatives(W, stencils)
+    DxW /= h
+    DxxW /= h**2
     res = np.empty(N + 1)
     res[0] = W[0]
     i = slice(1, N - 1)
@@ -297,9 +323,11 @@ def _residual(W, p, n, x_hi, stencils, beta):
     res[i] = -A / (2.0 * r[i] ** 2) + (n - 1)
     res[N - 1] = (-DxW[N - 1] / r[N - 1] ** 2
                   - (n - 3) * W[N - 1] / r[N - 1] ** 2 + (n - 1))
-    res[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
+    core = r[0] * (4.0 * math.pi / beta)
+    res[N] = DxW[0] / core - 1.0
 
     def jacobian():
+        D1, D2 = w1 / h, w2 / h**2
         # rows 1..N-1 of the W-block on their stencil windows; row 0 is
         # W[0], whose one entry is the diagonal
         rows = np.empty((N - 1, 9))
@@ -315,8 +343,8 @@ def _residual(W, p, n, x_hi, stencils, beta):
         b[i] = (-(2.0 * DxxW[i] + (n - 3) * DxW[i]) * k
                 / (2.0 * r[i] ** 2) + A * s / r[i] ** 2)
         b[N - 1] = -DxW[N - 1] * k / r[N - 1] ** 2
-        c = D1[0] / r[0]
-        d = DxW[0] / r[0] * (k - 1.0)
+        c = D1[0] / core
+        d = DxW[0] / core * (k - 1.0)
         return ab, b, c, d
 
     return res, jacobian

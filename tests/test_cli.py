@@ -113,7 +113,7 @@ def test_compare_slope(tmp_path):
     assert abs(summary["slope"] + 3.0) < 0.1
 
 
-@pytest.mark.parametrize("n, slope", [("4", -2.9218468330828036),
+@pytest.mark.parametrize("n, slope", [("4", -2.9218468330787424),
                                       ("5", -3.929004793853923),
                                       ("6", -4.927360866640134)],
                          ids=["4", "5", "6"])

@@ -86,6 +86,27 @@ def test_gauge_identity_glued_scales():
     assert outs[0] / outs[1] == pytest.approx(4.0 ** (n - 1), rel=0.25)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cusp_maps_metric_to_2_n_minus_1_exactly(n):
+    # the difference-form derivatives vanish on a constant, so only the
+    # coupling's row sums remain, and on the cusp they are exact
+    out = apply_L(assemble_L_cusp(n), metric_deformation(n, loggrid(0.6, 40.0, 400)))
+    assert np.all(out.diag_matrix() == 2.0 * (n - 1))
+
+
+@pytest.mark.parametrize("R", [None, 50.0], ids=["blackhole", "glued"])
+def test_gauge_residue_at_rounding_level(R):
+    # L(g) = -2 ric to rounding on any grid size: the derivatives of the
+    # constant metric are exactly zero, however fine the grid
+    from dehnfill.curvature import ricci_and_deficit
+
+    met = black_hole_metric(1.0, 4) if R is None else glued_metric(R, 4)
+    grid = loggrid(met.profile.r_plus * 1.2, 49.9, 2000)
+    out = apply_L(assemble_L_blackhole(met), metric_deformation(4, grid))
+    ric = ricci_and_deficit(met, grid).ric_diag
+    assert np.max(np.abs(out.diag_matrix() + 2.0 * ric)) <= 1e-13
+
+
 def test_zero_deformation_maps_to_zero():
     met = black_hole_metric(1.0, 4)
     grid = loggrid(met.profile.r_plus * 1.3, 20.0, 600)
@@ -362,13 +383,25 @@ def test_compare_operators_bin_edge_point_counts_in_both_bins():
 
 
 @pytest.mark.parametrize("window", [(5.0, math.nan), (math.nan, 50.0),
-                                    (-5.0, 50.0), (0.0, 50.0), (5.0, math.inf)],
-                         ids=["hi-nan", "lo-nan", "negative", "zero", "hi-inf"])
+                                    (-5.0, 50.0), (0.0, 50.0), (5.0, math.inf),
+                                    (500.0, 5.0), (50.0, 50.0), (600.0, 900.0),
+                                    (1.0, 4.0)],
+                         ids=["hi-nan", "lo-nan", "negative", "zero", "hi-inf",
+                              "reversed", "empty", "above-grid", "below-grid"])
 def test_compare_operators_rejects_bad_window(window):
     grid = loggrid(5.0, 500.0, 256)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     with pytest.raises(OutOfDomain, match="r_window"):
         compare_operators(h, r_window=window)
+
+
+@pytest.mark.parametrize("bins", [2.5, 2, 0, -3, 12.0, "12", None])
+def test_compare_operators_rejects_bad_bins(bins):
+    # a fit needs three bins; bins=2.5 used to raise a TypeError
+    grid = loggrid(5.0, 500.0, 256)
+    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
+    with pytest.raises(OutOfDomain, match="bins"):
+        compare_operators(h, bins=bins)
 
 
 @pytest.mark.parametrize("centers, width", [
@@ -390,8 +423,8 @@ def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
 
 def _count_stencils(monkeypatch):
     # the name of each stencil builder called, under every name it has in
-    # numutil, linearized and solver, and the shape of each array a
-    # stencil is applied to
+    # numutil, linearized and solver, and the shape of each array the
+    # derivative kernel is applied to
     built, applied = [], []
     for module in (numutil, linearized, solver):
         for name in ("fornberg_weights", "stencil_weights", "diff_matrix"):
@@ -404,20 +437,20 @@ def _count_stencils(monkeypatch):
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-    real_apply = linearized.apply_stencil
+    real_derivatives = linearized._derivatives
 
-    def counting_apply(stencil, values):
+    def counting_derivatives(values, stencils):
         applied.append(values.shape)
-        return real_apply(stencil, values)
+        return real_derivatives(values, stencils)
 
-    monkeypatch.setattr(linearized, "apply_stencil", counting_apply)
+    monkeypatch.setattr(linearized, "_derivatives", counting_derivatives)
     return built, applied
 
 
 def test_compare_operators_builds_stencils_once(monkeypatch):
     # the template is built once per grid size, by Newton's cache; with it
-    # warm, an application builds no stencil and applies the template's
-    # two derivatives once each, to every column of h
+    # warm, an application builds no stencil and takes both derivatives
+    # in one kernel call, on every column of h
     solver._unit_stencils(1024)
     built, applied = _count_stencils(monkeypatch)
     grid = loggrid(5.0, 500.0, 1024)
@@ -425,11 +458,11 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
     compare_operators(h, r_window=(5.0, 500.0))
     # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
     assert built == []
-    assert applied == [(1024, 8), (1024, 8)]
+    assert applied == [(1024, 8)]
     applied.clear()
     apply_L(assemble_L_cusp(4), h)
     assert built == []
-    assert applied == [(1024, 8), (1024, 8)]
+    assert applied == [(1024, 8)]
 
 
 def test_compare_operators_caches_no_jacobian_band():

@@ -3,13 +3,10 @@
 `_reference_fornberg` below is the recursion on numpy float64 scalars.
 `stencil_weights` runs the same steps on whole rows and must match it bit
 for bit; `fornberg_weights` is its one-window case, `diff_matrix` is
-built from that row by row, and `apply_stencil` must reproduce the
-reference's per-row products exactly.  `_reference_apply` is the
-gathered batched product that `apply_stencil` replaces, which its
-sliding-window reduction must match bit for bit.
+built from that row by row, and `apply_diff` must agree with the dense
+matrix up to the rounding of each row's terms.  The difference-form
+kernel that Newton and the operator share is tested in test_solver.py.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ import pytest
 from dehnfill.errors import GridTooCoarse
 from dehnfill.numutil import (
     apply_diff,
-    apply_stencil,
     csv_lines,
     diff_matrix,
     fornberg_weights,
@@ -32,7 +28,7 @@ GRIDS = {
         np.random.default_rng(5).uniform(0.5, 1.5, 50)),
 }
 STENCILS = [(1, 5), (2, 6), (1, 9), (2, 9)]
-# the sliding-window reduction also at the operator workload's largest grid
+# the operator workload's largest grid too
 APPLY_GRIDS = {**GRIDS, "geometric4096": np.geomspace(5.0, 500.0, 4096)}
 EPS = np.finfo(float).eps
 
@@ -62,15 +58,6 @@ def _reference_fornberg(x0, xs, m):
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
     return c[:, m]
-
-
-def _reference_apply(stencil, values):
-    """The stencil applied through a gathered (npts, width, cols) copy."""
-    idx, w = stencil
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        return (w[:, None, :] @ values[idx][:, :, None])[:, 0, 0]
-    return (w[:, None, :] @ values[idx])[:, 0]
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -155,74 +142,12 @@ def test_apply_diff_matches_dense_matrix(name, deriv, width):
         assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(D) @ np.abs(values)))
 
 
-def test_apply_stencil_matches_per_row_products_bitwise():
-    grid = GRIDS["geometric"]
-    st = stencil_weights(grid, 2, 6)
-    idx = st[0]
-    for values in (np.cos(grid), np.random.default_rng(7).standard_normal((len(grid), 4))):
-        # the reference's rows are strided columns of its table, like w's
-        want = np.array([_reference_fornberg(grid[i], grid[idx[i]], 2) @ values[idx[i]]
-                         for i in range(len(grid))])
-        assert np.array_equal(apply_stencil(st, values), want)
-
-
-@pytest.mark.parametrize("deriv, width", STENCILS + [(0, 3)])
-@pytest.mark.parametrize("name", APPLY_GRIDS)
-def test_apply_stencil_matches_gathered_product_bitwise(name, deriv, width):
-    grid = APPLY_GRIDS[name]
-    st = stencil_weights(grid, deriv, width)
-    # the table is (deriv+1, width, npts) and w a view of its last plane
-    assert st[1].T.flags.c_contiguous
-    rng = np.random.default_rng(12)
-    for shape in [(len(grid),)] + [(len(grid), k) for k in (1, 2, 3, 6, 15)]:
-        # values of mixed magnitude, so a change of summation order shows
-        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
-        got = apply_stencil(st, values)
-        want = _reference_apply(st, values)
-        assert got.shape == want.shape == shape
-        assert np.array_equal(got, want), (shape, np.max(np.abs(got - want)))
-    # a strided input too
-    wide = rng.standard_normal((len(grid), 8))
-    assert np.array_equal(apply_stencil(st, wide[:, ::2]),
-                          _reference_apply(st, wide[:, ::2]))
-
-
-@pytest.mark.parametrize("deriv, width", STENCILS + [(0, 3)])
-@pytest.mark.parametrize("name", GRIDS)
-def test_apply_stencil_on_a_single_window_bitwise(name, deriv, width):
-    # npts == width: every row shares window 0, and with one more point
-    # the first and last windows are neighbours, with nothing in between
-    rng = np.random.default_rng(14)
-    for npts in (width, width + 1):
-        grid = GRIDS[name][:npts]
-        st = stencil_weights(grid, deriv, width)
-        for shape in [(npts,), (npts, 1), (npts, 4)]:
-            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
-            got = apply_stencil(st, values)
-            assert got.shape == shape
-            assert np.array_equal(got, _reference_apply(st, values)), (npts, shape)
-
-
 @pytest.mark.parametrize("deriv, width", STENCILS + [(0, 3)])
 def test_stencil_weights_keep_only_their_plane(deriv, width):
     # w views one (width, npts) plane; the lower derivative orders and the
     # scratch rows of the recursion are freed on return
     w = stencil_weights(APPLY_GRIDS["geometric4096"], deriv, width)[1]
     assert w.base.nbytes == w.nbytes == 4096 * width * 8
-
-
-def test_apply_stencil_allocates_no_gather():
-    grid = APPLY_GRIDS["geometric4096"]
-    st = stencil_weights(grid, 2, 6)
-    values = np.random.default_rng(13).standard_normal((len(grid), 6))
-    tracemalloc.start()
-    try:
-        out = apply_stencil(st, values)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a gathered (npts, width, cols) copy alone would be width x the output
-    assert peak < 2 * out.nbytes
 
 
 @pytest.mark.parametrize("deriv, width", STENCILS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,18 @@ def test_newton_blackhole_already_converged():
     assert res.fitted_m == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("m", [1e-300, 1e-100, 1e50, 1e100, 1e300])
+def test_newton_from_exact_blackhole_at_any_mass(m, n):
+    # the core-slope row is scaled to O(1) like the others; unscaled it
+    # grew like r_plus, and 1e50 and 1e100 stalled on rounding
+    prof = BlackHoleProfile(m, n)
+    res = newton_solve(prof, n)
+    assert res.converged
+    assert res.fitted_m == pytest.approx(m, rel=1e-6)
+    assert res.r_plus == pytest.approx(prof.r_plus, rel=1e-6)
+
+
 def test_newton_from_glued_recovers_blackhole():
     n = 4
     res = newton_solve(make_glued_profile(50.0, n), n)
@@ -400,6 +413,39 @@ def test_unit_stencils_are_the_integer_template_rows(N):
         assert np.array_equal(w, template[row])
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (15,)], ids=["1d", "K1", "K15"])
+@pytest.mark.parametrize("N", [9, 10, 64])
+def test_derivatives_match_gathered_difference_form(N, shape):
+    # N = 9: every row on window 0, one centred row; N = 10: the two end
+    # windows are neighbours
+    stencils = idx, w1, w2 = solver._unit_stencils(N)
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((N,) + shape) * 10.0 ** rng.integers(-6, 6, (N,) + shape)
+    got = solver._derivatives(U, stencils)
+    assert got.shape == (2, N) + shape
+    dU = U[idx] - U[:, None]
+    for w, d in zip((w1, w2), got):
+        want = np.einsum("ik,ik...->i...", w, dU)
+        scale = np.einsum("ik,ik...->i...", np.abs(w), np.abs(dU))
+        assert np.all(np.abs(d - want) <= 1e-14 * scale)
+    # exact on constants, however large
+    assert not solver._derivatives(np.full((N,) + shape, 3e300), stencils).any()
+
+
+def test_derivatives_allocate_no_gather():
+    # the operator's widest case: N = 4096 and K = 15 columns at n = 6
+    stencils = solver._unit_stencils(4096)
+    U = np.random.default_rng(13).standard_normal((4096, 15))
+    tracemalloc.start()
+    try:
+        solver._derivatives(U, stencils)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a gathered (N, 9, K) copy alone would be 9 x the input
+    assert peak < 9 * U.nbytes
+
+
 @pytest.mark.parametrize("N", [64, 256])
 @pytest.mark.parametrize("n", [4, 5])
 def test_analytic_p_column_matches_central_difference(n, N):
@@ -449,7 +495,7 @@ def test_difference_form_residual_matches_dense(n, N):
         ref[1:N - 1] = (-(DxxW + (n - 3) * DxW)[1:N - 1]
                         / (2.0 * r[1:N - 1] ** 2) + (n - 1))
         ref[N - 1] = (-DxW[-1] - (n - 3) * W[-1]) / r[-1] ** 2 + (n - 1)
-        ref[N] = DxW[0] / r[0] - 4.0 * math.pi / beta
+        ref[N] = DxW[0] / (r[0] * (4.0 * math.pi / beta)) - 1.0
         got, _ = solver._residual(W, p, n, x_hi, stencils, beta)
         assert np.max(np.abs(got - ref)) <= 1e-10
 
