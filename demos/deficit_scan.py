@@ -20,7 +20,8 @@ n = 4
 
 # a single solution first: the norm weighs the deficit by the decay weight
 # (2/rho)^delta relative to phi_c, and adds log-coordinate difference
-# seminorms over the transition window
+# seminorms, all on one grid over the transition window, the only place
+# where the deficit is nonzero
 filling = filling_from_lengths([50.0], n)
 sol = build_approximate_solution(filling)
 nrm = deficit_norm(sol)

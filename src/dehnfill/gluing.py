@@ -2,9 +2,9 @@
 
 An approximate solution closes each cusp of the filling data with a glued
 profile of size R^i = L_i / beta_1.  Its Einstein deficit is supported in
-the transition annuli and is measured in the weighted norm; scanning the
-norm against the normalized filling size exhibits the O(size**(1-n))
-decay law.
+the transition annuli and is measured in the weighted norm on those
+annuli alone; scanning the norm of one glued metric per size against the
+normalized filling size exhibits the O(size**(1-n)) decay law.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .lattice import (DehnFillingData, FlatLattice, GeodesicClass,
                       filling_data, quotient_generators)
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
 from .numutil import fit_loglog, loggrid
-from .profiles import FillingMetric, make_glued_profile
+from .profiles import (FillingMetric, closing_parameters, glued_metric,
+                       make_glued_profile)
 
 __all__ = [
     "ApproximateSolution",
@@ -89,18 +90,14 @@ def filling_from_lengths(lengths, n):
 def _cusp_deficit_norm(metric, w, cusp_index, grid_size, include_seminorms):
     profile = metric.profile
     lo, hi = profile.domain
-    grid = loggrid(lo * (1.0 + 1e-9), hi * (1.0 - 1e-9), grid_size)
+    lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
     if profile.transition is not None:
-        # the deficit lives in the transition annulus, whose log-width is
-        # fixed while the domain's grows with R; refine it with a fixed
-        # point count so the norm resolves the same shape at every size
+        # the deficit is exactly zero outside the transition annulus, whose
+        # log-width is fixed: a grid 2 % past its edges sees the same shape
+        # at every R
         tlo, thi = profile.transition
-        wlo = max(tlo / 1.02, lo * (1.0 + 1e-9))
-        whi = min(thi * 1.02, hi * (1.0 - 1e-9))
-        window = loggrid(wlo, whi, grid_size)
-        grid = np.unique(np.concatenate([grid, window]))
-    # exact-support on the mass form: identically zero outside the
-    # transition, so the large core weight multiplies a true zero
+        lo, hi = max(tlo / 1.02, lo), min(thi * 1.02, hi)
+    grid = loggrid(lo, hi, grid_size)
     deficit = cutoff_deficit_diag(metric, grid)
     weighted = _cusp_weight(w, cusp_index, grid)[:, None] * deficit
     total = float(np.max(np.abs(weighted)))
@@ -119,11 +116,11 @@ def deficit_norm(sol, w=None, grid_size=512, include_seminorms=True):
     """Weighted norm of the Einstein deficit, maximized over cusps.
 
     sol is an ApproximateSolution or a single FillingMetric, which counts
-    as one cusp.  Per cusp: sup over a log grid of decay_weight *
-    phi_c**-1 * |deficit| plus (unless include_seminorms is False) first
-    and second finite-difference seminorms of the weighted deficit, taken
-    as divided-difference derivative sups in log r.  Deterministic for a
-    fixed grid_size.
+    as one cusp.  Per cusp: sup of decay_weight * phi_c**-1 * |deficit|
+    plus (unless include_seminorms is False) first and second
+    divided-difference seminorms of the weighted deficit in log r, all on
+    one log grid of grid_size points over the transition window, where the
+    deficit lives (the whole domain for a profile without a transition).
     """
     if grid_size < 256:
         raise TooFewSamples(f"grid_size must be >= 256, got {grid_size}")
@@ -162,9 +159,10 @@ class DecayScanResult:
 def decay_scan(n, L_list, w=None, grid_size=512):
     """Deficit norm against filling size, with a least-squares slope.
 
-    w may be a WeightSpec template (only its delta is reused, since R and
-    r_c must track each size), a numeric delta, or None for the default
-    rate.  Build errors for unbuildable sizes propagate.
+    Each size L is one glued metric at filling_data's R = L / beta_1.  w
+    may be a WeightSpec template (only its delta is reused, since R and r_c
+    must track each size), a numeric delta, or None for the default rate.
+    Build errors for unbuildable sizes propagate.
     """
     sizes = tuple(float(L) for L in L_list)
     if len(sizes) < 5:
@@ -174,17 +172,16 @@ def decay_scan(n, L_list, w=None, grid_size=512):
             raise ScanMissing(f"sizes must be finite and positive, got {L}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ScanMissing("sizes must be strictly increasing")
-    delta = None
     if isinstance(w, WeightSpec):
-        delta = w.delta
-    elif w is not None:
-        delta = float(w)
+        w = w.delta
+    delta = None if w is None else float(w)
+    _, beta1 = closing_parameters(1.0, n)
     norms = []
     for L in sizes:
-        filling = filling_from_lengths([L], n)
-        sol = build_approximate_solution(filling)
-        spec = WeightSpec(n=n, R=filling.radii, delta=delta)
-        norms.append(deficit_norm(sol, spec, grid_size=grid_size))
+        R = L / beta1
+        spec = WeightSpec(n=n, R=(R,), delta=delta)
+        norms.append(deficit_norm(glued_metric(R, n), spec,
+                                  grid_size=grid_size))
     slope, intercept, residual = fit_loglog(np.asarray(sizes), np.asarray(norms))
     return DecayScanResult(n=int(n), sizes=sizes, norms=tuple(norms),
                            slope=slope, intercept=intercept, residual=residual)

@@ -90,15 +90,17 @@ def fitted_mass(grid, values, n):
 
     Minimizes sum (V - (r^2 - 2m r^(3-n)))^2 over m, i.e. regresses
     (r^2 - V)/2 on r^(3-n).  Weighting by the regressor keeps the outer
-    samples, where r^(3-n) is tiny, from amplifying noise.
+    samples, where r^(3-n) is tiny, from amplifying noise.  The regressor
+    is (r/r0)^(3-n), r0 = grid[0], so it stays O(1) at any mass.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    basis = grid ** (3 - n)
+    r0 = float(grid[0])
+    basis = (grid / r0) ** (3 - n)
     denom = float(np.sum(basis**2))
     if denom == 0:
         raise InvalidMass("degenerate grid for the mass fit")
-    return float(np.sum((grid**2 - values) * basis) / (2.0 * denom))
+    return float(np.sum((grid**2 - values) * basis) / (2.0 * denom)) * r0 ** (n - 3)
 
 
 @dataclass(frozen=True)

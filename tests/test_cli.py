@@ -598,7 +598,7 @@ _LATTICE_OVERFLOW = '{"basis": [[1e300,0,0],[0,1,0],[0,0,1]], "sigma": [1,0,0]}'
     (["solve", "--from-glued", "1e300"], "squared width overflows"),
     (["solve", "--from-glued", "50", "--r-out", "1e200"], "r_out**2 overflows"),
     (["scan", "--delta", "1e150", "--grid-size", "256"], "decay weight"),
-    (["scan", "--sizes", "1e300,2e300,3e300,4e300,5e300"], "geodesic length"),
+    (["scan", "--sizes", "1e300,2e300,3e300,4e300,5e300"], "squared width overflows"),
     (["lattice", "--cusp", _LATTICE_OVERFLOW], "geodesic length"),
     (["indicial", "--n", "1" + "0" * 400], "n > 32"),
     (["compare", "--n", "1000"], "n > 32"),

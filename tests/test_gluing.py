@@ -161,8 +161,30 @@ def test_decay_scan_slopes():
 
 def test_decay_scan_frozen_n3():
     scan = decay_scan(3, [40.0, 80.0, 160.0, 320.0, 640.0], grid_size=512)
-    assert scan.slope == pytest.approx(-2.000000077195, abs=1e-9)
-    assert scan.norms[0] == pytest.approx(8.808074054036e5, rel=1e-9)
+    assert scan.slope == pytest.approx(-1.9999999999988474, abs=1e-9)
+    assert scan.norms[0] == pytest.approx(8.8080716975137e5, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_deficit_norm_is_self_similar_in_R(n):
+    # the grid covers the transition window alone, whose shape in log r is
+    # the same at every R, so R**(n-1) times the norm is one constant
+    scaled = [R ** (n - 1) * deficit_norm(glued_metric(R, n))
+              for R in (20.0, 37.3, 123.4, 1000.0, 5000.0)]
+    assert scaled == pytest.approx([scaled[0]] * len(scaled), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decay_scan_matches_the_lattice_path(n):
+    # one glued metric per size gives the norm of the one-cusp filling
+    # built from a lattice, bit for bit
+    sizes = [40.0, 80.0, 160.0, 320.0, 640.0]
+    lattice_norms = []
+    for L in sizes:
+        f = filling_from_lengths([L], n)
+        lattice_norms.append(deficit_norm(build_approximate_solution(f),
+                                          WeightSpec(n=n, R=f.radii)))
+    assert decay_scan(n, sizes).norms == tuple(lattice_norms)
 
 
 def test_decay_scan_delta_passthrough():

@@ -222,11 +222,13 @@ def test_newton_blackhole_already_converged():
     assert res.fitted_m == pytest.approx(2.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("m", [1e-300, 1e-100, 1e50, 1e100, 1e300])
 def test_newton_from_exact_blackhole_at_any_mass(m, n):
     # the core-slope row is scaled to O(1) like the others; unscaled it
-    # grew like r_plus, and 1e50 and 1e100 stalled on rounding
+    # grew like r_plus, and 1e50 and 1e100 stalled on rounding; the mass
+    # fit's regressor is scaled by the grid's first radius, so that it
+    # neither overflows nor underflows at n >= 6
     prof = BlackHoleProfile(m, n)
     res = newton_solve(prof, n)
     assert res.converged
