@@ -35,7 +35,8 @@ oscillation estimates.  Every coefficient is assembled as its Euler
 constant plus a mass part built from the curvatures' own mass terms
 K + 1, so the black hole's mass part is the operator difference
 L_BH - L_C itself, of size O(r^(1-n)), with no O(1) terms cancelling
-in it; compare_operators applies exactly that.
+in it.  compare_operators applies exactly that to one radial function
+in every block, from the derivatives of that one column.
 """
 
 from __future__ import annotations
@@ -257,25 +258,24 @@ def assemble_L_cusp(n):
     return assemble_L_blackhole(cusp_metric(n))
 
 
-def _apply(sys, h, coefficients):
-    """The operator with coefficients(r) (sys.coefficients or
-    sys._mass_part, which check the profile's domain) on h, packed like
-    h.values.  The checks and the zeroth-order term come first, the
-    coupling through S, the sum of the jj columns.  The radial part is
-    then taken in x = log r, on which h's grid is uniform with step hx:
+def _radial(sys, h, coefficients):
+    """The checks of an application of sys, with coefficients(r)
+    (sys.coefficients or sys._mass_part, which check the profile's domain),
+    to h, all made before any derivative is taken: the dimension, the
+    coefficients on h's grid, the core margin and at least 9 points.
+    Returns the (12, npts) table C and the radial part's coefficients in
+    x = log r, on which h's grid is uniform with step hx:
 
         c2 d^2/dr^2 + c1 d/dr = a2 d^2/dx^2 + a1 d/dx,
         a2 = c2/r^2,  a1 = c1/r - a2,
 
-    with both derivatives of every column from one call of Newton's
-    kernel, `solver._derivatives`, on the template cached per grid size.
+    as a2/hx^2 and a1/hx, ready for the unscaled sums of Newton's kernel,
+    `solver._derivatives`, on the template cached per grid size.
     """
-    n = h.n
-    if n != sys.n:
-        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {n}")
-    grid, values = h.grid, h.values
+    if h.n != sys.n:
+        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
+    grid = h.grid
     C = coefficients(grid)
-    c2, c1, _, _, _, _, m00, m01, m0j, m11, m1j, mjj = C
     r_plus = sys.profile.r_plus
     if r_plus is not None:
         margin = max(0.01 * r_plus, 10.0 * (grid[1] - grid[0]))
@@ -283,6 +283,23 @@ def _apply(sys, h, coefficients):
             raise SingularAtCore(
                 f"grid must start above r_plus + {margin:.3g} = "
                 f"{r_plus + margin:.6g}; got {grid[0]:.6g}")
+    npts = grid.shape[0]
+    if npts < 9:
+        raise GridTooCoarse("need at least 9 grid points to apply the operator")
+    hx = (math.log(grid[-1]) - math.log(grid[0])) / (npts - 1)
+    a2 = C[0] / grid**2
+    a1 = C[1] / grid - a2
+    return C, a2 / hx**2, a1 / hx
+
+
+def apply_L(sys, h):
+    """Apply the assembled operator to a deformation on its grid; returns
+    a deformation with every block populated.  Both derivatives of every
+    column come from one kernel call; the zeroth-order term couples the
+    diagonal sector through S, the sum of the jj columns."""
+    n, values = h.n, h.values
+    C, a2, a1 = _radial(sys, h, sys.coefficients)
+    m00, m01, m0j, m11, m1j, mjj = C[6:]
     h11, h22, S = values[:, 0], values[:, 1], values[:, 2:n].sum(axis=1)
     zeroth = np.empty_like(values)
     zeroth[:, 0] = m00 * h11 + m01 * h22 + m0j * S
@@ -292,26 +309,12 @@ def _apply(sys, h, coefficients):
     # rows c12, c1j, c2j and cjk
     npair = values.shape[1] - n - 3
     np.multiply(C[[2, 3, 4] + [5] * npair].T, values[:, n:], out=zeroth[:, n:])
-    npts = grid.shape[0]
-    if npts < 9:
-        raise GridTooCoarse("need at least 9 grid points to apply the operator")
-    d1, d2 = _derivatives(values, _unit_stencils(npts))
-    hx = (math.log(grid[-1]) - math.log(grid[0])) / (npts - 1)
-    a2 = c2 / grid**2
-    a1 = c1 / grid - a2
+    d1, d2 = _derivatives(values, _unit_stencils(values.shape[0]))
     # a2 d2 + a1 d1 + zeroth, summed left to right in place
-    Lh = (a2 / hx**2)[:, None] * d2
-    Lh += (a1 / hx)[:, None] * d1
+    Lh = a2[:, None] * d2
+    Lh += a1[:, None] * d1
     Lh += zeroth
-    return Lh
-
-
-def apply_L(sys, h):
-    """Apply the assembled operator to a deformation on its grid; returns
-    a deformation with every block populated."""
-    Lh = _apply(sys, h, sys.coefficients)
-    return InvariantDeformation(n=h.n, grid=h.grid,
-                                components=_blocks(Lh, h.n))
+    return InvariantDeformation(n=n, grid=h.grid, components=_blocks(Lh, n))
 
 
 def indicial_roots(block, n):
@@ -414,27 +417,50 @@ class OperatorComparison:
 def compare_operators(h, r_window=None, m=1.0, bins=12):
     """|L_C h - L_BH h| on the grid of h, with a log-log envelope fit.
 
-    Compares the cusp model against the black hole of mass m.  The
-    difference is the black hole's mass part (ODESystemL._mass_part)
-    applied to h, one operator application that keeps its digits however
-    far the difference falls below either operator.  It is reduced
-    pointwise to its maximum over blocks, then an envelope (binwise maximum
-    over log-spaced bins inside the finite, positive r_window, each bin
-    closed at both edges) is fitted; for unit-C2 h translated across the
-    window the slope comes out at -(n-1).  All-zero differences give slope
-    nan.  The window (lo < hi, meeting the grid), the bin count (an integer
-    >= 3, as the fit needs three bins), the dimension, profile-domain and
+    Compares the cusp model against the black hole of mass m on an h with
+    one radial function b in every block, as bump_deformation builds; any
+    other h raises OutOfDomain.  The difference is the black hole's mass
+    part (ODESystemL._mass_part) applied to h, which keeps its digits
+    however far it falls below either operator.  Each block of it is
+    R b + z b, with R the mass part's radial part and z one of at most 7
+    rows (the coupling's three diagonal row sums, c12, c1j, c2j and, for
+    n >= 4, cjk), so it takes one derivative pass over b and is reduced
+    pointwise to its maximum over that (<= 7, npts) table.  Then an
+    envelope (binwise maximum over log-spaced bins inside the finite,
+    positive r_window, each bin closed at both edges) is fitted; for
+    unit-C2 h translated across the window the slope comes out at -(n-1).
+    All-zero differences give slope nan.  The window (lo < hi, meeting the
+    grid), the bin count (an integer >= 3, as the fit needs three bins),
+    the one radial function and the dimension, profile-domain and
     core-margin checks run before any derivative is taken.
     """
-    grid = h.grid
+    grid, values, n = h.grid, h.values, h.n
     lo, hi = (grid[0], grid[-1]) if r_window is None else r_window
     if not (0.0 < lo < hi < math.inf and lo <= grid[-1] and hi >= grid[0]):
         raise OutOfDomain(f"r_window must be finite and positive, with lo < hi,"
                           f" and meet the grid: {r_window}")
     if not (isinstance(bins, numbers.Integral) and bins >= 3):
         raise OutOfDomain(f"bins must be an integer >= 3, got {bins}")
-    sys = assemble_L_blackhole(black_hole_metric(m, h.n))
-    diff = np.abs(_apply(sys, h, sys._mass_part)).max(axis=1)
+    if (values[:, 1:] != values[:, :1]).any():
+        raise OutOfDomain("compare_operators needs one radial function in "
+                          "every block, as bump_deformation builds")
+    sys = assemble_L_blackhole(black_hole_metric(m, n))
+    C, a2, a1 = _radial(sys, h, sys._mass_part)
+    _, _, c12, c1j, c2j, cjk, m00, m01, m0j, m11, m1j, mjj = C
+    b = np.ascontiguousarray(values[:, 0])
+    d1, d2 = _derivatives(b, _unit_stencils(b.size))
+    R = a2 * d2
+    R += a1 * d1
+    # the diagonal sector's rows sum the coupling over its n - 2 jj columns
+    t = n - 2
+    rows = [m00 + m01 + t * m0j, m01 + m11 + t * m1j, m0j + m1j + t * mjj,
+            c12, c1j, c2j]
+    if n >= 4:
+        rows.append(cjk)
+    Lh = np.array(rows)
+    Lh *= b
+    Lh += R
+    diff = np.abs(Lh, out=Lh).max(axis=0)
     edges = np.geomspace(lo, hi, bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     lo_i = np.searchsorted(grid, edges[:-1])

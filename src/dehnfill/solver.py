@@ -265,20 +265,25 @@ def _derivatives(U, stencils):
     like 1/h^2 on nearly constant U; the differences are exact on
     constants.  The 4 rows at each end take the 9 nodes at that end; every
     row between uses the centred template row 4 on eight shifted slices of
-    U, taken in blocks of rows, so no (N, 9, K) copy is made.
+    U, taken in blocks of rows, so no (N, 9, K) copy is made.  Every sum
+    takes the 9 nodes in order, so a column's sums are the same bits alone
+    as among K columns.
     """
     _, w1, w2 = stencils
     N = len(U)
     V = U.reshape(N, -1)
     K = V.shape[1]
     out = np.empty((2, N, K))
+    # einsum sums along an axis of unit stride in another order, so the
+    # nodes never take one: the end rows' differences are laid out
+    # (9, 4, K), node first, and D below keeps at least 2 rows
     for rows, window in ((slice(0, 4), V[:9]), (slice(N - 4, N), V[N - 9:])):
-        np.einsum("drk,rkc->drc", np.array((w1[rows], w2[rows])),
-                  window - V[rows, None], out=out[:, rows])
+        np.einsum("drk,krc->drc", np.array((w1[rows], w2[rows])),
+                  window[:, None] - V[rows], out=out[:, rows])
     t = np.array((w1[4], w2[4]))
     # blocks of <= 8192 samples a slice keep D small; D[4] stays zero
     step = max(1, 8192 // K)
-    D = np.zeros((9, min(step, N - 8), K))
+    D = np.zeros((9, max(2, min(step, N - 8)), K))
     for a in range(4, N - 4, step):
         b = min(a + step, N - 4)
         for k in (0, 1, 2, 3, 5, 6, 7, 8):

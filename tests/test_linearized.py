@@ -450,17 +450,18 @@ def _count_stencils(monkeypatch):
 def test_compare_operators_builds_stencils_once(monkeypatch):
     # the template is built once per grid size, by Newton's cache; with it
     # warm, an application builds no stencil and takes both derivatives
-    # in one kernel call, on every column of h
+    # in one kernel call: compare on the one column of h, apply_L on every
+    # column
     solver._unit_stencils(1024)
     built, applied = _count_stencils(monkeypatch)
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
-    # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
     assert built == []
-    assert applied == [(1024, 8)]
+    assert applied == [(1024,)]
     applied.clear()
     apply_L(assemble_L_cusp(4), h)
+    # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
     assert built == []
     assert applied == [(1024, 8)]
 
@@ -507,15 +508,15 @@ def test_compare_operators_evaluates_frame_data_once(monkeypatch):
 
 def test_compare_operators_applies_one_operator(monkeypatch):
     # the mass part alone: one zeroth-order pass (the black hole's mass
-    # part, never the full coefficients) and one application
-    counts = {"_apply": 0, "coefficients": 0, "_mass_part": 0}
-    real = linearized._apply
+    # part, never the full coefficients) and one kernel call
+    counts = {"_derivatives": 0, "coefficients": 0, "_mass_part": 0}
+    real = linearized._derivatives
 
     def counting(*args):
-        counts["_apply"] += 1
+        counts["_derivatives"] += 1
         return real(*args)
 
-    monkeypatch.setattr(linearized, "_apply", counting)
+    monkeypatch.setattr(linearized, "_derivatives", counting)
     for name in ("coefficients", "_mass_part"):
         real_method = getattr(linearized.ODESystemL, name)
 
@@ -527,7 +528,54 @@ def test_compare_operators_applies_one_operator(monkeypatch):
     grid = loggrid(5.0, 500.0, 1024)
     h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     compare_operators(h, r_window=(5.0, 500.0))
-    assert counts == {"_apply": 1, "coefficients": 0, "_mass_part": 1}
+    assert counts == {"_derivatives": 1, "coefficients": 0, "_mass_part": 1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda grid: metric_deformation(4, grid),
+    lambda grid: InvariantDeformation(n=4, grid=grid,
+                                      components={"11": np.ones(grid.size)}),
+], ids=["metric_deformation", "11-only"])
+def test_compare_operators_rejects_blocks_that_differ(monkeypatch, build):
+    # the difference is taken on the one column of h, so an h whose blocks
+    # differ is refused before any derivative is taken
+    grid = loggrid(5.0, 500.0, 256)
+    h = build(grid)
+    built, applied = _count_stencils(monkeypatch)
+    with pytest.raises(OutOfDomain, match="bump_deformation"):
+        compare_operators(h)
+    assert built == [] and applied == []
+
+
+def test_compare_operators_accepts_zero_deformation():
+    grid = loggrid(5.0, 500.0, 256)
+    cmp = compare_operators(InvariantDeformation(n=4, grid=grid,
+                                                 components={}))
+    assert not cmp.diff.any()
+    assert math.isnan(cmp.slope)
+
+
+class _MassPartL(linearized.ODESystemL):
+    """The black hole's mass part as a whole operator, for apply_L."""
+
+    def coefficients(self, r):
+        return self._mass_part(np.atleast_1d(np.asarray(r, dtype=float)))
+
+
+@pytest.mark.parametrize("N", [256, 4096])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_compare_operators_matches_mass_part_on_every_column(n, N):
+    # the one-column rows against the general operator on all K columns:
+    # the same zero set and a few ulps of each point's value (n = 3 has no
+    # jk row)
+    grid = loggrid(5.0, 500.0, N)
+    centers = np.geomspace(5.0 * math.exp(0.4), 500.0 * math.exp(-0.4), 12)
+    h = bump_deformation(n, grid, centers)
+    sys = _MassPartL(n=n, profile=black_hole_metric(1.0, n).profile)
+    want = np.abs(apply_L(sys, h).values).max(axis=1)
+    diff = compare_operators(h).diff
+    assert np.array_equal(diff == 0, want == 0)
+    assert np.all(np.abs(diff - want) <= 4 * np.finfo(float).eps * want)
 
 
 def _reference_apply_L(sys, grid, comps):
@@ -585,7 +633,7 @@ def test_apply_L_matches_per_block_reference(n):
         assert np.max(err, initial=0.0) <= 1e-14 * scale, label
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_compare_operators_matches_two_apply_L(n):
     # at compare's defaults, where the subtraction of two full operators
     # still resolves the difference, the mass part gives the same diff to
@@ -600,8 +648,9 @@ def test_compare_operators_matches_two_apply_L(n):
     for label in BLOCK_LABELS:
         a = La.block(label).reshape(grid.size, -1)
         d = np.abs(a - Lb.block(label).reshape(grid.size, -1))
-        expected = np.maximum(expected, d.max(axis=1))
-        scale = max(scale, float(np.max(np.abs(a))))
+        # n = 3 has no jk column
+        expected = np.maximum(expected, d.max(axis=1, initial=0.0))
+        scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
     diff = compare_operators(h).diff
     assert np.max(np.abs(diff - expected)) <= 1e-15 * scale
 

@@ -434,6 +434,28 @@ def test_derivatives_match_gathered_difference_form(N, shape):
     assert not solver._derivatives(np.full((N,) + shape, 3e300), stencils).any()
 
 
+@pytest.mark.parametrize("N", [9, 10, 256, 555, 8201])
+def test_derivatives_of_a_column_do_not_depend_on_its_neighbours(N):
+    # the sums of a column alone, as 1-D or (N, 1), are bit-identical to
+    # its sums among K columns, in the end rows as in the interior; the
+    # operator comparison takes one column where apply_L takes K.  N = 9
+    # has one interior row; at N = 555 the last block of 15 columns, and
+    # at N = 8201 that of one column, holds one row
+    stencils = solver._unit_stencils(N)
+    rng = np.random.default_rng(5)
+    U = rng.standard_normal((N, 15)) * 10.0 ** rng.integers(-6, 6, (N, 15))
+    whole = solver._derivatives(U, stencils)
+    for K in (2, 8, 15):
+        assert np.array_equal(solver._derivatives(U[:, :K], stencils),
+                              whole[:, :, :K])
+    for k in (0, 7, 14):
+        column = np.ascontiguousarray(U[:, k])
+        assert np.array_equal(solver._derivatives(column, stencils),
+                              whole[:, :, k])
+        assert np.array_equal(solver._derivatives(column[:, None], stencils),
+                              whole[:, :, k:k + 1])
+
+
 def test_derivatives_allocate_no_gather():
     # the operator's widest case: N = 4096 and K = 15 columns at n = 6
     stencils = solver._unit_stencils(4096)
