@@ -3,8 +3,9 @@
 An approximate solution closes each cusp of the filling data with a glued
 profile of size R^i = L_i / beta_1.  Its Einstein deficit is supported in
 the transition annuli and is measured in the weighted norm on those
-annuli alone; scanning the norm of one glued metric per size against the
-normalized filling size exhibits the O(size**(1-n)) decay law.
+annuli alone, for all cusps (or all sizes of a scan) in one pass over an
+(S, G) stack of log grids; scanning the norm against the normalized
+filling size exhibits the O(size**(1-n)) decay law.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import cutoff_deficit_diag
 from .errors import InvalidWeight, ScanMissing, TooFewSamples
 from .lattice import (DehnFillingData, FlatLattice, GeodesicClass,
                       filling_data, quotient_generators)
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
-from .numutil import fit_loglog, loggrid
-from .profiles import (FillingMetric, closing_parameters, glued_metric,
+from .numutil import fit_loglog
+from .profiles import (FillingMetric, _stack_deficit, closing_parameters,
                        make_glued_profile)
 
 __all__ = [
@@ -87,43 +87,44 @@ def filling_from_lengths(lengths, n):
     return filling_data(cusps, n)
 
 
-def _cusp_deficit_norm(metric, w, cusp_index, grid_size, include_seminorms):
-    profile = metric.profile
-    lo, hi = profile.domain
-    lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
-    if profile.transition is not None:
-        # the deficit is exactly zero outside the transition annulus, whose
-        # log-width is fixed: a grid 2 % past its edges sees the same shape
-        # at every R
-        tlo, thi = profile.transition
-        lo, hi = max(tlo / 1.02, lo), min(thi * 1.02, hi)
-    grid = loggrid(lo, hi, grid_size)
-    deficit = cutoff_deficit_diag(metric, grid)
-    weighted = _cusp_weight(w, cusp_index, grid)[:, None] * deficit
-    total = float(np.max(np.abs(weighted)))
+def _deficit_norms(profiles, n, w, grid_size, include_seminorms):
+    """The deficit norm of the metric of each profile, row s of one (S, G)
+    stack at cusp s of w: see deficit_norm."""
+    if not (isinstance(grid_size, (int, np.integer))
+            and not isinstance(grid_size, bool) and grid_size >= 256):
+        raise TooFewSamples(f"grid_size must be an integer >= 256, got {grid_size}")
+    lo, hi = np.array([p.domain for p in profiles], dtype=float).T
+    # the deficit is exactly zero outside the transition annulus, whose
+    # log-width is fixed: a grid 2 % past its edges sees the same shape at
+    # every R (no transition: the whole domain)
+    tlo, thi = np.array([p.transition or (0.0, np.inf) for p in profiles]).T
+    grid = np.geomspace(np.maximum(tlo / 1.02, lo * (1.0 + 1e-9)),
+                        np.minimum(thi * 1.02, hi * (1.0 - 1e-9)),
+                        grid_size, axis=1)
+    # the deficit diagonal has two distinct entries, rad (11 = 22) and tor
+    weighted = _cusp_weight(w, grid) * np.asarray(_stack_deficit(profiles, grid, n))
+    norms = np.max(np.abs(weighted), axis=(0, 2))
     if include_seminorms:
         # first and second derivative proxies of the weighted deficit in
         # the log-radial coordinate (the coordinate in which the filling
-        # geometry has unit scale), as adjacent divided-difference sups,
-        # taken over all components at once after one check of the field
+        # geometry has unit scale), as adjacent divided-difference sups
         weighted, x = _check_field(weighted, np.log(grid))
         for order in (0, 1):
-            total += _holder_quotient(weighted, x, 1.0, order)
-    return total
+            norms += np.max(_holder_quotient(weighted, x, 1.0, order), axis=0)
+    return norms
 
 
 def deficit_norm(sol, w=None, grid_size=512, include_seminorms=True):
     """Weighted norm of the Einstein deficit, maximized over cusps.
 
-    sol is an ApproximateSolution or a single FillingMetric, which counts
-    as one cusp.  Per cusp: sup of decay_weight * phi_c**-1 * |deficit|
-    plus (unless include_seminorms is False) first and second
-    divided-difference seminorms of the weighted deficit in log r, all on
-    one log grid of grid_size points over the transition window, where the
-    deficit lives (the whole domain for a profile without a transition).
+    sol is an ApproximateSolution, a stack of its cusps, or a single
+    FillingMetric, a stack of one.  Per cusp, on row s of one (S, grid_size)
+    pass: sup of decay_weight * phi_c**-1 * |deficit| plus (unless
+    include_seminorms is False) first and second divided-difference
+    seminorms of the weighted deficit in log r, on a log grid over the
+    transition window, where the deficit lives (the whole domain for a
+    profile without a transition).
     """
-    if grid_size < 256:
-        raise TooFewSamples(f"grid_size must be >= 256, got {grid_size}")
     metrics = (sol,) if isinstance(sol, FillingMetric) else sol.metrics
     if w is None:
         w = WeightSpec(n=sol.n, R=tuple(m.profile.domain[1] for m in metrics))
@@ -131,10 +132,8 @@ def deficit_norm(sol, w=None, grid_size=512, include_seminorms=True):
         raise InvalidWeight(
             f"weight covers {w.num_cusps} cusps, solution has {len(metrics)}"
         )
-    return max(
-        _cusp_deficit_norm(m, w, i, grid_size, include_seminorms)
-        for i, m in enumerate(metrics)
-    )
+    return float(np.max(_deficit_norms([m.profile for m in metrics], sol.n,
+                                       w, grid_size, include_seminorms)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,8 @@ class DecayScanResult:
 def decay_scan(n, L_list, w=None, grid_size=512):
     """Deficit norm against filling size, with a least-squares slope.
 
-    Each size L is one glued metric at filling_data's R = L / beta_1.  w
+    Each size L is one glued metric at filling_data's R = L / beta_1, and
+    all sizes are one stack of deficit_norm's kernel, one row per size.  w
     may be a WeightSpec template (only its delta is reused, since R and r_c
     must track each size), a numeric delta, or None for the default rate.
     Build errors for unbuildable sizes propagate.
@@ -176,12 +176,10 @@ def decay_scan(n, L_list, w=None, grid_size=512):
         w = w.delta
     delta = None if w is None else float(w)
     _, beta1 = closing_parameters(1.0, n)
-    norms = []
-    for L in sizes:
-        R = L / beta1
-        spec = WeightSpec(n=n, R=(R,), delta=delta)
-        norms.append(deficit_norm(glued_metric(R, n), spec,
-                                  grid_size=grid_size))
-    slope, intercept, residual = fit_loglog(np.asarray(sizes), np.asarray(norms))
-    return DecayScanResult(n=int(n), sizes=sizes, norms=tuple(norms),
+    radii = [L / beta1 for L in sizes]
+    spec = WeightSpec(n=n, R=radii, delta=delta)
+    profiles = [make_glued_profile(R, n) for R in radii]
+    norms = _deficit_norms(profiles, int(n), spec, grid_size, True)
+    slope, intercept, residual = fit_loglog(np.asarray(sizes), norms)
+    return DecayScanResult(n=int(n), sizes=sizes, norms=tuple(norms.tolist()),
                            slope=slope, intercept=intercept, residual=residual)

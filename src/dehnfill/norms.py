@@ -121,26 +121,32 @@ def phi_c_raw(r, r_c, R):
     at r = r_c is mollified over a window of half-width _SMOOTH_FRAC*r_c
     by blending the two branches with a C-infinity step.  When r_c sits
     within a window-width of R there is no room to smooth inside the
-    filling and the raw piecewise formula is returned.
+    filling and the raw piecewise formula is returned.  r_c and R may be
+    (S, 1) columns against (S, G) radii (a raw row's blend, at w = 1, is
+    discarded).
     """
     r = np.asarray(r, dtype=float)
-    if not all(math.isfinite(x) for x in (r_c, R)):
+    params = np.array((r_c, R), dtype=float)
+    if not np.isfinite(params).all():
         raise InvalidWeight("phi_c needs finite r_c and R")
-    if r_c <= 0 or R <= 0:
+    if (params <= 0).any():
         raise InvalidWeight("phi_c needs positive r_c and R")
     if not np.all(np.isfinite(r)):
         raise OutOfDomain("phi_c needs finite r")
     if np.any(r <= 0):
         raise OutOfDomain("phi_c is defined for positive r")
-    if np.any(r > R * (1.0 + 1e-12)):
-        raise OutOfDomain(f"radius beyond the filling size {R}")
+    beyond = np.broadcast_to(R, r.shape)[r > R * (1.0 + 1e-12)]
+    if beyond.size:
+        raise OutOfDomain(f"radius beyond the filling size {beyond[0]}")
     w = _SMOOTH_FRAC * r_c
     base = np.maximum(r, r_c) / R
-    if w <= 0 or r_c >= R - w:
+    raw = np.logical_or(w <= 0, r_c >= R - w)
+    if raw.all():
         return base if base.ndim else float(base)
+    w = np.where(raw, 1.0, w)
     t = np.clip((r - (r_c - w)) / (2.0 * w), 0.0, 1.0)
     s = smoothstep(t)
-    out = ((1.0 - s) * r_c + s * np.maximum(r, r_c)) / R
+    out = np.where(raw, base, ((1.0 - s) * r_c + s * np.maximum(r, r_c)) / R)
     return out if out.ndim else float(out)
 
 
@@ -172,11 +178,11 @@ def decay_weight(w, rho):
 def _check_field(field_vals, grid):
     field_vals = np.asarray(field_vals, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if field_vals.shape[0] != grid.shape[0]:
+    if field_vals.shape[-1] != grid.shape[-1]:
         raise TooFewSamples(
-            f"field has {field_vals.shape[0]} samples on a grid of {grid.shape[0]}"
+            f"field has {field_vals.shape[-1]} samples on a grid of {grid.shape[-1]}"
         )
-    if grid.shape[0] < 2:
+    if grid.shape[-1] < 2:
         raise TooFewSamples("need at least 2 grid points")
     if np.any(np.diff(grid) <= 0):
         raise GridTooCoarse("grid must be strictly increasing")
@@ -185,10 +191,11 @@ def _check_field(field_vals, grid):
     return field_vals, grid
 
 
-def _cusp_weight(w, cusp_index, grid):
-    """decay_weight * phi_c**-1 on the grid of one cusp, at rho = r / R:
-    the weight of gluing.deficit_norm's sup."""
-    return decay_weight(w, grid / w.R[cusp_index]) / phi_c(w, cusp_index, grid)
+def _cusp_weight(w, grid):
+    """decay_weight * phi_c**-1 at rho = r / R on the (S, G) grid, row s
+    at cusp s of w: the weight of gluing.deficit_norm's sup."""
+    R, r_c = np.array([w.R, w.r_c])[:, :, None]
+    return decay_weight(w, grid / R) / phi_c_raw(grid, r_c, R)
 
 
 def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):
@@ -200,9 +207,9 @@ def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):
     order=0 is the plain Holder quotient of the field itself.  gluing
     runs the same kernel, `_holder_quotient`, on several fields at once.
     """
-    field_vals, grid = _check_field(field, grid)
-    if field_vals.ndim != 1:
+    if np.ndim(field) != 1:
         raise InvalidWeight("seminorm expects a scalar field")
+    field_vals, grid = _check_field(field, grid)
     if order not in (0, 1, 2):
         raise InvalidWeight(f"order must be 0, 1 or 2, got {order}")
     if not (0 < alpha <= 1):
@@ -211,16 +218,14 @@ def discrete_holder_seminorm(field, grid, alpha=0.5, order=0):
         raise GridTooCoarse(
             f"need at least {max(3, order + 2)} points for order={order}"
         )
-    return _holder_quotient(field_vals, grid, alpha, order)
+    return float(_holder_quotient(field_vals, grid, alpha, order))
 
 
-def _holder_quotient(vals, grid, alpha, order):
-    """discrete_holder_seminorm without its checks, maximized over every
-    column when vals is (npts, k): each column gets the 1-D arithmetic."""
-    x = grid.reshape((-1,) + (1,) * (vals.ndim - 1))
+def _holder_quotient(vals, x, alpha, order):
+    """discrete_holder_seminorm without its checks, along the last axis of
+    vals and of x, which broadcast against each other, and maximized over
+    it: each row gets the 1-D arithmetic and its own maximum."""
     for _ in range(order):
-        vals = np.diff(vals, axis=0) / np.diff(x, axis=0)
-        x = 0.5 * (x[:-1] + x[1:])
-    num = np.abs(np.diff(vals, axis=0))
-    den = np.diff(x, axis=0) ** alpha
-    return float(np.max(num / den))
+        vals = np.diff(vals) / np.diff(x)
+        x = 0.5 * (x[..., :-1] + x[..., 1:])
+    return np.max(np.abs(np.diff(vals)) / np.diff(x) ** alpha, axis=-1)

@@ -130,49 +130,42 @@ def fit_loglog(x, y):
 _T_EDGE = 1.0 / 746.0
 
 
-def _edge_terms(t):
-    """t as an array, the mask of (_T_EDGE, 1), and t, E(t), E(1-t) there."""
+def _smoothstep(t, order):
+    """[S, S', S''][:order + 1] at t, from one evaluation of E(t), E(1-t)
+    on (_T_EDGE, 1); outside it S is 0 or 1 and its derivatives are 0."""
     t = np.asarray(t, dtype=float)
     inside = (t > _T_EDGE) & (t < 1.0)
     tm = t[inside]
-    return t, inside, tm, np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
+    a, b = np.exp(-1.0 / tm), np.exp(-1.0 / (1.0 - tm))
+    s = a + b
+    out = [np.heaviside(t - 0.5, 1.0, out=np.empty_like(t))]
+    out[0][inside] = a / s
+    if order >= 1:
+        u, v = 1.0 / tm**2, 1.0 / (1.0 - tm) ** 2
+        out.append(np.zeros_like(t))
+        # d/dt [a/(a+b)] = (a' b - a b') / s^2 with a' = a/t^2, b' = -b/(1-t)^2
+        out[1][inside] = w = a * b / s**2 * (u + v)
+    if order >= 2:
+        out.append(np.zeros_like(t))
+        # log S' = log a + log b - 2 log s + log(u + v); differentiate once more
+        out[2][inside] = w * (u - v - 2.0 * (a * u - b * v) / s
+                              + (-2.0 / tm**3 + 2.0 / (1.0 - tm) ** 3) / (u + v))
+    return out
 
 
 def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    t, inside, _, a, b = _edge_terms(t)
-    out = np.heaviside(t - 0.5, 1.0, out=np.empty_like(t))
-    out[inside] = a / (a + b)
-    return out
+    return _smoothstep(t, 0)[0]
 
 
 def smoothstep_d1(t):
     """First derivative of smoothstep (analytic)."""
-    t, inside, tm, a, b = _edge_terms(t)
-    out = np.zeros_like(t)
-    s = a + b
-    # d/dt [a/(a+b)] = (a' b - a b') / s^2 with a' = a/t^2, b' = -b/(1-t)^2
-    out[inside] = (a * b / s**2) * (1.0 / tm**2 + 1.0 / (1.0 - tm) ** 2)
-    return out
+    return _smoothstep(t, 1)[1]
 
 
 def smoothstep_d2(t):
     """Second derivative of smoothstep (analytic)."""
-    t, inside, tm, a, b = _edge_terms(t)
-    out = np.zeros_like(t)
-    s = a + b
-    u = 1.0 / tm**2
-    v = 1.0 / (1.0 - tm) ** 2
-    w = a * b / s**2 * (u + v)  # = S'
-    # log S' = log a + log b - 2 log s + log(u + v); differentiate once more
-    dlog = (
-        u
-        - v
-        - 2.0 * (a * u - b * v) / s
-        + (-2.0 / tm**3 + 2.0 / (1.0 - tm) ** 3) / (u + v)
-    )
-    out[inside] = w * dlog
-    return out
+    return _smoothstep(t, 2)[2]
 
 
 def cumtrapz0(y, x):

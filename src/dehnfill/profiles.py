@@ -37,8 +37,7 @@ from .errors import (
     RadiusTooSmall,
     SingularAtCore,
 )
-from .numutil import (loggrid, smoothstep, smoothstep_d1, smoothstep_d2,
-                      stencil_weights)
+from .numutil import _smoothstep, loggrid, stencil_weights
 
 # Fraction of R where the cutoff transition starts and ends.
 TRANSITION_LO = 0.8
@@ -123,17 +122,24 @@ class CutoffFunction:
             raise OutOfDomain(f"transition window [{self.lo}, {self.hi}] is "
                               "too wide: its squared width overflows")
 
-    def _t(self, r):
-        return (np.asarray(r, dtype=float) - self.lo) / (self.hi - self.lo)
-
     def chi(self, r):
-        return 1.0 - smoothstep(self._t(r))
+        return _cutoff_mass(r, self.lo, self.hi, 0)[0]
 
     def chi_d1(self, r):
-        return -smoothstep_d1(self._t(r)) / (self.hi - self.lo)
+        return _cutoff_mass(r, self.lo, self.hi, 1)[1]
 
     def chi_d2(self, r):
-        return -smoothstep_d2(self._t(r)) / (self.hi - self.lo) ** 2
+        return _cutoff_mass(r, self.lo, self.hi, 2)[2]
+
+
+def _cutoff_mass(r, lo, hi, order):
+    """(chi, chi', chi'')[:order + 1] at r of the cutoff from 1 below lo to
+    0 above hi, numbers or (S, 1) columns against (S, G) radii.  float_power
+    squares a column with libm's pow, as Python's ** squares a number."""
+    width = hi - lo
+    s = _smoothstep((np.asarray(r, dtype=float) - lo) / width, order)
+    return [1.0 - s[0]] + [-s[k] / np.float_power(width, k)
+                           for k in range(1, order + 1)]
 
 
 class _Profile:
@@ -194,14 +200,33 @@ class _Profile:
         r = _check_in_domain(self, r)
         _check_own_dimension(self, n)
         mu, mu1, mu2 = self._mass(r, 2)
-        p, q = r ** (3 - n), r ** (2 - n)
+        p, q, rad, tor = _deficit(r, n, mu1, mu2)
         u = 2.0 * mu * r ** (1 - n)
         V = r * r - 2.0 * mu * p
         V1 = 2.0 * r - 2.0 * (mu1 * p + mu * ((3 - n) * q))
         k12 = mu2 * p + 2 * (3 - n) * mu1 * q + 0.5 * (3 - n) * (2 - n) * u
         k1perp = mu1 * q + 0.5 * (3 - n) * u
-        rad = mu2 * p + (4 - n) * mu1 * q
-        return V, V1, k12, k1perp, u, rad, 2.0 * mu1 * q
+        return V, V1, k12, k1perp, u, rad, tor
+
+
+def _deficit(r, n, mu1, mu2):
+    """r^{3-n}, r^{2-n} and frame_data's deficit rad, tor from mu', mu''."""
+    p, q = r ** (3 - n), r ** (2 - n)
+    return p, q, mu2 * p + (4 - n) * mu1 * q, 2.0 * mu1 * q
+
+
+def _stack_deficit(profiles, r, n):
+    """rad and tor of frame_data on the (S, G) radii r, row s on profiles[s]:
+    at once with glued profiles' cutoffs as (S, 1) columns, row by row
+    through frame_data if any profile has no cutoff."""
+    if any(p.transition is None for p in profiles):
+        return np.swapaxes([p.frame_data(row, n)[5:]
+                            for p, row in zip(profiles, r)], 0, 1)
+    for p, row in zip(profiles, r):
+        _check_in_domain(p, row)
+        _check_own_dimension(p, n)
+    lo, hi = np.array([p.transition for p in profiles]).T[:, :, None]
+    return _deficit(r, n, *_cutoff_mass(r, lo, hi, 2)[1:])[2:]
 
 
 @dataclass(frozen=True)
@@ -281,8 +306,7 @@ class GluedProfile(_Profile):
         return self.cutoff.lo, self.cutoff.hi
 
     def _mass(self, r, order):
-        cut = self.cutoff
-        return [f(r) for f in (cut.chi, cut.chi_d1, cut.chi_d2)[:order + 1]]
+        return _cutoff_mass(r, self.cutoff.lo, self.cutoff.hi, order)
 
     def core(self, n):
         _check_own_dimension(self, n)

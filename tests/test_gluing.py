@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dehnfill import gluing
 from dehnfill.curvature import cutoff_deficit_diag, ricci_and_deficit
 from dehnfill.errors import (
     InvalidWeight,
@@ -19,7 +20,7 @@ from dehnfill.gluing import (
 from dehnfill.lattice import FlatLattice, GeodesicClass, filling_data
 from dehnfill.norms import WeightSpec, decay_weight, phi_c
 from dehnfill.numutil import loggrid
-from dehnfill.profiles import black_hole_metric, glued_metric
+from dehnfill.profiles import black_hole_metric, closing_parameters, glued_metric
 
 
 def test_list_and_tuple_cusps_keep_the_same_gram():
@@ -220,3 +221,72 @@ def test_decay_scan_rejects_non_finite_or_non_positive_size(bad):
     # caught before the order check
     with pytest.raises(ScanMissing, match=f"got {bad}"):
         decay_scan(4, [10.0, bad, 40.0, 80.0, 160.0, 320.0], grid_size=256)
+
+
+_SIZES = [40.0, 80.0, 160.0, 320.0, 640.0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_decay_scan_stack_matches_per_size_norms(n):
+    # one (S, G) stack gives each size the bits of its stack of one
+    _, beta1 = closing_parameters(1.0, n)
+    for grid_size in (256, 512, 4096):
+        for delta in (None, 2.0):
+            single = tuple(
+                deficit_norm(glued_metric(L / beta1, n),
+                             WeightSpec(n=n, R=(L / beta1,), delta=delta),
+                             grid_size=grid_size)
+                for L in _SIZES)
+            scan = decay_scan(n, _SIZES, w=delta, grid_size=grid_size)
+            assert scan.norms == single
+
+
+@pytest.mark.parametrize("grid_size", [256, 512, 4096])
+def test_stack_rows_are_each_profiles_loggrid_and_frame_data(monkeypatch,
+                                                             grid_size):
+    # row s of the stack is the log grid of profile s's window, and its
+    # deficit is that profile's own frame_data, bit for bit; at n = 5 the
+    # cutoff width of L = 565.5 squares to another value by x * x than by
+    # Python's **, so a column squared with numpy's ** would fail here
+    sizes = [40.0, 80.0, 160.0, 320.0, 565.5]
+    seen = []
+
+    def spy(profiles, r, n):
+        out = original(profiles, r, n)
+        seen.append((profiles, r, n, out))
+        return out
+
+    original = gluing._stack_deficit
+    monkeypatch.setattr(gluing, "_stack_deficit", spy)
+    decay_scan(5, sizes, grid_size=grid_size)
+    [(profiles, grid, n, (rad, tor))] = seen
+    assert grid.shape == (len(sizes), grid_size)
+    for s, profile in enumerate(profiles):
+        lo, hi = profile.domain
+        tlo, thi = profile.transition
+        row = loggrid(max(tlo / 1.02, lo * (1.0 + 1e-9)),
+                      min(thi * 1.02, hi * (1.0 - 1e-9)), grid_size)
+        assert np.array_equal(grid[s], row)
+        want = profile.frame_data(row, n)[5:]
+        assert np.array_equal(rad[s], want[0])
+        assert np.array_equal(tor[s], want[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_solution_norm_is_the_max_of_its_one_cusp_norms(n):
+    sol = build_approximate_solution(filling_from_lengths([30.0, 45.0], n))
+    ones = [deficit_norm(m) for m in sol.metrics]
+    assert ones[0] != ones[1]
+    assert deficit_norm(sol) == max(ones)
+    # a cusp without a cutoff takes the row-by-row path
+    mixed = ApproximateSolution(n=n, filling=sol.filling,
+                                metrics=(sol.metrics[1], black_hole_metric(1.0, n)))
+    assert deficit_norm(mixed) == ones[1]
+
+
+@pytest.mark.parametrize("bad", [300.5, float("nan"), True, 512.0])
+def test_grid_size_must_be_an_integer(bad):
+    with pytest.raises(TooFewSamples, match="integer >= 256"):
+        deficit_norm(glued_metric(30.0, 4), grid_size=bad)
+    with pytest.raises(TooFewSamples, match="integer >= 256"):
+        decay_scan(4, _SIZES, grid_size=bad)

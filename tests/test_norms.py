@@ -19,6 +19,7 @@ from dehnfill.norms import (
     default_delta,
     discrete_holder_seminorm,
     phi_c,
+    phi_c_raw,
 )
 from dehnfill.profiles import black_hole_metric, closing_parameters
 
@@ -91,13 +92,13 @@ def test_weighted_sup_cancels_phi_c():
     w = WeightSpec(n=4, R=(100.0,), r_c=(50.0,), delta=0.0)
     grid = np.linspace(2.0, 100.0, 257)
     vals = phi_c(w, 0, grid)
-    assert np.max(_cusp_weight(w, 0, grid) * vals) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(_cusp_weight(w, grid[None]) * vals) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_sup_constant_field():
     w = WeightSpec(n=4, R=(100.0,), r_c=(50.0,), delta=0.0)
     grid = np.linspace(2.0, 100.0, 257)
-    out = np.max(_cusp_weight(w, 0, grid))
+    out = np.max(_cusp_weight(w, grid[None]))
     assert out == pytest.approx(2.0, abs=1e-12)
 
 
@@ -195,7 +196,7 @@ def test_holder_quotient_matches_per_column_seminorms_bitwise(order, alpha):
         field = rng.standard_normal((npts, k)) * 10.0 ** rng.integers(-8, 8, k)
         want = max(discrete_holder_seminorm(field[:, a], grid, alpha=alpha,
                                             order=order) for a in range(k))
-        assert _holder_quotient(field, grid, alpha, order) == want
+        assert np.max(_holder_quotient(field.T, grid, alpha, order)) == want
 
 
 def test_decay_weight_rejects_overflow():
@@ -206,3 +207,16 @@ def test_decay_weight_rejects_overflow():
         decay_weight(w, 0.5)
     # at rho = 2 the weight is 1 for any delta
     assert decay_weight(w, 2.0) == 1.0
+
+
+def test_phi_c_rows_are_their_one_cusp_weights():
+    # (S, 1) columns of r_c and R give each row its scalar phi_c bit for
+    # bit, also beside a row with no room to smooth (r_c within 5 % of R)
+    R = np.array([[100.0], [40.0], [7.5]])
+    r_c = np.array([[20.0], [39.0], [3.0]])
+    r = np.linspace(0.05, 1.0, 300) * R
+    rows = phi_c_raw(r, r_c, R)
+    for s in range(3):
+        assert np.array_equal(rows[s], phi_c_raw(r[s], r_c[s, 0], R[s, 0]))
+    with pytest.raises(OutOfDomain, match="filling size 40.0$"):
+        phi_c_raw(r * np.array([[1.0], [1.5], [1.0]]), r_c, R)
