@@ -35,7 +35,6 @@ from .lattice import FlatLattice, GeodesicClass, filling_data
 from .linearized import (
     COEFFICIENTS,
     assemble_L_blackhole,
-    bump_deformation,
     compare_operators,
     indicial_roots,
 )
@@ -241,9 +240,8 @@ def cmd_compare(cfg):
     centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
                            cfg["num_centers"])
     grid = loggrid(lo, hi, cfg["grid_size"])
-    h = bump_deformation(n, grid, centers, width=width)
-    comp = compare_operators(h, r_window=(lo, hi), m=float(cfg["m"]),
-                             bins=cfg["num_centers"])
+    comp = compare_operators(n, grid, centers, width=width, r_window=(lo, hi),
+                             m=float(cfg["m"]), bins=cfg["num_centers"])
     kept = comp.bin_max > 0
     # a NaN or infinite fit would not even be valid JSON in summary.json
     if not all(map(math.isfinite, (comp.slope, comp.intercept, comp.residual))):

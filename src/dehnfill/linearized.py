@@ -35,8 +35,9 @@ oscillation estimates.  Every coefficient is assembled as its Euler
 constant plus a mass part built from the curvatures' own mass terms
 K + 1, so the black hole's mass part is the operator difference
 L_BH - L_C itself, of size O(r^(1-n)), with no O(1) terms cancelling
-in it.  compare_operators applies exactly that to one radial function
-in every block, from the derivatives of that one column.
+in it.  compare_operators applies exactly that to a sum of log-radial
+bumps in every block, from the bumps themselves: one column b and its
+derivatives, no deformation.
 """
 
 from __future__ import annotations
@@ -95,6 +96,35 @@ def _blocks(values, n):
     return {label: values[:, col] for label, col in _columns(n).items()}
 
 
+def _checked_grid(grid):
+    """A read-only float copy of a deformation grid, so that its checks
+    hold for the copy's lifetime, and x = log r on it: at least 2 finite,
+    strictly increasing, positive points, uniform in log r."""
+    grid = np.array(grid, dtype=float)
+    grid.setflags(write=False)
+    if grid.ndim != 1 or grid.shape[0] < 2:
+        raise GridTooCoarse("deformation grid needs at least 2 points")
+    if not np.isfinite(grid).all():
+        raise NonFiniteField("deformation grid contains nan or inf")
+    if (np.diff(grid) <= 0).any():
+        raise GridTooCoarse("deformation grid must be strictly increasing")
+    if grid[0] <= 0:
+        raise OutOfDomain(f"deformation grid must be positive, got r = {grid[0]}")
+    # the operator's template needs a grid uniform in x = log r; the
+    # rounding of log and of the power that builds such a grid (as
+    # np.geomspace does) moves x by a few ulps of |x_0| + |x_last|, up
+    # to 2.4 eps (1 + |x_0| + |x_last|) measured on 6000 random
+    # geomspace grids from 1e-300 to 1e300
+    x = np.log(grid)
+    dev = np.abs(x - np.linspace(x[0], x[-1], x.size)).max()
+    if dev > 8.0 * np.finfo(float).eps * (1.0 + abs(x[0]) + abs(x[-1])):
+        raise GridTooCoarse(
+            f"deformation grid must be uniform in log r: a node is "
+            f"{dev:.3g} off the uniform grid from {grid[0]:.6g} to "
+            f"{grid[-1]:.6g}")
+    return grid, x
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantDeformation:
     """Frame components of a torus-invariant symmetric 2-tensor, packed
@@ -112,29 +142,7 @@ class InvariantDeformation:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        # a read-only copy, so that the checks below hold for its lifetime
-        grid = np.array(self.grid, dtype=float)
-        grid.setflags(write=False)
-        if grid.ndim != 1 or grid.shape[0] < 2:
-            raise GridTooCoarse("deformation grid needs at least 2 points")
-        if not np.isfinite(grid).all():
-            raise NonFiniteField("deformation grid contains nan or inf")
-        if (np.diff(grid) <= 0).any():
-            raise GridTooCoarse("deformation grid must be strictly increasing")
-        if grid[0] <= 0:
-            raise OutOfDomain(f"deformation grid must be positive, got r = {grid[0]}")
-        # the operator's template needs a grid uniform in x = log r; the
-        # rounding of log and of the power that builds such a grid (as
-        # np.geomspace does) moves x by a few ulps of |x_0| + |x_last|, up
-        # to 2.4 eps (1 + |x_0| + |x_last|) measured on 6000 random
-        # geomspace grids from 1e-300 to 1e300
-        x = np.log(grid)
-        dev = np.abs(x - np.linspace(x[0], x[-1], x.size)).max()
-        if dev > 8.0 * np.finfo(float).eps * (1.0 + abs(x[0]) + abs(x[-1])):
-            raise GridTooCoarse(
-                f"deformation grid must be uniform in log r: a node is "
-                f"{dev:.3g} off the uniform grid from {grid[0]:.6g} to "
-                f"{grid[-1]:.6g}")
+        grid, _ = _checked_grid(self.grid)
         npts = grid.shape[0]
         cols = _columns(self.n)
         values = np.zeros((npts, cols["jk"].stop))
@@ -194,28 +202,35 @@ class ODESystemL:
         L(g) = -2 ric on constant deformations).  The Euler constants are
         c2 = -r^2, c1 = -n r, c12 = M00 = 2(n-1), c1j = n, 2 for M11, M1j
         and Mjj and 0 for c2j, cjk, M01 and M0j; _mass_part adds the rest.
+        The radial rows are _x_coefficients' taken to r: c2 = a2 r^2 and
+        c1 = (a1 + a2) r.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
+        C = self._x_coefficients(r)
+        C[1] += C[0]
+        C[1] *= r
+        C[0] *= r**2
+        return C
+
+    def _x_coefficients(self, r):
+        """coefficients on a 1-D array r with the radial part in x = log r,
+        a2 d^2/dx^2 + a1 d/dx, in rows 0 and 1."""
         n = self.n
         C = self._mass_part(r)
-        c2, c1, c12, c1j, _, _, m00 = C[:7]
-        c2 -= r**2
-        c1 -= n * r
-        c12 += 2.0 * (n - 1)
-        c1j += n
-        m00 += 2.0 * (n - 1)
-        C[9:] += 2.0  # M11, M1j, Mjj
+        # the Euler constants of a2, a1, c12, c1j, M00, M11, M1j and Mjj
+        C[[0, 1, 2, 3, 6, 9, 10, 11]] += np.array(
+            [-1.0, 1 - n, 2 * (n - 1), n, 2 * (n - 1), 2, 2, 2])[:, None]
         return C
 
     def _mass_part(self, r):
-        """coefficients minus the Euler constants, on a 1-D array r.
+        """_x_coefficients minus the Euler constants, on a 1-D array r.
 
         Built from the curvature mass terms k = K + 1 of frame_data, never
         from V - r^2, so every entry keeps its digits when the mass term
         u = 2 mu r^{1-n} is far below 1.  With e = V/r^2 = 1 - kperp and
         s = 2(kperp - k1perp):
 
-            c2 = kperp r^2,   c1 = (n kperp - s) r,
+            a2 = kperp,   a1 = (n-1) kperp - s,
             c12 = 2 k12 - 2n kperp + 4s + s^2/e,   c1j = -n kperp + s^2/(4e),
             c2j = s^2/(4e),   cjk = 2s + s^2/(2e),
             M00 = 2(1-n) kperp + 2s + s^2/(2e),
@@ -229,12 +244,11 @@ class ODESystemL:
             raise SingularAtCore(
                 "profile vanishes on the grid; the zeroth-order terms divide by V"
             )
-        r2 = r**2
         s = 2.0 * (kp - k1p)
-        t = s * s / (V / r2)
+        t = s * s / (V / r**2)
         jk = 2.0 * s + 0.5 * t
         return np.array([
-            kp * r2, (n * kp - s) * r,                          # c2, c1
+            kp, (n - 1) * kp - s,                               # a2, a1
             2.0 * k12 - 2.0 * n * kp + 4.0 * s + t,             # c12
             0.25 * t - n * kp, 0.25 * t, jk,                    # c1j, c2j, cjk
             2.0 * (s - (n - 1) * kp) + 0.5 * t,                 # M00
@@ -258,23 +272,14 @@ def assemble_L_cusp(n):
     return assemble_L_blackhole(cusp_metric(n))
 
 
-def _radial(sys, h, coefficients):
-    """The checks of an application of sys, with coefficients(r)
-    (sys.coefficients or sys._mass_part, which check the profile's domain),
-    to h, all made before any derivative is taken: the dimension, the
-    coefficients on h's grid, the core margin and at least 9 points.
-    Returns the (12, npts) table C and the radial part's coefficients in
-    x = log r, on which h's grid is uniform with step hx:
-
-        c2 d^2/dr^2 + c1 d/dr = a2 d^2/dx^2 + a1 d/dx,
-        a2 = c2/r^2,  a1 = c1/r - a2,
-
-    as a2/hx^2 and a1/hx, ready for the unscaled sums of Newton's kernel,
-    `solver._derivatives`, on the template cached per grid size.
+def _radial(sys, grid, coefficients):
+    """The checks of an application of sys on a checked grid, all made
+    before any derivative is taken: coefficients(grid) (sys._x_coefficients
+    or sys._mass_part, which check the profile's domain), the core margin
+    and at least 9 points.  Returns that table C and its radial rows a2, a1
+    scaled by the grid's step hx in x = log r, as a2/hx^2 and a1/hx, ready
+    for the unscaled sums of Newton's kernel, `solver._derivatives`.
     """
-    if h.n != sys.n:
-        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {h.n}")
-    grid = h.grid
     C = coefficients(grid)
     r_plus = sys.profile.r_plus
     if r_plus is not None:
@@ -287,9 +292,7 @@ def _radial(sys, h, coefficients):
     if npts < 9:
         raise GridTooCoarse("need at least 9 grid points to apply the operator")
     hx = (math.log(grid[-1]) - math.log(grid[0])) / (npts - 1)
-    a2 = C[0] / grid**2
-    a1 = C[1] / grid - a2
-    return C, a2 / hx**2, a1 / hx
+    return C, C[0] / hx**2, C[1] / hx
 
 
 def apply_L(sys, h):
@@ -298,7 +301,9 @@ def apply_L(sys, h):
     column come from one kernel call; the zeroth-order term couples the
     diagonal sector through S, the sum of the jj columns."""
     n, values = h.n, h.values
-    C, a2, a1 = _radial(sys, h, sys.coefficients)
+    if n != sys.n:
+        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {n}")
+    C, a2, a1 = _radial(sys, h.grid, sys._x_coefficients)
     m00, m01, m0j, m11, m1j, mjj = C[6:]
     h11, h22, S = values[:, 0], values[:, 1], values[:, 2:n].sum(axis=1)
     zeroth = np.empty_like(values)
@@ -367,6 +372,39 @@ def _unit_bump_maxima():
     return np.max(np.abs(ref)), np.max(np.abs(d1)), np.max(np.abs(d2))
 
 
+def _bump_column(grid, centers, width):
+    """The checked grid and the sum b on it of bump_deformation's bumps.
+
+    Each center's support slice of x = log r, widened by one width on each
+    side against rounding, is one row of a (B, L) gather; one _unit_bump
+    call evaluates all rows, which are added in center order, so b is bit
+    for bit the sum of the bumps evaluated one by one."""
+    # the scale divides by width**2; Python floats, so that an overflow gives
+    # inf and an underflow 0, not a warning or an OverflowError
+    if not (width > 0 and 0.0 < float(width) * float(width) < math.inf):
+        raise OutOfDomain(f"bump width must be positive, with a finite and "
+                          f"nonzero square, got {width}")
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
+    if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
+        raise OutOfDomain(f"bump centers must be finite and positive: {centers}")
+    # ascending, so each bump's support is a slice of x
+    grid, x = _checked_grid(grid)
+    # unit-width reference scale; derivatives of the rescaled bump gain 1/width
+    b0, b1, b2 = _unit_bump_maxima()
+    scale = max(b0, b1 / width, b2 / width**2)
+    lc = np.array([math.log(c) for c in centers.ravel().tolist()])
+    lo, hi = np.searchsorted(x, [lc - 2.0 * width, lc + 2.0 * width])
+    # a row runs on past its slice, clamped to the grid, and is not added there
+    cols = np.arange((hi - lo).max(initial=0))
+    rows = _unit_bump(x[np.minimum(lo[:, None] + cols, x.size - 1)],
+                      lc[:, None], width)
+    rows /= scale
+    total = np.zeros_like(x)
+    for row, a, z in zip(rows, lo.tolist(), hi.tolist()):
+        total[a:z] += row[: z - a]
+    return grid, total
+
+
 def bump_deformation(n, grid, centers, width=0.4):
     """Sum of unit-C2 log-radial bumps, one per center, in every block.
 
@@ -375,29 +413,9 @@ def bump_deformation(n, grid, centers, width=0.4):
     radial direction scales like r d/dr).  Centers should be separated
     by more than 2*width in log r so the sum keeps unit size.
     """
-    if not (math.isfinite(width) and width > 0):
-        raise OutOfDomain(f"bump width must be finite and positive, got {width}")
-    # the scale divides by width**2; Python floats, so that an overflow gives
-    # inf and an underflow 0, not a warning or an OverflowError
-    if not 0.0 < float(width) * float(width) < math.inf:
-        raise OutOfDomain(f"bump width {width} is out of range: its square "
-                          "overflows or underflows")
-    centers = np.atleast_1d(np.asarray(centers, dtype=float))
-    if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
-        raise OutOfDomain(f"bump centers must be finite and positive: {centers}")
-    # checks n and the grid, ascending, so each bump's support is a slice of x
+    grid, b = _bump_column(grid, centers, width)
     h = InvariantDeformation(n=n, grid=grid, components={})
-    x = np.log(h.grid)
-    total = np.zeros_like(x)
-    # unit-width reference scale; derivatives of the rescaled bump gain 1/width
-    b0, b1, b2 = _unit_bump_maxima()
-    scale = max(b0, b1 / width, b2 / width**2)
-    for c in centers:
-        # the support |x - lc| < width, widened by one width against rounding
-        lc = math.log(c)
-        lo, hi = np.searchsorted(x, [lc - 2.0 * width, lc + 2.0 * width])
-        total[lo:hi] += _unit_bump(x[lo:hi], lc, width) / scale
-    h.values[:] = total[:, None]
+    h.values[:] = b[:, None]
     return h
 
 
@@ -414,63 +432,54 @@ class OperatorComparison:
     residual: float
 
 
-def compare_operators(h, r_window=None, m=1.0, bins=12):
-    """|L_C h - L_BH h| on the grid of h, with a log-log envelope fit.
+def compare_operators(n, grid, centers, width=0.4, r_window=None, m=1.0,
+                      bins=12):
+    """|L_C h - L_BH h| on the grid, h = bump_deformation(n, grid, centers,
+    width), with a log-log envelope fit; no deformation is built.
 
-    Compares the cusp model against the black hole of mass m on an h with
-    one radial function b in every block, as bump_deformation builds; any
-    other h raises OutOfDomain.  The difference is the black hole's mass
-    part (ODESystemL._mass_part) applied to h, which keeps its digits
-    however far it falls below either operator.  Each block of it is
-    R b + z b, with R the mass part's radial part and z one of at most 7
-    rows (the coupling's three diagonal row sums, c12, c1j, c2j and, for
-    n >= 4, cjk), so it takes one derivative pass over b and is reduced
-    pointwise to its maximum over that (<= 7, npts) table.  Then an
-    envelope (binwise maximum over log-spaced bins inside the finite,
-    positive r_window, each bin closed at both edges) is fitted; for
-    unit-C2 h translated across the window the slope comes out at -(n-1).
-    All-zero differences give slope nan.  The window (lo < hi, meeting the
-    grid), the bin count (an integer >= 3, as the fit needs three bins),
-    the one radial function and the dimension, profile-domain and
-    core-margin checks run before any derivative is taken.
+    The difference of the cusp model and the black hole of mass m is the
+    black hole's mass part (ODESystemL._mass_part), which keeps its digits
+    however far it falls below either operator.  On the bump column b in
+    every block it is R b + z b, R the mass part's radial part and z one of
+    at most 7 rows (the coupling's three diagonal row sums, c12, c1j, c2j
+    and, for n >= 4, cjk): one derivative pass over b, then the pointwise
+    maximum over that table.  Its envelope, the maximum over each of `bins`
+    log-spaced bins closed at both edges inside r_window, is fitted; for
+    bumps translated across the window the slope comes out at -(n-1), and
+    all-zero differences give slope nan.  Every check (n and m, the bumps
+    and grid as in bump_deformation, a finite positive window lo < hi that
+    meets the grid, an integer bins >= 3, the profile's domain and the
+    core margin) runs before any derivative is taken.
     """
-    grid, values, n = h.grid, h.values, h.n
+    sys = assemble_L_blackhole(black_hole_metric(m, n))
+    grid, b = _bump_column(grid, centers, width)
     lo, hi = (grid[0], grid[-1]) if r_window is None else r_window
     if not (0.0 < lo < hi < math.inf and lo <= grid[-1] and hi >= grid[0]):
         raise OutOfDomain(f"r_window must be finite and positive, with lo < hi,"
                           f" and meet the grid: {r_window}")
     if not (isinstance(bins, numbers.Integral) and bins >= 3):
         raise OutOfDomain(f"bins must be an integer >= 3, got {bins}")
-    if (values[:, 1:] != values[:, :1]).any():
-        raise OutOfDomain("compare_operators needs one radial function in "
-                          "every block, as bump_deformation builds")
-    sys = assemble_L_blackhole(black_hole_metric(m, n))
-    C, a2, a1 = _radial(sys, h, sys._mass_part)
+    C, a2, a1 = _radial(sys, grid, sys._mass_part)
     _, _, c12, c1j, c2j, cjk, m00, m01, m0j, m11, m1j, mjj = C
-    b = np.ascontiguousarray(values[:, 0])
     d1, d2 = _derivatives(b, _unit_stencils(b.size))
     R = a2 * d2
     R += a1 * d1
     # the diagonal sector's rows sum the coupling over its n - 2 jj columns
     t = n - 2
     rows = [m00 + m01 + t * m0j, m01 + m11 + t * m1j, m0j + m1j + t * mjj,
-            c12, c1j, c2j]
-    if n >= 4:
-        rows.append(cjk)
-    Lh = np.array(rows)
+            c12, c1j, c2j, cjk]
+    Lh = np.array(rows if n >= 4 else rows[:6])
     Lh *= b
     Lh += R
     diff = np.abs(Lh, out=Lh).max(axis=0)
     edges = np.geomspace(lo, hi, bins + 1)
-    centers = np.sqrt(edges[:-1] * edges[1:])
+    mids = np.sqrt(edges[:-1] * edges[1:])
     lo_i = np.searchsorted(grid, edges[:-1])
     hi_i = np.searchsorted(grid, edges[1:], side="right")
-    bin_max = np.array([diff[a:b].max(initial=0.0) for a, b in zip(lo_i, hi_i)])
+    bin_max = np.array([diff[i:j].max(initial=0.0) for i, j in zip(lo_i, hi_i)])
     keep = bin_max > 0
-    if keep.sum() >= 3:
-        slope, intercept, residual = fit_loglog(centers[keep], bin_max[keep])
-    else:
-        slope, intercept, residual = float("nan"), float("nan"), float("nan")
-    return OperatorComparison(grid=grid, diff=diff, bin_centers=centers,
+    slope, intercept, residual = (fit_loglog(mids[keep], bin_max[keep])
+                                  if keep.sum() >= 3 else (math.nan,) * 3)
+    return OperatorComparison(grid=grid, diff=diff, bin_centers=mids,
                               bin_max=bin_max, slope=slope,
                               intercept=intercept, residual=residual)

@@ -101,18 +101,26 @@ def fit_loglog(x, y):
     """Least-squares slope of log y against log x.
 
     Returns (slope, intercept, residual) where residual is the rms of the
-    fit misfit in log space. Points with y <= 0 are rejected outright, a
-    decay measurement that hits exact zero means the scan was set up wrong.
+    fit misfit in log space; slope and intercept are the closed form from
+    the centred sums.  Points with y <= 0 are rejected outright, a decay
+    measurement that hits exact zero means the scan was set up wrong, and
+    so are x that are all equal, through which no line is fitted.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0) or np.any(x <= 0):
-        raise ValueError("log-log fit needs strictly positive data")
+    if x.shape != y.shape or x.size < 2 or (y <= 0).any() or (x <= 0).any():
+        raise ValueError("log-log fit needs two matching arrays of at least "
+                         "2 strictly positive points")
+    # array methods, not np.mean/np.sum: on a few points calls are the cost
     lx, ly = np.log(x), np.log(y)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    slope, intercept = coef
-    resid = float(np.sqrt(np.mean((A @ coef - ly) ** 2)))
+    mx, my = lx.sum() / lx.size, ly.sum() / ly.size
+    dx = lx - mx
+    sxx = (dx * dx).sum()
+    if sxx == 0:
+        raise ValueError("log-log fit needs at least two distinct x")
+    slope = (dx * (ly - my)).sum() / sxx
+    intercept = my - slope * mx
+    resid = float(np.sqrt(((slope * lx + intercept - ly) ** 2).sum() / lx.size))
     return float(slope), float(intercept), resid
 
 
@@ -156,16 +164,6 @@ def _smoothstep(t, order):
 def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
     return _smoothstep(t, 0)[0]
-
-
-def smoothstep_d1(t):
-    """First derivative of smoothstep (analytic)."""
-    return _smoothstep(t, 1)[1]
-
-
-def smoothstep_d2(t):
-    """Second derivative of smoothstep (analytic)."""
-    return _smoothstep(t, 2)[2]
 
 
 def cumtrapz0(y, x):

@@ -115,7 +115,7 @@ class CutoffFunction:
     def __post_init__(self):
         if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
             raise RadiusTooSmall(f"bad transition window [{self.lo}, {self.hi}]")
-        # chi_d2 divides by the squared width; Python floats, so that an
+        # chi'' divides by the squared width; Python floats, so that an
         # overflow gives inf, not a warning or an OverflowError
         width = float(self.hi - self.lo)
         if not math.isfinite(width * width):
@@ -124,12 +124,6 @@ class CutoffFunction:
 
     def chi(self, r):
         return _cutoff_mass(r, self.lo, self.hi, 0)[0]
-
-    def chi_d1(self, r):
-        return _cutoff_mass(r, self.lo, self.hi, 1)[1]
-
-    def chi_d2(self, r):
-        return _cutoff_mass(r, self.lo, self.hi, 2)[2]
 
 
 def _cutoff_mass(r, lo, hi, order):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dehnfill import cli
+from dehnfill import cli, linearized
 from dehnfill.cli import main
 from dehnfill.curvature import ricci_and_deficit
 from dehnfill.linearized import assemble_L_blackhole, assemble_L_cusp
@@ -111,6 +111,26 @@ def test_compare_slope(tmp_path):
     _, summary, _ = _read(tmp_path)
     assert summary["expected_slope"] == -3.0
     assert abs(summary["slope"] + 3.0) < 0.1
+
+
+def test_compare_builds_no_deformation(tmp_path, monkeypatch):
+    # compare takes its derivatives of the bumps' one column: no
+    # InvariantDeformation, and so no (npts, K) array, is built
+    built = []
+    real = linearized.InvariantDeformation.__post_init__
+
+    def counting(h):
+        built.append(h.n)
+        real(h)
+
+    monkeypatch.setattr(linearized.InvariantDeformation, "__post_init__",
+                        counting)
+    rc = main(["compare", "--n", "6", "--grid-size", "1024",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert built == []
+    linearized.metric_deformation(6, loggrid(5.0, 50.0, 16))
+    assert built == [6]
 
 
 @pytest.mark.parametrize("n, slope", [("4", -2.9218468330787424),

@@ -343,10 +343,23 @@ def test_bump_deformation_rejects_bad_width(width):
         bump_deformation(4, loggrid(5.0, 50.0, 200), centers=[15.0], width=width)
 
 
+@pytest.mark.parametrize("centers, width", [
+    *[([15.0], w) for w in (math.nan, 0.0, -0.4, math.inf, 1e300, 1e-200,
+                            np.float64(1e300))],
+    ([15.0, math.nan], 0.4), ([-15.0], 0.4), ([math.inf], 0.4)])
+def test_compare_operators_rejects_bad_bumps(monkeypatch, centers, width):
+    # compare builds its bumps itself, with bump_deformation's checks of
+    # the width and the centers, before any stencil is built or applied
+    built, applied = _count_stencils(monkeypatch)
+    with pytest.raises(OutOfDomain, match="bump"):
+        compare_operators(4, loggrid(5.0, 50.0, 200), centers, width=width)
+    assert built == [] and applied == []
+
+
 def test_compare_operators_slope():
     grid = loggrid(4.0, 260.0, 4000)
-    h = bump_deformation(4, grid, centers=np.geomspace(8.0, 120.0, 10))
-    cmp4 = compare_operators(h, r_window=(6.0, 160.0), bins=10)
+    cmp4 = compare_operators(4, grid, np.geomspace(8.0, 120.0, 10),
+                             r_window=(6.0, 160.0), bins=10)
     assert cmp4.slope == pytest.approx(-3.0, abs=0.1)
     assert np.all(cmp4.diff >= 0.0)
 
@@ -355,8 +368,7 @@ def test_compare_operators_identical_metrics():
     # the window lies outside the bump's support, where both operators
     # see h = 0 on every stencil and agree exactly: all bins are zero
     grid = loggrid(2.0, 30.0, 1500)
-    h = bump_deformation(4, grid, centers=[5.0])
-    same = compare_operators(h, r_window=(15.0, 30.0))
+    same = compare_operators(4, grid, [5.0], r_window=(15.0, 30.0))
     assert np.max(same.diff) > 0.0
     assert np.max(same.diff[grid >= 15.0]) == 0.0
     assert np.all(same.bin_max == 0.0)
@@ -371,8 +383,7 @@ def test_compare_operators_bin_edge_point_counts_in_both_bins():
     lo, hi, bins, k = 6.0, 8.0, 10, 5
     edges = np.geomspace(lo, hi, bins + 1)
     grid = edges[k] * np.exp(0.05 * np.arange(-11, 50))
-    h = bump_deformation(4, grid, centers=[edges[k]])
-    cmp = compare_operators(h, r_window=(lo, hi), bins=bins)
+    cmp = compare_operators(4, grid, [edges[k]], r_window=(lo, hi), bins=bins)
     i = int(np.searchsorted(grid, edges[k]))
     assert grid[i] == edges[k] and cmp.diff[i] > 0.0
     assert cmp.bin_max[k - 1] == cmp.bin_max[k] == cmp.diff[i]
@@ -390,18 +401,16 @@ def test_compare_operators_bin_edge_point_counts_in_both_bins():
                               "reversed", "empty", "above-grid", "below-grid"])
 def test_compare_operators_rejects_bad_window(window):
     grid = loggrid(5.0, 500.0, 256)
-    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     with pytest.raises(OutOfDomain, match="r_window"):
-        compare_operators(h, r_window=window)
+        compare_operators(4, grid, np.geomspace(7.5, 335.0, 12), r_window=window)
 
 
 @pytest.mark.parametrize("bins", [2.5, 2, 0, -3, 12.0, "12", None])
 def test_compare_operators_rejects_bad_bins(bins):
     # a fit needs three bins; bins=2.5 used to raise a TypeError
     grid = loggrid(5.0, 500.0, 256)
-    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
     with pytest.raises(OutOfDomain, match="bins"):
-        compare_operators(h, bins=bins)
+        compare_operators(4, grid, np.geomspace(7.5, 335.0, 12), bins=bins)
 
 
 @pytest.mark.parametrize("centers, width", [
@@ -409,16 +418,21 @@ def test_compare_operators_rejects_bad_bins(bins):
     ([15.0], 1e-3), ([15.0], 1e-15), ([15.0], 1e-17), ([15.0], 3.0),
     ([15.0], 1e150), ([5.0, 500.0], 0.05)])
 def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
-    # each bump is evaluated on a slice around its support; no bit of the
-    # sum may change against evaluating it on the whole grid
-    grid = loggrid(5.0, 500.0, 3001)
-    h = bump_deformation(4, grid, centers, width=width)
+    # the bumps are evaluated together on slices around their supports; no
+    # bit of the sum may change against evaluating each bump on the whole
+    # grid and adding them in center order, in the deformation's every
+    # column and in the one column compare takes its derivatives of
     b0, b1, b2 = linearized._unit_bump_maxima()
     scale = max(b0, b1 / width, b2 / width**2)
-    want = np.zeros_like(grid)
-    for c in centers:
-        want += linearized._unit_bump(np.log(grid), math.log(c), width) / scale
-    assert np.array_equal(h.components["11"], want)
+    for N in (64, 3001, 4096):
+        grid = loggrid(5.0, 500.0, N)
+        want = np.zeros_like(grid)
+        for c in centers:
+            want += linearized._unit_bump(np.log(grid), math.log(c), width) / scale
+        h = bump_deformation(4, grid, centers, width=width)
+        assert np.array_equal(h.values, np.tile(want[:, None], (1, 8)))
+        _, b = linearized._bump_column(grid, centers, width)
+        assert np.array_equal(b, want)
 
 
 def _count_stencils(monkeypatch):
@@ -455,12 +469,12 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
     solver._unit_stencils(1024)
     built, applied = _count_stencils(monkeypatch)
     grid = loggrid(5.0, 500.0, 1024)
-    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
-    compare_operators(h, r_window=(5.0, 500.0))
+    centers = np.geomspace(7.5, 335.0, 12)
+    compare_operators(4, grid, centers, r_window=(5.0, 500.0))
     assert built == []
     assert applied == [(1024,)]
     applied.clear()
-    apply_L(assemble_L_cusp(4), h)
+    apply_L(assemble_L_cusp(4), bump_deformation(4, grid, centers))
     # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
     assert built == []
     assert applied == [(1024, 8)]
@@ -472,8 +486,8 @@ def test_compare_operators_caches_no_jacobian_band():
     solver._unit_stencils.cache_clear()
     solver._band.cache_clear()
     grid = loggrid(5.0, 500.0, 1000)
-    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
-    compare_operators(h, r_window=(5.0, 500.0))
+    compare_operators(4, grid, np.geomspace(7.5, 335.0, 12),
+                      r_window=(5.0, 500.0))
     assert solver._unit_stencils.cache_info().currsize == 1
     assert solver._band.cache_info().currsize == 0
     band = solver._band(1000)
@@ -500,24 +514,28 @@ def test_compare_operators_evaluates_frame_data_once(monkeypatch):
     monkeypatch.setattr(profiles._Profile, "frame_data", counting)
     monkeypatch.setattr(profiles._Profile, "_eval", counting_eval)
     grid = loggrid(5.0, 500.0, 1024)
-    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
-    compare_operators(h, r_window=(5.0, 500.0))
+    compare_operators(4, grid, np.geomspace(7.5, 335.0, 12),
+                      r_window=(5.0, 500.0))
     assert [p.variant for p in calls] == ["blackhole"]
     assert orders == []
 
 
 def test_compare_operators_applies_one_operator(monkeypatch):
     # the mass part alone: one zeroth-order pass (the black hole's mass
-    # part, never the full coefficients) and one kernel call
-    counts = {"_derivatives": 0, "coefficients": 0, "_mass_part": 0}
+    # part, never the full coefficients) and one kernel call, on the one
+    # 1-D column of the bumps
+    counts = {"_derivatives": 0, "coefficients": 0, "_x_coefficients": 0,
+              "_mass_part": 0}
+    shapes = []
     real = linearized._derivatives
 
-    def counting(*args):
+    def counting(values, stencils):
         counts["_derivatives"] += 1
-        return real(*args)
+        shapes.append(values.shape)
+        return real(values, stencils)
 
     monkeypatch.setattr(linearized, "_derivatives", counting)
-    for name in ("coefficients", "_mass_part"):
+    for name in ("coefficients", "_x_coefficients", "_mass_part"):
         real_method = getattr(linearized.ODESystemL, name)
 
         def counting_method(sys, r, _real=real_method, _name=name):
@@ -526,40 +544,28 @@ def test_compare_operators_applies_one_operator(monkeypatch):
 
         monkeypatch.setattr(linearized.ODESystemL, name, counting_method)
     grid = loggrid(5.0, 500.0, 1024)
-    h = bump_deformation(4, grid, centers=np.geomspace(7.5, 335.0, 12))
-    compare_operators(h, r_window=(5.0, 500.0))
-    assert counts == {"_derivatives": 1, "coefficients": 0, "_mass_part": 1}
+    compare_operators(4, grid, np.geomspace(7.5, 335.0, 12),
+                      r_window=(5.0, 500.0))
+    assert counts == {"_derivatives": 1, "coefficients": 0,
+                      "_x_coefficients": 0, "_mass_part": 1}
+    assert shapes == [(1024,)]
 
 
-@pytest.mark.parametrize("build", [
-    lambda grid: metric_deformation(4, grid),
-    lambda grid: InvariantDeformation(n=4, grid=grid,
-                                      components={"11": np.ones(grid.size)}),
-], ids=["metric_deformation", "11-only"])
-def test_compare_operators_rejects_blocks_that_differ(monkeypatch, build):
-    # the difference is taken on the one column of h, so an h whose blocks
-    # differ is refused before any derivative is taken
+def test_compare_operators_accepts_centers_off_the_grid():
+    # bumps whose supports miss the grid leave b = 0: every difference is
+    # zero and no fit is made
     grid = loggrid(5.0, 500.0, 256)
-    h = build(grid)
-    built, applied = _count_stencils(monkeypatch)
-    with pytest.raises(OutOfDomain, match="bump_deformation"):
-        compare_operators(h)
-    assert built == [] and applied == []
-
-
-def test_compare_operators_accepts_zero_deformation():
-    grid = loggrid(5.0, 500.0, 256)
-    cmp = compare_operators(InvariantDeformation(n=4, grid=grid,
-                                                 components={}))
+    cmp = compare_operators(4, grid, [1.0, 2000.0])
     assert not cmp.diff.any()
+    assert not cmp.bin_max.any()
     assert math.isnan(cmp.slope)
 
 
 class _MassPartL(linearized.ODESystemL):
     """The black hole's mass part as a whole operator, for apply_L."""
 
-    def coefficients(self, r):
-        return self._mass_part(np.atleast_1d(np.asarray(r, dtype=float)))
+    def _x_coefficients(self, r):
+        return self._mass_part(r)
 
 
 @pytest.mark.parametrize("N", [256, 4096])
@@ -573,7 +579,7 @@ def test_compare_operators_matches_mass_part_on_every_column(n, N):
     h = bump_deformation(n, grid, centers)
     sys = _MassPartL(n=n, profile=black_hole_metric(1.0, n).profile)
     want = np.abs(apply_L(sys, h).values).max(axis=1)
-    diff = compare_operators(h).diff
+    diff = compare_operators(n, grid, centers).diff
     assert np.array_equal(diff == 0, want == 0)
     assert np.all(np.abs(diff - want) <= 4 * np.finfo(float).eps * want)
 
@@ -651,7 +657,7 @@ def test_compare_operators_matches_two_apply_L(n):
         # n = 3 has no jk column
         expected = np.maximum(expected, d.max(axis=1, initial=0.0))
         scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
-    diff = compare_operators(h).diff
+    diff = compare_operators(n, grid, centers).diff
     assert np.max(np.abs(diff - expected)) <= 1e-15 * scale
 
 
@@ -711,7 +717,9 @@ def test_deformation_validation():
     lambda grid: InvariantDeformation(n=4, grid=grid, components={}),
     lambda grid: metric_deformation(4, grid),
     lambda grid: bump_deformation(4, grid, centers=[1.5]),
-], ids=["InvariantDeformation", "metric_deformation", "bump_deformation"])
+    lambda grid: compare_operators(4, grid, [1.5]),
+], ids=["InvariantDeformation", "metric_deformation", "bump_deformation",
+        "compare_operators"])
 def test_deformations_reject_non_finite_grid(build, grid):
     # a spacing of nan compares False with 0, and one of inf is positive
     with pytest.raises(NonFiniteField):
@@ -734,8 +742,7 @@ def test_operator_rejects_grid_not_uniform_in_log_r(monkeypatch, grid):
     built, applied = _count_stencils(monkeypatch)
     entry_points = [
         lambda: apply_L(assemble_L_cusp(4), metric_deformation(4, grid)),
-        lambda: compare_operators(
-            InvariantDeformation(n=4, grid=grid, components={})),
+        lambda: compare_operators(4, grid, [50.0]),
         lambda: bump_deformation(4, grid, centers=[50.0]),
     ]
     for call in entry_points:
@@ -769,7 +776,9 @@ def test_deformation_grid_is_positive_and_read_only():
     lambda n, grid: InvariantDeformation(n=n, grid=grid, components={}),
     lambda n, grid: metric_deformation(n, grid),
     lambda n, grid: bump_deformation(n, grid, centers=[15.0]),
-], ids=["InvariantDeformation", "metric_deformation", "bump_deformation"])
+    lambda n, grid: compare_operators(n, grid, [15.0]),
+], ids=["InvariantDeformation", "metric_deformation", "bump_deformation",
+        "compare_operators"])
 def test_deformations_reject_bad_dimension(build, n):
     # these used to be accepted, or to fail later with a TypeError
     with pytest.raises(OutOfDomain):

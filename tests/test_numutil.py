@@ -6,6 +6,7 @@ for bit; `fornberg_weights` is its one-window case, `diff_matrix` is
 built from that row by row, and `apply_diff` must agree with the dense
 matrix up to the rounding of each row's terms.  The difference-form
 kernel that Newton and the operator share is tested in test_solver.py.
+The closed-form log-log fit is checked against least squares.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from dehnfill.numutil import (
     apply_diff,
     csv_lines,
     diff_matrix,
+    fit_loglog,
     fornberg_weights,
     stencil_weights,
 )
@@ -188,3 +190,31 @@ def test_csv_lines_match_per_element_formatting():
     # tuples of floats, one column, and round trips
     assert csv_lines((1.5, -0.0)) == ["1.5", "-0"]
     assert [float(x) for x in csv_lines(cols[0])] == cols[0].tolist()
+
+
+@pytest.mark.parametrize("npts", range(3, 13))
+def test_fit_loglog_matches_least_squares(npts):
+    # the slope and intercept from centred sums against numpy's SVD
+    # least squares on the same log data, and the rms misfit of that line
+    rng = np.random.default_rng(npts)
+    for _ in range(20):
+        x = np.sort(rng.uniform(1.0, 1e3, npts))
+        y = np.exp(rng.uniform(-3.0, 3.0)) * x ** rng.uniform(-6.0, -1.0)
+        y *= np.exp(rng.normal(scale=0.3, size=npts))
+        A = np.vstack([np.log(x), np.ones(npts)]).T
+        coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
+        resid = np.sqrt(np.mean((A @ coef - np.log(y)) ** 2))
+        got = fit_loglog(x, y)
+        assert got[:2] == pytest.approx(tuple(coef), rel=1e-12)
+        assert got[2] == pytest.approx(resid, rel=1e-12)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]), ([5.0], [1.0]), ([], []),
+    ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]), ([-1.0, 2.0], [1.0, 2.0]),
+    ([1.0, 2.0, 3.0], [1.0, 2.0])],
+    ids=["equal-x", "one-point", "empty", "zero-y", "negative-x", "lengths"])
+def test_fit_loglog_rejects_data_without_a_line(x, y):
+    # least squares used to return a minimum-norm line through equal x
+    with pytest.raises(ValueError):
+        fit_loglog(x, y)

@@ -18,7 +18,7 @@ from dehnfill.errors import (
 )
 from dehnfill.gluing import DecayScanResult
 from dehnfill.lattice import GeodesicClass
-from dehnfill.linearized import bump_deformation
+from dehnfill.linearized import bump_deformation, compare_operators
 from dehnfill.norms import WeightSpec, phi_c, phi_c_raw
 from dehnfill.numutil import diff_matrix, loggrid, stencil_weights
 from dehnfill.profiles import (
@@ -726,11 +726,13 @@ _BUDGET_SCAN = DecayScanResult(n=4, sizes=(5.0, 10.0), norms=(0.064, 0.008),
     (lambda: phi_c_raw(math.nan, 1.5, 10.0), OutOfDomain),
     (lambda: bump_deformation(4, loggrid(5.0, 500.0, 64), [math.nan]),
      OutOfDomain),
+    (lambda: compare_operators(4, loggrid(5.0, 500.0, 64), [math.nan]),
+     OutOfDomain),
     (lambda: oscillation_closed_form(4, math.nan, 2.0, 3.0), OutOfDomain),
     (lambda: GeodesicClass((math.nan, 0, 0)), OutOfDomain),
 ], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
         "phi-c-r-nan",
-        "bump-center-nan", "oscillation-r-lo-nan",
+        "bump-center-nan", "compare-center-nan", "oscillation-r-lo-nan",
         "geodesic-coeff-nan"])
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
