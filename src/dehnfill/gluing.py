@@ -1,11 +1,13 @@
 """Assembly of approximate solutions and decay scans of their deficit.
 
 An approximate solution closes each cusp of the filling data with a glued
-profile of size R^i = L_i / beta_1.  Its Einstein deficit is supported in
-the transition annuli and is measured in the weighted norm on those
-annuli alone, for all cusps (or all sizes of a scan) in one pass over an
-(S, G) stack of log grids; scanning the norm against the normalized
-filling size exhibits the O(size**(1-n)) decay law.
+profile of size R^i = L_i / beta_1; a cusp's metric is that profile and n,
+since its torus gram (lattice.quotient_generators) and the closing period
+beta_1 (DehnFillingData.beta1) enter no deficit.  Its Einstein deficit is
+supported in the transition annuli and is measured in the weighted norm
+on those annuli alone, for all cusps (or all sizes of a scan) in one pass
+over an (S, G) stack of log grids; scanning the norm against the
+normalized filling size exhibits the O(size**(1-n)) decay law.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWeight, ScanMissing, TooFewSamples
-from .lattice import (DehnFillingData, FlatLattice, GeodesicClass,
-                      filling_data, quotient_generators)
+from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
 from .numutil import fit_loglog
 from .profiles import (FillingMetric, _stack_deficit, closing_parameters,
-                       make_glued_profile)
+                       glued_metric, make_glued_profile)
 
 __all__ = [
     "ApproximateSolution",
@@ -37,35 +38,24 @@ __all__ = [
 class ApproximateSolution:
     """One glued metric per cusp, tagged with the filling it closes."""
 
-    n: int
     filling: DehnFillingData
     metrics: tuple
+
+    @property
+    def n(self):
+        return self.filling.n
 
     @property
     def size(self):
         return self.filling.size
 
 
-def build_approximate_solution(filling, n=None):
-    """Close every cusp of the filling with a glued profile at R^i.
-
-    Each cusp keeps its own transverse torus geometry (the quotient gram
-    of its (lattice, geodesic) pair) and the common closing period
-    beta_1.  Raises RadiusTooSmall when any R^i is at or below r_plus + 3.
-    """
-    if n is None:
-        n = filling.n
-    if n != filling.n:
-        raise InvalidWeight(f"dimension mismatch: {n} vs filling {filling.n}")
-    metrics = []
-    for (lat, sig), R in zip(filling.cusps, filling.radii):
-        metrics.append(
-            FillingMetric(n=n, profile=make_glued_profile(R, n),
-                          beta=filling.beta1,
-                          torus_gram=quotient_generators(lat, sig)["torus_gram"])
-        )
-    return ApproximateSolution(n=int(n), filling=filling,
-                               metrics=tuple(metrics))
+def build_approximate_solution(filling):
+    """Close every cusp of the filling with a glued metric at its R^i (see
+    the module docstring for its period and torus gram).  Raises
+    RadiusTooSmall when any R^i is at or below r_plus + 3."""
+    return ApproximateSolution(filling=filling, metrics=tuple(
+        glued_metric(R, filling.n) for R in filling.radii))
 
 
 def filling_from_lengths(lengths, n):
@@ -160,9 +150,8 @@ def decay_scan(n, L_list, w=None, grid_size=512):
 
     Each size L is one glued metric at filling_data's R = L / beta_1, and
     all sizes are one stack of deficit_norm's kernel, one row per size.  w
-    may be a WeightSpec template (only its delta is reused, since R and r_c
-    must track each size), a numeric delta, or None for the default rate.
-    Build errors for unbuildable sizes propagate.
+    is the weight's decay rate delta, or None for the default rate; R and
+    r_c track each size.  Build errors for unbuildable sizes propagate.
     """
     sizes = tuple(float(L) for L in L_list)
     if len(sizes) < 5:
@@ -172,12 +161,9 @@ def decay_scan(n, L_list, w=None, grid_size=512):
             raise ScanMissing(f"sizes must be finite and positive, got {L}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ScanMissing("sizes must be strictly increasing")
-    if isinstance(w, WeightSpec):
-        w = w.delta
-    delta = None if w is None else float(w)
     _, beta1 = closing_parameters(1.0, n)
     radii = [L / beta1 for L in sizes]
-    spec = WeightSpec(n=n, R=radii, delta=delta)
+    spec = WeightSpec(n=n, R=radii, delta=w)
     profiles = [make_glued_profile(R, n) for R in radii]
     norms = _deficit_norms(profiles, int(n), spec, grid_size, True)
     slope, intercept, residual = fit_loglog(np.asarray(sizes), norms)

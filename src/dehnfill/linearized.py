@@ -344,7 +344,7 @@ def indicial_roots(block, n):
         return (1.0, -float(n))
     if block in ("2j", "jk"):
         return (0.0, float(1 - n))
-    if block in ("diag", "coupled"):
+    if block == "diag":
         # the Euler coupling's eigenvalues are 2(n-1) twice and 0 n-2 times
         exps = 2 * roots_for(2.0 * (n - 1)) + (n - 2) * roots_for(0.0)
         return tuple(sorted(exps, reverse=True))
@@ -372,13 +372,13 @@ def _unit_bump_maxima():
     return np.max(np.abs(ref)), np.max(np.abs(d1)), np.max(np.abs(d2))
 
 
-def _bump_column(grid, centers, width):
-    """The checked grid and the sum b on it of bump_deformation's bumps.
+def _bump_column(x, centers, width):
+    """The sum b of bump_deformation's bumps on x = log r of a checked grid.
 
-    Each center's support slice of x = log r, widened by one width on each
-    side against rounding, is one row of a (B, L) gather; one _unit_bump
-    call evaluates all rows, which are added in center order, so b is bit
-    for bit the sum of the bumps evaluated one by one."""
+    Each center's support [log c - width, log c + width], widened by one
+    node on each side against rounding, is one row of a (B, L) gather; one
+    _unit_bump call evaluates all rows, which are added in center order, so
+    b is bit for bit the sum of the bumps evaluated one by one."""
     # the scale divides by width**2; Python floats, so that an overflow gives
     # inf and an underflow 0, not a warning or an OverflowError
     if not (width > 0 and 0.0 < float(width) * float(width) < math.inf):
@@ -387,13 +387,13 @@ def _bump_column(grid, centers, width):
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     if not (np.all(np.isfinite(centers)) and np.all(centers > 0)):
         raise OutOfDomain(f"bump centers must be finite and positive: {centers}")
-    # ascending, so each bump's support is a slice of x
-    grid, x = _checked_grid(grid)
     # unit-width reference scale; derivatives of the rescaled bump gain 1/width
     b0, b1, b2 = _unit_bump_maxima()
     scale = max(b0, b1 / width, b2 / width**2)
     lc = np.array([math.log(c) for c in centers.ravel().tolist()])
-    lo, hi = np.searchsorted(x, [lc - 2.0 * width, lc + 2.0 * width])
+    # x ascends, so each support is a slice of it
+    lo = np.maximum(np.searchsorted(x, lc - width) - 1, 0)
+    hi = np.minimum(np.searchsorted(x, lc + width, side="right") + 1, x.size)
     # a row runs on past its slice, clamped to the grid, and is not added there
     cols = np.arange((hi - lo).max(initial=0))
     rows = _unit_bump(x[np.minimum(lo[:, None] + cols, x.size - 1)],
@@ -402,7 +402,7 @@ def _bump_column(grid, centers, width):
     total = np.zeros_like(x)
     for row, a, z in zip(rows, lo.tolist(), hi.tolist()):
         total[a:z] += row[: z - a]
-    return grid, total
+    return total
 
 
 def bump_deformation(n, grid, centers, width=0.4):
@@ -413,9 +413,8 @@ def bump_deformation(n, grid, centers, width=0.4):
     radial direction scales like r d/dr).  Centers should be separated
     by more than 2*width in log r so the sum keeps unit size.
     """
-    grid, b = _bump_column(grid, centers, width)
     h = InvariantDeformation(n=n, grid=grid, components={})
-    h.values[:] = b[:, None]
+    h.values[:] = _bump_column(np.log(h.grid), centers, width)[:, None]
     return h
 
 
@@ -452,7 +451,8 @@ def compare_operators(n, grid, centers, width=0.4, r_window=None, m=1.0,
     core margin) runs before any derivative is taken.
     """
     sys = assemble_L_blackhole(black_hole_metric(m, n))
-    grid, b = _bump_column(grid, centers, width)
+    grid, x = _checked_grid(grid)
+    b = _bump_column(x, centers, width)
     lo, hi = (grid[0], grid[-1]) if r_window is None else r_window
     if not (0.0 < lo < hi < math.inf and lo <= grid[-1] and hi >= grid[0]):
         raise OutOfDomain(f"r_window must be finite and positive, with lo < hi,"

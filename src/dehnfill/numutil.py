@@ -15,26 +15,25 @@ def fornberg_weights(x0, xs, m):
     return stencil_weights(xs, m, len(xs), at=[x0])[1][0]
 
 
-def _window_starts(npts, width, pos=None):
-    """First index of the window of `width` consecutive nodes for each row
-    of a grid of npts nodes, or for each position pos (the index at which
+def _window_starts(npts, width, pos):
+    """First index of the window of `width` consecutive nodes of a grid of
+    npts nodes for each position pos (a node's index, or the index at which
     a query point falls, from `np.searchsorted`).
 
-    The window is centred on its row where possible and shifted one-sided
-    near the ends, so it always lies inside the grid.
+    The window is centred on its position where possible and shifted
+    one-sided near the ends, so it always lies inside the grid.
     """
     if npts < width:
         raise GridTooCoarse(f"grid has {npts} points, stencil needs {width}")
-    pos = np.arange(npts) if pos is None else pos
     return np.clip(pos - width // 2, 0, npts - width)
 
 
-def stencil_weights(grid, deriv, width, at=None):
-    """Finite-difference stencils of every row of an ascending grid, or of
-    every point of the 1-d array `at`.
+def stencil_weights(grid, deriv, width, at):
+    """Finite-difference stencils on an ascending grid at every point of
+    the 1-d array `at` (at=grid for the stencils of the grid's own rows).
 
-    Returns (idx, w), both of shape (npts, width) for npts rows: row q
-    approximates the deriv-th derivative at at[q] (default grid[q]) by
+    Returns (idx, w), both of shape (npts, width) for npts = len(at): row q
+    approximates the deriv-th derivative at at[q] by
     sum_k w[q, k] f(grid[idx[q, k]]), on the window of `_window_starts`
     around the index where at[q] falls; deriv 0 interpolates.  The weights
     come from Fornberg's recursion (Fornberg 1988, Generation of finite
@@ -46,9 +45,9 @@ def stencil_weights(grid, deriv, width, at=None):
     if width < deriv + 1:
         raise GridTooCoarse(
             f"need at least {deriv + 1} nodes for derivative order {deriv}")
-    x0 = grid if at is None else np.asarray(at, dtype=float)
-    pos = None if at is None else np.searchsorted(grid, x0)
-    idx = _window_starts(len(grid), width, pos)[:, None] + np.arange(width)
+    x0 = np.asarray(at, dtype=float)
+    idx = (_window_starts(len(grid), width, np.searchsorted(grid, x0))[:, None]
+           + np.arange(width))
     xs = grid[idx.T]
     c = [np.zeros((width, len(x0))) for _ in range(deriv + 1)]
     c[0][0] = 1.0
@@ -84,7 +83,8 @@ def diff_matrix(grid, deriv, stencil):
     grid = np.asarray(grid, dtype=float)
     npts = len(grid)
     D = np.zeros((npts, npts))
-    for i, lo in enumerate(_window_starts(npts, stencil).tolist()):
+    starts = _window_starts(npts, stencil, np.arange(npts))
+    for i, lo in enumerate(starts.tolist()):
         window = grid[lo : lo + stencil]
         D[i, lo : lo + stencil] = fornberg_weights(grid[i], window, deriv)
     return D
@@ -93,7 +93,7 @@ def diff_matrix(grid, deriv, stencil):
 def apply_diff(grid, values, deriv, stencil=5):
     """Differentiate grid samples along axis 0: the rows of `diff_matrix`,
     built by `stencil_weights`, summed over the gathered windows."""
-    idx, w = stencil_weights(grid, deriv, stencil)
+    idx, w = stencil_weights(grid, deriv, stencil, at=grid)
     return np.einsum("ik,ik...->i...", w, np.asarray(values, dtype=float)[idx])
 
 

@@ -14,18 +14,24 @@ V, V', V'', the frame curvatures and the Einstein deficit all follow from
 them, the curvatures as -1 plus mass terms and the deficit from mu' and
 mu'' alone, so it is exactly zero wherever the mass is constant.
 
+The circle period and g_T fix a filled cusp's topology but enter no number
+computed here, so a FillingMetric is n and its profile alone: the period
+comes from closing_parameters (EinsteinSolveResult.beta after a solve),
+g_T of a cusp from lattice.quotient_generators.
+
 The cutoff transition is placed on the proportional window
-[0.8 R, 0.9 R]. A transition window of fixed unit width would leave the
-Einstein deficit of the glued profile at O(R^{3-n}) (the chi'' term picks
-up no 1/R factors), which contradicts the O(R^{1-n}) decay this profile is
-meant to realize; a window proportional to R gives chi' = O(1/R),
-chi'' = O(1/R^2) and hence deficit O(R^{1-n}) in every dimension n >= 3.
+[0.8 R, 0.9 R], which GluedProfile derives from R alone. A transition
+window of fixed unit width would leave the Einstein deficit of the glued
+profile at O(R^{3-n}) (the chi'' term picks up no 1/R factors), which
+contradicts the O(R^{1-n}) decay this profile is meant to realize; a
+window proportional to R gives chi' = O(1/R), chi'' = O(1/R^2) and hence
+deficit O(R^{1-n}) in every dimension n >= 3.
 At R = 10 the window is [8, 9], the same interval used by the worked
 examples in the construction this mirrors.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,30 +106,6 @@ def fitted_mass(grid, values, n):
     if denom == 0:
         raise InvalidMass("degenerate grid for the mass fit")
     return float(np.sum((grid**2 - values) * basis) / (2.0 * denom)) * r0 ** (n - 3)
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """Monotone C-infinity cutoff: chi = 1 below lo, chi = 0 above hi.
-
-    Built from the exp(-1/t) smoothstep, so it is C^k for every k.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0 < self.lo < self.hi and math.isfinite(self.hi)):
-            raise RadiusTooSmall(f"bad transition window [{self.lo}, {self.hi}]")
-        # chi'' divides by the squared width; Python floats, so that an
-        # overflow gives inf, not a warning or an OverflowError
-        width = float(self.hi - self.lo)
-        if not math.isfinite(width * width):
-            raise OutOfDomain(f"transition window [{self.lo}, {self.hi}] is "
-                              "too wide: its squared width overflows")
-
-    def chi(self, r):
-        return _cutoff_mass(r, self.lo, self.hi, 0)[0]
 
 
 def _cutoff_mass(r, lo, hi, order):
@@ -271,18 +253,30 @@ class BlackHoleProfile(_Profile):
 
 @dataclass(frozen=True)
 class GluedProfile(_Profile):
-    """V = r^2 - 2 chi(r) r^{3-n}: black hole near the core, cusp outside."""
+    """V = r^2 - 2 chi(r) r^{3-n}: black hole near the core, cusp outside,
+    chi moving on transition = [0.8 R, 0.9 R] of the domain [r_+, R].  R
+    must be finite and exceed r_+ + 3, so the transition clears the core."""
 
     R: float
     n: int
-    cutoff: CutoffFunction
-    domain: tuple = None
+    transition: tuple = field(init=False)
+    domain: tuple = field(init=False)
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if self.domain is None:
-            r_plus, _ = closing_parameters(1.0, self.n)
-            object.__setattr__(self, "domain", (r_plus, self.R))
+        r_plus = self.r_plus
+        if not (math.isfinite(self.R) and self.R > r_plus + 3.0):
+            raise RadiusTooSmall(f"gluing radius {self.R} must exceed "
+                                 f"r_+ + 3 = {r_plus + 3.0:.6f}")
+        lo, hi = TRANSITION_LO * self.R, TRANSITION_HI * self.R
+        # chi'' divides by the squared width; Python floats, so that an
+        # overflow gives inf, not a warning or an OverflowError
+        width = float(hi - lo)
+        if not math.isfinite(width * width):
+            raise OutOfDomain(f"transition window [{lo}, {hi}] is too wide: "
+                              "its squared width overflows")
+        object.__setattr__(self, "transition", (lo, hi))
+        object.__setattr__(self, "domain", (r_plus, self.R))
 
     variant = "glued"
 
@@ -293,14 +287,10 @@ class GluedProfile(_Profile):
 
     @property
     def outer_radius(self):
-        return self.domain[1]
-
-    @property
-    def transition(self):
-        return self.cutoff.lo, self.cutoff.hi
+        return self.R
 
     def _mass(self, r, order):
-        return _cutoff_mass(r, self.cutoff.lo, self.cutoff.hi, order)
+        return _cutoff_mass(r, *self.transition, order)
 
     def core(self, n):
         _check_own_dimension(self, n)
@@ -411,19 +401,8 @@ def eval_profile(profile, r, deriv_order=0):
 
 
 def make_glued_profile(R, n):
-    """Glued profile with transition on [0.8 R, 0.9 R].
-
-    Requires R > r_+(m=1) + 3 so the transition clears the core region;
-    otherwise RadiusTooSmall (the filling is too short to interpolate).
-    """
-    _check_dimension(n)
-    r_plus, _ = closing_parameters(1.0, n)
-    if R <= r_plus + 3.0:
-        raise RadiusTooSmall(
-            f"gluing radius {R} must exceed r_+ + 3 = {r_plus + 3.0:.6f}"
-        )
-    cutoff = CutoffFunction(TRANSITION_LO * R, TRANSITION_HI * R)
-    return GluedProfile(R=float(R), n=int(n), cutoff=cutoff)
+    """Glued profile at gluing radius R, transition on [0.8 R, 0.9 R]."""
+    return GluedProfile(R=float(R), n=int(_check_dimension(n)))
 
 
 # ----------------------------------------------------------------------
@@ -433,48 +412,27 @@ def make_glued_profile(R, n):
 
 @dataclass(frozen=True, eq=False)
 class FillingMetric:
-    """Cohomogeneity-one metric data: dimension, profile, circle period
-    and the Gram matrix of the flat T^{n-2} factor."""
+    """Cohomogeneity-one metric data: the dimension and the profile."""
 
     n: int
     profile: object
-    beta: float
-    torus_gram: np.ndarray = None
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise OutOfDomain(f"beta must be positive and finite, got {self.beta}")
-        if self.torus_gram is None:
-            object.__setattr__(self, "torus_gram", np.eye(self.n - 2))
-            return
-        gram = np.asarray(self.torus_gram, dtype=float)
-        if gram.shape != (self.n - 2, self.n - 2):
-            raise OutOfDomain(
-                f"torus_gram must be {(self.n - 2, self.n - 2)}, got {gram.shape}"
-            )
-        if not np.all(np.isfinite(gram)):
-            raise OutOfDomain("torus_gram must be finite")
-        if not np.allclose(gram, gram.T, atol=1e-12):
-            raise OutOfDomain("torus_gram must be symmetric")
-        if np.linalg.eigvalsh(gram).min() <= 0:
-            raise OutOfDomain("torus_gram must be positive definite")
-        object.__setattr__(self, "torus_gram", gram)
 
 
 def black_hole_metric(m, n):
-    """Black-hole filling metric with the smooth-closing period beta_m."""
-    _, beta = closing_parameters(m, n)
-    return FillingMetric(n=int(n), profile=BlackHoleProfile(m=float(m), n=int(n)),
-                         beta=beta)
+    """Black-hole filling metric of mass m."""
+    n = int(_check_dimension(n))
+    return FillingMetric(n=n, profile=BlackHoleProfile(m=float(m), n=n))
 
 
 def cusp_metric(n):
-    """Exact hyperbolic cusp metric on the model end (beta = 2 pi)."""
-    return FillingMetric(n=n, profile=CuspProfile(n), beta=2.0 * math.pi)
+    """Exact hyperbolic cusp metric on the model end."""
+    return FillingMetric(n=n, profile=CuspProfile(n))
 
 
 def glued_metric(R, n):
-    """Glued approximate-Einstein metric at gluing radius R (beta = beta_1)."""
-    _, beta1 = closing_parameters(1.0, n)
-    return FillingMetric(n=int(n), profile=make_glued_profile(R, n), beta=beta1)
+    """Glued approximate-Einstein metric at gluing radius R."""
+    profile = make_glued_profile(R, n)
+    return FillingMetric(n=profile.n, profile=profile)

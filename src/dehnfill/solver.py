@@ -235,7 +235,7 @@ def _unit_stencils(N):
     process and kept, read-only: about 216 N bytes a size.  The linearized
     operator applies the same template on its uniform grid in log r.
     """
-    start = _window_starts(N, 9)
+    start = _window_starts(N, 9, np.arange(N))
     idx = start[:, None] + np.arange(9)
     row = np.arange(N) - start
     w1 = diff_matrix(np.arange(9.0), 1, stencil=9)[row]

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -91,7 +89,8 @@ def test_glued_deficit_support_and_magnitude():
     prof = met.profile
     grid = loggrid(prof.domain[0] * 1.001, R * 0.9999, 2048)
     dv = cutoff_deficit_diag(met, grid)
-    window = (grid >= prof.cutoff.lo) & (grid <= prof.cutoff.hi)
+    lo, hi = prof.transition
+    window = (grid >= lo) & (grid <= hi)
     # identically zero off the transition annulus, not merely small
     assert np.all(dv[~window] == 0.0)
     # generic curvature path agrees on the annulus
@@ -137,11 +136,11 @@ def test_constant_mass_deficit_is_exactly_zero(n, m):
     # form: 0.0 for mu = m and mu = 0 through every deficit path, from the
     # core out to r = 1e8, where cancelling ric + (n-1) in floating point
     # left up to 5.7e-14 (m = 1) and 1.1e-13 (m = 3.5) at n = 32
-    r_plus, beta = closing_parameters(m, n)
+    r_plus, _ = closing_parameters(m, n)
     domain = (r_plus, 1e8)
     grid = loggrid(r_plus, 1e8, 2000)
-    for met in (FillingMetric(n, BlackHoleProfile(m, n, domain), beta),
-                FillingMetric(n, CuspProfile(n, domain), 2.0 * math.pi)):
+    for met in (FillingMetric(n, BlackHoleProfile(m, n, domain)),
+                FillingMetric(n, CuspProfile(n, domain))):
         rep = ricci_and_deficit(met, grid)
         assert np.all(rep.deficit_diag == 0.0)
         assert np.all(rep.ric_diag == 1.0 - n)

@@ -23,13 +23,14 @@ from dehnfill.numutil import loggrid
 from dehnfill.profiles import black_hole_metric, closing_parameters, glued_metric
 
 
-def test_list_and_tuple_cusps_keep_the_same_gram():
+def test_list_and_tuple_cusps_build_the_same_profiles():
     lat = FlatLattice(np.array([[20.0, 0.0, 0.0], [1.0, 7.0, 0.0], [0.0, 1.0, 9.0]]))
     sig = GeodesicClass((1, 0, 0))
-    grams = [build_approximate_solution(filling_data([cusp], 4)).metrics[0].torus_gram
-             for cusp in ((lat, sig), [lat, sig])]
-    assert not np.allclose(grams[0], np.eye(2))
-    assert np.array_equal(grams[0], grams[1])
+    fillings = [filling_data([cusp], 4) for cusp in ((lat, sig), [lat, sig])]
+    profiles = [build_approximate_solution(f).metrics[0].profile
+                for f in fillings]
+    assert profiles[0].R == fillings[0].radii[0] == fillings[1].radii[0]
+    assert profiles[0] == profiles[1]
 
 
 def test_build_single_cusp():
@@ -39,7 +40,7 @@ def test_build_single_cusp():
     assert len(sol.metrics) == 1
     assert sol.metrics[0].profile.R == pytest.approx(6.0157, abs=1e-4)
     assert sol.size == 20.0
-    assert sol.metrics[0].beta == pytest.approx(filling.beta1, abs=1e-14)
+    assert sol.n == sol.metrics[0].n == 4
 
 
 def test_build_too_short():
@@ -56,9 +57,7 @@ def test_build_two_cusps():
     R1 = sol.metrics[1].profile.R
     assert R1 / R0 == pytest.approx(40.0 / 30.0, rel=1e-12)
     assert sol.size == 30.0
-    # each cusp carries its own transverse torus geometry
-    g0 = sol.metrics[0].torus_gram
-    assert g0 is not None and g0.shape == (3, 3)
+    assert sol.n == 5 and all(m.n == 5 for m in sol.metrics)
 
 
 def test_deficit_norm_blackhole_is_zero():
@@ -72,7 +71,7 @@ def test_deficit_norm_blackhole_is_zero():
                          ids=["glued-R50", "blackhole"])
 def test_deficit_norm_of_a_metric_is_its_one_cusp_solution(metric):
     filling = filling_from_lengths([metric.profile.domain[1]], metric.n)
-    sol = ApproximateSolution(n=metric.n, filling=filling, metrics=(metric,))
+    sol = ApproximateSolution(filling=filling, metrics=(metric,))
     assert deficit_norm(metric) == deficit_norm(sol)
 
 
@@ -191,9 +190,14 @@ def test_decay_scan_matches_the_lattice_path(n):
 def test_decay_scan_delta_passthrough():
     L = [40.0, 80.0, 160.0, 320.0, 640.0]
     a = decay_scan(4, L, w=2.0, grid_size=512)
-    b = decay_scan(4, L, w=WeightSpec(n=4, R=(10.0,), delta=2.0),
-                   grid_size=512)
-    assert a.norms == b.norms
+    # delta reaches the weight of every size, whose R and r_c track it
+    one_by_one = []
+    for size in L:
+        f = filling_from_lengths([size], 4)
+        one_by_one.append(deficit_norm(build_approximate_solution(f),
+                                       WeightSpec(n=4, R=f.radii, delta=2.0)))
+    assert a.norms == tuple(one_by_one)
+    assert a.norms != decay_scan(4, L, grid_size=512).norms
 
 
 def test_decay_scan_validation():
@@ -279,7 +283,7 @@ def test_solution_norm_is_the_max_of_its_one_cusp_norms(n):
     assert ones[0] != ones[1]
     assert deficit_norm(sol) == max(ones)
     # a cusp without a cutoff takes the row-by-row path
-    mixed = ApproximateSolution(n=n, filling=sol.filling,
+    mixed = ApproximateSolution(filling=sol.filling,
                                 metrics=(sol.metrics[1], black_hole_metric(1.0, n)))
     assert deficit_norm(mixed) == ones[1]
 

@@ -194,7 +194,7 @@ def test_coupling_row_sums():
         r_plus = glued.profile.r_plus
         samples = loggrid(1.1 * r_plus, 24.9, 400)
         sampled = profiles.FillingMetric(
-            n=n, beta=glued.beta, profile=profiles.SampledProfile(
+            n=n, profile=profiles.SampledProfile(
                 grid=samples, values=eval_profile(glued.profile, samples)))
         # from near the core, then across the glued transition annulus
         r = np.concatenate([loggrid(1.2 * r_plus, 19.0, 11),
@@ -416,7 +416,11 @@ def test_compare_operators_rejects_bad_bins(bins):
 @pytest.mark.parametrize("centers, width", [
     (np.geomspace(7.5, 335.0, 12), 0.4), ([3.0, 600.0, 5.0], 0.4),
     ([15.0], 1e-3), ([15.0], 1e-15), ([15.0], 1e-17), ([15.0], 3.0),
-    ([15.0], 1e150), ([5.0, 500.0], 0.05)])
+    ([15.0], 1e150), ([5.0, 500.0], 0.05),
+    # centres and support edges on nodes of the N = 64 grid, which are nodes
+    # of the N = 4096 grid too (its step is 1/65 of theirs)
+    (loggrid(5.0, 500.0, 64)[[10, 20, 40]], 3 * math.log(100.0) / 63),
+    ([5.0, 500.0], 5 * math.log(100.0) / 63)])
 def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
     # the bumps are evaluated together on slices around their supports; no
     # bit of the sum may change against evaluating each bump on the whole
@@ -431,8 +435,8 @@ def test_bump_deformation_matches_whole_grid_evaluation(centers, width):
             want += linearized._unit_bump(np.log(grid), math.log(c), width) / scale
         h = bump_deformation(4, grid, centers, width=width)
         assert np.array_equal(h.values, np.tile(want[:, None], (1, 8)))
-        _, b = linearized._bump_column(grid, centers, width)
-        assert np.array_equal(b, want)
+        _, x = linearized._checked_grid(grid)
+        assert np.array_equal(linearized._bump_column(x, centers, width), want)
 
 
 def _count_stencils(monkeypatch):

@@ -90,7 +90,7 @@ def test_fornberg_weights_too_few_nodes(nnodes, m):
 @pytest.mark.parametrize("name", GRIDS)
 def test_rows_match_scalar_fornberg_bitwise(name, deriv, width):
     grid = GRIDS[name]
-    idx, w = stencil_weights(grid, deriv, width)
+    idx, w = stencil_weights(grid, deriv, width, at=grid)
     assert idx.shape == w.shape == (len(grid), width)
     D = diff_matrix(grid, deriv, width)
     for i in range(len(grid)):
@@ -104,12 +104,15 @@ def test_rows_match_scalar_fornberg_bitwise(name, deriv, width):
 @pytest.mark.parametrize("deriv, width", STENCILS)
 @pytest.mark.parametrize("name", GRIDS)
 def test_stencils_at_the_nodes_are_the_row_stencils_bitwise(name, deriv, width):
+    # all nodes at once give each node's own stencil, window and weights,
+    # and w is the transposed (width, npts) plane
     grid = GRIDS[name]
-    idx, w = stencil_weights(grid, deriv, width)
-    idx_at, w_at = stencil_weights(grid, deriv, width, at=grid)
-    assert np.array_equal(idx_at, idx)
-    assert np.array_equal(w_at, w)
-    assert w_at.strides == w.strides
+    idx, w = stencil_weights(grid, deriv, width, at=grid)
+    assert w.strides == (8, 8 * len(grid))
+    for i in range(len(grid)):
+        idx_i, w_i = stencil_weights(grid, deriv, width, at=grid[i:i + 1])
+        assert np.array_equal(idx_i[0], idx[i])
+        assert np.array_equal(w_i[0], w[i])
 
 
 @pytest.mark.parametrize("deriv", [0, 1, 2])
@@ -148,7 +151,8 @@ def test_apply_diff_matches_dense_matrix(name, deriv, width):
 def test_stencil_weights_keep_only_their_plane(deriv, width):
     # w views one (width, npts) plane; the lower derivative orders and the
     # scratch rows of the recursion are freed on return
-    w = stencil_weights(APPLY_GRIDS["geometric4096"], deriv, width)[1]
+    grid = APPLY_GRIDS["geometric4096"]
+    w = stencil_weights(grid, deriv, width, at=grid)[1]
     assert w.base.nbytes == w.nbytes == 4096 * width * 8
 
 
@@ -159,7 +163,7 @@ def test_polynomials_below_width_are_exact(name, deriv, width):
     mid, half = 0.5 * (grid[0] + grid[-1]), 0.5 * (grid[-1] - grid[0])
     p = np.polynomial.Polynomial(np.random.default_rng(8).uniform(-1.0, 1.0, width),
                                  domain=[mid - half, mid + half])
-    idx, w = stencil_weights(grid, deriv, width)
+    idx, w = stencil_weights(grid, deriv, width, at=grid)
     values = p(grid)
     err = np.abs(apply_diff(grid, values, deriv, width) - p.deriv(deriv)(grid))
     # rounding of the weighted sum and of the weights themselves
@@ -172,7 +176,7 @@ def test_polynomials_below_width_are_exact(name, deriv, width):
 def test_too_coarse_is_rejected(npts, deriv, width):
     grid = np.linspace(1.0, 2.0, npts)
     with pytest.raises(GridTooCoarse):
-        stencil_weights(grid, deriv, width)
+        stencil_weights(grid, deriv, width, at=grid)
     with pytest.raises(GridTooCoarse):
         apply_diff(grid, grid, deriv, width)
 

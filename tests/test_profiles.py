@@ -14,8 +14,6 @@ from dehnfill.profiles import (
     MAX_DIMENSION,
     BlackHoleProfile,
     CuspProfile,
-    CutoffFunction,
-    FillingMetric,
     GluedProfile,
     SampledProfile,
     _cutoff_mass,
@@ -93,20 +91,40 @@ def test_closing_identity_sweep():
 
 
 def test_cutoff_shape():
-    cut = CutoffFunction(8.0, 9.0)
+    # the cutoff of the glued profile at R = 10, from 1 below 8 to 0 above 9
+    lo, hi = make_glued_profile(10.0, 4).transition
+    assert (lo, hi) == (8.0, 9.0)
     r = np.linspace(7.0, 10.0, 301)
-    chi = cut.chi(r)
+    chi = _cutoff_mass(r, lo, hi, 0)[0]
     assert np.all((0.0 <= chi) & (chi <= 1.0))
     assert np.all(np.diff(chi) <= 1e-15)
     assert np.all(chi[r <= 8.0] == 1.0)
     assert np.all(chi[r >= 9.0] == 0.0)
     # derivatives vanish identically outside the window, not just approximately
     outside = (r < 8.0) | (r > 9.0)
-    _, chi_d1, chi_d2 = _cutoff_mass(r, cut.lo, cut.hi, 2)
+    _, chi_d1, chi_d2 = _cutoff_mass(r, lo, hi, 2)
     assert np.all(chi_d1[outside] == 0.0)
     assert np.all(chi_d2[outside] == 0.0)
+
+
+@pytest.mark.parametrize("build", [GluedProfile, make_glued_profile],
+                         ids=["class", "builder"])
+@pytest.mark.parametrize("R", [math.nan, math.inf, 3.0],
+                         ids=["nan", "inf", "inside-core-margin"])
+def test_glued_profile_rejects_bad_radius(build, R):
+    # R = 1e200 is test_cutoff_rejects_window_whose_squared_width_overflows
     with pytest.raises(RadiusTooSmall):
-        CutoffFunction(9.0, 8.0)
+        build(R, 4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+@pytest.mark.parametrize("R", [4.5, 10.0, 123.4, 1e150])
+def test_glued_window_and_domain_follow_from_R(R, n):
+    prof = make_glued_profile(R, n)
+    assert prof.transition == (0.8 * R, 0.9 * R)
+    assert prof.domain == (closing_parameters(1.0, n)[0], R)
+    assert prof.outer_radius == R
+    assert prof == GluedProfile(R, n)
 
 
 def test_glued_profile_closed_form_regions():
@@ -120,7 +138,7 @@ def test_glued_profile_closed_form_regions():
 def test_glued_profile_matches_pieces_bitwise():
     prof = make_glued_profile(100.0, 4)
     bh = BlackHoleProfile(m=1.0, n=4)
-    lo, hi = prof.cutoff.lo, prof.cutoff.hi
+    lo, hi = prof.transition
     r_in = np.linspace(prof.domain[0] * 1.001, lo * 0.999, 97)
     r_out = np.linspace(hi * 1.001, 99.9, 97)
     for order in (0, 1, 2):
@@ -134,7 +152,7 @@ def test_glued_profile_smooth_junctions():
     # R=10 puts the transition on [8, 9]; check C^4 by comparing one-sided
     # finite differences of V across each junction
     prof = make_glued_profile(10.0, 5)
-    for rj in (prof.cutoff.lo, prof.cutoff.hi):
+    for rj in prof.transition:
         h = 1e-2
         for order in (1, 2):
             left = _fd(prof, rj - 2.0 * h, h, order)
@@ -228,34 +246,25 @@ _GRID = np.geomspace(1.0, 20.0, 16)
     (lambda: closing_parameters(math.inf, 4), InvalidMass),
     (lambda: closing_parameters(math.nan, 4), InvalidMass),
     (lambda: BlackHoleProfile(m=math.nan, n=4), InvalidMass),
-    (lambda: FillingMetric(n=4, profile=CuspProfile(4), beta=math.nan), OutOfDomain),
-    (lambda: FillingMetric(n=4, profile=CuspProfile(4), beta=math.inf), OutOfDomain),
     (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2)),
      OutOfDomain),
     (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2),
      OutOfDomain),
 ], ids=["closing-inf-mass", "closing-nan-mass", "blackhole-nan-mass",
-        "metric-nan-beta", "metric-inf-beta", "sampled-nan-values", "sampled-inf-grid"])
+        "sampled-nan-values", "sampled-inf-grid"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_filling_metric_rejects_non_finite_gram(bad):
-    with pytest.raises(OutOfDomain, match="torus_gram must be finite"):
-        FillingMetric(n=4, profile=BlackHoleProfile(m=1.0, n=4), beta=2.0,
-                      torus_gram=[[bad, 0.0], [0.0, 1.0]])
-
-
 def test_cutoff_rejects_window_whose_squared_width_overflows():
     # chi'' divides by (hi - lo)**2, an OverflowError on Python floats
     with pytest.raises(OutOfDomain, match="squared width overflows"):
-        CutoffFunction(8e199, 9e199)
+        GluedProfile(R=1e200, n=4)
     with pytest.raises(OutOfDomain, match="squared width overflows"):
         make_glued_profile(1e200, 4)
-    cut = CutoffFunction(8e150, 9e150)
-    assert math.isfinite(_cutoff_mass(8.5e150, cut.lo, cut.hi, 2)[2])
+    lo, hi = make_glued_profile(1e151, 4).transition
+    assert math.isfinite(_cutoff_mass(0.5 * (lo + hi), lo, hi, 2)[2])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -263,16 +272,14 @@ def test_cutoff_finite_where_the_step_variable_is_tiny():
     # a wide window puts t = (r - lo)/(hi - lo) below 1e-150, where t**2 and
     # t**3 underflow and 1/t can overflow: these were nan (0 * inf) with
     # RuntimeWarnings; the step is exactly 0 there and so are its derivatives
-    cut = CutoffFunction(1.0, 1e150)
-    assert _cutoff_mass(1.0000000000000002, cut.lo, cut.hi, 1)[1] == 0.0
-    assert _cutoff_mass(2.0, cut.lo, cut.hi, 2)[2] == 0.0
-    assert cut.chi(2.0) == 1.0
-    prof = GluedProfile(R=2e150, n=4, cutoff=cut)
+    assert _cutoff_mass(1.0000000000000002, 1.0, 1e150, 1)[1] == 0.0
+    assert _cutoff_mass(2.0, 1.0, 1e150, 2)[2] == 0.0
+    assert _cutoff_mass(2.0, 1.0, 1e150, 0)[0] == 1.0
+    prof = make_glued_profile(2e150, 4)
     for order in (0, 1, 2):
         assert np.all(np.isfinite(eval_profile(prof, [1.3, 2.6], order)))
     # a subnormal t
-    tiny = CutoffFunction(1e-150, 1e150)
-    assert tiny.chi(np.nextafter(1e-150, 1.0)) == 1.0
+    assert _cutoff_mass(np.nextafter(1e-150, 1.0), 1e-150, 1e150, 0)[0] == 1.0
     for t in (5e-324, 1e-300, 1e-3, np.nextafter(1.0, 0.0), 1.0, 2.0):
         assert smoothstep(t) == (1.0 if t > 0.5 else 0.0)
         assert _smoothstep(t, 1)[1] == 0.0
@@ -287,3 +294,5 @@ def test_cusp_metric_rejects_non_integer_n(n):
         cusp_metric(n)
     with pytest.raises(OutOfDomain, match="integer n > 2"):
         assemble_L_cusp(n)
+    with pytest.raises(OutOfDomain, match="integer n > 2"):
+        make_glued_profile(30.0, n)

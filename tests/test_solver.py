@@ -25,7 +25,7 @@ from dehnfill.profiles import (
     MAX_DIMENSION,
     BlackHoleProfile,
     CuspProfile,
-    CutoffFunction,
+    GluedProfile,
     SampledProfile,
     closing_parameters,
     make_glued_profile,
@@ -408,10 +408,11 @@ def test_unit_stencils_are_the_integer_template_rows(N):
     # one stencil_weights build on the nodes 0..8, its rows mapped onto
     # the N-node windows, is the cached template bit for bit
     idx, w1, w2 = solver._unit_stencils(N)
-    assert np.array_equal(idx, stencil_weights(np.arange(N, dtype=float), 1, 9)[0])
+    nodes = np.arange(N, dtype=float)
+    assert np.array_equal(idx, stencil_weights(nodes, 1, 9, at=nodes)[0])
     row = np.arange(N) - idx[:, 0]
     for deriv, w in ((1, w1), (2, w2)):
-        template = stencil_weights(np.arange(9.0), deriv, 9)[1]
+        template = stencil_weights(np.arange(9.0), deriv, 9, at=np.arange(9.0))[1]
         assert np.array_equal(w, template[row])
 
 
@@ -722,7 +723,7 @@ _BUDGET_SCAN = DecayScanResult(n=4, sizes=(5.0, 10.0), norms=(0.064, 0.008),
 @pytest.mark.parametrize("call, error", [
     (lambda: perturbation_budget(_BUDGET_SCAN, math.nan, 0.1), OutOfDomain),
     (lambda: perturbation_budget(_BUDGET_SCAN, 1.0, math.inf), OutOfDomain),
-    (lambda: CutoffFunction(1.0, math.inf), RadiusTooSmall),
+    (lambda: GluedProfile(R=math.inf, n=4), RadiusTooSmall),
     (lambda: phi_c_raw(math.nan, 1.5, 10.0), OutOfDomain),
     (lambda: bump_deformation(4, loggrid(5.0, 500.0, 64), [math.nan]),
      OutOfDomain),
