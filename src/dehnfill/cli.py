@@ -11,7 +11,10 @@ Each subcommand is declared once, in COMMANDS; each key k of its
 defaults is both a config-file key and the flag --k, with _ written as -.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical
-non-convergence.
+non-convergence.  Exit 2 also covers a --config file that cannot be read
+(a directory, say), is not JSON or does not hold a JSON object, and an
+--out-dir that cannot be created or written (an existing file, a path
+under a file).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -132,10 +136,24 @@ def _resolve(args, config, defaults):
     return resolved
 
 
+def _write(path, text):
+    """Write text to path as open(path, "w") writes the ASCII outputs:
+    created with mode 0o666 less the umask, or truncated, then one
+    os.write of the encoded text, repeated only for what a short write
+    left."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _write_outputs(command, cfg, csv_header, csv_rows, summary, input_hashes):
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text("\n".join([csv_header, *csv_rows]) + "\n")
+    _write(out / "report.csv", "\n".join([csv_header, *csv_rows]) + "\n")
     manifest = {
         "command": command,
         "config": cfg,
@@ -144,7 +162,7 @@ def _write_outputs(command, cfg, csv_header, csv_rows, summary, input_hashes):
         "input_hashes": input_hashes,
     }
     for name, obj in (("summary.json", summary), ("manifest.json", manifest)):
-        (out / name).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write(out / name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_curvature(cfg):
@@ -391,23 +409,32 @@ def main(argv=None):
     input_hashes = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
+        try:
+            blob = path.read_bytes()
+        except FileNotFoundError:
             print(f"error: config file {path} not found", file=sys.stderr)
             return 2
-        blob = path.read_bytes()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         input_hashes["config"] = hashlib.sha256(blob).hexdigest()
         try:
             config = json.loads(blob)
         except json.JSONDecodeError as exc:
             print(f"error: bad config JSON: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(config, dict):
+            print(f"error: config file {path} must hold a JSON object, "
+                  f"not {type(config).__name__}", file=sys.stderr)
+            return 2
     try:
         cfg = _resolve(args, config, {**defaults, "out_dir": "."})
         csv_header, rows, summary, message = command(cfg)
         _write_outputs(args.command, cfg, csv_header, rows, summary,
                        input_hashes)
-    except (ValueError, KeyError) as exc:
-        # every DehnFillError is a ValueError
+    except (ValueError, KeyError, OSError) as exc:
+        # every DehnFillError is a ValueError; an OSError comes from an
+        # --out-dir that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if "error" in summary:

@@ -182,7 +182,13 @@ def loggrid(lo, hi, num):
 
 def csv_lines(*columns):
     """One CSV line per index of the equal-length columns, each field %.17g,
-    which round-trips every float64 and prints like f"{float(x):.17g}"."""
-    template = ",".join(["%.17g"] * len(columns))
-    return [template % row for row in
-            zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    which round-trips every float64 and prints like f"{float(x):.17g}".
+    Columns of unequal length raise ValueError.  All rows are formatted by
+    one % on the row template repeated once per row."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    rows = len(cols[0]) if cols else 0
+    if any(len(c) != rows for c in cols):
+        raise ValueError(f"csv columns differ in length: {[len(c) for c in cols]}")
+    template = ",".join(["%.17g"] * len(cols)) + "\n"
+    flat = np.array(cols).T.ravel().tolist()
+    return (template * rows % tuple(flat)).splitlines()

@@ -216,6 +216,9 @@ def _initial_values(profile, r, m_hat, n):
 # band widths of the W-block: the F2 row N-1 reaches 8 columns left, the
 # first F1 row 7 columns right
 _LOWER, _UPPER = 8, 7
+# rows of LAPACK's gbsv band storage: _LOWER rows of fill-in for the LU
+# factors above the _LOWER + _UPPER + 1 diagonals
+_ROWS = 2 * _LOWER + _UPPER + 1
 
 
 @cache
@@ -249,10 +252,11 @@ def _unit_stencils(N):
 def _band(N):
     """Flat positions in the Jacobian's band storage (see `_residual`) of
     rows 1..N-1 on their stencil windows, shape (N - 1, 9), read-only.
+    The storage is Fortran-ordered, so entry [k, j] sits at j * _ROWS + k.
     Only Newton's Jacobian reads them, so the operator's grid sizes do not
     keep their 72 N bytes."""
     idx = _unit_stencils(N)[0][1:]
-    band = (_UPPER + np.arange(1, N)[:, None] - idx) * N + idx
+    band = idx * _ROWS + (_LOWER + _UPPER + np.arange(1, N)[:, None] - idx)
     band.setflags(write=False)
     return band
 
@@ -292,11 +296,17 @@ def _derivatives(U, stencils):
     return out.reshape((2,) + U.shape)
 
 
-def _residual(W, p, n, x_hi, stencils, beta):
+def _grid(p, x_hi, N):
+    """The radii r_i = exp(x_i) of the uniform log grid x from p to x_hi."""
+    return np.exp(np.linspace(p, x_hi, N))
+
+
+def _residual(W, p, r, n, x_hi, stencils, beta):
     """Rows: W[0]=0 | F1 at 1..N-2 | F2 at N-1 | core slope/(4 pi/beta) - 1.
 
     The grid x_i = p + i h, h = (x_hi - p)/(N-1), moves with the unknown
-    core log-radius p; stencils are `_unit_stencils(N)`.  The derivatives
+    core log-radius p; r is `_grid(p, x_hi, N)`, computed once per iterate
+    by the caller, and stencils are `_unit_stencils(N)`.  The derivatives
     are `_derivatives(W, stencils)` divided by h and h^2, so they are
     exact on constants.  The core-slope row is divided by s = 4 pi/beta,
     which grows like r_plus, so that it is O(1) like every other row;
@@ -309,14 +319,14 @@ def _residual(W, p, n, x_hi, stencils, beta):
     trial is accepted.  The Jacobian is exact: the system is affine in W,
     and its p-column comes from dD1/dp = k D1, dD2/dp = 2k D2 with
     k = 1/(h(N-1)) and dr_i/dp = r_i (1 - i/(N-1)).  It is bordered,
-    (ab, b, c, d): ab is the N x N W-block in LAPACK band storage
-    (ab[_UPPER + i - j, j] = J[i, j], shape (_LOWER + _UPPER + 1, N)), b
-    the p-column J[:N, N], c the core-slope row J[N, :9] (the other
-    entries of row N are zero) and d the corner J[N, N].
+    (ab, b, c, d): ab is the N x N W-block in LAPACK's gbsv band storage,
+    built in place (ab[_LOWER + _UPPER + i - j, j] = J[i, j], shape
+    (_ROWS, N), Fortran-ordered, rows 0.._LOWER-1 zero), b the p-column
+    J[:N, N], c the core-slope row J[N, :9] (the other entries of row N
+    are zero) and d the corner J[N, N].
     """
     _, w1, w2 = stencils
     N = len(W)
-    r = np.exp(np.linspace(p, x_hi, N))
     h = (x_hi - p) / (N - 1)
     DxW, DxxW = _derivatives(W, stencils)
     DxW /= h
@@ -339,9 +349,10 @@ def _residual(W, p, n, x_hi, stencils, beta):
         rows[:-1] = -(D2[i] + (n - 3) * D1[i]) / (2.0 * r[i, None] ** 2)
         rows[-1] = -D1[N - 1] / r[N - 1] ** 2
         rows[-1, 8] -= (n - 3) / r[N - 1] ** 2
-        ab = np.zeros((_LOWER + _UPPER + 1, N))
-        ab.ravel()[_band(N)] = rows
-        ab[_UPPER, 0] = 1.0
+        storage = np.zeros((N, _ROWS))
+        storage.ravel()[_band(N)] = rows
+        ab = storage.T
+        ab[_LOWER + _UPPER, 0] = 1.0
         k = 1.0 / (h * (N - 1))
         s = 1.0 - np.arange(1, N - 1) / (N - 1)
         b = np.zeros(N)
@@ -358,25 +369,37 @@ def _residual(W, p, n, x_hi, stencils, beta):
 def _newton_step(res, jac):
     """Solve J step = -res for the bordered Jacobian of `_residual`.
 
-    One banded factorization serves both right-hand sides: A z1 = -res_W
-    and A z2 = b.  The Schur complement of A then gives the p-step
-    y = (-res_N - c.z1)/(d - c.z2) and the W-step z1 - y z2.  A singular
-    band or a zero or non-finite pivot raises np.linalg.LinAlgError; a NaN
-    in the system is not checked up front, so it ends there too.
+    One LAPACK dgbsv call factors the band A in place, consuming jac's
+    ab, and solves both right-hand sides, A z1 = -res_W and A z2 = b,
+    held in one Fortran-ordered buffer.  The Schur complement of A then
+    gives the p-step y = (-res_N - c.z1)/(d - c.z2) and the W-step
+    z1 - y z2.  A singular band (info > 0, as scipy.linalg.solve_banded
+    reports it) or a zero or non-finite pivot raises
+    np.linalg.LinAlgError; a NaN in the system is not checked up front, so
+    it ends there too.
     """
     # imported here so that `import dehnfill` does not load scipy
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgbsv
 
     ab, b, c, d = jac
     N = len(b)
-    z = solve_banded((_LOWER, _UPPER), ab, np.column_stack((-res[:N], b)),
-                     check_finite=False)
-    z1, z2 = z[:, 0], z[:, 1]
+    rhs = np.empty((2, N))
+    np.negative(res[:N], out=rhs[0])
+    rhs[1] = b
+    _, _, z, info = dgbsv(_LOWER, _UPPER, ab, rhs.T,
+                          overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    z1, z2 = z.T
     pivot = d - c @ z2[:9]
     if not (math.isfinite(pivot) and pivot != 0.0):
         raise np.linalg.LinAlgError(f"Schur pivot {pivot}")
     y = (-res[N] - c @ z1[:9]) / pivot
-    return np.append(z1 - y * z2, y)
+    step = np.empty(N + 1)
+    np.multiply(z2, y, out=step[:N])
+    np.subtract(z1, step[:N], out=step[:N])
+    step[N] = y
+    return step
 
 
 def newton_solve(initial, n, cfg=None):
@@ -403,19 +426,19 @@ def newton_solve(initial, n, cfg=None):
     N = cfg.grid_size
     x_hi = math.log(r_out)
     p = math.log(r_plus0)
-    W = _initial_values(initial, np.exp(np.linspace(p, x_hi, N)), m_hat, n)
+    r = _grid(p, x_hi, N)
+    W = _initial_values(initial, r, m_hat, n)
     W[0] = 0.0
     stencils = _unit_stencils(N)
 
     def norm(res):
         return float(np.max(np.abs(res)))
 
-    res, jacobian = _residual(W, p, n, x_hi, stencils, beta)
+    res, jacobian = _residual(W, p, r, n, x_hi, stencils, beta)
     history = [norm(res)]
 
     def finish(converged, iters):
-        x = np.linspace(p, x_hi, N)
-        r = np.exp(x)
+        # r is the grid of the last accepted iterate (W, p)
         prof = SampledProfile(grid=r, values=W.copy(),
                               domain=(float(r[0]), float(r[-1])))
         m_fit = fitted_mass(r, W, n)
@@ -443,9 +466,11 @@ def newton_solve(initial, n, cfg=None):
             # row 0 is W[0] = 0, which the step meets only to rounding
             W_new[0] = 0.0
             p_new = p + t * step[N]
-            res_new, jacobian_new = _residual(W_new, p_new, n, x_hi,
+            r_new = _grid(p_new, x_hi, N)
+            res_new, jacobian_new = _residual(W_new, p_new, r_new, n, x_hi,
                                               stencils, beta)
-            if norm(res_new) <= (1.0 - 0.25 * t) * history[-1]:
+            norm_new = norm(res_new)
+            if norm_new <= (1.0 - 0.25 * t) * history[-1]:
                 break
             t *= 0.5
         else:
@@ -454,8 +479,8 @@ def newton_solve(initial, n, cfg=None):
                 f"(residual {history[-1]:.3e})",
                 result=finish(False, it),
             )
-        W, p, res, jacobian = W_new, p_new, res_new, jacobian_new
-        history.append(norm(res))
+        W, p, r, res, jacobian = W_new, p_new, r_new, res_new, jacobian_new
+        history.append(norm_new)
     if history[-1] < cfg.residual_tol:
         return finish(True, cfg.max_iters)
     raise MaxItersExceeded(

@@ -375,22 +375,102 @@ def test_lattice_two_cusps(tmp_path):
     assert summary["size"] == 10.0
 
 
-def test_outputs_deterministic(tmp_path):
+# one invocation of each subcommand, with the flags of README's examples
+_README_EXAMPLES = [
+    ["curvature", "--n", "4", "--profile", "blackhole", "--m", "1.0",
+     "--grid", "1.3:40:64"],
+    ["scan", "--n", "4", "--sizes", "40,80,160,320,640"],
+    ["linearize", "--n", "4", "--profile", "glued", "--R", "30"],
+    ["indicial", "--n", "4", "--block", "1j"],
+    ["compare", "--n", "4"],
+    ["solve", "--n", "4", "--from-glued", "50"],
+    ["lattice", "--n", "4", "--cusp",
+     '{"basis": [[6,1,0],[0,10,2],[0,0,15]], "sigma": [1,2,0]}'],
+]
+
+
+def _manifest_less_timestamp(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    manifest.pop("timestamp")
+    return manifest
+
+
+@pytest.mark.parametrize("args", _README_EXAMPLES, ids=lambda a: a[0])
+def test_outputs_deterministic(tmp_path, args):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    args = ["scan", "--n", "3", "--sizes", "40,80,160,320,640",
-            "--grid-size", "512"]
     assert main(args + ["--out-dir", str(d1)]) == 0
     assert main(args + ["--out-dir", str(d2)]) == 0
-    assert (d1 / "report.csv").read_bytes() == (d2 / "report.csv").read_bytes()
-    assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+    assert _outputs(d1) == _outputs(d2)
     # manifests differ only in the timestamp and the output location
-    m1 = json.loads((d1 / "manifest.json").read_text())
-    m2 = json.loads((d2 / "manifest.json").read_text())
+    m1, m2 = _manifest_less_timestamp(d1), _manifest_less_timestamp(d2)
     for m in (m1, m2):
-        m.pop("timestamp")
         m["config"].pop("out_dir")
     assert m1 == m2
+
+
+def test_short_writes_give_the_same_files(tmp_path, monkeypatch):
+    # os.write may write less than it is given; every byte must still land
+    args = ["solve", "--n", "4", "--from-glued", "50"]
+    assert main(args + ["--out-dir", str(tmp_path / "whole")]) == 0
+    real_write = cli.os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    assert main(args + ["--out-dir", str(tmp_path / "short")]) == 0
+    monkeypatch.undo()
+    # report.csv alone is about 9.7 kB, so it took well over 1000 writes
+    assert len(sizes) > 1000 and min(sizes) >= 1
+    assert _outputs(tmp_path / "short") == _outputs(tmp_path / "whole")
+    short = _manifest_less_timestamp(tmp_path / "short")
+    whole = _manifest_less_timestamp(tmp_path / "whole")
+    assert short["config"].pop("out_dir") == str(tmp_path / "short")
+    assert whole["config"].pop("out_dir") == str(tmp_path / "whole")
+    assert short == whole
+
+
+def test_output_files_get_the_umask_mode_and_are_truncated(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.csv").write_text("x" * 100000)
+    assert main(["indicial", "--n", "4", "--block", "1j",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "report.csv").read_text() == "block,roots\n1j,1,-4\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in ("report.csv", "summary.json", "manifest.json"):
+        assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("under", [(), ("out",)], ids=["file", "under-file"])
+def test_unusable_out_dir_exit_2(tmp_path, capsys, under):
+    # an --out-dir that is an existing file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["indicial", "--n", "4", "--out-dir", str(blocker.joinpath(*under))])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("content", [None, '"n"', '["n"]', "[1, 2]"],
+                         ids=["directory", "string", "list-of-key", "list"])
+def test_unusable_config_exit_2(tmp_path, capsys, content):
+    # a directory, or JSON that is not an object; [1, 2] used to be ignored
+    cfg_path = tmp_path / "run.json"
+    if content is None:
+        cfg_path.mkdir()
+    else:
+        cfg_path.write_text(content)
+    rc = main(["indicial", "--n", "4", "--config", str(cfg_path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

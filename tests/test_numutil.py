@@ -181,19 +181,40 @@ def test_too_coarse_is_rejected(npts, deriv, width):
         apply_diff(grid, grid, deriv, width)
 
 
+_CSV_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 3.0, -7.0, 2.0**60,
+                0.1, np.finfo(float).max, -np.finfo(float).max,
+                np.finfo(float).tiny, np.inf, -np.inf, np.nan]
+
+
 def test_csv_lines_match_per_element_formatting():
     rng = np.random.default_rng(11)
-    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, 3.0, -7.0, 2.0**60,
-               0.1, np.finfo(float).max, np.finfo(float).tiny]
-    cols = [rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40),
-            rng.uniform(-1.0, 1.0, 40),
-            np.resize(special, 40),
-            np.round(rng.uniform(-1e6, 1e6, 40))]
-    want = [",".join(f"{float(x):.17g}" for x in row) for row in zip(*cols)]
-    assert csv_lines(*cols) == want
+    kinds = [lambda rows: rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+             lambda rows: rng.uniform(-1.0, 1.0, rows),
+             lambda rows: rng.permutation(np.resize(_CSV_SPECIAL, rows)),
+             lambda rows: np.round(rng.uniform(-1e6, 1e6, rows))]
+    for ncols in (1, 2, 8, 14):
+        for rows in (0, 1, 40):
+            cols = [kinds[k % 4](rows) for k in range(ncols)]
+            want = [",".join(f"{float(x):.17g}" for x in row)
+                    for row in zip(*cols)]
+            assert len(want) == rows
+            assert csv_lines(*cols) == want, (ncols, rows)
+    assert csv_lines() == []
+    assert csv_lines([5e-324, np.inf], [-0.0, -np.inf], [np.nan, 1.7976931348623157e308]) == [
+        "4.9406564584124654e-324,-0,nan", "inf,-inf,1.7976931348623157e+308"]
     # tuples of floats, one column, and round trips
     assert csv_lines((1.5, -0.0)) == ["1.5", "-0"]
     assert [float(x) for x in csv_lines(cols[0])] == cols[0].tolist()
+
+
+@pytest.mark.parametrize("columns", [((1.0, 2.0, 3.0), (4.0,)),
+                                     ((1.0,), ()),
+                                     ((), (1.0,), ()),
+                                     ((1.0, 2.0), (3.0, 4.0), (5.0,))])
+def test_csv_lines_reject_unequal_columns(columns):
+    # zip would silently drop the rows past the shortest column
+    with pytest.raises(ValueError, match="differ in length"):
+        csv_lines(*columns)
 
 
 @pytest.mark.parametrize("npts", range(3, 13))

@@ -372,7 +372,7 @@ def _dense_jacobian(jac):
     J = np.zeros((N + 1, N + 1))
     for i in range(N):
         for j in range(max(0, i - lower), min(N, i + upper + 1)):
-            J[i, j] = ab[upper + i - j, j]
+            J[i, j] = ab[lower + upper + i - j, j]
     J[:N, N] = b
     J[N, :len(c)] = c
     J[N, N] = d
@@ -477,11 +477,13 @@ def test_analytic_p_column_matches_central_difference(n, N):
     points, x_hi, beta = _glued_points(n, N)
     stencils = solver._unit_stencils(N)
     for W, p in points:
-        _, jacobian = solver._residual(W, p, n, x_hi, stencils, beta)
+        _, jacobian = solver._residual(W, p, solver._grid(p, x_hi, N), n,
+                                       x_hi, stencils, beta)
         J = _dense_jacobian(jacobian())
 
         def res(q):
-            return solver._residual(W, q, n, x_hi, stencils, beta)[0]
+            return solver._residual(W, q, solver._grid(q, x_hi, N), n, x_hi,
+                                    stencils, beta)[0]
 
         # fourth-order central difference in p
         hp = 1e-3
@@ -497,10 +499,12 @@ def test_bordered_step_matches_dense_solve(n, N):
     points, x_hi, beta = _glued_points(n, N)
     stencils = solver._unit_stencils(N)
     for W, p in points:
-        res, jacobian = solver._residual(W, p, n, x_hi, stencils, beta)
+        res, jacobian = solver._residual(W, p, solver._grid(p, x_hi, N), n,
+                                         x_hi, stencils, beta)
         jac = jacobian()
-        step = solver._newton_step(res, jac)
+        # the step factors the band in place, so the reference comes first
         ref = np.linalg.solve(_dense_jacobian(jac), -res)
+        step = solver._newton_step(res, jac)
         assert np.max(np.abs(step - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -521,7 +525,7 @@ def test_difference_form_residual_matches_dense(n, N):
                         / (2.0 * r[1:N - 1] ** 2) + (n - 1))
         ref[N - 1] = (-DxW[-1] - (n - 3) * W[-1]) / r[-1] ** 2 + (n - 1)
         ref[N] = DxW[0] / (r[0] * (4.0 * math.pi / beta)) - 1.0
-        got, _ = solver._residual(W, p, n, x_hi, stencils, beta)
+        got, _ = solver._residual(W, p, r, n, x_hi, stencils, beta)
         assert np.max(np.abs(got - ref)) <= 1e-10
 
 
@@ -533,9 +537,10 @@ def test_banded_w_block_is_the_residual_derivative(n, N):
     stencils = solver._unit_stencils(N)
     rng = np.random.default_rng(5)
     for W, p in points:
-        res, jacobian = solver._residual(W, p, n, x_hi, stencils, beta)
+        r = solver._grid(p, x_hi, N)
+        res, jacobian = solver._residual(W, p, r, n, x_hi, stencils, beta)
         v = 1e-3 * (W + 1.0) * rng.standard_normal(N)
-        moved, _ = solver._residual(W + v, p, n, x_hi, stencils, beta)
+        moved, _ = solver._residual(W + v, p, r, n, x_hi, stencils, beta)
         J = _dense_jacobian(jacobian())[:, :N]
         # row by row, against the size of that row's terms
         scale = np.abs(J) @ np.abs(v)
