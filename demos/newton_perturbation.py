@@ -22,6 +22,7 @@ for R in (15.0, 50.0, 100.0):
     (_, F1), (_, F2) = einstein_residual(start, n)
     sup0 = max(np.max(np.abs(F1)), np.max(np.abs(F2)))
     res = newton_solve(start, n)
+    assert res.converged, res.error
     rp_exact, beta_exact = closing_parameters(res.fitted_m, n)
     print(f"R = {R:6.1f}: start residual {sup0:.3e} -> "
           f"{res.residuals[-1]:.3e} in {res.iterations} step(s)")
@@ -33,6 +34,7 @@ print()
 # the solved profile is the m = 1 black hole pointwise, not just in the
 # fitted parameters
 res = newton_solve(make_glued_profile(50.0, n), n)
+assert res.converged, res.error
 r = np.geomspace(res.r_plus * 1.01, 45.0, 7)
 V_solved = eval_profile(res.profile, r)
 V_exact = r**2 - 2.0 / r

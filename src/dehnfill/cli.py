@@ -11,10 +11,11 @@ Each subcommand is declared once, in COMMANDS; each key k of its
 defaults is both a config-file key and the flag --k, with _ written as -.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical
-non-convergence.  Exit 2 also covers a --config file that cannot be read
-(a directory, say), is not JSON or does not hold a JSON object, and an
---out-dir that cannot be created or written (an existing file, a path
-under a file).
+non-convergence: a solve that stops short returns its best iterate,
+which is written as usual, with the reason as summary.json's "error".
+Exit 2 also covers a --config file that cannot be read (a directory,
+say), is not JSON or does not hold a JSON object, and an --out-dir that
+cannot be created or written (an existing file, a path under a file).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .curvature import ricci_and_deficit
-from .errors import DehnFillError, LineSearchFailed, MaxItersExceeded
+from .errors import DehnFillError
 from .gluing import decay_scan
 from .lattice import FlatLattice, GeodesicClass, filling_data
 from .linearized import (
@@ -184,8 +185,6 @@ def cmd_curvature(cfg):
 def cmd_scan(cfg):
     n = cfg["n"]
     sizes = _parse_sizes(cfg["sizes"])
-    if len(sizes) < 5:
-        raise DehnFillError(f"need >= 5 sizes for a slope fit, got {len(sizes)}")
     delta = None if cfg["delta"] in (None, "auto") else float(cfg["delta"])
     result = decay_scan(n, sizes, w=delta, grid_size=cfg["grid_size"])
     cfg["delta"] = "auto" if delta is None else delta
@@ -288,17 +287,11 @@ def cmd_solve(cfg):
                         grid_size=cfg["grid_size"],
                         r_out=None if cfg["r_out"] is None
                         else float(cfg["r_out"]))
-    try:
-        result = newton_solve(initial, n, ncfg)
-        failure = None
-    except (MaxItersExceeded, LineSearchFailed) as exc:
-        result = exc.result
-        failure = str(exc)
+    result = newton_solve(initial, n, ncfg)
     summary = result.to_dict()
     rows = csv_lines(result.profile.grid, result.profile.values)
-    if failure is not None:
-        summary["error"] = failure
-        return "r,V", rows, summary, f"solve failed: {failure}"
+    if not result.converged:
+        return "r,V", rows, summary, f"solve failed: {result.error}"
     return "r,V", rows, summary, (
         f"solve: m={result.fitted_m:.9f} r_plus={result.r_plus:.9f} "
         f"iters={result.iterations}")

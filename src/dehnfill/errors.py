@@ -75,21 +75,5 @@ class AnchorOutsideGrid(DehnFillError):
     """Reconstruction anchor radius not inside the grid."""
 
 
-class MaxItersExceeded(DehnFillError):
-    """Newton iteration hit the iteration cap before the tolerance."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
-class LineSearchFailed(DehnFillError):
-    """Damped Newton step could not reduce the residual."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class ScanMissing(DehnFillError):
     """Perturbation budget needs a decay scan with a fitted slope."""

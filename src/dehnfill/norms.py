@@ -186,8 +186,8 @@ def _check_field(field_vals, grid):
         raise TooFewSamples("need at least 2 grid points")
     if np.any(np.diff(grid) <= 0):
         raise GridTooCoarse("grid must be strictly increasing")
-    if not np.all(np.isfinite(field_vals)):
-        raise NonFiniteField("field contains nan or inf")
+    if not (np.all(np.isfinite(field_vals)) and np.all(np.isfinite(grid))):
+        raise NonFiniteField("field or grid contains nan or inf")
     return field_vals, grid
 
 

@@ -104,13 +104,15 @@ def fit_loglog(x, y):
     fit misfit in log space; slope and intercept are the closed form from
     the centred sums.  Points with y <= 0 are rejected outright, a decay
     measurement that hits exact zero means the scan was set up wrong, and
-    so are x that are all equal, through which no line is fitted.
+    so are points with a NaN or infinite coordinate and x that are all
+    equal, through which no line is fitted.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.size < 2 or (y <= 0).any() or (x <= 0).any():
+    if (x.shape != y.shape or x.size < 2
+            or not ((0 < x) & (x < np.inf) & (0 < y) & (y < np.inf)).all()):
         raise ValueError("log-log fit needs two matching arrays of at least "
-                         "2 strictly positive points")
+                         "2 finite, strictly positive points")
     # array methods, not np.mean/np.sum: on a few points calls are the cost
     lx, ly = np.log(x), np.log(y)
     mx, my = lx.sum() / lx.size, ly.sum() / ly.size

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
-    LineSearchFailed,
-    MaxItersExceeded,
+    NonFiniteField,
     NonPositiveProfile,
     OutOfDomain,
     ScanMissing,
@@ -55,8 +54,12 @@ def _as_grid_function(gf):
         raise TooFewSamples("grid function must be a pair of equal 1-d arrays")
     if grid.shape[0] < 3:
         raise GridTooCoarse("need at least 3 grid points")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals))):
+        raise NonFiniteField("grid function contains nan or inf")
     if np.any(np.diff(grid) <= 0):
         raise GridTooCoarse("grid must be strictly increasing")
+    if grid[0] <= 0:
+        raise OutOfDomain(f"radii must be positive, got {grid[0]}")
     return grid, vals
 
 
@@ -73,12 +76,15 @@ def euler_reconstruct(n, rhs, anchor):
     grid start.  The anchor (r0, f0) then fixes the constant mode.
     Returns (grid, f).
     """
+    _check_dimension(n)
     grid, vals = _as_grid_function(rhs)
     r0, f0 = anchor
     if not (grid[0] <= r0 <= grid[-1]):
         raise AnchorOutsideGrid(
             f"anchor radius {r0} outside grid [{grid[0]}, {grid[-1]}]"
         )
+    if not math.isfinite(f0):
+        raise NonFiniteField(f"anchor value must be finite, got {f0}")
     inner = cumtrapz0(grid ** (n - 2) * vals, grid)
     fprime = inner / grid**n
     F = cumtrapz0(fprime, grid)
@@ -92,8 +98,10 @@ def oscillation_closed_form(n, r_lo, r1, r2):
     C0 = r_lo^(n-1) (r2^(1-n) - r1^(1-n))/(n-1) < 0 comes from carrying
     the inner quadrature's lower limit through the outer integral.
     """
-    if not all(math.isfinite(x) for x in (r_lo, r1, r2)):
-        raise OutOfDomain(f"radii must be finite, got {r_lo}, {r1}, {r2}")
+    _check_dimension(n)
+    if not all(0 < x < math.inf for x in (r_lo, r1, r2)):
+        raise OutOfDomain(f"radii must be finite and positive, got {r_lo}, "
+                          f"{r1}, {r2}")
     C0 = r_lo ** (n - 1) * (r2 ** (1 - n) - r1 ** (1 - n)) / (n - 1)
     return (math.log(r2 / r1) + C0) / (n - 1)
 
@@ -114,8 +122,9 @@ def oscillation_bound(rhs, phi, r1, r2, n):
             f"need grid[0] <= r1 < r2 <= grid[-1], got r1={r1}, r2={r2}"
         )
     weight = np.ones_like(grid) if phi is None else np.asarray(phi, dtype=float)
-    if weight.shape != grid.shape or np.any(weight <= 0):
-        raise OutOfDomain("phi must be positive on the grid")
+    if (weight.shape != grid.shape
+            or not np.all((weight > 0) & (weight < math.inf))):
+        raise OutOfDomain("phi must be positive and finite on the grid")
     sup = float(np.max(np.abs(vals) / weight))
 
     _, f = euler_reconstruct(n, (grid, vals), (r1, 0.0))
@@ -163,6 +172,7 @@ class NewtonConfig:
 
     def __post_init__(self):
         if not (isinstance(self.max_iters, numbers.Integral)
+                and not isinstance(self.max_iters, bool)
                 and self.max_iters >= 1):
             raise OutOfDomain(
                 f"max_iters must be an integer >= 1, got {self.max_iters}")
@@ -179,7 +189,8 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class EinsteinSolveResult:
-    """Converged (or best-effort) profile with convergence diagnostics."""
+    """The last accepted Newton iterate and its diagnostics; error is None
+    when the solve converged and otherwise says why it stopped short."""
 
     profile: SampledProfile
     n: int
@@ -188,11 +199,15 @@ class EinsteinSolveResult:
     beta: float
     residuals: tuple
     iterations: int
-    converged: bool
     quadratic_ratio: float
+    error: str | None
+
+    @property
+    def converged(self):
+        return self.error is None
 
     def to_dict(self):
-        return {
+        out = {
             "n": self.n,
             "fitted_m": self.fitted_m,
             "r_plus": self.r_plus,
@@ -202,6 +217,9 @@ class EinsteinSolveResult:
             "quadratic_ratio": self.quadratic_ratio,
             "residuals": list(self.residuals),
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _initial_values(profile, r, m_hat, n):
@@ -411,6 +429,10 @@ def newton_solve(initial, n, cfg=None):
     smooth-cone core, with beta the closing period of the initial
     profile's core; the outer row enforces the first-order Einstein
     equation, whose solutions all have leading coefficient r^2.
+
+    Bad input raises a DehnFillError.  Every other exit returns the last
+    accepted iterate, with error saying why when the solve stops short: a
+    singular Jacobian, no acceptable step, or the iteration cap.
     """
     cfg = cfg or NewtonConfig()
     r_plus0, beta, m_hat = initial.core(n)
@@ -437,7 +459,7 @@ def newton_solve(initial, n, cfg=None):
     res, jacobian = _residual(W, p, r, n, x_hi, stencils, beta)
     history = [norm(res)]
 
-    def finish(converged, iters):
+    def finish(iters, error=None):
         # r is the grid of the last accepted iterate (W, p)
         prof = SampledProfile(grid=r, values=W.copy(),
                               domain=(float(r[0]), float(r[-1])))
@@ -449,17 +471,19 @@ def newton_solve(initial, n, cfg=None):
         return EinsteinSolveResult(
             profile=prof, n=int(n), fitted_m=m_fit, r_plus=float(np.exp(p)),
             beta=float(beta), residuals=tuple(history),
-            iterations=iters, converged=converged, quadratic_ratio=qr,
+            iterations=iters, quadratic_ratio=qr, error=error,
         )
 
-    for it in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):
         if history[-1] < cfg.residual_tol:
-            return finish(True, it)
+            return finish(it)
+        if it == cfg.max_iters:
+            return finish(it, f"residual {history[-1]:.3e} above tol "
+                              f"{cfg.residual_tol:.1e} after {it} iterations")
         try:
             step = _newton_step(res, jacobian())
         except np.linalg.LinAlgError as exc:
-            raise LineSearchFailed(f"singular Jacobian: {exc}",
-                                   result=finish(False, it))
+            return finish(it, f"singular Jacobian: {exc}")
         t = 1.0
         for _ in range(30):
             W_new = W + t * step[:N]
@@ -474,20 +498,10 @@ def newton_solve(initial, n, cfg=None):
                 break
             t *= 0.5
         else:
-            raise LineSearchFailed(
-                f"no acceptable step at iteration {it} "
-                f"(residual {history[-1]:.3e})",
-                result=finish(False, it),
-            )
+            return finish(it, f"no acceptable step at iteration {it} "
+                              f"(residual {history[-1]:.3e})")
         W, p, r, res, jacobian = W_new, p_new, r_new, res_new, jacobian_new
         history.append(norm_new)
-    if history[-1] < cfg.residual_tol:
-        return finish(True, cfg.max_iters)
-    raise MaxItersExceeded(
-        f"residual {history[-1]:.3e} above tol {cfg.residual_tol:.1e} "
-        f"after {cfg.max_iters} iterations",
-        result=finish(False, cfg.max_iters),
-    )
 
 
 @dataclass(frozen=True)

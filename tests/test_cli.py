@@ -12,7 +12,9 @@ from dehnfill.cli import main
 from dehnfill.curvature import ricci_and_deficit
 from dehnfill.linearized import assemble_L_blackhole, assemble_L_cusp
 from dehnfill.numutil import loggrid
-from dehnfill.profiles import black_hole_metric, cusp_metric, glued_metric
+from dehnfill.profiles import (black_hole_metric, cusp_metric, glued_metric,
+                               make_glued_profile)
+from dehnfill.solver import NewtonConfig, newton_solve
 
 
 def _read(out_dir):
@@ -312,10 +314,15 @@ def test_solve_unreachable_tol_exit_3(tmp_path, capsys):
     rc = main(["solve", "--n", "4", "--from-glued", "15", "--tol", "1e-30",
                "--out-dir", str(tmp_path)])
     assert rc == 3
-    _, summary, _ = _read(tmp_path)
+    report, summary, _ = _read(tmp_path)
     assert summary["converged"] is False
     assert "error" in summary
     assert capsys.readouterr().err != ""
+    # the files hold the returned best iterate: the header and N rows
+    result = newton_solve(make_glued_profile(15.0, 4), 4,
+                          NewtonConfig(residual_tol=1e-30))
+    assert summary == result.to_dict()
+    assert len(report) == NewtonConfig.grid_size + 1
 
 
 def test_solve_needs_one_source(tmp_path):
@@ -622,6 +629,7 @@ import dehnfill, dehnfill.cli
 assert scipy_modules() == [], scipy_modules()
 from dehnfill import eval_profile, make_glued_profile, newton_solve
 result = newton_solve(make_glued_profile(50.0, 4), 4)
+assert result.converged, result.error
 assert "scipy.linalg" in sys.modules
 eval_profile(result.profile, 3.0, 2)
 assert "scipy.interpolate" not in sys.modules, scipy_modules()

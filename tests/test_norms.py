@@ -7,6 +7,7 @@ from dehnfill.errors import (
     GridTooCoarse,
     InvalidRho,
     InvalidWeight,
+    NonFiniteField,
     OutOfDomain,
 )
 from dehnfill.gluing import deficit_norm
@@ -133,6 +134,10 @@ def test_seminorm_validation():
         discrete_holder_seminorm(grid.copy(), grid, alpha=0.0)
     with pytest.raises(InvalidWeight):
         discrete_holder_seminorm(grid.copy(), grid, alpha=1.5)
+    # a NaN node makes the quotient nan, an infinite one meaningless
+    for bad in ([0.0, math.nan, 1.0], [0.0, 0.5, math.inf]):
+        with pytest.raises(NonFiniteField):
+            discrete_holder_seminorm(np.ones(3), np.array(bad))
 
 
 def test_weightspec_validation_and_defaults():

@@ -237,8 +237,11 @@ def test_fit_loglog_matches_least_squares(npts):
 @pytest.mark.parametrize("x, y", [
     ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]), ([5.0], [1.0]), ([], []),
     ([1.0, 2.0, 3.0], [1.0, 0.0, 3.0]), ([-1.0, 2.0], [1.0, 2.0]),
-    ([1.0, 2.0, 3.0], [1.0, 2.0])],
-    ids=["equal-x", "one-point", "empty", "zero-y", "negative-x", "lengths"])
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+    ([1.0, 2.0, np.inf], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0])],
+    ids=["equal-x", "one-point", "empty", "zero-y", "negative-x", "lengths",
+         "nan-x", "nan-y", "inf-x", "inf-y"])
 def test_fit_loglog_rejects_data_without_a_line(x, y):
     # least squares used to return a minimum-norm line through equal x
     with pytest.raises(ValueError):
