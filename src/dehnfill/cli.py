@@ -14,8 +14,14 @@ Exit codes: 0 success, 2 validation failure, 3 numerical
 non-convergence: a solve that stops short returns its best iterate,
 which is written as usual, with the reason as summary.json's "error".
 Exit 2 also covers a --config file that cannot be read (a directory,
-say), is not JSON or does not hold a JSON object, and an --out-dir that
-cannot be created or written (an existing file, a path under a file).
+say), is not JSON or does not hold a JSON object, a config value of the
+wrong JSON type, a --cusp that is not an object with a basis and a sigma
+list, and an --out-dir that cannot be created or written (an existing
+file, a path under a file).
+
+main hands a named command's arguments to that command's own parser;
+the top-level parser sees only what names no command (no arguments, -h,
+an unknown command).
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ INDICIAL_LABELS = ("11", "12", "1j", "2j", "jk", "diag")
 # value such as 256.7 is rejected, not truncated
 INTEGER_KEYS = ("n", "grid_size", "max_iters", "num_centers")
 
-# settings whose flag parses as a float; a config-file value is passed on
-# as given and converted where it is used
+# settings whose flag parses as a float; a config-file value must be a
+# number or a string, passed on as given and converted where it is used
 FLOAT_KEYS = ("m", "R", "width", "from_glued", "from_blackhole", "tol",
               "r_out")
 
@@ -99,15 +105,21 @@ def _parse_window(text):
     return lo, hi
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_sizes(value):
     if isinstance(value, (list, tuple)):
+        if not all(_is_number(v) or isinstance(v, str) for v in value):
+            raise DehnFillError(f"sizes must be numbers, got {value!r}")
         return [float(v) for v in value]
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
 
 
 def _metric(cfg, n):
     name = cfg["profile"]
-    if name not in PROFILES:
+    if not (isinstance(name, str) and name in PROFILES):
         raise DehnFillError(f"unknown profile {name!r}")
     return PROFILES[name](cfg, n)
 
@@ -123,16 +135,30 @@ def _integer(key, value):
 
 def _resolve(args, config, defaults):
     """Flags override config-file values override defaults; the integer
-    settings and n are checked."""
+    settings and n are checked, and so are the types of the float
+    settings (a number or a string, or None where that is the default),
+    of scan's delta (a number, a string or None) and of out_dir (a
+    string)."""
     resolved = dict(defaults)
-    for key in defaults:
+    for key, default in defaults.items():
         if key in config:
             resolved[key] = config[key]
         cli_val = getattr(args, key)
         if cli_val is not None:
             resolved[key] = cli_val
+        value = resolved[key]
         if key in INTEGER_KEYS:
-            resolved[key] = _integer(key, resolved[key])
+            resolved[key] = _integer(key, value)
+        elif key in FLOAT_KEYS or key == "delta":
+            # scan reads a None delta as its default, "auto"
+            nullable = default is None or key == "delta"
+            if not (_is_number(value) or isinstance(value, str)
+                    or value is None and nullable):
+                raise DehnFillError(
+                    f"{key} must be a number or a string, got {value!r}")
+    if not isinstance(resolved["out_dir"], str):
+        raise DehnFillError(
+            f"out_dir must be a string, got {resolved['out_dir']!r}")
     _check_dimension(resolved["n"])
     return resolved
 
@@ -152,9 +178,13 @@ def _write(path, text):
 
 
 def _write_outputs(command, cfg, csv_header, csv_rows, summary, input_hashes):
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "report.csv", "\n".join([csv_header, *csv_rows]) + "\n")
+    # "" is the working directory; an existing directory is only stat'ed,
+    # where makedirs(exist_ok=True) would try mkdir and catch its error
+    out = cfg["out_dir"]
+    if out and not os.path.isdir(out):
+        os.makedirs(out, exist_ok=True)
+    _write(os.path.join(out, "report.csv"),
+           "\n".join([csv_header, *csv_rows]) + "\n")
     manifest = {
         "command": command,
         "config": cfg,
@@ -163,7 +193,8 @@ def _write_outputs(command, cfg, csv_header, csv_rows, summary, input_hashes):
         "input_hashes": input_hashes,
     }
     for name, obj in (("summary.json", summary), ("manifest.json", manifest)):
-        _write(out / name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write(os.path.join(out, name),
+               json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_curvature(cfg):
@@ -254,8 +285,8 @@ def cmd_compare(cfg):
     if not np.all(np.isfinite(scales) & (scales != 0)):
         raise DehnFillError(f"window {lo}:{hi} is out of range for n={n}: "
                             f"r**2 and r**{3 - n} must be finite and nonzero")
-    centers = np.geomspace(lo * np.exp(width), hi * np.exp(-width),
-                           cfg["num_centers"])
+    centers = loggrid(lo * np.exp(width), hi * np.exp(-width),
+                      cfg["num_centers"])
     grid = loggrid(lo, hi, cfg["grid_size"])
     comp = compare_operators(n, grid, centers, width=width, r_window=(lo, hi),
                              m=float(cfg["m"]), bins=cfg["num_centers"])
@@ -302,12 +333,21 @@ def cmd_lattice(cfg):
     raw = cfg["cusp"]
     if raw is None:
         raise DehnFillError("need at least one --cusp '{\"basis\":..,\"sigma\":..}'")
-    if isinstance(raw, (str, dict)):
+    if not isinstance(raw, list):
         raw = [raw]
     cusps = []
     parsed = []
-    for item in raw:
+    for k, item in enumerate(raw):
         d = json.loads(item) if isinstance(item, str) else item
+        if not isinstance(d, dict):
+            raise DehnFillError(f"cusp {k} must be a JSON object with a basis "
+                                f"and a sigma list, got {d!r}")
+        for key in ("basis", "sigma"):
+            if key not in d:
+                raise DehnFillError(f"cusp {k} has no {key!r}: {d!r}")
+        if not isinstance(d["sigma"], list):
+            raise DehnFillError(
+                f"cusp {k}'s sigma must be a list, got {d['sigma']!r}")
         parsed.append(d)
         lat = FlatLattice(np.asarray(d["basis"], dtype=float))
         sig = GeodesicClass(tuple(d["sigma"]))
@@ -370,13 +410,16 @@ _FLAG_OPTIONS = {
 
 @functools.cache
 def build_parser():
-    """The `dehnfill` argument parser, built once per process from COMMANDS.
+    """The `dehnfill` argument parser and a name -> parser map of its
+    subcommands, built once per process from COMMANDS.  Each subcommand
+    parser sets `command` to its name, so it can parse a command's
+    arguments alone.
 
-    The parser is shared by every `main` call, so callers must not mutate
-    it.  Each parse_args call returns a fresh Namespace, and the one
-    list-valued flag (lattice --cusp, default None) gets a new list each
-    time, so no state carries over from one call to the next.  Flags must
-    be spelled out in full: an abbreviation such as solve --m (for
+    The parsers are shared by every `main` call, so callers must not
+    mutate them.  Each parse_args call returns a fresh Namespace, and the
+    one list-valued flag (lattice --cusp, default None) gets a new list
+    each time, so no state carries over from one call to the next.  Flags
+    must be spelled out in full: an abbreviation such as solve --m (for
     --max-iters) is an error, not a silent match."""
     ap = argparse.ArgumentParser(
         prog="dehnfill",
@@ -385,18 +428,29 @@ def build_parser():
         allow_abbrev=False,
     )
     sp = ap.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, help_text, defaults) in COMMANDS.items():
-        p = sp.add_parser(name, help=help_text, allow_abbrev=False)
+        p = commands[name] = sp.add_parser(name, help=help_text,
+                                           allow_abbrev=False)
+        p.set_defaults(command=name)
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--config")
         for key in defaults:
             p.add_argument("--" + key.replace("_", "-"),
                            **_FLAG_OPTIONS.get(key, {}))
-    return ap
+    return ap, commands
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    ap, commands = build_parser()
+    # a named command's own parser takes its arguments in one pass; the
+    # top-level parser handles the rest (no arguments, -h, a bad command)
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+    else:
+        args = ap.parse_args(argv)
     command, _, defaults = COMMANDS[args.command]
     config = {}
     input_hashes = {}

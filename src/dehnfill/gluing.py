@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidWeight, ScanMissing, TooFewSamples
 from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
-from .numutil import fit_loglog
+from .numutil import fit_loglog, loggrid
 from .profiles import (FillingMetric, _stack_deficit, closing_parameters,
                        glued_metric, make_glued_profile)
 
@@ -88,9 +88,8 @@ def _deficit_norms(profiles, n, w, grid_size, include_seminorms):
     # log-width is fixed: a grid 2 % past its edges sees the same shape at
     # every R (no transition: the whole domain)
     tlo, thi = np.array([p.transition or (0.0, np.inf) for p in profiles]).T
-    grid = np.geomspace(np.maximum(tlo / 1.02, lo * (1.0 + 1e-9)),
-                        np.minimum(thi * 1.02, hi * (1.0 - 1e-9)),
-                        grid_size, axis=1)
+    grid = loggrid(np.maximum(tlo / 1.02, lo * (1.0 + 1e-9)),
+                   np.minimum(thi * 1.02, hi * (1.0 - 1e-9)), grid_size)
     # the deficit diagonal has two distinct entries, rad (11 = 22) and tor
     weighted = _cusp_weight(w, grid) * np.asarray(_stack_deficit(profiles, grid, n))
     norms = np.max(np.abs(weighted), axis=(0, 2))

@@ -20,7 +20,7 @@ The derivatives are taken in x = log r, where A has O(1) coefficients,
 by Newton's kernel (solver._derivatives on the cached 9-node template),
 so the operator and the solver share one discretization and no stencil
 is built per application.  A deformation's grid must therefore be
-positive and uniform in log r (numutil.loggrid, np.geomspace).
+positive and uniform in log r (numutil.loggrid).
 
 Applying the operator to the metric itself (h_ab = delta_ab in the
 orthonormal frame) therefore returns -2 ric_aa on the diagonal for any
@@ -57,7 +57,7 @@ from .errors import (
     TooFewSamples,
     UnknownBlock,
 )
-from .numutil import fit_loglog
+from .numutil import fit_loglog, loggrid
 from .profiles import _check_dimension, black_hole_metric, cusp_metric
 from .solver import _derivatives, _unit_stencils
 
@@ -112,9 +112,9 @@ def _checked_grid(grid):
         raise OutOfDomain(f"deformation grid must be positive, got r = {grid[0]}")
     # the operator's template needs a grid uniform in x = log r; the
     # rounding of log and of the power that builds such a grid (as
-    # np.geomspace does) moves x by a few ulps of |x_0| + |x_last|, up
+    # numutil.loggrid does) moves x by a few ulps of |x_0| + |x_last|, up
     # to 2.4 eps (1 + |x_0| + |x_last|) measured on 6000 random
-    # geomspace grids from 1e-300 to 1e300
+    # loggrid grids from 1e-300 to 1e300
     x = np.log(grid)
     dev = np.abs(x - np.linspace(x[0], x[-1], x.size)).max()
     if dev > 8.0 * np.finfo(float).eps * (1.0 + abs(x[0]) + abs(x[-1])):
@@ -352,13 +352,15 @@ def indicial_roots(block, n):
 
 
 def _unit_bump(x, center, width):
-    """C-infinity bump in x, support (center-width, center+width)."""
+    """C-infinity bump in x, support (center-width, center+width).
+
+    t is clipped into [1e-300, 1 - 2**-53] instead of masked: at either
+    clipped end the exponent is below -9e15, so exp gives exactly 0 there,
+    and the clip moves no t at which the bump is nonzero (1 - 2**-53 is
+    the largest double below 1)."""
     t = (x - (center - width)) / (2.0 * width)
-    out = np.zeros_like(x)
-    inside = (t > 0) & (t < 1)
-    ti = t[inside]
-    out[inside] = np.exp(4.0 - 1.0 / ti - 1.0 / (1.0 - ti))
-    return out
+    np.clip(t, 1e-300, 1.0 - 2.0**-53, out=t)
+    return np.exp(4.0 - 1.0 / t - 1.0 / (1.0 - t))
 
 
 @cache
@@ -472,7 +474,7 @@ def compare_operators(n, grid, centers, width=0.4, r_window=None, m=1.0,
     Lh *= b
     Lh += R
     diff = np.abs(Lh, out=Lh).max(axis=0)
-    edges = np.geomspace(lo, hi, bins + 1)
+    edges = loggrid(lo, hi, bins + 1)
     mids = np.sqrt(edges[:-1] * edges[1:])
     lo_i = np.searchsorted(grid, edges[:-1])
     hi_i = np.searchsorted(grid, edges[1:], side="right")

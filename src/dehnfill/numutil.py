@@ -5,7 +5,7 @@ slope fits, the C-infinity transition bump and the CSV number format.
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, OutOfDomain
 
 
 def fornberg_weights(x0, xs, m):
@@ -178,8 +178,28 @@ def cumtrapz0(y, x):
 
 
 def loggrid(lo, hi, num):
-    """Geometrically spaced grid, the natural sampling for r in [lo, hi]."""
-    return np.geomspace(lo, hi, num)
+    """Geometrically spaced grid, the natural sampling for r in [lo, hi]:
+    num points, the ends exactly lo and hi.  lo and hi may also be (S,)
+    arrays, which give an (S, num) grid, one row per pair.
+
+    This is np.geomspace's arithmetic without its generic wrapper, bit for
+    bit and in its memory layout: log10 of the ends, num - 1 equal steps
+    in log10 r, 10 to those powers, then both ends pinned.  An integer
+    num >= 2 and finite ends 0 < lo < hi are required."""
+    if not (isinstance(num, (int, np.integer)) and num >= 2):
+        raise GridTooCoarse(f"a log grid needs an integer num >= 2, got {num!r}")
+    ends = np.array((lo, hi), dtype=float)
+    lo, hi = ends
+    if not ((0.0 < lo) & (lo < hi) & (hi < np.inf)).all():
+        raise OutOfDomain(f"log grid ends must satisfy 0 < lo < hi < inf, "
+                          f"got {lo} and {hi}")
+    la, lb = np.log10(ends)
+    y = np.multiply.outer(np.arange(num, dtype=float), (lb - la) / (num - 1))
+    y += la
+    np.power(10.0, y, out=y)
+    y[0] = lo
+    y[-1] = hi
+    return y.T
 
 
 def csv_lines(*columns):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -362,6 +364,39 @@ def test_lattice_non_integer_sigma_exit_2(tmp_path, capsys, sigma):
     assert not (tmp_path / "summary.json").exists()
 
 
+_EYE = np.eye(3).tolist()
+
+
+@pytest.mark.parametrize("cusp, message", [
+    (5, "must be a JSON object"), ([1], "must be a JSON object"),
+    (None, "must be a JSON object"), ({"basis": _EYE}, "has no 'sigma'"),
+    ({"sigma": [1, 0, 0]}, "has no 'basis'"),
+    ({"basis": _EYE, "sigma": 5}, "sigma must be a list"),
+    ({"basis": _EYE, "sigma": "100"}, "sigma must be a list"),
+    ({"basis": _EYE, "sigma": {"a": 1}}, "sigma must be a list"),
+], ids=["int", "list", "null", "no-sigma", "no-basis", "sigma-int",
+        "sigma-string", "sigma-object"])
+@pytest.mark.parametrize("source", ["flag", "config", "config-list"])
+def test_lattice_malformed_cusp_exit_2(tmp_path, capsys, cusp, message,
+                                       source):
+    # the first three and a sigma that is not a list used to exit 1 with a
+    # TypeError, and a missing key printed only "error: 'sigma'"
+    argv = ["lattice", "--n", "4", "--out-dir", str(tmp_path)]
+    if source == "flag":
+        argv += ["--cusp", json.dumps(cusp)]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"cusp": cusp if source == "config" else [cusp]}))
+        argv += ["--config", str(cfg_path)]
+    if source == "config" and cusp is None:
+        message = "need at least one --cusp"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_lattice_whole_float_sigma_accepted(tmp_path):
     cusp = json.dumps({"basis": np.eye(3).tolist(), "sigma": [10.0, 0, 0]})
     rc = main(["lattice", "--n", "4", "--cusp", cusp,
@@ -595,6 +630,54 @@ def test_config_integer_keys_reject_non_integers(tmp_path, capsys, command,
     assert not (tmp_path / "summary.json").exists()
 
 
+# (command, key, value): a JSON value of the wrong type for the setting
+_BAD_TYPES = [
+    ("curvature", "m", None), ("curvature", "m", [1]), ("compare", "m", None),
+    ("compare", "m", [1]), ("compare", "width", None), ("compare", "m", True),
+    ("solve", "tol", None), ("solve", "from_blackhole", [1]),
+    ("scan", "delta", [1]), ("scan", "delta", {"a": 1}),
+    ("curvature", "profile", [1]), ("scan", "sizes", [40, None]),
+    *[(name, "out_dir", value) for name in cli.COMMANDS
+      for value in (5, None, ["a"])],
+]
+_ARGV = {"solve": ["solve", "--from-glued", "50"],
+         "lattice": ["lattice", "--cusp",
+                     json.dumps({"basis": np.eye(3).tolist(),
+                                 "sigma": [10, 0, 0]})]}
+
+
+@pytest.mark.parametrize("command, key, value", _BAD_TYPES,
+                         ids=[f"{c}-{k}-{json.dumps(v)}"
+                              for c, k, v in _BAD_TYPES])
+def test_config_wrong_json_type_exit_2(tmp_path, monkeypatch, capsys, command,
+                                       key, value):
+    # most of these used to exit 1 with a TypeError; m = true ran as m = 1
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    argv = [*_ARGV.get(command, [command]), "--config", str(cfg_path)]
+    if key != "out_dir":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("scan", {"delta": None, "grid_size": 256}),
+    ("solve", {"from_blackhole": None, "r_out": None, "tol": "1e-10"}),
+    ("curvature", {"m": 1, "R": "10"}),
+])
+def test_config_null_and_string_numbers_accepted(tmp_path, command, config):
+    # None where the default is None (or delta's "auto"), a string where it
+    # converts, and an int for a float setting all still run
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [*_ARGV.get(command, [command]), "--config", str(cfg_path)]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_config_whole_float_grid_size_accepted(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"grid_size": 256.0, "max_iters": 30.0}))
@@ -695,6 +778,69 @@ def test_abbreviated_flag_exit_2(tmp_path, capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
         capsys.readouterr().err)
     assert not (tmp_path / "summary.json").exists()
+
+
+def _run_in_process(argv):
+    """(exit code, stdout) of main(argv), which may exit through argparse."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+def _top_level_help(name):
+    """What `<name> --help` printed when every call went through the
+    top-level parser: its subparser's help, reached through it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.build_parser()[0].parse_args([name, "--help"])
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def test_dispatch_in_process_and_fresh(tmp_path, monkeypatch):
+    # a named command goes straight to its own parser; everything else to
+    # the top-level one, each with the exit code and stdout it always had
+    monkeypatch.setenv("COLUMNS", "80")
+    out = str(tmp_path / "out")
+    cases = [
+        ([], 2, None), (["-h"], 0, None), (["nosuch"], 2, ""),
+        *[([name, "--help"], 0, _top_level_help(name)) for name in cli.COMMANDS],
+        (["indicial", "--n=5", "--block=1j", f"--out-dir={out}"], 0,
+         "indicial 1j (n=5): (1.0, -5.0)\n"),
+        (["indicial", "--bogus", "1", "--out-dir", out], 2, ""),
+    ]
+    for argv, code, stdout in cases:
+        rc, here = _run_in_process(argv)
+        proc = _fresh_python(["-m", "dehnfill.cli", *argv], tmp_path)
+        fresh, fresh_err = proc.communicate(timeout=120)
+        assert rc == proc.returncode == code, (argv, fresh_err)
+        assert here == fresh, argv
+        if stdout is not None:
+            assert here == stdout, argv
+        if code == 2:
+            assert "error: " in fresh_err, argv
+    assert "usage: dehnfill [-h]" in _run_in_process(["-h"])[1]
+    assert "unrecognized arguments: --bogus 1" in fresh_err
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["n"] == 5
+
+
+def test_rerun_into_the_same_out_dir(tmp_path, monkeypatch):
+    # a rerun writes into the existing directory and its files; an empty
+    # out_dir is the working directory, as Path("") was
+    args = ["curvature", "--n", "4", "--grid", "1.3:40:64"]
+    assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
+    first = _outputs(tmp_path / "a")
+    assert main([*args, "--out-dir", str(tmp_path / "a")]) == 0
+    assert _outputs(tmp_path / "a") == first
+    assert main([*args, "--out-dir", str(tmp_path / "b" / "c" / "")]) == 0
+    assert _outputs(tmp_path / "b" / "c") == first
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out-dir", ""]) == 0
+    assert _outputs(tmp_path) == first
 
 
 _LATTICE_OVERFLOW = '{"basis": [[1e300,0,0],[0,1,0],[0,0,1]], "sigma": [1,0,0]}'

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -663,6 +664,27 @@ def test_compare_operators_matches_two_apply_L(n):
         scale = max(scale, float(np.max(np.abs(a), initial=0.0)))
     diff = compare_operators(n, grid, centers).diff
     assert np.max(np.abs(diff - expected)) <= 1e-15 * scale
+
+
+def test_unit_bump_matches_masked_evaluation():
+    # the clipped, unmasked bump gives the bits of exp on the open support
+    # and exactly 0 elsewhere, at the support's ends and next to them too
+    x = np.concatenate([
+        np.random.default_rng(7).uniform(-1.5, 1.5, 20000),
+        np.nextafter([-1.0, -1.0, 1.0, 1.0, 0.0], [-2, 2, -2, 2, 1]),
+        [-1.0, 1.0, 0.0, -1.0 + 1e-300, 1.0 - 1e-16]])
+    for center, width in ((0.0, 1.0), (3.5, 0.4), (-2.0, 1e-3)):
+        xs = center + width * x
+        t = (xs - (center - width)) / (2.0 * width)
+        want = np.zeros_like(t)
+        inside = (t > 0) & (t < 1)
+        ti = t[inside]
+        want[inside] = np.exp(4.0 - 1.0 / ti - 1.0 / (1.0 - ti))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linearized._unit_bump(xs, center, width)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
 
 
 def test_unit_bump_maxima_cached_and_lazy():

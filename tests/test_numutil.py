@@ -6,19 +6,21 @@ for bit; `fornberg_weights` is its one-window case, `diff_matrix` is
 built from that row by row, and `apply_diff` must agree with the dense
 matrix up to the rounding of each row's terms.  The difference-form
 kernel that Newton and the operator share is tested in test_solver.py.
-The closed-form log-log fit is checked against least squares.
+The closed-form log-log fit is checked against least squares, and
+`loggrid` against np.geomspace, bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from dehnfill.errors import GridTooCoarse
+from dehnfill.errors import DehnFillError, GridTooCoarse
 from dehnfill.numutil import (
     apply_diff,
     csv_lines,
     diff_matrix,
     fit_loglog,
     fornberg_weights,
+    loggrid,
     stencil_weights,
 )
 
@@ -246,3 +248,43 @@ def test_fit_loglog_rejects_data_without_a_line(x, y):
     # least squares used to return a minimum-norm line through equal x
     with pytest.raises(ValueError):
         fit_loglog(x, y)
+
+
+def _same_array(a, b):
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.tobytes("A") == b.tobytes("A"))
+
+
+def test_loggrid_matches_geomspace_bit_for_bit():
+    # 12000 scalar draws: ends anywhere from 1e-300 to 1e300, spans from a
+    # few ulps to 600 decades, num from 2 up
+    rng = np.random.default_rng(32)
+    for k in range(12000):
+        e = rng.uniform(-300.0, 300.0)
+        span = 10.0 ** rng.uniform(-15.0, 2.8)
+        lo, hi = 10.0 ** e, 10.0 ** min(e + span, 300.0)
+        num = 2 if k % 5 == 0 else int(rng.integers(3, 600))
+        if not lo < hi:
+            continue
+        assert _same_array(loggrid(lo, hi, num), np.geomspace(lo, hi, num)), (
+            lo, hi, num)
+    # the (S,) form: one row per pair, geomspace's axis=1 result and layout
+    for k in range(300):
+        size = int(rng.integers(1, 7))
+        lo = 10.0 ** rng.uniform(-300.0, 290.0, size)
+        hi = lo * 10.0 ** rng.uniform(1e-12, 10.0, size)
+        num = 2 if k % 5 == 0 else int(rng.integers(3, 1100))
+        got = loggrid(lo, hi, num)
+        assert got.shape == (size, num)
+        assert _same_array(got, np.geomspace(lo, hi, num, axis=1))
+
+
+@pytest.mark.parametrize("lo, hi, num", [
+    (1.0, 2.0, 1), (1.0, 2.0, 0), (1.0, 2.0, -1), (1.0, 2.0, 2.0),
+    (1.0, 2.0, True), (1.0, 2.0, "4"), (0.0, 2.0, 4), (-1.0, 2.0, 4),
+    (2.0, 2.0, 4), (3.0, 2.0, 4), (1.0, np.inf, 4), (np.nan, 2.0, 4),
+    (1.0, np.nan, 4), (np.array([1.0, 3.0]), np.array([2.0, 2.0]), 4),
+])
+def test_loggrid_rejects_invalid_input(lo, hi, num):
+    with pytest.raises(DehnFillError):
+        loggrid(lo, hi, num)
