@@ -1,9 +1,10 @@
 """Perturbing the glued approximate solution to an exact Einstein profile.
 
 The glued profile fails the Einstein equations only in the transition
-window. A damped Newton iteration on the radial profile removes that
-deficit; the corrected profile is then identified against the exact
-black-hole family by fitting the mass.
+window. A Newton iteration on the radial profile, each full step
+accepted only if it cuts the residual by at least a quarter, removes
+that deficit; the corrected profile is then identified against the
+exact black-hole family by fitting the mass.
 """
 
 import numpy as np

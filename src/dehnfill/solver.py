@@ -162,7 +162,6 @@ class NewtonConfig:
     glued start (R=50, n=4 or 5, r_out = 50 r_plus) Newton bottoms out
     near 1.1e-12 at grid_size 256, 4.5e-12 at 512, 2.1e-11 at 1024 and
     9e-11 at 2048, so at 2048 the default residual_tol is out of reach.
-    Each line search starts from the full step t = 1 and halves it.
     """
 
     max_iters: int = 30
@@ -332,16 +331,16 @@ def _residual(W, p, r, n, x_hi, stencils, beta):
 
     Returns (res, jacobian).  jacobian() builds the Jacobian at the same
     (W, p) from this evaluation's DxW, DxxW, r and h, so a Newton iterate
-    is evaluated once, as a line-search trial, and its Jacobian, with the
-    derivative matrices D1 = w1/h and D2 = w2/h^2, is built only when the
-    trial is accepted.  The Jacobian is exact: the system is affine in W,
-    and its p-column comes from dD1/dp = k D1, dD2/dp = 2k D2 with
-    k = 1/(h(N-1)) and dr_i/dp = r_i (1 - i/(N-1)).  It is bordered,
-    (ab, b, c, d): ab is the N x N W-block in LAPACK's gbsv band storage,
-    built in place (ab[_LOWER + _UPPER + i - j, j] = J[i, j], shape
-    (_ROWS, N), Fortran-ordered, rows 0.._LOWER-1 zero), b the p-column
-    J[:N, N], c the core-slope row J[N, :9] (the other entries of row N
-    are zero) and d the corner J[N, N].
+    is evaluated once, and its Jacobian, with the derivative matrices
+    D1 = w1/h and D2 = w2/h^2, is built only when a step is taken from it.
+    The Jacobian is exact: the system is affine in W, and its p-column
+    comes from dD1/dp = k D1, dD2/dp = 2k D2 with k = 1/(h(N-1)) and
+    dr_i/dp = r_i (1 - i/(N-1)).  It is bordered, (ab, b, c, d): ab is
+    the N x N W-block in LAPACK's gbsv band storage, built in place
+    (ab[_LOWER + _UPPER + i - j, j] = J[i, j], shape (_ROWS, N),
+    Fortran-ordered, rows 0.._LOWER-1 zero), b the p-column J[:N, N], c
+    the core-slope row J[N, :9] (the other entries of row N are zero) and
+    d the corner J[N, N].
     """
     _, w1, w2 = stencils
     N = len(W)
@@ -421,7 +420,7 @@ def _newton_step(res, jac):
 
 
 def newton_solve(initial, n, cfg=None):
-    """Damped Newton iteration for the exact Einstein profile.
+    """Newton iteration, full steps only, for the exact Einstein profile.
 
     Unknowns are the profile values on a log grid from the free core
     radius r_plus = exp(p) out to a fixed r_out, plus p itself.  The
@@ -432,7 +431,9 @@ def newton_solve(initial, n, cfg=None):
 
     Bad input raises a DehnFillError.  Every other exit returns the last
     accepted iterate, with error saying why when the solve stops short: a
-    singular Jacobian, no acceptable step, or the iteration cap.
+    singular Jacobian, no acceptable step, or the iteration cap.  Each
+    step is the full Newton step, accepted only if it cuts the residual
+    by at least a quarter, so the returned iterate is the best one seen.
     """
     cfg = cfg or NewtonConfig()
     r_plus0, beta, m_hat = initial.core(n)
@@ -484,20 +485,16 @@ def newton_solve(initial, n, cfg=None):
             step = _newton_step(res, jacobian())
         except np.linalg.LinAlgError as exc:
             return finish(it, f"singular Jacobian: {exc}")
-        t = 1.0
-        for _ in range(30):
-            W_new = W + t * step[:N]
-            # row 0 is W[0] = 0, which the step meets only to rounding
-            W_new[0] = 0.0
-            p_new = p + t * step[N]
-            r_new = _grid(p_new, x_hi, N)
-            res_new, jacobian_new = _residual(W_new, p_new, r_new, n, x_hi,
-                                              stencils, beta)
-            norm_new = norm(res_new)
-            if norm_new <= (1.0 - 0.25 * t) * history[-1]:
-                break
-            t *= 0.5
-        else:
+        W_new = W + step[:N]
+        # row 0 is W[0] = 0, which the step meets only to rounding
+        W_new[0] = 0.0
+        p_new = p + step[N]
+        r_new = _grid(p_new, x_hi, N)
+        res_new, jacobian_new = _residual(W_new, p_new, r_new, n, x_hi,
+                                          stencils, beta)
+        norm_new = norm(res_new)
+        # the negated test also rejects a NaN residual
+        if not norm_new <= 0.75 * history[-1]:
             return finish(it, f"no acceptable step at iteration {it} "
                               f"(residual {history[-1]:.3e})")
         W, p, r, res, jacobian = W_new, p_new, r_new, res_new, jacobian_new

@@ -327,6 +327,17 @@ def test_solve_unreachable_tol_exit_3(tmp_path, capsys):
     assert len(report) == NewtonConfig.grid_size + 1
 
 
+def test_solve_stalled_glued_start_exit_3(tmp_path):
+    # the full Newton step from this start does not cut the residual, so
+    # the solve stops short on its start rather than reporting m = 0.88
+    rc = main(["solve", "--n", "3", "--from-glued", "2000", "--grid-size",
+               "128", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    _, summary, _ = _read(tmp_path)
+    assert summary["converged"] is False
+    assert summary["error"].startswith("no acceptable step at iteration 0 ")
+
+
 def test_solve_needs_one_source(tmp_path):
     rc = main(["solve", "--n", "4", "--out-dir", str(tmp_path)])
     assert rc == 2
