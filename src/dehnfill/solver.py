@@ -11,8 +11,12 @@ as a parameter-recovery test.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -152,6 +156,11 @@ def einstein_residual(profile, n, grid=None):
     return (grid, F1), (grid, F2)
 
 
+def _is_real(x):
+    """A real number that is not a bool, which numbers.Real admits as 0/1."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Iteration controls for the Einstein profile solve.
@@ -175,15 +184,19 @@ class NewtonConfig:
                 and self.max_iters >= 1):
             raise OutOfDomain(
                 f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
-            raise OutOfDomain("residual_tol must be finite and positive")
+        if not (_is_real(self.residual_tol)
+                and math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise OutOfDomain("residual_tol must be a finite positive real, "
+                              f"got {self.residual_tol!r}")
         if not (isinstance(self.grid_size, numbers.Integral)
                 and self.grid_size >= 64):
             raise GridTooCoarse(
                 f"grid_size must be an integer >= 64, got {self.grid_size}")
         if self.r_out is not None and not (
-                math.isfinite(self.r_out) and self.r_out > 0):
-            raise OutOfDomain(f"r_out must be finite and positive, got {self.r_out}")
+                _is_real(self.r_out)
+                and math.isfinite(self.r_out) and self.r_out > 0):
+            raise OutOfDomain("r_out must be a finite positive real, "
+                              f"got {self.r_out!r}")
 
 
 @dataclass(frozen=True)
@@ -383,6 +396,34 @@ def _residual(W, p, r, n, x_hi, stencils, beta):
     return res, jacobian
 
 
+@cache
+def _dgbsv():
+    """LAPACK's dgbsv from scipy's compiled wrapper scipy.linalg._flapack.
+
+    The extension is loaded on its own, so neither scipy's nor
+    scipy.linalg's __init__ runs: scipy.linalg's reaches numpy.f2py,
+    numpy.testing, numpy.ma and numpy.random, most of a cold solve.
+    scipy.linalg.lapack.dgbsv is this same routine, and the module is
+    registered under its own name, so a later `import scipy.linalg` reuses
+    it.  On any exception (a wheel that needs scipy's __init__ to find its
+    libraries, say) the public import is used instead.
+    """
+    name = "scipy.linalg._flapack"
+    try:
+        module = sys.modules.get(name)
+        if module is None:
+            spec = importlib.util.find_spec("scipy")
+            linalg = os.path.join(spec.submodule_search_locations[0], "linalg")
+            spec = importlib.machinery.PathFinder.find_spec(name, [linalg])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module = sys.modules.setdefault(name, module)
+        return module.dgbsv
+    except Exception:
+        from scipy.linalg.lapack import dgbsv
+        return dgbsv
+
+
 def _newton_step(res, jac):
     """Solve J step = -res for the bordered Jacobian of `_residual`.
 
@@ -395,16 +436,13 @@ def _newton_step(res, jac):
     np.linalg.LinAlgError; a NaN in the system is not checked up front, so
     it ends there too.
     """
-    # imported here so that `import dehnfill` does not load scipy
-    from scipy.linalg.lapack import dgbsv
-
     ab, b, c, d = jac
     N = len(b)
     rhs = np.empty((2, N))
     np.negative(res[:N], out=rhs[0])
     rhs[1] = b
-    _, _, z, info = dgbsv(_LOWER, _UPPER, ab, rhs.T,
-                          overwrite_ab=1, overwrite_b=1)
+    _, _, z, info = _dgbsv()(_LOWER, _UPPER, ab, rhs.T,
+                             overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     z1, z2 = z.T
@@ -433,7 +471,8 @@ def newton_solve(initial, n, cfg=None):
     accepted iterate, with error saying why when the solve stops short: a
     singular Jacobian, no acceptable step, or the iteration cap.  Each
     step is the full Newton step, accepted only if it cuts the residual
-    by at least a quarter, so the returned iterate is the best one seen.
+    by at least a quarter, so the returned iterate is the best one seen;
+    a rejected step's error gives the residual kept and the full step's.
     """
     cfg = cfg or NewtonConfig()
     r_plus0, beta, m_hat = initial.core(n)
@@ -496,7 +535,8 @@ def newton_solve(initial, n, cfg=None):
         # the negated test also rejects a NaN residual
         if not norm_new <= 0.75 * history[-1]:
             return finish(it, f"no acceptable step at iteration {it} "
-                              f"(residual {history[-1]:.3e})")
+                              f"(residual {history[-1]:.3e}; "
+                              f"full step {norm_new:.3e})")
         W, p, r, res, jacobian = W_new, p_new, r_new, res_new, jacobian_new
         history.append(norm_new)
 

@@ -338,6 +338,17 @@ def test_solve_stalled_glued_start_exit_3(tmp_path):
     assert summary["error"].startswith("no acceptable step at iteration 0 ")
 
 
+def test_solve_stall_records_the_rejected_step(tmp_path):
+    # the stop names the residual it kept and the full step's it rejected,
+    # which is above 3/4 of it
+    rc = main(["solve", "--n", "3", "--from-glued", "2000", "--grid-size",
+               "128", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    _, summary, _ = _read(tmp_path)
+    assert summary["error"] == ("no acceptable step at iteration 0 "
+                                "(residual 6.799e-05; full step 5.165e-05)")
+
+
 def test_solve_needs_one_source(tmp_path):
     rc = main(["solve", "--n", "4", "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -724,17 +735,58 @@ assert scipy_modules() == [], scipy_modules()
 from dehnfill import eval_profile, make_glued_profile, newton_solve
 result = newton_solve(make_glued_profile(50.0, 4), 4)
 assert result.converged, result.error
-assert "scipy.linalg" in sys.modules
+# the banded solve loads scipy's LAPACK wrapper alone: neither scipy's nor
+# scipy.linalg's __init__ runs, nor the numpy modules the latter pulls in
+assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()
+assert "numpy.f2py" not in sys.modules
+assert "numpy.testing" not in sys.modules
 eval_profile(result.profile, 3.0, 2)
-assert "scipy.interpolate" not in sys.modules, scipy_modules()
+assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()
 """
 
 
 def test_import_loads_scipy_only_where_used(tmp_path):
-    # scipy is most of a cold start; only the banded solve needs it
+    # importing scipy.linalg was most of a cold solve; only the banded
+    # solve needs scipy, and it loads one compiled module of it
     proc = _fresh_python(["-c", _IMPORT_CHECK], tmp_path)
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr
+
+
+# A solve whose direct load of scipy.linalg._flapack fails: the finder
+# finds nothing for it while scipy.linalg is not loaded, which is only the
+# solver's own load, so the public import that follows still finds it
+_FALLBACK_SOLVE = """
+import importlib.machinery
+import sys
+
+find_spec = importlib.machinery.PathFinder.find_spec
+
+def no_direct_flapack(name, path=None, target=None):
+    if name == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules:
+        return None
+    return find_spec(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = no_direct_flapack
+from dehnfill import solver
+from dehnfill.cli import main
+assert main(sys.argv[1:]) == 0
+assert "scipy.linalg" in sys.modules
+import scipy.linalg.lapack
+assert solver._dgbsv() is scipy.linalg.lapack.dgbsv
+"""
+
+
+def test_solve_falls_back_to_the_public_lapack_import(tmp_path):
+    argv = ["solve", "--n", "4", "--from-glued", "50", "--out-dir"]
+    direct = _fresh_python(["-m", "dehnfill.cli", *argv, "direct"], tmp_path)
+    fallback = _fresh_python(["-c", _FALLBACK_SOLVE, *argv, "fallback"],
+                             tmp_path)
+    for proc in (direct, fallback):
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+    assert _outputs(tmp_path / "fallback") == _outputs(tmp_path / "direct")
+    assert None not in _outputs(tmp_path / "direct").values()
 
 
 def _outputs(out_dir):

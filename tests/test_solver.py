@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +342,19 @@ def test_newton_rejects_profile_of_another_dimension():
 def test_newton_rejects_cusp_start():
     with pytest.raises(SingularAtCore):
         newton_solve(CuspProfile(4), 4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"residual_tol": True}, {"residual_tol": "1e-10"},
+    {"residual_tol": 1e-10 + 0j}, {"residual_tol": None},
+    {"r_out": True}, {"r_out": "100"}, {"r_out": 100.0 + 0j},
+], ids=["tol-bool", "tol-str", "tol-complex", "tol-none", "r-out-bool",
+        "r-out-str", "r-out-complex"])
+def test_newton_config_rejects_non_real(kwargs):
+    # numbers.Real admits True as 1.0: residual_tol=True "converged" at
+    # iteration 0 with fitted_m 0.99975, and a str raised a bare TypeError
+    with pytest.raises(OutOfDomain, match=next(iter(kwargs))):
+        NewtonConfig(**kwargs)
 
 
 def test_newton_config_validation():
@@ -803,3 +820,81 @@ def test_newton_rejects_r_out_whose_square_overflows(r_out):
     # the residual divides by r**2; this used to warn and then fail later
     with pytest.raises(OutOfDomain, match=r"r_out\*\*2 overflows"):
         newton_solve(make_glued_profile(50.0, 4), 4, NewtonConfig(r_out=r_out))
+
+
+# Runs dgbsv on the systems saved in argv[1] and saves (lub, piv, x, info)
+# of each to argv[3]; argv[2] "direct" takes the routine from the solver's
+# loader, in a fresh interpreter where scipy.linalg is not loaded, and
+# "public" from scipy.linalg.lapack.
+_DGBSV_RUN = """
+import sys
+import numpy as np
+
+if sys.argv[2] == "direct":
+    from dehnfill.solver import _dgbsv
+    dgbsv = _dgbsv()
+    assert "scipy.linalg" not in sys.modules
+else:
+    from scipy.linalg.lapack import dgbsv
+out = {}
+with np.load(sys.argv[1]) as systems:
+    for key in sorted({k.split("/")[0] for k in systems}):
+        lub, piv, x, info = dgbsv(8, 7, systems[key + "/ab"],
+                                  systems[key + "/b"])
+        out.update({key + "/lub": lub, key + "/piv": piv, key + "/x": x,
+                    key + "/info": np.array(info)})
+np.savez(sys.argv[3], **out)
+if sys.argv[2] == "direct":
+    import scipy.linalg.lapack
+    assert scipy.linalg.lapack.dgbsv is dgbsv
+"""
+
+
+def _band_systems():
+    """Seeded (8, 7)-band systems in gbsv storage, keyed by kind."""
+    systems = {}
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        N = 40 + 7 * seed
+        ab = np.zeros((solver._ROWS, N))
+        ab[8:] = rng.standard_normal((16, N))
+        systems[f"pivoted{seed}"] = ab, rng.standard_normal(N)
+        systems[f"two-rhs{seed}"] = ab, rng.standard_normal((N, 2))
+    ab = systems["pivoted0"][0].copy()
+    ab[:, 20] = 0.0
+    systems["singular"] = ab, np.ones(40)
+    return systems
+
+
+def test_direct_dgbsv_matches_public_wrapper(tmp_path):
+    # the solver loads scipy.linalg._flapack on its own; its dgbsv must
+    # give the public wrapper's (lub, piv, x, info) bit for bit, each run in
+    # a fresh interpreter so that neither reuses the other's module
+    systems = _band_systems()
+    np.savez(tmp_path / "systems.npz",
+             **{f"{k}/{part}": a for k, (ab, b) in systems.items()
+                for part, a in (("ab", ab), ("b", b))})
+    src = str(Path(solver.__file__).resolve().parents[1])
+    for path in ("direct", "public"):
+        proc = subprocess.run([sys.executable, "-c", _DGBSV_RUN,
+                               "systems.npz", path, f"{path}.npz"],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+    with np.load(tmp_path / "direct.npz") as direct, \
+            np.load(tmp_path / "public.npz") as public:
+        assert sorted(direct) == sorted(public)
+        for key in direct:
+            a, b = direct[key], public[key]
+            assert (a.dtype, a.shape, a.tobytes()) == (
+                b.dtype, b.shape, b.tobytes()), key
+        for seed in range(3):
+            N = 40 + 7 * seed
+            # every band needs row interchanges and is not singular
+            for kind in ("pivoted", "two-rhs"):
+                assert int(direct[f"{kind}{seed}/info"]) == 0
+                assert not np.array_equal(direct[f"{kind}{seed}/piv"],
+                                          np.arange(1, N + 1))
+            assert direct[f"two-rhs{seed}/x"].shape == (N, 2)
+        assert int(direct["singular/info"]) > 0
+
