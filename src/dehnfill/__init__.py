@@ -5,149 +5,31 @@ curvature and Einstein-deficit measurement in weighted norms, the
 linearized gauged Einstein operator with its indicial data, and a
 Newton corrector that perturbs approximate profiles to exact Einstein
 ones.
+
+Each module's __all__ is its public API; the package re-exports their
+union.
 """
 
 __version__ = "0.1.0"
 
-from .curvature import (
-    CurvatureReport,
-    curvature_action,
-    cutoff_deficit_diag,
-    decompose_quadratic,
-    fd_curvature_oracle,
-    ricci_and_deficit,
-    sectional_curvatures,
-    sectional_matrix,
-    spectral_bound,
-    trace_free_top_eigenvalue,
-)
+from . import curvature, gluing, lattice, linearized, norms, profiles, solver
+from .curvature import *
 from .errors import DehnFillError
-from .gluing import (
-    ApproximateSolution,
-    DecayScanResult,
-    build_approximate_solution,
-    decay_scan,
-    deficit_norm,
-    filling_from_lengths,
-)
-from .lattice import (
-    DehnFillingData,
-    FlatLattice,
-    GeodesicClass,
-    extend_to_basis,
-    filling_data,
-    geodesic_length,
-    quotient_generators,
-)
-from .linearized import (
-    InvariantDeformation,
-    ODESystemL,
-    OperatorComparison,
-    apply_L,
-    assemble_L_blackhole,
-    assemble_L_cusp,
-    bump_deformation,
-    compare_operators,
-    indicial_roots,
-    metric_deformation,
-)
-from .norms import (
-    WeightSpec,
-    decay_weight,
-    default_core_scale,
-    default_delta,
-    discrete_holder_seminorm,
-    phi_c,
-    phi_c_raw,
-)
-from .profiles import (
-    BlackHoleProfile,
-    CuspProfile,
-    FillingMetric,
-    GluedProfile,
-    SampledProfile,
-    black_hole_metric,
-    closing_parameters,
-    cusp_metric,
-    eval_profile,
-    glued_metric,
-    make_glued_profile,
-)
-from .solver import (
-    BudgetReport,
-    EinsteinSolveResult,
-    NewtonConfig,
-    einstein_residual,
-    euler_reconstruct,
-    fitted_mass,
-    newton_solve,
-    oscillation_bound,
-    oscillation_closed_form,
-    perturbation_budget,
-)
+from .gluing import *
+from .lattice import *
+from .linearized import *
+from .norms import *
+from .profiles import *
+from .solver import *
 
 __all__ = [
     "__version__",
-    "ApproximateSolution",
-    "BlackHoleProfile",
-    "BudgetReport",
-    "CurvatureReport",
-    "CuspProfile",
-    "DecayScanResult",
     "DehnFillError",
-    "DehnFillingData",
-    "EinsteinSolveResult",
-    "FillingMetric",
-    "FlatLattice",
-    "GeodesicClass",
-    "GluedProfile",
-    "InvariantDeformation",
-    "NewtonConfig",
-    "ODESystemL",
-    "OperatorComparison",
-    "SampledProfile",
-    "WeightSpec",
-    "apply_L",
-    "assemble_L_blackhole",
-    "assemble_L_cusp",
-    "black_hole_metric",
-    "build_approximate_solution",
-    "bump_deformation",
-    "closing_parameters",
-    "compare_operators",
-    "curvature_action",
-    "cusp_metric",
-    "cutoff_deficit_diag",
-    "decay_scan",
-    "decay_weight",
-    "decompose_quadratic",
-    "default_core_scale",
-    "default_delta",
-    "deficit_norm",
-    "discrete_holder_seminorm",
-    "einstein_residual",
-    "euler_reconstruct",
-    "eval_profile",
-    "extend_to_basis",
-    "fd_curvature_oracle",
-    "filling_data",
-    "filling_from_lengths",
-    "fitted_mass",
-    "geodesic_length",
-    "glued_metric",
-    "indicial_roots",
-    "make_glued_profile",
-    "metric_deformation",
-    "newton_solve",
-    "oscillation_bound",
-    "oscillation_closed_form",
-    "perturbation_budget",
-    "phi_c",
-    "phi_c_raw",
-    "quotient_generators",
-    "ricci_and_deficit",
-    "sectional_curvatures",
-    "sectional_matrix",
-    "spectral_bound",
-    "trace_free_top_eigenvalue",
+    *curvature.__all__,
+    *gluing.__all__,
+    *lattice.__all__,
+    *linearized.__all__,
+    *norms.__all__,
+    *profiles.__all__,
+    *solver.__all__,
 ]

@@ -49,7 +49,7 @@ from .linearized import (
     compare_operators,
     indicial_roots,
 )
-from .numutil import csv_lines, loggrid
+from .numutil import _is_real, csv_lines, loggrid
 from .profiles import (
     BlackHoleProfile,
     _check_dimension,
@@ -105,13 +105,9 @@ def _parse_window(text):
     return lo, hi
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_sizes(value):
     if isinstance(value, (list, tuple)):
-        if not all(_is_number(v) or isinstance(v, str) for v in value):
+        if not all(_is_real(v) or isinstance(v, str) for v in value):
             raise DehnFillError(f"sizes must be numbers, got {value!r}")
         return [float(v) for v in value]
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
@@ -152,7 +148,7 @@ def _resolve(args, config, defaults):
         elif key in FLOAT_KEYS or key == "delta":
             # scan reads a None delta as its default, "auto"
             nullable = default is None or key == "delta"
-            if not (_is_number(value) or isinstance(value, str)
+            if not (_is_real(value) or isinstance(value, str)
                     or value is None and nullable):
                 raise DehnFillError(
                     f"{key} must be a number or a string, got {value!r}")

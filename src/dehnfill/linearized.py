@@ -62,8 +62,6 @@ from .profiles import _check_dimension, black_hole_metric, cusp_metric
 from .solver import _derivatives, _unit_stencils
 
 __all__ = [
-    "BLOCK_LABELS",
-    "COEFFICIENTS",
     "InvariantDeformation",
     "ODESystemL",
     "assemble_L_blackhole",

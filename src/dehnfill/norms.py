@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,17 @@ def default_delta(n):
     end is square-integrable while the weight still undercuts the slowest
     homogeneous solution r**(1-n).
     """
-    if n < 3:
-        raise InvalidWeight(f"need n >= 3, got n={n}")
+    if not (isinstance(n, numbers.Integral) and n >= 3):
+        raise InvalidWeight(f"need an integer n >= 3, got n={n}")
     return 0.75 * (n - 1)
 
 
 def default_core_scale(R, n):
     """Geometric mean of the core radius r_plus(m=1) and the filling size."""
     r_plus, _ = closing_parameters(1.0, n)
-    if R <= r_plus:
-        raise InvalidWeight(f"filling size R={R} at or below core radius {r_plus}")
+    if not (math.isfinite(R) and R > r_plus):
+        raise InvalidWeight(f"filling size R={R} must be finite and above "
+                            f"the core radius {r_plus}")
     return math.sqrt(r_plus * R)
 
 

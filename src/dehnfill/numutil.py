@@ -3,9 +3,16 @@ arbitrary grids (Fornberg's algorithm), differentiation matrices, log-log
 slope fits, the C-infinity transition bump and the CSV number format.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import GridTooCoarse, OutOfDomain
+
+
+def _is_real(x):
+    """A real number that is not a bool, which numbers.Real admits as 0/1."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def fornberg_weights(x0, xs, m):

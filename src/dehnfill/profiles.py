@@ -43,7 +43,22 @@ from .errors import (
     RadiusTooSmall,
     SingularAtCore,
 )
-from .numutil import _smoothstep, loggrid, stencil_weights
+from .numutil import _is_real, _smoothstep, loggrid, stencil_weights
+
+__all__ = [
+    "CuspProfile",
+    "BlackHoleProfile",
+    "GluedProfile",
+    "SampledProfile",
+    "closing_parameters",
+    "fitted_mass",
+    "eval_profile",
+    "make_glued_profile",
+    "FillingMetric",
+    "black_hole_metric",
+    "cusp_metric",
+    "glued_metric",
+]
 
 # Fraction of R where the cutoff transition starts and ends.
 TRANSITION_LO = 0.8
@@ -67,7 +82,7 @@ def closing_parameters(m, n):
 
     Returns (r_plus, beta). Raises InvalidMass unless m is finite and positive.
     """
-    if not (math.isfinite(m) and m > 0):
+    if not (_is_real(m) and math.isfinite(m) and m > 0):
         raise InvalidMass(f"mass must be positive and finite, got {m}")
     _check_dimension(n)
     r_plus = (2.0 * m) ** (1.0 / (n - 1))
@@ -305,7 +320,7 @@ class SampledProfile(_Profile):
 
     grid: np.ndarray
     values: np.ndarray
-    domain: tuple = None
+    domain: tuple = field(init=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -322,8 +337,7 @@ class SampledProfile(_Profile):
             raise OutOfDomain("sampled profile grid must be positive (log r)")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if self.domain is None:
-            object.__setattr__(self, "domain", (float(grid[0]), float(grid[-1])))
+        object.__setattr__(self, "domain", (float(grid[0]), float(grid[-1])))
 
     variant = "sampled"
 

@@ -32,7 +32,7 @@ from .errors import (
     TooFewSamples,
 )
 from .gluing import DecayScanResult
-from .numutil import _window_starts, cumtrapz0, diff_matrix
+from .numutil import _is_real, _window_starts, cumtrapz0, diff_matrix
 from .profiles import (SampledProfile, _check_dimension, eval_profile,
                        fitted_mass)
 
@@ -41,7 +41,6 @@ __all__ = [
     "oscillation_bound",
     "oscillation_closed_form",
     "einstein_residual",
-    "fitted_mass",
     "NewtonConfig",
     "EinsteinSolveResult",
     "newton_solve",
@@ -106,7 +105,13 @@ def oscillation_closed_form(n, r_lo, r1, r2):
     if not all(0 < x < math.inf for x in (r_lo, r1, r2)):
         raise OutOfDomain(f"radii must be finite and positive, got {r_lo}, "
                           f"{r1}, {r2}")
-    C0 = r_lo ** (n - 1) * (r2 ** (1 - n) - r1 ** (1 - n)) / (n - 1)
+    try:
+        C0 = r_lo ** (n - 1) * (r2 ** (1 - n) - r1 ** (1 - n)) / (n - 1)
+    except OverflowError:
+        C0 = math.inf
+    if not math.isfinite(C0):
+        raise OutOfDomain(f"radii {r_lo}, {r1}, {r2} are too large or too "
+                          "small: C0 overflows")
     return (math.log(r2 / r1) + C0) / (n - 1)
 
 
@@ -154,11 +159,6 @@ def einstein_residual(profile, n, grid=None):
     if np.any(V < 0):
         raise NonPositiveProfile("profile is negative on the grid")
     return (grid, F1), (grid, F2)
-
-
-def _is_real(x):
-    """A real number that is not a bool, which numbers.Real admits as 0/1."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -501,8 +501,7 @@ def newton_solve(initial, n, cfg=None):
 
     def finish(iters, error=None):
         # r is the grid of the last accepted iterate (W, p)
-        prof = SampledProfile(grid=r, values=W.copy(),
-                              domain=(float(r[0]), float(r[-1])))
+        prof = SampledProfile(grid=r, values=W)
         m_fit = fitted_mass(r, W, n)
         ratios = [history[k + 1] / history[k] ** 2
                   for k in range(max(0, len(history) - 4), len(history) - 1)
@@ -563,7 +562,8 @@ def perturbation_budget(scan, Lambda, epsilon):
     """
     if not isinstance(scan, DecayScanResult) or len(scan.sizes) == 0:
         raise ScanMissing("perturbation_budget needs a completed decay scan")
-    if not (math.isfinite(Lambda) and math.isfinite(epsilon)
+    if not (_is_real(Lambda) and _is_real(epsilon)
+            and math.isfinite(Lambda) and math.isfinite(epsilon)
             and Lambda > 0 and epsilon > 0):
         raise OutOfDomain("Lambda and epsilon must be finite and positive")
     if not (scan.slope < 0):

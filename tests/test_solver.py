@@ -12,6 +12,8 @@ from dehnfill import solver
 from dehnfill.errors import (
     AnchorOutsideGrid,
     GridTooCoarse,
+    InvalidMass,
+    InvalidWeight,
     NonFiniteField,
     NonPositiveProfile,
     OutOfDomain,
@@ -22,7 +24,8 @@ from dehnfill.errors import (
 from dehnfill.gluing import DecayScanResult
 from dehnfill.lattice import GeodesicClass
 from dehnfill.linearized import bump_deformation, compare_operators
-from dehnfill.norms import WeightSpec, phi_c, phi_c_raw
+from dehnfill.norms import (WeightSpec, default_core_scale, default_delta,
+                            phi_c, phi_c_raw)
 from dehnfill.numutil import diff_matrix, loggrid, stencil_weights
 from dehnfill.profiles import (
     MAX_DIMENSION,
@@ -770,8 +773,9 @@ def _with_nan(a, i=10):
     return a
 
 
-# each of these used to return a NaN, an inf-derived answer or a bare
-# ValueError instead of a DehnFillError
+# each of these used to return a NaN, an inf-derived answer, a bool taken
+# as a number or a bare ValueError, TypeError or OverflowError instead of
+# a DehnFillError
 @pytest.mark.parametrize("call, error", [
     (lambda: perturbation_budget(_BUDGET_SCAN, math.nan, 0.1), OutOfDomain),
     (lambda: perturbation_budget(_BUDGET_SCAN, 1.0, math.inf), OutOfDomain),
@@ -803,13 +807,28 @@ def _with_nan(a, i=10):
      OutOfDomain),
     (lambda: oscillation_closed_form(1, 1.0, 2.0, 3.0), OutOfDomain),
     (lambda: oscillation_closed_form(4, 1.0, 0.0, 3.0), OutOfDomain),
+    (lambda: oscillation_closed_form(4, 1e300, 2.0, 3.0), OutOfDomain),
+    (lambda: closing_parameters(True, 4), InvalidMass),
+    (lambda: closing_parameters("1", 4), InvalidMass),
+    (lambda: BlackHoleProfile(m=True, n=4), InvalidMass),
+    (lambda: perturbation_budget(_BUDGET_SCAN, "1", 1e-3), OutOfDomain),
+    (lambda: perturbation_budget(_BUDGET_SCAN, 1.0, True), OutOfDomain),
+    (lambda: default_delta(math.nan), InvalidWeight),
+    (lambda: default_delta(math.inf), InvalidWeight),
+    (lambda: default_delta(4.5), InvalidWeight),
+    (lambda: default_core_scale(math.nan, 4), InvalidWeight),
+    (lambda: default_core_scale(math.inf, 4), InvalidWeight),
 ], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
         "phi-c-r-nan",
         "bump-center-nan", "compare-center-nan", "oscillation-r-lo-nan",
         "geodesic-coeff-nan", "euler-grid-nan", "euler-rhs-nan",
         "euler-n-nan", "euler-anchor-value-nan", "euler-grid-at-zero",
         "oscillation-rhs-nan", "oscillation-weight-nan",
-        "oscillation-weight-inf", "oscillation-n-1", "oscillation-r1-zero"])
+        "oscillation-weight-inf", "oscillation-n-1", "oscillation-r1-zero",
+        "oscillation-r-lo-overflow", "closing-mass-bool", "closing-mass-str",
+        "blackhole-mass-bool", "budget-lambda-str", "budget-epsilon-bool",
+        "delta-n-nan", "delta-n-inf", "delta-n-fraction", "core-scale-r-nan",
+        "core-scale-r-inf"])
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
         call()
