@@ -20,9 +20,9 @@ n = 4
 
 for R in (15.0, 50.0, 100.0):
     start = make_glued_profile(R, n)
-    (_, F1), (_, F2) = einstein_residual(start, n)
+    (_, F1), (_, F2) = einstein_residual(start)
     sup0 = max(np.max(np.abs(F1)), np.max(np.abs(F2)))
-    res = newton_solve(start, n)
+    res = newton_solve(start)
     assert res.converged, res.error
     rp_exact, beta_exact = closing_parameters(res.fitted_m, n)
     print(f"R = {R:6.1f}: start residual {sup0:.3e} -> "
@@ -34,7 +34,7 @@ print()
 
 # the solved profile is the m = 1 black hole pointwise, not just in the
 # fitted parameters
-res = newton_solve(make_glued_profile(50.0, n), n)
+res = newton_solve(make_glued_profile(50.0, n))
 assert res.converged, res.error
 r = np.geomspace(res.r_plus * 1.01, 45.0, 7)
 V_solved = eval_profile(res.profile, r)
@@ -48,6 +48,6 @@ print(f"identification error sup = {np.max(np.abs(V_solved - V_exact)):.2e}")
 # the solved profile is evaluated with the solver's own stencils, so it
 # satisfies the Einstein equations between the nodes as well, ends included
 lo, hi = res.profile.domain
-(_, F1), (_, F2) = einstein_residual(res.profile, n, np.geomspace(lo, hi, 3000))
+(_, F1), (_, F2) = einstein_residual(res.profile, np.geomspace(lo, hi, 3000))
 print(f"solved profile on [{lo:.4f}, {hi:.1f}]: max |F1| = "
       f"{np.max(np.abs(F1)):.2e}, max |F2| = {np.max(np.abs(F2)):.2e}")

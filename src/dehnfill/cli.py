@@ -314,7 +314,7 @@ def cmd_solve(cfg):
                         grid_size=cfg["grid_size"],
                         r_out=None if cfg["r_out"] is None
                         else float(cfg["r_out"]))
-    result = newton_solve(initial, n, ncfg)
+    result = newton_solve(initial, ncfg)
     summary = result.to_dict()
     rows = csv_lines(result.profile.grid, result.profile.values)
     if not result.converged:

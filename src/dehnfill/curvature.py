@@ -56,7 +56,7 @@ def _deficit_diag(n, rad, tor):
 def sectional_curvatures(metric, r):
     """The three distinct sectional curvatures (K12, K1perp, Kperp) at r."""
     _, _, k12, k1perp, kperp, _, _ = metric.profile.frame_data(
-        np.atleast_1d(r), metric.n)
+        np.atleast_1d(r))
     K12, K1perp, Kperp = k12 - 1.0, k1perp - 1.0, kperp - 1.0
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(K12[0]), float(K1perp[0]), float(Kperp[0])
@@ -104,7 +104,7 @@ def ricci_and_deficit(metric, r):
     """
     n = metric.n
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    _, _, k12, k1perp, kperp, rad, tor = metric.profile.frame_data(rr, n)
+    _, _, k12, k1perp, kperp, rad, tor = metric.profile.frame_data(rr)
     deficit = _deficit_diag(n, rad, tor)
     ric = deficit - (n - 1.0)
     scalar = 2.0 * ric[:, 0] + (n - 2) * ric[:, 2]
@@ -129,7 +129,7 @@ def cutoff_deficit_diag(metric, r):
     profile, which is what weighted norms with large core weights need.
     A sampled profile forms it through the cancellation of ric + (n-1).
     """
-    rad, tor = metric.profile.frame_data(np.atleast_1d(r), metric.n)[5:]
+    rad, tor = metric.profile.frame_data(np.atleast_1d(r))[5:]
     return _deficit_diag(metric.n, rad, tor)
 
 

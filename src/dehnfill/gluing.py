@@ -1,7 +1,7 @@
 """Assembly of approximate solutions and decay scans of their deficit.
 
 An approximate solution closes each cusp of the filling data with a glued
-profile of size R^i = L_i / beta_1; a cusp's metric is that profile and n,
+profile of size R^i = L_i / beta_1; a cusp's metric is that profile alone,
 since its torus gram (lattice.quotient_generators) and the closing period
 beta_1 (DehnFillingData.beta1) enter no deficit.  Its Einstein deficit is
 supported in the transition annuli and is measured in the weighted norm
@@ -77,7 +77,7 @@ def filling_from_lengths(lengths, n):
     return filling_data(cusps, n)
 
 
-def _deficit_norms(profiles, n, w, grid_size, include_seminorms):
+def _deficit_norms(profiles, w, grid_size, include_seminorms):
     """The deficit norm of the metric of each profile, row s of one (S, G)
     stack at cusp s of w: see deficit_norm."""
     if not (isinstance(grid_size, (int, np.integer))
@@ -91,7 +91,7 @@ def _deficit_norms(profiles, n, w, grid_size, include_seminorms):
     grid = loggrid(np.maximum(tlo / 1.02, lo * (1.0 + 1e-9)),
                    np.minimum(thi * 1.02, hi * (1.0 - 1e-9)), grid_size)
     # the deficit diagonal has two distinct entries, rad (11 = 22) and tor
-    weighted = _cusp_weight(w, grid) * np.asarray(_stack_deficit(profiles, grid, n))
+    weighted = _cusp_weight(w, grid) * np.asarray(_stack_deficit(profiles, grid))
     norms = np.max(np.abs(weighted), axis=(0, 2))
     if include_seminorms:
         # first and second derivative proxies of the weighted deficit in
@@ -121,8 +121,11 @@ def deficit_norm(sol, w=None, grid_size=512, include_seminorms=True):
         raise InvalidWeight(
             f"weight covers {w.num_cusps} cusps, solution has {len(metrics)}"
         )
-    return float(np.max(_deficit_norms([m.profile for m in metrics], sol.n,
-                                       w, grid_size, include_seminorms)))
+    if any(m.n != w.n for m in metrics):
+        raise InvalidWeight(f"weight is built for n={w.n}, the solution's "
+                            f"metrics for n={[m.n for m in metrics]}")
+    return float(np.max(_deficit_norms([m.profile for m in metrics], w,
+                                       grid_size, include_seminorms)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def decay_scan(n, L_list, w=None, grid_size=512):
     radii = [L / beta1 for L in sizes]
     spec = WeightSpec(n=n, R=radii, delta=w)
     profiles = [make_glued_profile(R, n) for R in radii]
-    norms = _deficit_norms(profiles, int(n), spec, grid_size, True)
+    norms = _deficit_norms(profiles, spec, grid_size, True)
     slope, intercept, residual = fit_loglog(np.asarray(sizes), norms)
     return DecayScanResult(n=int(n), sizes=sizes, norms=tuple(norms.tolist()),
                            slope=slope, intercept=intercept, residual=residual)

@@ -181,12 +181,15 @@ def metric_deformation(n, grid):
 @dataclass(frozen=True, eq=False)
 class ODESystemL:
     """The assembled operator: radial coefficients plus zeroth-order data,
-    evaluated on demand as functions of r.  Each coefficient is its
-    constant in the cusp's Euler model plus a mass part taken from the
-    profile's frame data, which is zero on the cusp V = r^2."""
+    evaluated on demand as functions of r, in the profile's dimension n.
+    Each coefficient is its constant in the cusp's Euler model plus a mass
+    part from the profile's frame data, which is zero on the cusp V = r^2."""
 
-    n: int
     profile: object
+
+    @property
+    def n(self):
+        return self.profile.n
 
     def coefficients(self, r):
         """The (12, npts) table of COEFFICIENTS at the radii r, from one
@@ -237,7 +240,7 @@ class ODESystemL:
             Mjj = -2 kperp.
         """
         n = self.n
-        V, _, k12, k1p, kp, _, _ = self.profile.frame_data(r, n)
+        V, _, k12, k1p, kp, _, _ = self.profile.frame_data(r)
         if (V <= 0).any():
             raise SingularAtCore(
                 "profile vanishes on the grid; the zeroth-order terms divide by V"
@@ -261,7 +264,7 @@ def assemble_L_blackhole(metric):
     Accepts any FillingMetric; on the cusp profile V = r^2 the
     coefficients reduce to the exact Euler model (assemble_L_cusp).
     """
-    return ODESystemL(n=metric.n, profile=metric.profile)
+    return ODESystemL(metric.profile)
 
 
 def assemble_L_cusp(n):

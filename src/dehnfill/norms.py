@@ -31,7 +31,7 @@ from .errors import (
     OutOfDomain,
     TooFewSamples,
 )
-from .numutil import smoothstep
+from .numutil import _is_real, smoothstep
 from .profiles import closing_parameters
 
 __all__ = [
@@ -60,7 +60,7 @@ def default_delta(n):
 def default_core_scale(R, n):
     """Geometric mean of the core radius r_plus(m=1) and the filling size."""
     r_plus, _ = closing_parameters(1.0, n)
-    if not (math.isfinite(R) and R > r_plus):
+    if not (_is_real(R) and math.isfinite(R) and R > r_plus):
         raise InvalidWeight(f"filling size R={R} must be finite and above "
                             f"the core radius {r_plus}")
     return math.sqrt(r_plus * R)

@@ -15,9 +15,9 @@ them, the curvatures as -1 plus mass terms and the deficit from mu' and
 mu'' alone, so it is exactly zero wherever the mass is constant.
 
 The circle period and g_T fix a filled cusp's topology but enter no number
-computed here, so a FillingMetric is n and its profile alone: the period
-comes from closing_parameters (EinsteinSolveResult.beta after a solve),
-g_T of a cusp from lattice.quotient_generators.
+computed here, so a FillingMetric is a profile; every profile, the sampled
+one included, carries its n.  The period comes from closing_parameters
+(EinsteinSolveResult.beta after a solve), g_T from lattice.quotient_generators.
 
 The cutoff transition is placed on the proportional window
 [0.8 R, 0.9 R], which GluedProfile derives from R alone. A transition
@@ -99,12 +99,6 @@ def _check_dimension(n):
     return n
 
 
-def _check_own_dimension(profile, n):
-    if n != profile.n:
-        raise OutOfDomain(f"the {profile.variant} profile is built for "
-                          f"n={profile.n}, not n={n!r}")
-
-
 def fitted_mass(grid, values, n):
     """Least-squares mass of the closest black-hole profile.
 
@@ -166,7 +160,7 @@ class _Profile:
         p2 = (3 - n) * (2 - n) * r ** (1 - n)
         return 2.0 - 2.0 * (mu[2] * p + 2.0 * mu[1] * p1 + mu[0] * p2)
 
-    def frame_data(self, r, n):
+    def frame_data(self, r):
         """(V, V', k12, k1perp, kperp, rad, tor) at the radii r (an array).
 
         k = K + 1 are the mass terms of the frame sectional curvatures
@@ -189,7 +183,7 @@ class _Profile:
         so it is allowed with the ulp slack of eval_profile.
         """
         r = _check_in_domain(self, r)
-        _check_own_dimension(self, n)
+        n = self.n
         mu, mu1, mu2 = self._mass(r, 2)
         p, q, rad, tor = _deficit(r, n, mu1, mu2)
         u = 2.0 * mu * r ** (1 - n)
@@ -206,18 +200,17 @@ def _deficit(r, n, mu1, mu2):
     return p, q, mu2 * p + (4 - n) * mu1 * q, 2.0 * mu1 * q
 
 
-def _stack_deficit(profiles, r, n):
-    """rad and tor of frame_data on the (S, G) radii r, row s on profiles[s]:
-    at once with glued profiles' cutoffs as (S, 1) columns, row by row
-    through frame_data if any profile has no cutoff."""
+def _stack_deficit(profiles, r):
+    """rad and tor of frame_data on the (S, G) radii r, row s on profiles[s],
+    all of one dimension: at once with glued profiles' cutoffs as (S, 1)
+    columns, row by row through frame_data if any profile has no cutoff."""
     if any(p.transition is None for p in profiles):
-        return np.swapaxes([p.frame_data(row, n)[5:]
+        return np.swapaxes([p.frame_data(row)[5:]
                             for p, row in zip(profiles, r)], 0, 1)
     for p, row in zip(profiles, r):
         _check_in_domain(p, row)
-        _check_own_dimension(p, n)
     lo, hi = np.array([p.transition for p in profiles]).T[:, :, None]
-    return _deficit(r, n, *_cutoff_mass(r, lo, hi, 2)[1:])[2:]
+    return _deficit(r, profiles[0].n, *_cutoff_mass(r, lo, hi, 2)[1:])[2:]
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,7 @@ class CuspProfile(_Profile):
     def _mass(self, r, order):
         return (0.0,) * (order + 1)
 
-    def core(self, n):
+    def core(self):
         raise SingularAtCore("the cusp profile has no core to close")
 
 
@@ -248,6 +241,7 @@ class BlackHoleProfile(_Profile):
 
     def __post_init__(self):
         r_plus, _ = closing_parameters(self.m, self.n)
+        object.__setattr__(self, "m", float(self.m))
         if self.domain is None:
             object.__setattr__(self, "domain", (r_plus, _DEFAULT_RMAX))
 
@@ -260,8 +254,7 @@ class BlackHoleProfile(_Profile):
     def _mass(self, r, order):
         return (self.m,) + (0.0,) * order
 
-    def core(self, n):
-        _check_own_dimension(self, n)
+    def core(self):
         r_plus, beta = closing_parameters(self.m, self.n)
         return r_plus, beta, self.m
 
@@ -280,9 +273,11 @@ class GluedProfile(_Profile):
     def __post_init__(self):
         _check_dimension(self.n)
         r_plus = self.r_plus
-        if not (math.isfinite(self.R) and self.R > r_plus + 3.0):
-            raise RadiusTooSmall(f"gluing radius {self.R} must exceed "
+        if not (_is_real(self.R) and math.isfinite(self.R)
+                and self.R > r_plus + 3.0):
+            raise RadiusTooSmall(f"gluing radius {self.R!r} must exceed "
                                  f"r_+ + 3 = {r_plus + 3.0:.6f}")
+        object.__setattr__(self, "R", float(self.R))
         lo, hi = TRANSITION_LO * self.R, TRANSITION_HI * self.R
         # chi'' divides by the squared width; Python floats, so that an
         # overflow gives inf, not a warning or an OverflowError
@@ -307,9 +302,8 @@ class GluedProfile(_Profile):
     def _mass(self, r, order):
         return _cutoff_mass(r, *self.transition, order)
 
-    def core(self, n):
-        _check_own_dimension(self, n)
-        r_plus, beta = closing_parameters(1.0, n)
+    def core(self):
+        r_plus, beta = closing_parameters(1.0, self.n)
         return r_plus, beta, 1.0
 
 
@@ -320,9 +314,11 @@ class SampledProfile(_Profile):
 
     grid: np.ndarray
     values: np.ndarray
+    n: int
     domain: tuple = field(init=False)
 
     def __post_init__(self):
+        _check_dimension(self.n)
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.size < 9:
@@ -361,7 +357,7 @@ class SampledProfile(_Profile):
         Vx = d(1)
         return Vx / r if deriv_order == 1 else (d(2) - Vx) / (r * r)
 
-    def frame_data(self, r, n):
+    def frame_data(self, r):
         # the generic path: the curvatures from V, V', V'' and the deficit
         # through the cancellation of ric + (n-1) in floating point
         r = _check_in_domain(self, r)
@@ -370,17 +366,17 @@ class SampledProfile(_Profile):
         K12 = -0.5 * self._eval(r, 2)
         K1perp = -V1 / (2.0 * r)
         Kperp = -V / r**2
-        rad = K12 + (n - 2) * K1perp + (n - 1.0)
-        tor = 2.0 * K1perp + (n - 3) * Kperp + (n - 1.0)
+        rad = K12 + (self.n - 2) * K1perp + (self.n - 1.0)
+        tor = 2.0 * K1perp + (self.n - 3) * Kperp + (self.n - 1.0)
         return V, V1, K12 + 1.0, K1perp + 1.0, Kperp + 1.0, rad, tor
 
-    def core(self, n):
-        m_hat = fitted_mass(self.grid, self.values, n)
+    def core(self):
+        m_hat = fitted_mass(self.grid, self.values, self.n)
         if m_hat <= 0:
             raise NonPositiveProfile(
                 f"sampled profile fits a nonpositive mass {m_hat:.3g}"
             )
-        r_plus, beta = closing_parameters(m_hat, n)
+        r_plus, beta = closing_parameters(m_hat, self.n)
         return r_plus, beta, m_hat
 
 
@@ -416,7 +412,7 @@ def eval_profile(profile, r, deriv_order=0):
 
 def make_glued_profile(R, n):
     """Glued profile at gluing radius R, transition on [0.8 R, 0.9 R]."""
-    return GluedProfile(R=float(R), n=int(_check_dimension(n)))
+    return GluedProfile(R=R, n=n)
 
 
 # ----------------------------------------------------------------------
@@ -426,27 +422,25 @@ def make_glued_profile(R, n):
 
 @dataclass(frozen=True, eq=False)
 class FillingMetric:
-    """Cohomogeneity-one metric data: the dimension and the profile."""
+    """Cohomogeneity-one metric data: the profile, which carries n."""
 
-    n: int
     profile: object
 
-    def __post_init__(self):
-        _check_dimension(self.n)
+    @property
+    def n(self):
+        return self.profile.n
 
 
 def black_hole_metric(m, n):
     """Black-hole filling metric of mass m."""
-    n = int(_check_dimension(n))
-    return FillingMetric(n=n, profile=BlackHoleProfile(m=float(m), n=n))
+    return FillingMetric(BlackHoleProfile(m=m, n=n))
 
 
 def cusp_metric(n):
     """Exact hyperbolic cusp metric on the model end."""
-    return FillingMetric(n=n, profile=CuspProfile(n))
+    return FillingMetric(CuspProfile(n))
 
 
 def glued_metric(R, n):
     """Glued approximate-Einstein metric at gluing radius R."""
-    profile = make_glued_profile(R, n)
-    return FillingMetric(n=profile.n, profile=profile)
+    return FillingMetric(make_glued_profile(R, n))

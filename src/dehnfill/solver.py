@@ -102,9 +102,10 @@ def oscillation_closed_form(n, r_lo, r1, r2):
     the inner quadrature's lower limit through the outer integral.
     """
     _check_dimension(n)
-    if not all(0 < x < math.inf for x in (r_lo, r1, r2)):
+    if not all(_is_real(x) and 0 < x < math.inf for x in (r_lo, r1, r2)):
         raise OutOfDomain(f"radii must be finite and positive, got {r_lo}, "
                           f"{r1}, {r2}")
+    r_lo, r1, r2 = float(r_lo), float(r1), float(r2)
     try:
         C0 = r_lo ** (n - 1) * (r2 ** (1 - n) - r1 ** (1 - n)) / (n - 1)
     except OverflowError:
@@ -145,17 +146,17 @@ def oscillation_bound(rhs, phi, r1, r2, n):
     return bound, measured
 
 
-def einstein_residual(profile, n, grid=None):
-    """The two scalar Einstein equations of the warped-product ansatz.
+def einstein_residual(profile, grid=None):
+    """The two scalar Einstein equations of the warped-product ansatz, in
+    the profile's own dimension n.
 
     F1 = -V''/2 - (n-2)V'/(2r) + (n-1) is the (11)=(22) equation and
     F2 = -V'/r - (n-3)V/r^2 + (n-1) the torus one; they are linked by
     the Bianchi identity F1 = F2 + (r/2) F2'.  Returns the pair of grid
-    functions ((grid, F1), (grid, F2)).
+    functions ((grid, F1), (grid, F2)), grid None meaning sample_grid().
     """
-    _check_dimension(n)
     grid = profile.sample_grid() if grid is None else np.asarray(grid, dtype=float)
-    V, _, _, _, _, F1, F2 = profile.frame_data(grid, n)
+    V, _, _, _, _, F1, F2 = profile.frame_data(grid)
     if np.any(V < 0):
         raise NonPositiveProfile("profile is negative on the grid")
     return (grid, F1), (grid, F2)
@@ -205,7 +206,6 @@ class EinsteinSolveResult:
     when the solve converged and otherwise says why it stopped short."""
 
     profile: SampledProfile
-    n: int
     fitted_m: float
     r_plus: float
     beta: float
@@ -215,12 +215,16 @@ class EinsteinSolveResult:
     error: str | None
 
     @property
+    def n(self):
+        return self.profile.n
+
+    @property
     def converged(self):
         return self.error is None
 
     def to_dict(self):
         out = {
-            "n": self.n,
+            "n": int(self.n),
             "fitted_m": self.fitted_m,
             "r_plus": self.r_plus,
             "beta": self.beta,
@@ -457,8 +461,9 @@ def _newton_step(res, jac):
     return step
 
 
-def newton_solve(initial, n, cfg=None):
-    """Newton iteration, full steps only, for the exact Einstein profile.
+def newton_solve(initial, cfg=None):
+    """Newton iteration, full steps only, for the exact Einstein profile in
+    the initial profile's dimension n.
 
     Unknowns are the profile values on a log grid from the free core
     radius r_plus = exp(p) out to a fixed r_out, plus p itself.  The
@@ -475,7 +480,8 @@ def newton_solve(initial, n, cfg=None):
     a rejected step's error gives the residual kept and the full step's.
     """
     cfg = cfg or NewtonConfig()
-    r_plus0, beta, m_hat = initial.core(n)
+    n = initial.n
+    r_plus0, beta, m_hat = initial.core()
     r_out = cfg.r_out
     if r_out is None:
         # a profile with a finite outer end keeps it; others get 50 r_plus
@@ -501,14 +507,14 @@ def newton_solve(initial, n, cfg=None):
 
     def finish(iters, error=None):
         # r is the grid of the last accepted iterate (W, p)
-        prof = SampledProfile(grid=r, values=W)
+        prof = SampledProfile(grid=r, values=W, n=n)
         m_fit = fitted_mass(r, W, n)
         ratios = [history[k + 1] / history[k] ** 2
                   for k in range(max(0, len(history) - 4), len(history) - 1)
                   if history[k] > 0]
         qr = max(ratios) if ratios else 0.0
         return EinsteinSolveResult(
-            profile=prof, n=int(n), fitted_m=m_fit, r_plus=float(np.exp(p)),
+            profile=prof, fitted_m=m_fit, r_plus=float(np.exp(p)),
             beta=float(beta), residuals=tuple(history),
             iterations=iters, quadratic_ratio=qr, error=error,
         )

@@ -168,7 +168,7 @@ def test_criterion_6_newton_perturbation():
     ok = True
     for n in (4, 5):
         for R in (15.0, 50.0, 100.0):
-            res = newton_solve(make_glued_profile(R, n), n)
+            res = newton_solve(make_glued_profile(R, n))
             m_dev = abs(res.fitted_m - 1.0)
             rp_dev = abs(res.r_plus - 2.0 ** (1.0 / (n - 1)))
             good = (res.converged and res.residuals[-1] < 1e-10

@@ -321,7 +321,7 @@ def test_solve_unreachable_tol_exit_3(tmp_path, capsys):
     assert "error" in summary
     assert capsys.readouterr().err != ""
     # the files hold the returned best iterate: the header and N rows
-    result = newton_solve(make_glued_profile(15.0, 4), 4,
+    result = newton_solve(make_glued_profile(15.0, 4),
                           NewtonConfig(residual_tol=1e-30))
     assert summary == result.to_dict()
     assert len(report) == NewtonConfig.grid_size + 1
@@ -733,7 +733,7 @@ def scipy_modules():
 import dehnfill, dehnfill.cli
 assert scipy_modules() == [], scipy_modules()
 from dehnfill import eval_profile, make_glued_profile, newton_solve
-result = newton_solve(make_glued_profile(50.0, 4), 4)
+result = newton_solve(make_glued_profile(50.0, 4))
 assert result.converged, result.error
 # the banded solve loads scipy's LAPACK wrapper alone: neither scipy's nor
 # scipy.linalg's __init__ runs, nor the numpy modules the latter pulls in

@@ -139,8 +139,8 @@ def test_constant_mass_deficit_is_exactly_zero(n, m):
     r_plus, _ = closing_parameters(m, n)
     domain = (r_plus, 1e8)
     grid = loggrid(r_plus, 1e8, 2000)
-    for met in (FillingMetric(n, BlackHoleProfile(m, n, domain)),
-                FillingMetric(n, CuspProfile(n, domain))):
+    for met in (FillingMetric(BlackHoleProfile(m, n, domain)),
+                FillingMetric(CuspProfile(n, domain))):
         rep = ricci_and_deficit(met, grid)
         assert np.all(rep.deficit_diag == 0.0)
         assert np.all(rep.ric_diag == 1.0 - n)

@@ -146,6 +146,15 @@ def test_deficit_norm_validation():
     w = WeightSpec(n=4, R=(sol.metrics[0].profile.R,))
     with pytest.raises(InvalidWeight):
         deficit_norm(sol, w)
+    # a weight of another dimension: the n=5 weight read 2693.98 on this
+    # n=4 metric, whose own weight gives 1372.86
+    with pytest.raises(InvalidWeight, match="n=5"):
+        deficit_norm(glued_metric(50.0, 4), WeightSpec(n=5, R=(50.0,)))
+    # and a solution whose metrics are not of its filling's dimension
+    other = ApproximateSolution(filling=filling_from_lengths([30.0], 5),
+                                metrics=(met,))
+    with pytest.raises(InvalidWeight, match="n=5"):
+        deficit_norm(other)
 
 
 def test_decay_scan_slopes():
@@ -255,15 +264,15 @@ def test_stack_rows_are_each_profiles_loggrid_and_frame_data(monkeypatch,
     sizes = [40.0, 80.0, 160.0, 320.0, 565.5]
     seen = []
 
-    def spy(profiles, r, n):
-        out = original(profiles, r, n)
-        seen.append((profiles, r, n, out))
+    def spy(profiles, r):
+        out = original(profiles, r)
+        seen.append((profiles, r, out))
         return out
 
     original = gluing._stack_deficit
     monkeypatch.setattr(gluing, "_stack_deficit", spy)
     decay_scan(5, sizes, grid_size=grid_size)
-    [(profiles, grid, n, (rad, tor))] = seen
+    [(profiles, grid, (rad, tor))] = seen
     assert grid.shape == (len(sizes), grid_size)
     for s, profile in enumerate(profiles):
         lo, hi = profile.domain
@@ -271,7 +280,7 @@ def test_stack_rows_are_each_profiles_loggrid_and_frame_data(monkeypatch,
         row = loggrid(max(tlo / 1.02, lo * (1.0 + 1e-9)),
                       min(thi * 1.02, hi * (1.0 - 1e-9)), grid_size)
         assert np.array_equal(grid[s], row)
-        want = profile.frame_data(row, n)[5:]
+        want = profile.frame_data(row)[5:]
         assert np.array_equal(rad[s], want[0])
         assert np.array_equal(tor[s], want[1])
 

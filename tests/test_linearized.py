@@ -194,9 +194,8 @@ def test_coupling_row_sums():
         glued = glued_metric(25.0, n)
         r_plus = glued.profile.r_plus
         samples = loggrid(1.1 * r_plus, 24.9, 400)
-        sampled = profiles.FillingMetric(
-            n=n, profile=profiles.SampledProfile(
-                grid=samples, values=eval_profile(glued.profile, samples)))
+        sampled = profiles.FillingMetric(profiles.SampledProfile(
+            grid=samples, values=eval_profile(glued.profile, samples), n=n))
         # from near the core, then across the glued transition annulus
         r = np.concatenate([loggrid(1.2 * r_plus, 19.0, 11),
                             np.linspace(19.0, 24.0, 11)])
@@ -505,9 +504,9 @@ def test_compare_operators_evaluates_frame_data_once(monkeypatch):
     calls = []
     real = profiles._Profile.frame_data
 
-    def counting(profile, r, n):
+    def counting(profile, r):
         calls.append(profile)
-        return real(profile, r, n)
+        return real(profile, r)
 
     orders = []
     real_eval = profiles._Profile._eval
@@ -582,7 +581,7 @@ def test_compare_operators_matches_mass_part_on_every_column(n, N):
     grid = loggrid(5.0, 500.0, N)
     centers = np.geomspace(5.0 * math.exp(0.4), 500.0 * math.exp(-0.4), 12)
     h = bump_deformation(n, grid, centers)
-    sys = _MassPartL(n=n, profile=black_hole_metric(1.0, n).profile)
+    sys = _MassPartL(black_hole_metric(1.0, n).profile)
     want = np.abs(apply_L(sys, h).values).max(axis=1)
     diff = compare_operators(n, grid, centers).diff
     assert np.array_equal(diff == 0, want == 0)

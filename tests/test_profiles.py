@@ -17,6 +17,7 @@ from dehnfill.profiles import (
     GluedProfile,
     SampledProfile,
     _cutoff_mass,
+    black_hole_metric,
     closing_parameters,
     cusp_metric,
     eval_profile,
@@ -196,10 +197,10 @@ def test_make_glued_profile_too_small():
 def test_sampled_profile_validation():
     grid = np.linspace(1.0, 2.0, 8)
     with pytest.raises(OutOfDomain):
-        SampledProfile(grid=grid, values=grid**2)  # fewer than 9 points
+        SampledProfile(grid=grid, values=grid**2, n=4)  # fewer than 9 points
     grid = np.array([1.0, 2.0, 1.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
     with pytest.raises(OutOfDomain):
-        SampledProfile(grid=grid, values=grid**2)
+        SampledProfile(grid=grid, values=grid**2, n=4)
 
 
 def test_sampled_profile_rejects_non_positive_grid():
@@ -207,13 +208,13 @@ def test_sampled_profile_rejects_non_positive_grid():
     for lo in (0.0, -1.0):
         grid = np.linspace(lo, lo + 8.0, 9)
         with pytest.raises(OutOfDomain, match="positive"):
-            SampledProfile(grid=grid, values=grid**2)
+            SampledProfile(grid=grid, values=grid**2, n=4)
 
 
 def test_sampled_profile_between_nodes_matches_closed_form():
     bh = BlackHoleProfile(m=1.0, n=5)
     grid = np.geomspace(bh.r_plus, 50.0 * bh.r_plus, 256)
-    prof = SampledProfile(grid=grid, values=eval_profile(bh, grid, 0))
+    prof = SampledProfile(grid=grid, values=eval_profile(bh, grid, 0), n=5)
     r = np.geomspace(grid[0], grid[-1], 1001)
     for k in (0, 1, 2):
         want = eval_profile(bh, r, k)
@@ -246,12 +247,16 @@ _GRID = np.geomspace(1.0, 20.0, 16)
     (lambda: closing_parameters(math.inf, 4), InvalidMass),
     (lambda: closing_parameters(math.nan, 4), InvalidMass),
     (lambda: BlackHoleProfile(m=math.nan, n=4), InvalidMass),
-    (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2)),
-     OutOfDomain),
-    (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2),
-     OutOfDomain),
+    (lambda: black_hole_metric(True, 4), InvalidMass),
+    (lambda: make_glued_profile(True, 4), RadiusTooSmall),
+    (lambda: GluedProfile(R="50", n=4), RadiusTooSmall),
+    (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2),
+                            n=4), OutOfDomain),
+    (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2,
+                            n=4), OutOfDomain),
 ], ids=["closing-inf-mass", "closing-nan-mass", "blackhole-nan-mass",
-        "sampled-nan-values", "sampled-inf-grid"])
+        "blackhole-metric-mass-bool", "glued-helper-radius-bool",
+        "glued-radius-str", "sampled-nan-values", "sampled-inf-grid"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()

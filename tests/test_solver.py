@@ -23,7 +23,7 @@ from dehnfill.errors import (
 )
 from dehnfill.gluing import DecayScanResult
 from dehnfill.lattice import GeodesicClass
-from dehnfill.linearized import bump_deformation, compare_operators
+from dehnfill.linearized import ODESystemL, bump_deformation, compare_operators
 from dehnfill.norms import (WeightSpec, default_core_scale, default_delta,
                             phi_c, phi_c_raw)
 from dehnfill.numutil import diff_matrix, loggrid, stencil_weights
@@ -31,6 +31,7 @@ from dehnfill.profiles import (
     MAX_DIMENSION,
     BlackHoleProfile,
     CuspProfile,
+    FillingMetric,
     GluedProfile,
     SampledProfile,
     closing_parameters,
@@ -162,17 +163,17 @@ def test_oscillation_bound_validation():
 
 
 def test_einstein_residual_exact_profiles():
-    (_, F1), (_, F2) = einstein_residual(BlackHoleProfile(1.0, 4), 4)
+    (_, F1), (_, F2) = einstein_residual(BlackHoleProfile(1.0, 4))
     assert np.max(np.abs(F1)) < 1e-10
     assert np.max(np.abs(F2)) < 1e-10
-    (_, F1), (_, F2) = einstein_residual(CuspProfile(4), 4)
+    (_, F1), (_, F2) = einstein_residual(CuspProfile(4))
     assert np.max(np.abs(F1)) < 1e-12
     assert np.max(np.abs(F2)) < 1e-12
 
 
 def test_einstein_residual_glued_support():
     prof = make_glued_profile(50.0, 4)
-    (g1, F1), (_, F2) = einstein_residual(prof, 4)
+    (g1, F1), (_, F2) = einstein_residual(prof)
     nz = np.abs(F1) > 1e-13
     assert g1[nz][0] > 0.8 * 50.0 * 0.99
     assert g1[nz][-1] < 0.9 * 50.0 * 1.01
@@ -195,22 +196,28 @@ def test_einstein_residual_sampled_matches_closed_form():
         # V_x = r^2 (2g + g') and V_xx = r^2 (4g + 4g' + g'') in x = log r
         F1_exact = (-(4.0 * g + 4.0 * g1 + g2 + (n - 3) * (2.0 * g + g1)) / 2.0
                     + (n - 1))
-        (_, F1), _ = einstein_residual(SampledProfile(grid, grid**2 * g), n)
+        (_, F1), _ = einstein_residual(SampledProfile(grid, grid**2 * g, n))
         assert np.max(np.abs(F1 - F1_exact)) <= 1e-8
 
 
 def test_einstein_residual_checks_dimension():
-    prof = make_glued_profile(50.0, 4)
-    for n in (2, 4.0, MAX_DIMENSION + 1, 10**400):
+    # the residual is taken in the profile's own n, and a sampled profile,
+    # the one family built from plain arrays, checks the n it is given
+    grid = loggrid(2.0, 40.0, 64)
+    for n in (3, 4, 6):
+        V = grid**2 - 2.0 * grid ** (3 - n)
+        (_, F1), (_, F2) = einstein_residual(SampledProfile(grid, V, n))
+        assert max(np.max(np.abs(F1)), np.max(np.abs(F2))) < 1e-6
+    for n in (2, 4.0, True, MAX_DIMENSION + 1, 10**400):
         with pytest.raises(OutOfDomain):
-            einstein_residual(prof, n)
+            SampledProfile(grid, grid**2, n)
 
 
 def test_einstein_residual_rejects_negative():
     grid = np.linspace(1.0, 10.0, 100)
     V = grid**2 - 30.0
     with pytest.raises(NonPositiveProfile):
-        einstein_residual(SampledProfile(grid, V), 4)
+        einstein_residual(SampledProfile(grid, V, 4))
 
 
 def test_fitted_mass_exact():
@@ -221,7 +228,7 @@ def test_fitted_mass_exact():
 
 
 def test_newton_blackhole_already_converged():
-    res = newton_solve(BlackHoleProfile(2.0, 5), 5)
+    res = newton_solve(BlackHoleProfile(2.0, 5))
     assert isinstance(res, EinsteinSolveResult)
     assert res.converged
     assert res.iterations == 0
@@ -236,7 +243,7 @@ def test_newton_from_exact_blackhole_at_any_mass(m, n):
     # fit's regressor is scaled by the grid's first radius, so that it
     # neither overflows nor underflows at n >= 6
     prof = BlackHoleProfile(m, n)
-    res = newton_solve(prof, n)
+    res = newton_solve(prof)
     assert res.converged
     assert res.fitted_m == pytest.approx(m, rel=1e-6)
     assert res.r_plus == pytest.approx(prof.r_plus, rel=1e-6)
@@ -244,7 +251,7 @@ def test_newton_from_exact_blackhole_at_any_mass(m, n):
 
 def test_newton_from_glued_recovers_blackhole():
     n = 4
-    res = newton_solve(make_glued_profile(50.0, n), n)
+    res = newton_solve(make_glued_profile(50.0, n))
     assert res.converged
     assert res.iterations <= 8
     assert res.residuals[-1] < 1e-10
@@ -261,7 +268,7 @@ def test_newton_from_glued_recovers_blackhole():
 
 
 def test_newton_glued_n5_iteration_budget():
-    res = newton_solve(make_glued_profile(15.0, 5), 5)
+    res = newton_solve(make_glued_profile(15.0, 5))
     assert res.converged
     assert res.iterations <= 8
     assert res.quadratic_ratio < 1.0
@@ -269,7 +276,7 @@ def test_newton_glued_n5_iteration_budget():
 
 
 def test_newton_result_serializes():
-    res = newton_solve(BlackHoleProfile(1.0, 4), 4)
+    res = newton_solve(BlackHoleProfile(1.0, 4))
     d = res.to_dict()
     assert d["converged"] is True
     assert "error" not in d
@@ -281,7 +288,7 @@ def test_newton_max_iters_carries_result():
     # no solve reaches 1e-30, so one step always stops at max_iters (1e-12
     # can be reached in one step on some BLAS kernels)
     cfg = NewtonConfig(max_iters=1, residual_tol=1e-30)
-    res = newton_solve(make_glued_profile(50.0, 4), 4, cfg=cfg)
+    res = newton_solve(make_glued_profile(50.0, 4), cfg=cfg)
     assert res.converged is False
     assert res.error.endswith("above tol 1.0e-30 after 1 iterations")
     assert res.to_dict()["error"] == res.error
@@ -294,14 +301,14 @@ def test_newton_unreachable_tolerance():
     # rejected full step (it no longer cuts the residual by a quarter) or
     # at the iteration cap, and the solve returns its best profile
     cfg = NewtonConfig(residual_tol=1e-30)
-    res = newton_solve(make_glued_profile(15.0, 4), 4, cfg=cfg)
+    res = newton_solve(make_glued_profile(15.0, 4), cfg=cfg)
     assert not res.converged
     assert res.error.startswith(("no acceptable step", "residual "))
     assert res.residuals[-1] < 1e-9
     assert res.fitted_m == pytest.approx(1.0, abs=1e-5)
     # at N=2048 the default tolerance sits below the floor, and the first
     # step lands on it; the residual in the message depends on the kernel
-    res = newton_solve(make_glued_profile(50.0, 4), 4,
+    res = newton_solve(make_glued_profile(50.0, 4),
                        NewtonConfig(grid_size=2048))
     assert res.converged is False
     assert res.error.startswith("no acceptable step at iteration 1 ")
@@ -313,12 +320,12 @@ def test_newton_unreachable_tolerance():
 def test_solved_profile_satisfies_einstein_equations(n, N):
     # the returned profile is evaluated by the solver's own 9-node log-grid
     # stencils, so it solves the equations at the nodes and between them
-    res = newton_solve(make_glued_profile(50.0, n), n,
+    res = newton_solve(make_glued_profile(50.0, n),
                        NewtonConfig(grid_size=N))
     assert res.converged, res.error
     prof = res.profile
     for grid in (None, np.geomspace(prof.grid[0], prof.grid[-1], 3000)):
-        (_, F1), (_, F2) = einstein_residual(prof, n, grid)
+        (_, F1), (_, F2) = einstein_residual(prof, grid)
         assert np.max(np.abs(F1)) <= 1e-8
         assert np.max(np.abs(F2)) <= 1e-8
 
@@ -328,23 +335,39 @@ def test_solved_profile_satisfies_einstein_equations(n, N):
 def test_solved_profile_vanishes_exactly_at_the_core(n, R):
     # row 0 of the system is W[0] = 0; a step that met it only to rounding
     # left about -2.6e-22 there, which the V < 0 check rejects
-    res = newton_solve(make_glued_profile(R, n), n)
+    res = newton_solve(make_glued_profile(R, n))
     assert res.converged, res.error
     assert res.profile.values[0] == 0.0
-    einstein_residual(res.profile, n)
+    einstein_residual(res.profile)
 
 
-def test_newton_rejects_profile_of_another_dimension():
-    # the n=4 black hole used to "converge" at n=5 to m = 0.399
-    with pytest.raises(OutOfDomain, match="built for n=4"):
-        newton_solve(BlackHoleProfile(1.0, 4), 5)
-    with pytest.raises(OutOfDomain, match="built for n=4"):
-        newton_solve(make_glued_profile(50.0, 4), 5)
+def test_newton_solves_in_the_dimension_of_its_start():
+    # n comes from the start alone: given a second n, the n=4 black hole
+    # once "converged" at n=5 to m = 0.399
+    for start in (BlackHoleProfile(1.0, 4), make_glued_profile(50.0, 4)):
+        res = newton_solve(start)
+        assert res.converged, res.error
+        assert res.n == res.profile.n == 4
+        assert res.to_dict()["n"] == 4
+        assert res.fitted_m == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, R", [(4, 50.0), (5, 100.0), (6, 30.0)])
+def test_newton_restarts_from_its_solved_profile(n, R):
+    # a sampled profile carries its own n, so a solve restarts from the last
+    # one's profile alone and lands on the same black hole
+    first = newton_solve(make_glued_profile(R, n))
+    again = newton_solve(first.profile)
+    assert first.converged and again.converged, (first.error, again.error)
+    assert again.n == n
+    assert again.fitted_m == pytest.approx(first.fitted_m, abs=1e-7)
+    p = first.profile
+    assert FillingMetric(p).n == ODESystemL(p).n == first.n == p.n == n
 
 
 def test_newton_rejects_cusp_start():
     with pytest.raises(SingularAtCore):
-        newton_solve(CuspProfile(4), 4)
+        newton_solve(CuspProfile(4))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -413,7 +436,7 @@ def _dense_jacobian(jac):
 def _glued_points(n, N):
     """The glued start and a perturbed (W, p), with what the solver needs."""
     prof = make_glued_profile(15.0, n)
-    r_plus, beta, m_hat = prof.core(n)
+    r_plus, beta, m_hat = prof.core()
     p0, x_hi = math.log(r_plus), math.log(50.0 * r_plus)
     W0 = solver._initial_values(prof, np.exp(np.linspace(p0, x_hi, N)),
                                 m_hat, n)
@@ -593,7 +616,7 @@ def test_singular_jacobian_returns_unconverged_result(monkeypatch, zeroed):
         return res, zeroed_jacobian
 
     monkeypatch.setattr(solver, "_residual", singular)
-    res = newton_solve(make_glued_profile(50.0, 4), 4,
+    res = newton_solve(make_glued_profile(50.0, 4),
                        cfg=NewtonConfig(grid_size=64))
     assert res.converged is False
     assert res.error.startswith("singular Jacobian: ")
@@ -605,7 +628,7 @@ def test_singular_jacobian_returns_unconverged_result(monkeypatch, zeroed):
 def test_newton_converges_at_grid_size_1024(n):
     # the glued start used to stall on the rounding floor just above the
     # default tolerance here (5.3e-11 > 5e-11)
-    res = newton_solve(make_glued_profile(50.0, n), n,
+    res = newton_solve(make_glued_profile(50.0, n),
                        NewtonConfig(grid_size=1024))
     assert res.converged
     assert res.residuals[-1] < NewtonConfig().residual_tol
@@ -615,7 +638,7 @@ def test_newton_converges_at_grid_size_1024(n):
 @pytest.mark.parametrize("n", [4, 5])
 def test_newton_quadratic_ratio_at_grid_size_512(n, R):
     # a second step taken at the rounding floor made this ratio ~1e9
-    res = newton_solve(make_glued_profile(R, n), n,
+    res = newton_solve(make_glued_profile(R, n),
                        NewtonConfig(grid_size=512))
     assert res.converged
     assert res.quadratic_ratio < 1.0
@@ -634,7 +657,7 @@ def test_newton_builds_stencils_once_per_grid_size(monkeypatch):
     for N in (64, 64, 128):
         before = len(calls)
         cfg = NewtonConfig(grid_size=N, max_iters=60)
-        res = newton_solve(make_glued_profile(50.0, 4), 4, cfg=cfg)
+        res = newton_solve(make_glued_profile(50.0, 4), cfg=cfg)
         assert res.converged
         made.append(len(calls) - before)
     # the first solve at a size builds the two templates, later ones reuse
@@ -676,8 +699,8 @@ def _solve_events(monkeypatch, *args):
 def test_newton_cold_and_warm_stencils_agree(monkeypatch, n, N):
     start, cfg = make_glued_profile(50.0, n), NewtonConfig(grid_size=N)
     solver._unit_stencils.cache_clear()
-    cold, log = _solve_events(monkeypatch, start, n, cfg)
-    warm = newton_solve(start, n, cfg)
+    cold, log = _solve_events(monkeypatch, start, cfg)
+    warm = newton_solve(start, cfg)
     assert cold.converged and warm.converged
     assert warm.residuals == cold.residuals
     assert np.array_equal(warm.profile.values, cold.profile.values)
@@ -700,7 +723,7 @@ def test_newton_evaluates_each_iterate_once(monkeypatch, R, n, N):
     # solves that stop short on a rejected full step: every iterate, the
     # rejected one included, is evaluated once, and the rejected one
     # builds no Jacobian
-    result, log = _solve_events(monkeypatch, make_glued_profile(R, n), n,
+    result, log = _solve_events(monkeypatch, make_glued_profile(R, n),
                                 NewtonConfig(grid_size=N))
     assert not result.converged
     assert result.error.startswith("no acceptable step at iteration ")
@@ -716,7 +739,7 @@ def test_newton_stalled_glued_start_stops_short(n, R, N):
     # residual by a quarter, and damped steps from them reach a small
     # residual with a fitted mass up to 0.12 away from 1, so the solve
     # must stop short on its start rather than report converged
-    result = newton_solve(make_glued_profile(R, n), n,
+    result = newton_solve(make_glued_profile(R, n),
                           NewtonConfig(grid_size=N))
     assert result.converged is False
     assert result.iterations == 0
@@ -818,6 +841,9 @@ def _with_nan(a, i=10):
     (lambda: default_delta(4.5), InvalidWeight),
     (lambda: default_core_scale(math.nan, 4), InvalidWeight),
     (lambda: default_core_scale(math.inf, 4), InvalidWeight),
+    (lambda: default_core_scale("1", 4), InvalidWeight),
+    (lambda: oscillation_closed_form(4, np.float64(1e300), 2.0, 3.0),
+     OutOfDomain),
 ], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
         "phi-c-r-nan",
         "bump-center-nan", "compare-center-nan", "oscillation-r-lo-nan",
@@ -828,7 +854,8 @@ def _with_nan(a, i=10):
         "oscillation-r-lo-overflow", "closing-mass-bool", "closing-mass-str",
         "blackhole-mass-bool", "budget-lambda-str", "budget-epsilon-bool",
         "delta-n-nan", "delta-n-inf", "delta-n-fraction", "core-scale-r-nan",
-        "core-scale-r-inf"])
+        "core-scale-r-inf", "core-scale-r-str",
+        "oscillation-r-lo-numpy-overflow"])
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
         call()
@@ -838,7 +865,7 @@ def test_public_functions_reject_non_finite(call, error):
 def test_newton_rejects_r_out_whose_square_overflows(r_out):
     # the residual divides by r**2; this used to warn and then fail later
     with pytest.raises(OutOfDomain, match=r"r_out\*\*2 overflows"):
-        newton_solve(make_glued_profile(50.0, 4), 4, NewtonConfig(r_out=r_out))
+        newton_solve(make_glued_profile(50.0, 4), NewtonConfig(r_out=r_out))
 
 
 # Runs dgbsv on the systems saved in argv[1] and saves (lub, piv, x, info)
