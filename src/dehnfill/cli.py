@@ -15,9 +15,9 @@ non-convergence: a solve that stops short returns its best iterate,
 which is written as usual, with the reason as summary.json's "error".
 Exit 2 also covers a --config file that cannot be read (a directory,
 say), is not JSON or does not hold a JSON object, a config value of the
-wrong JSON type, a --cusp that is not an object with a basis and a sigma
-list, and an --out-dir that cannot be created or written (an existing
-file, a path under a file).
+wrong JSON type or an integer too large for a float, a --cusp that is
+not an object with a basis and a sigma list, and an --out-dir that
+cannot be created or written (an existing file, a path under a file).
 
 main hands a named command's arguments to that command's own parser;
 the top-level parser sees only what names no command (no arguments, -h,
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -38,18 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .curvature import ricci_and_deficit
+# the command modules are used through the package's lazy placeholders,
+# so a command runs only the modules it calls
+from . import __version__, curvature, gluing, lattice, linearized
 from .errors import DehnFillError
-from .gluing import decay_scan
-from .lattice import FlatLattice, GeodesicClass, filling_data
-from .linearized import (
-    COEFFICIENTS,
-    assemble_L_blackhole,
-    compare_operators,
-    indicial_roots,
-)
-from .numutil import _is_real, csv_lines, loggrid
+from .numutil import _is_finite_real, _is_real, csv_lines, loggrid
 from .profiles import (
     BlackHoleProfile,
     _check_dimension,
@@ -109,6 +101,8 @@ def _parse_sizes(value):
     if isinstance(value, (list, tuple)):
         if not all(_is_real(v) or isinstance(v, str) for v in value):
             raise DehnFillError(f"sizes must be numbers, got {value!r}")
+        for v in value:
+            _check_fits_float("sizes", v)
         return [float(v) for v in value]
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
 
@@ -118,6 +112,14 @@ def _metric(cfg, n):
     if not (isinstance(name, str) and name in PROFILES):
         raise DehnFillError(f"unknown profile {name!r}")
     return PROFILES[name](cfg, n)
+
+
+def _check_fits_float(key, value):
+    """Reject an int too large for a float, where float() would raise
+    OverflowError."""
+    if isinstance(value, int) and not _is_finite_real(value):
+        raise DehnFillError(f"{key} is an integer too large for a float "
+                            f"({len(str(value))} digits)")
 
 
 def _integer(key, value):
@@ -132,9 +134,9 @@ def _integer(key, value):
 def _resolve(args, config, defaults):
     """Flags override config-file values override defaults; the integer
     settings and n are checked, and so are the types of the float
-    settings (a number or a string, or None where that is the default),
-    of scan's delta (a number, a string or None) and of out_dir (a
-    string)."""
+    settings (a number or a string, or None where that is the default; an
+    int must fit in a float), of scan's delta (a number, a string or
+    None; the same) and of out_dir (a string)."""
     resolved = dict(defaults)
     for key, default in defaults.items():
         if key in config:
@@ -152,6 +154,7 @@ def _resolve(args, config, defaults):
                     or value is None and nullable):
                 raise DehnFillError(
                     f"{key} must be a number or a string, got {value!r}")
+            _check_fits_float(key, value)
     if not isinstance(resolved["out_dir"], str):
         raise DehnFillError(
             f"out_dir must be a string, got {resolved['out_dir']!r}")
@@ -196,7 +199,7 @@ def _write_outputs(command, cfg, csv_header, csv_rows, summary, input_hashes):
 def cmd_curvature(cfg):
     n = cfg["n"]
     grid = _parse_grid(cfg["grid"])
-    rep = ricci_and_deficit(_metric(cfg, n), grid)
+    rep = curvature.ricci_and_deficit(_metric(cfg, n), grid)
     summary = {
         "n": n,
         "profile": cfg["profile"],
@@ -213,7 +216,7 @@ def cmd_scan(cfg):
     n = cfg["n"]
     sizes = _parse_sizes(cfg["sizes"])
     delta = None if cfg["delta"] in (None, "auto") else float(cfg["delta"])
-    result = decay_scan(n, sizes, w=delta, grid_size=cfg["grid_size"])
+    result = gluing.decay_scan(n, sizes, w=delta, grid_size=cfg["grid_size"])
     cfg["delta"] = "auto" if delta is None else delta
     cfg["sizes"] = list(result.sizes)
     summary = {"n": n, "slope": result.slope, "intercept": result.intercept,
@@ -225,7 +228,7 @@ def cmd_scan(cfg):
 
 def cmd_linearize(cfg):
     n = cfg["n"]
-    sys_l = assemble_L_blackhole(_metric(cfg, n))
+    sys_l = linearized.assemble_L_blackhole(_metric(cfg, n))
     if cfg["grid"] is None:
         r_plus = sys_l.profile.r_plus
         if r_plus is None:
@@ -235,14 +238,14 @@ def cmd_linearize(cfg):
             cfg["grid"] = f"{1.05 * r_plus:.6g}:{hi:.6g}:64"
     grid = _parse_grid(cfg["grid"])
     C = sys_l.coefficients(grid)
-    header = ",".join(("r", *COEFFICIENTS, "Mjk"))
+    header = ",".join(("r", *linearized.COEFFICIENTS, "Mjk"))
     # Mjk = Mjj; below n=5 there is no second torus direction, and the
     # zero keeps Mjj's sign
     rows = csv_lines(grid, *C, C[-1] if n >= 5 else C[-1] * 0.0)
     summary = {
         "n": n,
         "profile": cfg["profile"],
-        "indicial_roots": {lbl: list(indicial_roots(lbl, n))
+        "indicial_roots": {lbl: list(linearized.indicial_roots(lbl, n))
                            for lbl in INDICIAL_LABELS},
     }
     return header, rows, summary, f"linearize: {grid.size} coefficient rows"
@@ -251,7 +254,7 @@ def cmd_linearize(cfg):
 def cmd_indicial(cfg):
     n = cfg["n"]
     labels = INDICIAL_LABELS if cfg["block"] == "all" else (cfg["block"],)
-    roots = {lbl: list(indicial_roots(lbl, n)) for lbl in labels}
+    roots = {lbl: list(linearized.indicial_roots(lbl, n)) for lbl in labels}
     rows = [",".join([lbl, *csv_lines(rr)]) for lbl, rr in roots.items()]
     message = "\n".join(f"indicial {lbl} (n={n}): "
                         f"{tuple(round(x, 7) for x in rr)}"
@@ -284,8 +287,9 @@ def cmd_compare(cfg):
     centers = loggrid(lo * np.exp(width), hi * np.exp(-width),
                       cfg["num_centers"])
     grid = loggrid(lo, hi, cfg["grid_size"])
-    comp = compare_operators(n, grid, centers, width=width, r_window=(lo, hi),
-                             m=float(cfg["m"]), bins=cfg["num_centers"])
+    comp = linearized.compare_operators(
+        n, grid, centers, width=width, r_window=(lo, hi), m=float(cfg["m"]),
+        bins=cfg["num_centers"])
     kept = comp.bin_max > 0
     # a NaN or infinite fit would not even be valid JSON in summary.json
     if not all(map(math.isfinite, (comp.slope, comp.intercept, comp.residual))):
@@ -345,12 +349,12 @@ def cmd_lattice(cfg):
             raise DehnFillError(
                 f"cusp {k}'s sigma must be a list, got {d['sigma']!r}")
         parsed.append(d)
-        lat = FlatLattice(np.asarray(d["basis"], dtype=float))
-        sig = GeodesicClass(tuple(d["sigma"]))
+        lat = lattice.FlatLattice(np.asarray(d["basis"], dtype=float))
+        sig = lattice.GeodesicClass(tuple(d["sigma"]))
         sig.check_primitive(strict=False)
         cusps.append((lat, sig))
     cfg["cusp"] = parsed
-    data = filling_data(cusps, n)
+    data = lattice.filling_data(cusps, n)
     rows = [f"{i},{line}" for i, line in
             enumerate(csv_lines(data.lengths, data.radii))]
     summary = {
@@ -460,10 +464,15 @@ def main(argv=None):
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        # only here: importing hashlib loads OpenSSL's libcrypto
+        import hashlib
+
         input_hashes["config"] = hashlib.sha256(blob).hexdigest()
         try:
             config = json.loads(blob)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer of more digits than int()
+            # converts
             print(f"error: bad config JSON: {exc}", file=sys.stderr)
             return 2
         if not isinstance(config, dict):

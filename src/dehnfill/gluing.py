@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWeight, ScanMissing, TooFewSamples
+from .errors import InvalidWeight, OutOfDomain, ScanMissing, TooFewSamples
 from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
 from .numutil import fit_loglog, loggrid
@@ -40,6 +40,14 @@ class ApproximateSolution:
 
     filling: DehnFillingData
     metrics: tuple
+
+    def __post_init__(self):
+        if (len(self.metrics) != len(self.filling.radii)
+                or any(m.n != self.n for m in self.metrics)):
+            raise OutOfDomain(
+                f"a filling of {len(self.filling.radii)} cusps at "
+                f"n={self.n} needs one metric of that n per cusp, got n="
+                f"{[m.n for m in self.metrics]}")
 
     @property
     def n(self):

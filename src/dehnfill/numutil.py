@@ -3,6 +3,7 @@ arbitrary grids (Fornberg's algorithm), differentiation matrices, log-log
 slope fits, the C-infinity transition bump and the CSV number format.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -13,6 +14,15 @@ from .errors import GridTooCoarse, OutOfDomain
 def _is_real(x):
     """A real number that is not a bool, which numbers.Real admits as 0/1."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_finite_real(x):
+    """A real number, not a bool, whose float is finite; an int too large
+    for a float is not one."""
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def fornberg_weights(x0, xs, m):

@@ -43,7 +43,7 @@ from .errors import (
     RadiusTooSmall,
     SingularAtCore,
 )
-from .numutil import _is_real, _smoothstep, loggrid, stencil_weights
+from .numutil import _is_finite_real, _smoothstep, loggrid, stencil_weights
 
 __all__ = [
     "CuspProfile",
@@ -82,7 +82,7 @@ def closing_parameters(m, n):
 
     Returns (r_plus, beta). Raises InvalidMass unless m is finite and positive.
     """
-    if not (_is_real(m) and math.isfinite(m) and m > 0):
+    if not (_is_finite_real(m) and m > 0):
         raise InvalidMass(f"mass must be positive and finite, got {m}")
     _check_dimension(n)
     r_plus = (2.0 * m) ** (1.0 / (n - 1))
@@ -273,8 +273,7 @@ class GluedProfile(_Profile):
     def __post_init__(self):
         _check_dimension(self.n)
         r_plus = self.r_plus
-        if not (_is_real(self.R) and math.isfinite(self.R)
-                and self.R > r_plus + 3.0):
+        if not (_is_finite_real(self.R) and self.R > r_plus + 3.0):
             raise RadiusTooSmall(f"gluing radius {self.R!r} must exceed "
                                  f"r_+ + 3 = {r_plus + 3.0:.6f}")
         object.__setattr__(self, "R", float(self.R))

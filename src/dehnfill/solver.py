@@ -31,8 +31,7 @@ from .errors import (
     ScanMissing,
     TooFewSamples,
 )
-from .gluing import DecayScanResult
-from .numutil import _is_real, _window_starts, cumtrapz0, diff_matrix
+from .numutil import _is_finite_real, _window_starts, cumtrapz0, diff_matrix
 from .profiles import (SampledProfile, _check_dimension, eval_profile,
                        fitted_mass)
 
@@ -102,7 +101,7 @@ def oscillation_closed_form(n, r_lo, r1, r2):
     the inner quadrature's lower limit through the outer integral.
     """
     _check_dimension(n)
-    if not all(_is_real(x) and 0 < x < math.inf for x in (r_lo, r1, r2)):
+    if not all(_is_finite_real(x) and x > 0 for x in (r_lo, r1, r2)):
         raise OutOfDomain(f"radii must be finite and positive, got {r_lo}, "
                           f"{r1}, {r2}")
     r_lo, r1, r2 = float(r_lo), float(r1), float(r2)
@@ -185,8 +184,7 @@ class NewtonConfig:
                 and self.max_iters >= 1):
             raise OutOfDomain(
                 f"max_iters must be an integer >= 1, got {self.max_iters}")
-        if not (_is_real(self.residual_tol)
-                and math.isfinite(self.residual_tol) and self.residual_tol > 0):
+        if not (_is_finite_real(self.residual_tol) and self.residual_tol > 0):
             raise OutOfDomain("residual_tol must be a finite positive real, "
                               f"got {self.residual_tol!r}")
         if not (isinstance(self.grid_size, numbers.Integral)
@@ -194,8 +192,7 @@ class NewtonConfig:
             raise GridTooCoarse(
                 f"grid_size must be an integer >= 64, got {self.grid_size}")
         if self.r_out is not None and not (
-                _is_real(self.r_out)
-                and math.isfinite(self.r_out) and self.r_out > 0):
+                _is_finite_real(self.r_out) and self.r_out > 0):
             raise OutOfDomain("r_out must be a finite positive real, "
                               f"got {self.r_out!r}")
 
@@ -566,10 +563,13 @@ def perturbation_budget(scan, Lambda, epsilon):
     When the largest scanned size is already below the threshold it is
     returned as-is.
     """
+    # imported here: the solver needs gluing, and through it lattice and
+    # norms, only for this check
+    from .gluing import DecayScanResult
+
     if not isinstance(scan, DecayScanResult) or len(scan.sizes) == 0:
         raise ScanMissing("perturbation_budget needs a completed decay scan")
-    if not (_is_real(Lambda) and _is_real(epsilon)
-            and math.isfinite(Lambda) and math.isfinite(epsilon)
+    if not (_is_finite_real(Lambda) and _is_finite_real(epsilon)
             and Lambda > 0 and epsilon > 0):
         raise OutOfDomain("Lambda and epsilon must be finite and positive")
     if not (scan.slope < 0):

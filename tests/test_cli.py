@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -550,7 +551,8 @@ def test_config_file_with_flag_override(tmp_path):
     # the flag beats the file; the file provided everything else
     assert summary["n"] == 4
     assert manifest["config"]["sizes"] == [40.0, 80.0, 160.0, 320.0, 640.0]
-    assert "config" in manifest["input_hashes"]
+    assert manifest["input_hashes"]["config"] == hashlib.sha256(
+        cfg_path.read_bytes()).hexdigest()
 
 
 def test_missing_config_exit_2(tmp_path, capsys):
@@ -686,6 +688,47 @@ def test_config_wrong_json_type_exit_2(tmp_path, monkeypatch, capsys, command,
     assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
 
+_HUGE = 10**400
+# (command, config, the setting named in the error)
+_TOO_LARGE = [
+    ("curvature", {"m": _HUGE}, "m"),
+    ("solve", {"from_glued": _HUGE}, "from_glued"),
+    ("solve", {"from_blackhole": _HUGE}, "from_blackhole"),
+    ("solve", {"from_glued": 50, "r_out": _HUGE}, "r_out"),
+    ("scan", {"delta": _HUGE}, "delta"),
+    ("scan", {"sizes": [40, 80, 160, 320, _HUGE]}, "sizes"),
+    ("compare", {"width": _HUGE}, "width"),
+    ("linearize", {"profile": "glued", "R": _HUGE}, "R"),
+]
+
+
+@pytest.mark.parametrize("command, config, key", _TOO_LARGE,
+                         ids=[f"{c}-{k}" for c, _, k in _TOO_LARGE])
+def test_config_int_too_large_for_a_float_exit_2(tmp_path, capsys, command,
+                                                config, key):
+    # each used to exit 1 with "OverflowError: int too large to convert to
+    # float"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg_path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{key} is an integer too large for a float (401 digits)" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_int_of_too_many_digits_exit_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # int of more digits than int() converts, which used to exit 1
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"m": ' + "1" * 5000 + "}")
+    rc = main(["curvature", "--config", str(cfg_path),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "bad config JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, config", [
     ("scan", {"delta": None, "grid_size": 256}),
     ("solve", {"from_blackhole": None, "r_out": None, "tol": "1e-10"}),
@@ -751,6 +794,44 @@ def test_import_loads_scipy_only_where_used(tmp_path):
     proc = _fresh_python(["-c", _IMPORT_CHECK], tmp_path)
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr
+
+
+# which dehnfill modules a cold solve ran, and whether it loaded OpenSSL
+# (hashlib's _hashlib), which only --config's hash needs; -X importtime
+# does not log a module that the package's lazy loader runs
+_COLD_SOLVE = """
+import json, sys, types
+from dehnfill.cli import main
+rc = main(["solve", "--n", "4", "--from-glued", "50", "--grid-size", "64",
+           *sys.argv[1:]])
+ours = {name: type(module) is types.ModuleType
+        for name, module in sys.modules.items()
+        if name.startswith("dehnfill")}
+print(json.dumps({"rc": rc, "hashlib": "_hashlib" in sys.modules,
+                  "ran": sorted(name for name in ours if ours[name]),
+                  "lazy": sorted(name for name in ours if not ours[name])}))
+"""
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+def test_cold_solve_runs_only_the_modules_it_uses(tmp_path, config):
+    argv = ["--out-dir", "out"]
+    if config:
+        (tmp_path / "run.json").write_text("{}")
+        argv += ["--config", "run.json"]
+    proc = _fresh_python(["-c", _COLD_SOLVE, *argv], tmp_path)
+    stdout, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0, stderr
+    result = json.loads(stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["hashlib"] is config
+    assert result["ran"] == ["dehnfill", "dehnfill.cli", "dehnfill.errors",
+                             "dehnfill.numutil", "dehnfill.profiles",
+                             "dehnfill.solver"]
+    # unrun, but in sys.modules, where a tracer looks the modules up
+    assert result["lazy"] == ["dehnfill.curvature", "dehnfill.gluing",
+                              "dehnfill.lattice", "dehnfill.linearized",
+                              "dehnfill.norms"]
 
 
 # A solve whose direct load of scipy.linalg._flapack fails: the finder

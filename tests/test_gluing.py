@@ -5,6 +5,7 @@ from dehnfill import gluing
 from dehnfill.curvature import cutoff_deficit_diag, ricci_and_deficit
 from dehnfill.errors import (
     InvalidWeight,
+    OutOfDomain,
     RadiusTooSmall,
     ScanMissing,
     TooFewSamples,
@@ -150,11 +151,21 @@ def test_deficit_norm_validation():
     # n=4 metric, whose own weight gives 1372.86
     with pytest.raises(InvalidWeight, match="n=5"):
         deficit_norm(glued_metric(50.0, 4), WeightSpec(n=5, R=(50.0,)))
-    # and a solution whose metrics are not of its filling's dimension
-    other = ApproximateSolution(filling=filling_from_lengths([30.0], 5),
-                                metrics=(met,))
-    with pytest.raises(InvalidWeight, match="n=5"):
-        deficit_norm(other)
+    # a solution whose metrics are not of its filling's dimension is
+    # refused when it is built: see test_solution_metrics_match_filling
+
+
+@pytest.mark.parametrize("lengths, metrics", [
+    ([30.0], (glued_metric(30.0, 4),)),
+    ([30.0, 40.0], (glued_metric(30.0, 5),)),
+    ([30.0], (glued_metric(30.0, 5), glued_metric(40.0, 5))),
+    ([30.0, 40.0], (glued_metric(30.0, 5), black_hole_metric(1.0, 4))),
+], ids=["other-n", "too-few", "too-many", "one-of-other-n"])
+def test_solution_metrics_match_filling(lengths, metrics):
+    # the first used to build, with .n reading 5 over its one n=4 metric
+    with pytest.raises(OutOfDomain, match="n=5"):
+        ApproximateSolution(filling=filling_from_lengths(lengths, 5),
+                            metrics=metrics)
 
 
 def test_decay_scan_slopes():

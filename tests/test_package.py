@@ -66,3 +66,11 @@ def test_star_import_of_profiles_binds_no_helper_modules():
     exec("from dehnfill.profiles import *", namespace)
     assert "np" not in namespace
     assert "math" not in namespace
+
+
+def test_star_import_and_dir_give_the_exported_names():
+    namespace = {}
+    exec("from dehnfill import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED
+    assert len(dehnfill.__all__) == len(EXPORTED) == 63
+    assert EXPORTED <= set(dir(dehnfill))

@@ -250,14 +250,20 @@ _GRID = np.geomspace(1.0, 20.0, 16)
     (lambda: black_hole_metric(True, 4), InvalidMass),
     (lambda: make_glued_profile(True, 4), RadiusTooSmall),
     (lambda: GluedProfile(R="50", n=4), RadiusTooSmall),
+    (lambda: closing_parameters(10**400, 4), InvalidMass),
+    (lambda: BlackHoleProfile(m=10**400, n=4), InvalidMass),
+    (lambda: GluedProfile(R=10**400, n=4), RadiusTooSmall),
     (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2),
                             n=4), OutOfDomain),
     (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2,
                             n=4), OutOfDomain),
 ], ids=["closing-inf-mass", "closing-nan-mass", "blackhole-nan-mass",
         "blackhole-metric-mass-bool", "glued-helper-radius-bool",
-        "glued-radius-str", "sampled-nan-values", "sampled-inf-grid"])
+        "glued-radius-str", "closing-int-mass-overflows",
+        "blackhole-int-mass-overflows", "glued-int-radius-overflows",
+        "sampled-nan-values", "sampled-inf-grid"])
 def test_constructors_reject_non_finite(build, error):
+    # an int too large for a float used to raise a bare OverflowError
     with pytest.raises(error):
         build()
 

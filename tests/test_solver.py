@@ -403,10 +403,12 @@ def test_newton_config_validation():
     (lambda: NewtonConfig(grid_size=math.inf), GridTooCoarse),
     (lambda: NewtonConfig(grid_size=2.5), GridTooCoarse),
     (lambda: NewtonConfig(max_iters=True), OutOfDomain),
+    (lambda: NewtonConfig(r_out=10**400), OutOfDomain),
+    (lambda: NewtonConfig(residual_tol=10**400), OutOfDomain),
 ], ids=["r-out-nan", "r-out-inf", "r-out-negative", "tol-inf", "tol-nan",
         "max-iters-nan", "max-iters-inf", "max-iters-non-integer",
         "grid-size-nan", "grid-size-inf", "grid-size-non-integer",
-        "max-iters-bool"])
+        "max-iters-bool", "r-out-int-overflows", "tol-int-overflows"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()
@@ -844,6 +846,9 @@ def _with_nan(a, i=10):
     (lambda: default_core_scale("1", 4), InvalidWeight),
     (lambda: oscillation_closed_form(4, np.float64(1e300), 2.0, 3.0),
      OutOfDomain),
+    (lambda: oscillation_closed_form(4, 10**400, 2.0, 3.0), OutOfDomain),
+    (lambda: perturbation_budget(_BUDGET_SCAN, 10**400, 1e-3), OutOfDomain),
+    (lambda: default_core_scale(10**400, 4), InvalidWeight),
 ], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
         "phi-c-r-nan",
         "bump-center-nan", "compare-center-nan", "oscillation-r-lo-nan",
@@ -855,7 +860,8 @@ def _with_nan(a, i=10):
         "blackhole-mass-bool", "budget-lambda-str", "budget-epsilon-bool",
         "delta-n-nan", "delta-n-inf", "delta-n-fraction", "core-scale-r-nan",
         "core-scale-r-inf", "core-scale-r-str",
-        "oscillation-r-lo-numpy-overflow"])
+        "oscillation-r-lo-numpy-overflow", "oscillation-r-lo-int-overflows",
+        "budget-lambda-int-overflows", "core-scale-r-int-overflows"])
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
         call()
