@@ -267,6 +267,12 @@ def cmd_compare(cfg):
     if cfg["num_centers"] < 3:
         raise DehnFillError(
             f"num_centers must be >= 3 for the slope fit, got {cfg['num_centers']}")
+    # one bump and one envelope bin per center; the bumps' gather grows
+    # as centers times grid points
+    if cfg["num_centers"] > cfg["grid_size"]:
+        raise DehnFillError(
+            f"num_centers must be at most grid_size = {cfg['grid_size']}, "
+            f"got {cfg['num_centers']}")
     lo, hi = _parse_window(cfg["window"])
     width = float(cfg["width"])
     if not (math.isfinite(width) and width > 0):
@@ -349,7 +355,7 @@ def cmd_lattice(cfg):
             raise DehnFillError(
                 f"cusp {k}'s sigma must be a list, got {d['sigma']!r}")
         parsed.append(d)
-        lat = lattice.FlatLattice(np.asarray(d["basis"], dtype=float))
+        lat = lattice.FlatLattice(d["basis"])
         sig = lattice.GeodesicClass(tuple(d["sigma"]))
         sig.check_primitive(strict=False)
         cusps.append((lat, sig))

@@ -17,10 +17,10 @@ reductions and differentiates raw metric coefficient samples instead.
 
 The Einstein deficit is tau = ric + (n-1) g, reported through its frame
 diagonal. The profile supplies it with the curvatures' mass terms K + 1
-(frame_data): on the mass form V = r^2 - 2 mu r^{3-n} of the cusp,
-black-hole and glued profiles it depends on mu' and mu'' alone, so the
-black hole and the cusp have tau = 0 and scalar curvature -n(n-1)
-exactly in floating point.
+(frame_data): on the mass form V = r^2 - 2 mu r^{3-n} that every
+profile supplies it depends on mu' and mu'' alone, so the black hole and
+the cusp have tau = 0 and scalar curvature -n(n-1) exactly in floating
+point.
 """
 
 from dataclasses import dataclass
@@ -127,7 +127,6 @@ def cutoff_deficit_diag(metric, r):
     It is identically zero wherever mu' = mu'' = 0: everywhere for the
     cusp and the black hole, off the transition annulus for a glued
     profile, which is what weighted norms with large core weights need.
-    A sampled profile forms it through the cancellation of ric + (n-1).
     """
     rad, tor = metric.profile.frame_data(np.atleast_1d(r))[5:]
     return _deficit_diag(metric.n, rad, tor)

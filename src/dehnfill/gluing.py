@@ -12,7 +12,6 @@ normalized filling size exhibits the O(size**(1-n)) decay law.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import InvalidWeight, OutOfDomain, ScanMissing, TooFewSamples
 from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
-from .numutil import fit_loglog, loggrid
+from .numutil import _is_finite_real, fit_loglog, loggrid
 from .profiles import (FillingMetric, _stack_deficit, closing_parameters,
                        glued_metric, make_glued_profile)
 
@@ -151,9 +150,6 @@ class DecayScanResult:
     def expected_slope(self):
         return float(1 - self.n)
 
-    def rows(self):
-        return list(zip(self.sizes, self.norms))
-
 
 def decay_scan(n, L_list, w=None, grid_size=512):
     """Deficit norm against filling size, with a least-squares slope.
@@ -163,12 +159,13 @@ def decay_scan(n, L_list, w=None, grid_size=512):
     is the weight's decay rate delta, or None for the default rate; R and
     r_c track each size.  Build errors for unbuildable sizes propagate.
     """
-    sizes = tuple(float(L) for L in L_list)
+    sizes = tuple(L_list)
     if len(sizes) < 5:
         raise TooFewSamples(f"need at least 5 sizes, got {len(sizes)}")
     for L in sizes:
-        if not (math.isfinite(L) and L > 0):
+        if not (_is_finite_real(L) and L > 0):
             raise ScanMissing(f"sizes must be finite and positive, got {L}")
+    sizes = tuple(map(float, sizes))
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ScanMissing("sizes must be strictly increasing")
     _, beta1 = closing_parameters(1.0, n)

@@ -13,12 +13,12 @@ the minimum of the geodesic lengths over the cusps.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPrimitive, OutOfDomain
+from .numutil import _is_finite_real
 from .profiles import closing_parameters
 
 __all__ = [
@@ -39,7 +39,11 @@ class FlatLattice:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
+        try:
+            basis = np.asarray(self.basis, dtype=float)
+        except OverflowError:
+            raise OutOfDomain("lattice basis holds an integer too large "
+                              "for a float") from None
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise OutOfDomain(f"lattice basis must be square, got {basis.shape}")
         if not np.all(np.isfinite(basis)):
@@ -61,12 +65,13 @@ class GeodesicClass:
     coeffs: tuple
 
     def __post_init__(self):
-        # a whole float such as 2.0 passes; a fraction, nan, inf, a bool or
-        # a string is rejected rather than truncated by int()
-        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
-                   and float(c).is_integer() for c in self.coeffs):
+        # a whole float such as 2.0 passes; a fraction, nan, inf, a bool, a
+        # string or an int too large for a float is rejected, not truncated
+        if not all(_is_finite_real(c) and float(c).is_integer()
+                   for c in self.coeffs):
             raise OutOfDomain(
-                f"geodesic coefficients must be integers, got {self.coeffs}")
+                f"geodesic coefficients must be integers within float range, got "
+                f"{self.coeffs}")
         coeffs = tuple(int(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -212,7 +217,6 @@ class DehnFillingData:
     size |sigma| = min_i L_i, and the 2 pi threshold flag."""
 
     n: int
-    cusps: tuple
     lengths: tuple
     radii: tuple
     size: float
@@ -233,6 +237,6 @@ def filling_data(cusps, n):
     radii = tuple(L / beta1 for L in lengths)
     size = min(lengths)
     return DehnFillingData(
-        n=int(n), cusps=tuple(cusps), lengths=lengths, radii=radii,
+        n=int(n), lengths=lengths, radii=radii,
         size=size, two_pi_ok=bool(size > 2.0 * math.pi), beta1=beta1,
     )

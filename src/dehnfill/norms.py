@@ -82,30 +82,32 @@ class WeightSpec:
     r_c: tuple = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise InvalidWeight(f"need n >= 3, got n={self.n}")
-        R = tuple(float(x) for x in np.atleast_1d(self.R))
-        if not all(math.isfinite(x) and x > 0 for x in R):
+        if not (_is_finite_real(self.n) and self.n >= 3):
+            raise InvalidWeight(f"need a real n >= 3, got n={self.n!r}")
+        # tolist keeps an int too large for a float an int, which the
+        # checks reject, where float() would raise OverflowError
+        R = np.atleast_1d(self.R).tolist()
+        if not all(_is_finite_real(x) and x > 0 for x in R):
             raise InvalidWeight("filling sizes must be finite and positive")
+        R = tuple(map(float, R))
         object.__setattr__(self, "R", R)
         delta = self.delta
         if delta is None:
             delta = default_delta(self.n)
-        delta = float(delta)
-        if not (math.isfinite(delta) and delta >= 0):
+        if not (_is_finite_real(delta) and delta >= 0):
             raise InvalidWeight(f"delta must be finite and nonnegative, got {delta}")
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", float(delta))
         r_c = self.r_c
         if r_c is None:
             r_c = tuple(default_core_scale(x, self.n) for x in R)
         else:
-            r_c = tuple(float(x) for x in np.atleast_1d(r_c))
+            r_c = np.atleast_1d(r_c).tolist()
         if len(r_c) != len(R):
             raise InvalidWeight(f"got {len(r_c)} core scales for {len(R)} fillings")
         for rc, RR in zip(r_c, R):
-            if not (0 < rc <= RR):
+            if not (_is_finite_real(rc) and 0 < rc <= RR):
                 raise InvalidWeight(f"core scale {rc} outside (0, {RR}]")
-        object.__setattr__(self, "r_c", r_c)
+        object.__setattr__(self, "r_c", tuple(map(float, r_c)))
 
     @property
     def num_cusps(self):

@@ -9,10 +9,12 @@ form V = r^2 - 2 mu(r) r^{3-n}: the hyperbolic cusp has mu = 0, the black
 hole mu = m, and a glued profile mu = chi(r), a monotone C-infinity cutoff
 that is 1 near the core and 0 outside. The black hole closes smoothly at
 the core radius r_+ = (2m)^{1/(n-1)} when the circle period is
-beta_m = 4 pi / ((n-1) r_+). Each family supplies mu, mu' and mu'' only;
-V, V', V'', the frame curvatures and the Einstein deficit all follow from
-them, the curvatures as -1 plus mass terms and the deficit from mu' and
-mu'' alone, so it is exactly zero wherever the mass is constant.
+beta_m = 4 pi / ((n-1) r_+). A sampled profile (a Newton solve's result)
+reads mu = (r^2 - V) r^{n-3}/2 off its samples. Each family supplies mu,
+mu' and mu'' only; V, V', V'', the frame curvatures and the Einstein
+deficit all follow from them, the curvatures as -1 plus mass terms and
+the deficit from mu' and mu'' alone, so it is exactly zero wherever the
+mass is constant.
 
 The circle period and g_T fix a filled cusp's topology but enter no number
 computed here, so a FillingMetric is a profile; every profile, the sampled
@@ -130,9 +132,9 @@ def _cutoff_mass(r, lo, hi, order):
 class _Profile:
     """What each profile family decides for itself: its core (r_plus and
     the (r_plus, beta, mass) a Newton solve starts from) and its mass
-    function.  A closed-form family supplies (mu, mu', mu'')[:order + 1]
-    of V = r^2 - 2 mu(r) r^{3-n} (_mass); V, V', V'' (_eval) and the frame
-    data (frame_data) follow here.  SampledProfile overrides both."""
+    function.  Each family supplies (mu, mu', mu'')[:order + 1] of
+    V = r^2 - 2 mu(r) r^{3-n} (_mass); V, V', V'' (_eval) and the frame
+    data (frame_data) follow here."""
 
     r_plus = None
     # finite outer end of the family's natural domain (Newton's default r_out)
@@ -219,7 +221,6 @@ class CuspProfile(_Profile):
 
     n: int
     domain: tuple = (1e-6, _DEFAULT_RMAX)
-    variant = "cusp"
 
     def __post_init__(self):
         _check_dimension(self.n)
@@ -244,8 +245,6 @@ class BlackHoleProfile(_Profile):
         object.__setattr__(self, "m", float(self.m))
         if self.domain is None:
             object.__setattr__(self, "domain", (r_plus, _DEFAULT_RMAX))
-
-    variant = "blackhole"
 
     @property
     def r_plus(self):
@@ -287,8 +286,6 @@ class GluedProfile(_Profile):
         object.__setattr__(self, "transition", (lo, hi))
         object.__setattr__(self, "domain", (r_plus, self.R))
 
-    variant = "glued"
-
     @property
     def r_plus(self):
         # the core matches the unit-mass black hole by construction
@@ -308,8 +305,9 @@ class GluedProfile(_Profile):
 
 @dataclass(frozen=True, eq=False)
 class SampledProfile(_Profile):
-    """V given by samples on an ascending grid of positive radii, evaluated
-    by the Newton solve's own 9-node Fornberg stencils in x = log r."""
+    """V given by samples on an ascending grid of positive radii.  Its mass
+    mu = (r^2 - V) r^{n-3}/2 and mu', mu'' come from the Newton solve's own
+    9-node Fornberg stencils in x = log r."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -334,8 +332,6 @@ class SampledProfile(_Profile):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "domain", (float(grid[0]), float(grid[-1])))
 
-    variant = "sampled"
-
     @property
     def outer_radius(self):
         return float(self.grid[-1])
@@ -343,31 +339,23 @@ class SampledProfile(_Profile):
     def sample_grid(self):
         return self.grid
 
-    def _eval(self, r, deriv_order):
-        # 9 nodes in x = log r, where V_x = r V' and V_xx = r V' + r^2 V''
-        x, at = np.log(self.grid), np.log(r).ravel()
+    def _mass(self, r, order):
+        # mu = (r^2 - V) r^{n-3}/2 on the samples, by 9 nodes in x = log r,
+        # where mu_x = r mu' and mu_xx = r mu' + r^2 mu''
+        grid = self.grid
+        mu = 0.5 * (grid * grid - self.values) * grid ** (self.n - 3)
+        x, at = np.log(grid), np.log(r).ravel()
 
         def d(k):
             idx, w = stencil_weights(x, k, 9, at=at)
-            return (w * self.values[idx]).sum(axis=1).reshape(r.shape)
+            return (w * mu[idx]).sum(axis=1).reshape(r.shape)
 
-        if deriv_order == 0:
-            return d(0)
-        Vx = d(1)
-        return Vx / r if deriv_order == 1 else (d(2) - Vx) / (r * r)
-
-    def frame_data(self, r):
-        # the generic path: the curvatures from V, V', V'' and the deficit
-        # through the cancellation of ric + (n-1) in floating point
-        r = _check_in_domain(self, r)
-        V = self._eval(r, 0)
-        V1 = self._eval(r, 1)
-        K12 = -0.5 * self._eval(r, 2)
-        K1perp = -V1 / (2.0 * r)
-        Kperp = -V / r**2
-        rad = K12 + (self.n - 2) * K1perp + (self.n - 1.0)
-        tor = 2.0 * K1perp + (self.n - 3) * Kperp + (self.n - 1.0)
-        return V, V1, K12 + 1.0, K1perp + 1.0, Kperp + 1.0, rad, tor
+        mus = [d(k) for k in range(order + 1)]
+        if order == 2:
+            mus[2] = (mus[2] - mus[1]) / (r * r)
+        if order:
+            mus[1] = mus[1] / r
+        return mus
 
     def core(self):
         m_hat = fitted_mass(self.grid, self.values, self.n)
@@ -398,9 +386,9 @@ def eval_profile(profile, r, deriv_order=0):
 
     deriv_order must be 0, 1 or 2; anything else raises
     DerivOrderUnsupported. Radii outside the profile domain raise
-    OutOfDomain. Cusp, black-hole and glued profiles are evaluated from
-    their mass form (the cutoff derivatives are analytic as well);
-    sampled profiles by 9-node stencils in log r.
+    OutOfDomain. Every profile is evaluated from its mass form: the
+    closed-form families' mass derivatives are analytic, a sampled
+    profile's come from 9-node stencils in log r.
     """
     if deriv_order not in (0, 1, 2):
         raise DerivOrderUnsupported(f"deriv_order must be 0, 1 or 2, got {deriv_order}")

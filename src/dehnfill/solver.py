@@ -139,8 +139,7 @@ def oscillation_bound(rhs, phi, r1, r2, n):
     _, f = euler_reconstruct(n, (grid, vals), (r1, 0.0))
     measured = abs(float(np.interp(r2, grid, f)) - float(np.interp(r1, grid, f)))
 
-    envelope = cumtrapz0(grid ** (n - 2) * weight, grid) / grid**n
-    E = cumtrapz0(envelope, grid)
+    _, E = euler_reconstruct(n, (grid, weight), (r1, 0.0))
     bound = sup * (float(np.interp(r2, grid, E)) - float(np.interp(r1, grid, E)))
     return bound, measured
 

@@ -193,6 +193,17 @@ def test_compare_too_few_centers_exit_2(tmp_path, capsys, num_centers):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_compare_more_centers_than_grid_points_exit_2(tmp_path, capsys):
+    # a bump and an envelope bin per center: 10**6 centers used to gather
+    # a (centers x points-per-bump) array before any check
+    rc = main(["compare", "--n", "4", "--num-centers", "257",
+               "--grid-size", "256", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "num_centers must be at most grid_size = 256" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("window", ["5:inf", "inf:inf", "nan:500"])
 def test_compare_non_finite_window_exit_2(tmp_path, capsys, window):
     rc = main(["compare", "--n", "4", "--window", window,
@@ -417,6 +428,22 @@ def test_lattice_malformed_cusp_exit_2(tmp_path, capsys, cusp, message,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("cusp, message", [
+    ({"basis": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], "sigma": [1, 0, 0]},
+     "too large for a float"),
+    ({"basis": _EYE, "sigma": [10**400, 0, 0]}, "within float range"),
+], ids=["basis", "sigma"])
+def test_lattice_int_too_large_for_a_float_exit_2(tmp_path, capsys, cusp,
+                                                  message):
+    # each used to exit 1 with "OverflowError: int too large to convert to
+    # float"
+    rc = main(["lattice", "--n", "4", "--cusp", json.dumps(cusp),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
 
 

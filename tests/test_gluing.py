@@ -175,8 +175,9 @@ def test_decay_scan_slopes():
         assert isinstance(scan, DecayScanResult)
         assert scan.expected_slope == float(1 - n)
         assert abs(scan.slope - (1 - n)) < 0.1
-        assert len(scan.rows()) == 5
-        assert all(b < a for (_, a), (_, b) in zip(scan.rows(), scan.rows()[1:]))
+        rows = list(zip(scan.sizes, scan.norms))
+        assert len(rows) == 5
+        assert all(b < a for (_, a), (_, b) in zip(rows, rows[1:]))
 
 
 def test_decay_scan_frozen_n3():
@@ -239,7 +240,8 @@ def test_filling_from_lengths_matches_manual():
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
-                                 0.0, -20.0])
+                                 0.0, -20.0,
+                                 pytest.param(10**400, id="huge-int")])
 def test_decay_scan_rejects_non_finite_or_non_positive_size(bad):
     # a nan size passes every pairwise order comparison, so it must be
     # caught before the order check

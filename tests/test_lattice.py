@@ -306,7 +306,8 @@ def test_singular_bases_still_rejected(basis):
     (lambda: FlatLattice(np.array([[1.0, 0.0], [0.0, math.nan]])), OutOfDomain),
     (lambda: FlatLattice(np.array([[1.0, math.inf], [0.0, 1.0]])), OutOfDomain),
     (lambda: FlatLattice(np.full((2, 2), math.nan)), OutOfDomain),
-], ids=["basis-nan", "basis-inf", "basis-all-nan"])
+    (lambda: FlatLattice([[10**400, 0], [0, 1]]), OutOfDomain),
+], ids=["basis-nan", "basis-inf", "basis-all-nan", "basis-huge-int"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()
@@ -314,7 +315,8 @@ def test_constructors_reject_non_finite(build, error):
 
 @pytest.mark.parametrize("coeffs", [
     (1.5, 0, 0), (math.inf, 0, 0), (True, 0, 0), ("1", 0, 0), (0, 10.7, 1),
-], ids=["fraction", "inf", "bool", "string", "fraction-second"])
+    (10**400, 0, 0),
+], ids=["fraction", "inf", "bool", "string", "fraction-second", "huge-int"])
 def test_geodesic_class_rejects_non_integers(coeffs):
     with pytest.raises(OutOfDomain, match="must be integers"):
         GeodesicClass(coeffs)

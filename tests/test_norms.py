@@ -185,7 +185,12 @@ def test_l2_window_square_summability():
     (lambda: WeightSpec(n=4, R=(10.0,), delta=math.nan), InvalidWeight),
     (lambda: WeightSpec(n=4, R=(10.0,), delta=math.inf), InvalidWeight),
     (lambda: WeightSpec(n=4, R=(math.inf,)), InvalidWeight),
-], ids=["delta-nan", "delta-inf", "R-inf"])
+    (lambda: WeightSpec(n=4, R=10**400), InvalidWeight),
+    (lambda: WeightSpec(n=4, R=(50.0,), delta=10**400), InvalidWeight),
+    (lambda: WeightSpec(n=4, R=(50.0,), r_c=10**400), InvalidWeight),
+    (lambda: WeightSpec(n="4", R=(50.0,)), InvalidWeight),
+], ids=["delta-nan", "delta-inf", "R-inf", "R-huge-int", "delta-huge-int",
+        "r_c-huge-int", "n-string"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()

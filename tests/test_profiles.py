@@ -23,7 +23,8 @@ from dehnfill.profiles import (
     eval_profile,
     make_glued_profile,
 )
-from dehnfill.numutil import _smoothstep, smoothstep
+from dehnfill.numutil import _smoothstep, loggrid, smoothstep
+from dehnfill.solver import einstein_residual
 
 
 def test_eval_profile_cusp():
@@ -222,6 +223,20 @@ def test_sampled_profile_between_nodes_matches_closed_form():
         assert np.all(err <= 1e-9 * np.maximum(np.abs(want), 1.0))
     assert isinstance(eval_profile(prof, 3.0, 2), float)
     assert eval_profile(prof, np.full((2, 3), 3.0), 1).shape == (2, 3)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sampled_black_hole_is_einstein_between_nodes(n):
+    # mu = m is read off the samples and differentiated, not V itself, so
+    # the deficit keeps its digits at every n
+    bh = BlackHoleProfile(m=1.0, n=n)
+    grid = loggrid(bh.r_plus, 50.0 * bh.r_plus, 256)
+    prof = SampledProfile(grid=grid, values=eval_profile(bh, grid), n=n)
+    r = np.geomspace(grid[0], grid[-1], 1002)[1:-1]
+    (_, F1), (_, F2) = einstein_residual(prof, r)
+    assert max(np.abs(F1).max(), np.abs(F2).max()) <= 1e-10
+    want = eval_profile(bh, r, 1)
+    assert np.max(np.abs(eval_profile(prof, r, 1) - want) / want) <= 2e-13
 
 
 @pytest.mark.parametrize("n", [MAX_DIMENSION + 1, 10**400])
