@@ -9,17 +9,13 @@ exact black-hole family by fitting the mass.
 
 import numpy as np
 
-from dehnfill.profiles import (
-    closing_parameters,
-    eval_profile,
-    make_glued_profile,
-)
+from dehnfill.profiles import GluedProfile, closing_parameters, eval_profile
 from dehnfill.solver import einstein_residual, newton_solve
 
 n = 4
 
 for R in (15.0, 50.0, 100.0):
-    start = make_glued_profile(R, n)
+    start = GluedProfile(R, n)
     (_, F1), (_, F2) = einstein_residual(start)
     sup0 = max(np.max(np.abs(F1)), np.max(np.abs(F2)))
     res = newton_solve(start)
@@ -34,7 +30,7 @@ print()
 
 # the solved profile is the m = 1 black hole pointwise, not just in the
 # fitted parameters
-res = newton_solve(make_glued_profile(50.0, n))
+res = newton_solve(GluedProfile(50.0, n))
 assert res.converged, res.error
 r = np.geomspace(res.r_plus * 1.01, 45.0, 7)
 V_solved = eval_profile(res.profile, r)

@@ -44,11 +44,11 @@ from .errors import DehnFillError
 from .numutil import _is_finite_real, _is_real, csv_lines, loggrid
 from .profiles import (
     BlackHoleProfile,
+    GluedProfile,
     _check_dimension,
     black_hole_metric,
     cusp_metric,
     glued_metric,
-    make_glued_profile,
 )
 from .solver import NewtonConfig, newton_solve
 
@@ -63,8 +63,9 @@ INTEGER_KEYS = ("n", "grid_size", "max_iters", "num_centers")
 FLOAT_KEYS = ("m", "R", "width", "from_glued", "from_blackhole", "tol",
               "r_out")
 
-# --profile value -> metric from the resolved config and n; every profile,
-# the cusp V = r^2 included, gets the one operator assembly on its metric
+# --profile value -> metric from the resolved config and n; the cusp
+# V = r^2 is a profile like the others, and its operator is the same
+# function of it
 PROFILES = {
     "blackhole": lambda cfg, n: black_hole_metric(float(cfg["m"]), n),
     "cusp": lambda cfg, n: cusp_metric(n),
@@ -228,16 +229,16 @@ def cmd_scan(cfg):
 
 def cmd_linearize(cfg):
     n = cfg["n"]
-    sys_l = linearized.assemble_L_blackhole(_metric(cfg, n))
+    profile = _metric(cfg, n).profile
     if cfg["grid"] is None:
-        r_plus = sys_l.profile.r_plus
+        r_plus = profile.r_plus
         if r_plus is None:
             cfg["grid"] = "0.5:50:64"
         else:
-            hi = min(50 * r_plus, 0.999 * sys_l.profile.domain[1])
+            hi = min(50 * r_plus, 0.999 * profile.domain[1])
             cfg["grid"] = f"{1.05 * r_plus:.6g}:{hi:.6g}:64"
     grid = _parse_grid(cfg["grid"])
-    C = sys_l.coefficients(grid)
+    C = linearized.operator_coefficients(profile, grid)
     header = ",".join(("r", *linearized.COEFFICIENTS, "Mjk"))
     # Mjk = Mjj; below n=5 there is no second torus direction, and the
     # zero keeps Mjj's sign
@@ -314,7 +315,7 @@ def cmd_solve(cfg):
     if cfg["from_glued"] is not None and cfg["from_blackhole"] is not None:
         raise DehnFillError("give only one of --from-glued / --from-blackhole")
     if cfg["from_glued"] is not None:
-        initial = make_glued_profile(float(cfg["from_glued"]), n)
+        initial = GluedProfile(float(cfg["from_glued"]), n)
     elif cfg["from_blackhole"] is not None:
         initial = BlackHoleProfile(m=float(cfg["from_blackhole"]), n=n)
     else:

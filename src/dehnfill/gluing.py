@@ -20,8 +20,8 @@ from .errors import InvalidWeight, OutOfDomain, ScanMissing, TooFewSamples
 from .lattice import DehnFillingData, FlatLattice, GeodesicClass, filling_data
 from .norms import WeightSpec, _check_field, _cusp_weight, _holder_quotient
 from .numutil import _is_finite_real, fit_loglog, loggrid
-from .profiles import (FillingMetric, _stack_deficit, closing_parameters,
-                       glued_metric, make_glued_profile)
+from .profiles import (FillingMetric, GluedProfile, _stack_deficit,
+                       closing_parameters, glued_metric)
 
 __all__ = [
     "ApproximateSolution",
@@ -171,7 +171,7 @@ def decay_scan(n, L_list, w=None, grid_size=512):
     _, beta1 = closing_parameters(1.0, n)
     radii = [L / beta1 for L in sizes]
     spec = WeightSpec(n=n, R=radii, delta=w)
-    profiles = [make_glued_profile(R, n) for R in radii]
+    profiles = [GluedProfile(R, n) for R in radii]
     norms = _deficit_norms(profiles, spec, grid_size, True)
     slope, intercept, residual = fit_loglog(np.asarray(sizes), norms)
     return DecayScanResult(n=int(n), sizes=sizes, norms=tuple(norms.tolist()),

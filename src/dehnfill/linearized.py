@@ -31,13 +31,15 @@ exactly zero and the identity holds to rounding on any grid.
 
 The cusp model (V = r^2, all curvatures -1) reduces every block to an
 Euler operator with constant couplings; its indicial roots drive the
-oscillation estimates.  Every coefficient is assembled as its Euler
-constant plus a mass part built from the curvatures' own mass terms
-K + 1, so the black hole's mass part is the operator difference
-L_BH - L_C itself, of size O(r^(1-n)), with no O(1) terms cancelling
-in it.  compare_operators applies exactly that to a sum of log-radial
-bumps in every block, from the bumps themselves: one column b and its
-derivatives, no deformation.
+oscillation estimates.  The operator is a function of the profile:
+operator_coefficients(profile, r) is its table and apply_L(profile, h)
+its action.  Every coefficient is assembled as its Euler constant, from
+the one table that indicial_roots reads too, plus a mass part built from
+the curvatures' own mass terms K + 1, so the black hole's mass part is
+the operator difference L_BH - L_C itself, of size O(r^(1-n)), with no
+O(1) terms cancelling in it.  compare_operators applies exactly that to
+a sum of log-radial bumps in every block, from the bumps themselves: one
+column b and its derivatives, no deformation.
 """
 
 from __future__ import annotations
@@ -58,14 +60,12 @@ from .errors import (
     UnknownBlock,
 )
 from .numutil import fit_loglog, loggrid
-from .profiles import _check_dimension, black_hole_metric, cusp_metric
+from .profiles import BlackHoleProfile, _check_dimension
 from .solver import _derivatives, _unit_stencils
 
 __all__ = [
     "InvariantDeformation",
-    "ODESystemL",
-    "assemble_L_blackhole",
-    "assemble_L_cusp",
+    "operator_coefficients",
     "apply_L",
     "indicial_roots",
     "metric_deformation",
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 BLOCK_LABELS = ("11", "22", "12", "1j", "2j", "jj", "jk")
-# the rows of ODESystemL.coefficients: the radial part, the scalar blocks'
+# the rows of operator_coefficients: the radial part, the scalar blocks'
 # coefficients, then the six distinct entries of the diagonal coupling
 COEFFICIENTS = ("c2", "c1", "c12", "c1j", "c2j", "cjk",
                 "M00", "M01", "M0j", "M11", "M1j", "Mjj")
@@ -178,111 +178,97 @@ def metric_deformation(n, grid):
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class ODESystemL:
-    """The assembled operator: radial coefficients plus zeroth-order data,
-    evaluated on demand as functions of r, in the profile's dimension n.
-    Each coefficient is its constant in the cusp's Euler model plus a mass
-    part from the profile's frame data, which is zero on the cusp V = r^2."""
-
-    profile: object
-
-    @property
-    def n(self):
-        return self.profile.n
-
-    def coefficients(self, r):
-        """The (12, npts) table of COEFFICIENTS at the radii r, from one
-        profile evaluation.
-
-        A u = c2 u'' + c1 u' is the shared radial part; c12, c1j, c2j and
-        cjk are the scalar blocks' zeroth-order coefficients.  The rest
-        are the six distinct entries of the symmetric (11, 22, jj)
-        coupling M, whose torus rows are equal (M0j, M1j, Mjj = Mjk) and
-        whose row sums are -2 ric_aa for every profile (the gauge identity
-        L(g) = -2 ric on constant deformations).  The Euler constants are
-        c2 = -r^2, c1 = -n r, c12 = M00 = 2(n-1), c1j = n, 2 for M11, M1j
-        and Mjj and 0 for c2j, cjk, M01 and M0j; _mass_part adds the rest.
-        The radial rows are _x_coefficients' taken to r: c2 = a2 r^2 and
-        c1 = (a1 + a2) r.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        C = self._x_coefficients(r)
-        C[1] += C[0]
-        C[1] *= r
-        C[0] *= r**2
-        return C
-
-    def _x_coefficients(self, r):
-        """coefficients on a 1-D array r with the radial part in x = log r,
-        a2 d^2/dx^2 + a1 d/dx, in rows 0 and 1."""
-        n = self.n
-        C = self._mass_part(r)
-        # the Euler constants of a2, a1, c12, c1j, M00, M11, M1j and Mjj
-        C[[0, 1, 2, 3, 6, 9, 10, 11]] += np.array(
-            [-1.0, 1 - n, 2 * (n - 1), n, 2 * (n - 1), 2, 2, 2])[:, None]
-        return C
-
-    def _mass_part(self, r):
-        """_x_coefficients minus the Euler constants, on a 1-D array r.
-
-        Built from the curvature mass terms k = K + 1 of frame_data, never
-        from V - r^2, so every entry keeps its digits when the mass term
-        u = 2 mu r^{1-n} is far below 1.  With e = V/r^2 = 1 - kperp and
-        s = 2(kperp - k1perp):
-
-            a2 = kperp,   a1 = (n-1) kperp - s,
-            c12 = 2 k12 - 2n kperp + 4s + s^2/e,   c1j = -n kperp + s^2/(4e),
-            c2j = s^2/(4e),   cjk = 2s + s^2/(2e),
-            M00 = 2(1-n) kperp + 2s + s^2/(2e),
-            M01 = 2(kperp - k12) - 2s - s^2/(2e),
-            M11 = -2 kperp + 2s + s^2/(2e),   M0j = s,   M1j = s - 2 kperp,
-            Mjj = -2 kperp.
-        """
-        n = self.n
-        V, _, k12, k1p, kp, _, _ = self.profile.frame_data(r)
-        if (V <= 0).any():
-            raise SingularAtCore(
-                "profile vanishes on the grid; the zeroth-order terms divide by V"
-            )
-        s = 2.0 * (kp - k1p)
-        t = s * s / (V / r**2)
-        jk = 2.0 * s + 0.5 * t
-        return np.array([
-            kp, (n - 1) * kp - s,                               # a2, a1
-            2.0 * k12 - 2.0 * n * kp + 4.0 * s + t,             # c12
-            0.25 * t - n * kp, 0.25 * t, jk,                    # c1j, c2j, cjk
-            2.0 * (s - (n - 1) * kp) + 0.5 * t,                 # M00
-            2.0 * (kp - k12) - jk, s,                           # M01, M0j
-            jk - 2.0 * kp, s - 2.0 * kp, -2.0 * kp,             # M11, M1j, Mjj
-        ])
+def _euler_constants(n):
+    """The cusp's Euler constants (V = r^2, every curvature -1) at
+    dimension n, one per row of _x_coefficients, so with the radial part
+    in x = log r: a2 = -1, a1 = 1 - n, c12 = M00 = 2(n-1), c1j = n, 2 for
+    M11, M1j and Mjj and 0 for c2j, cjk, M01 and M0j."""
+    return np.array([-1.0, 1 - n,                   # a2, a1
+                     2 * (n - 1), n, 0.0, 0.0,      # c12, c1j, c2j, cjk
+                     2 * (n - 1), 0.0, 0.0,         # M00, M01, M0j
+                     2.0, 2.0, 2.0])                # M11, M1j, Mjj
 
 
-def assemble_L_blackhole(metric):
-    """Operator assembly from a profile-backed metric.
+def operator_coefficients(profile, r):
+    """The (12, npts) table of COEFFICIENTS of the operator at the profile,
+    at the radii r, from one profile evaluation.
 
-    Accepts any FillingMetric; on the cusp profile V = r^2 the
-    coefficients reduce to the exact Euler model (assemble_L_cusp).
+    A u = c2 u'' + c1 u' is the shared radial part; c12, c1j, c2j and
+    cjk are the scalar blocks' zeroth-order coefficients.  The rest
+    are the six distinct entries of the symmetric (11, 22, jj)
+    coupling M, whose torus rows are equal (M0j, M1j, Mjj = Mjk) and
+    whose row sums are -2 ric_aa for every profile (the gauge identity
+    L(g) = -2 ric on constant deformations).  Each entry is its Euler
+    constant (_euler_constants; c2 = -r^2 and c1 = -n r) plus the mass
+    part (_mass_part), which is zero on the cusp V = r^2.  The radial
+    rows are _x_coefficients' taken to r: c2 = a2 r^2 and
+    c1 = (a1 + a2) r.
     """
-    return ODESystemL(metric.profile)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    C = _x_coefficients(profile, r)
+    C[1] += C[0]
+    C[1] *= r
+    C[0] *= r**2
+    return C
 
 
-def assemble_L_cusp(n):
-    """The cusp model A = -r^2 d^2 - n r d with constant couplings: the
-    shared assembly on the cusp metric V = r^2."""
-    return assemble_L_blackhole(cusp_metric(n))
+def _x_coefficients(profile, r):
+    """coefficients on a 1-D array r with the radial part in x = log r,
+    a2 d^2/dx^2 + a1 d/dx, in rows 0 and 1."""
+    C = _mass_part(profile, r)
+    # only the nonzero constants are added, so a mass part's -0.0 stays
+    E = _euler_constants(profile.n)
+    rows = np.flatnonzero(E)
+    C[rows] += E[rows, None]
+    return C
 
 
-def _radial(sys, grid, coefficients):
-    """The checks of an application of sys on a checked grid, all made
-    before any derivative is taken: coefficients(grid) (sys._x_coefficients
-    or sys._mass_part, which check the profile's domain), the core margin
-    and at least 9 points.  Returns that table C and its radial rows a2, a1
-    scaled by the grid's step hx in x = log r, as a2/hx^2 and a1/hx, ready
-    for the unscaled sums of Newton's kernel, `solver._derivatives`.
+def _mass_part(profile, r):
+    """_x_coefficients minus the Euler constants, on a 1-D array r.
+
+    Built from the curvature mass terms k = K + 1 of frame_data, never
+    from V - r^2, so every entry keeps its digits when the mass term
+    u = 2 mu r^{1-n} is far below 1.  With e = V/r^2 = 1 - kperp and
+    s = 2(kperp - k1perp):
+
+        a2 = kperp,   a1 = (n-1) kperp - s,
+        c12 = 2 k12 - 2n kperp + 4s + s^2/e,   c1j = -n kperp + s^2/(4e),
+        c2j = s^2/(4e),   cjk = 2s + s^2/(2e),
+        M00 = 2(1-n) kperp + 2s + s^2/(2e),
+        M01 = 2(kperp - k12) - 2s - s^2/(2e),
+        M11 = -2 kperp + 2s + s^2/(2e),   M0j = s,   M1j = s - 2 kperp,
+        Mjj = -2 kperp.
     """
-    C = coefficients(grid)
-    r_plus = sys.profile.r_plus
+    n = profile.n
+    V, _, k12, k1p, kp, _, _ = profile.frame_data(r)
+    if (V <= 0).any():
+        raise SingularAtCore(
+            "profile vanishes on the grid; the zeroth-order terms divide by V"
+        )
+    s = 2.0 * (kp - k1p)
+    t = s * s / (V / r**2)
+    jk = 2.0 * s + 0.5 * t
+    return np.array([
+        kp, (n - 1) * kp - s,                               # a2, a1
+        2.0 * k12 - 2.0 * n * kp + 4.0 * s + t,             # c12
+        0.25 * t - n * kp, 0.25 * t, jk,                    # c1j, c2j, cjk
+        2.0 * (s - (n - 1) * kp) + 0.5 * t,                 # M00
+        2.0 * (kp - k12) - jk, s,                           # M01, M0j
+        jk - 2.0 * kp, s - 2.0 * kp, -2.0 * kp,             # M11, M1j, Mjj
+    ])
+
+
+def _radial(profile, grid, coefficients):
+    """The checks of an application of the operator at the profile on a
+    checked grid, all made before any derivative is taken:
+    coefficients(profile, grid) (_x_coefficients or _mass_part, which
+    check the profile's domain), the core margin and at least 9 points.
+    Returns that table C and its radial rows a2, a1 scaled by the grid's
+    step hx in x = log r, as a2/hx^2 and a1/hx, ready for the unscaled
+    sums of Newton's kernel, `solver._derivatives`.
+    """
+    C = coefficients(profile, grid)
+    r_plus = profile.r_plus
     if r_plus is not None:
         margin = max(0.01 * r_plus, 10.0 * (grid[1] - grid[0]))
         if grid[0] < r_plus + margin:
@@ -296,15 +282,15 @@ def _radial(sys, grid, coefficients):
     return C, C[0] / hx**2, C[1] / hx
 
 
-def apply_L(sys, h):
-    """Apply the assembled operator to a deformation on its grid; returns
-    a deformation with every block populated.  Both derivatives of every
-    column come from one kernel call; the zeroth-order term couples the
-    diagonal sector through S, the sum of the jj columns."""
+def apply_L(profile, h):
+    """Apply the operator at the profile to a deformation on its grid;
+    returns a deformation with every block populated.  Both derivatives of
+    every column come from one kernel call; the zeroth-order term couples
+    the diagonal sector through S, the sum of the jj columns."""
     n, values = h.n, h.values
-    if n != sys.n:
-        raise UnknownBlock(f"dimension mismatch: operator {sys.n}, h {n}")
-    C, a2, a1 = _radial(sys, h.grid, sys._x_coefficients)
+    if n != profile.n:
+        raise UnknownBlock(f"dimension mismatch: operator {profile.n}, h {n}")
+    C, a2, a1 = _radial(profile, h.grid, _x_coefficients)
     m00, m01, m0j, m11, m1j, mjj = C[6:]
     h11, h22, S = values[:, 0], values[:, 1], values[:, 2:n].sum(axis=1)
     zeroth = np.empty_like(values)
@@ -323,6 +309,12 @@ def apply_L(sys, h):
     return InvariantDeformation(n=n, grid=h.grid, components=_blocks(Lh, n))
 
 
+# the Euler constant of each scalar block's indicial polynomial; 11 is the
+# diagonal sector's decoupled row, M00
+_SCALAR_CONSTANTS = {"11": "M00", "12": "c12", "1j": "c1j", "2j": "c2j",
+                     "jk": "cjk"}
+
+
 def indicial_roots(block, n):
     """Indicial exponents of the cusp-model block.
 
@@ -339,12 +331,9 @@ def indicial_roots(block, n):
         sq = math.sqrt(disc)
         return (0.5 * (-(n - 1) + sq), 0.5 * (-(n - 1) - sq))
 
-    if block in ("11", "12"):
-        return roots_for(2.0 * (n - 1))
-    if block == "1j":
-        return (1.0, -float(n))
-    if block in ("2j", "jk"):
-        return (0.0, float(1 - n))
+    if block in _SCALAR_CONSTANTS:
+        E = dict(zip(COEFFICIENTS, _euler_constants(n).tolist()))
+        return roots_for(E[_SCALAR_CONSTANTS[block]])
     if block == "diag":
         # the Euler coupling's eigenvalues are 2(n-1) twice and 0 n-2 times
         exps = 2 * roots_for(2.0 * (n - 1)) + (n - 2) * roots_for(0.0)
@@ -440,8 +429,8 @@ def compare_operators(n, grid, centers, width=0.4, r_window=None, m=1.0,
     width), with a log-log envelope fit; no deformation is built.
 
     The difference of the cusp model and the black hole of mass m is the
-    black hole's mass part (ODESystemL._mass_part), which keeps its digits
-    however far it falls below either operator.  On the bump column b in
+    black hole's mass part (_mass_part), which keeps its digits however
+    far it falls below either operator.  On the bump column b in
     every block it is R b + z b, R the mass part's radial part and z one of
     at most 7 rows (the coupling's three diagonal row sums, c12, c1j, c2j
     and, for n >= 4, cjk): one derivative pass over b, then the pointwise
@@ -453,7 +442,7 @@ def compare_operators(n, grid, centers, width=0.4, r_window=None, m=1.0,
     meets the grid, an integer bins >= 3, the profile's domain and the
     core margin) runs before any derivative is taken.
     """
-    sys = assemble_L_blackhole(black_hole_metric(m, n))
+    profile = BlackHoleProfile(m=m, n=n)
     grid, x = _checked_grid(grid)
     b = _bump_column(x, centers, width)
     lo, hi = (grid[0], grid[-1]) if r_window is None else r_window
@@ -462,7 +451,7 @@ def compare_operators(n, grid, centers, width=0.4, r_window=None, m=1.0,
                           f" and meet the grid: {r_window}")
     if not (isinstance(bins, numbers.Integral) and bins >= 3):
         raise OutOfDomain(f"bins must be an integer >= 3, got {bins}")
-    C, a2, a1 = _radial(sys, grid, sys._mass_part)
+    C, a2, a1 = _radial(profile, grid, _mass_part)
     _, _, c12, c1j, c2j, cjk, m00, m01, m0j, m11, m1j, mjj = C
     d1, d2 = _derivatives(b, _unit_stencils(b.size))
     R = a2 * d2

@@ -32,7 +32,7 @@ from .errors import (
     TooFewSamples,
 )
 from .numutil import _is_finite_real, smoothstep
-from .profiles import closing_parameters
+from .profiles import MAX_DIMENSION, closing_parameters
 
 __all__ = [
     "WeightSpec",
@@ -82,8 +82,11 @@ class WeightSpec:
     r_c: tuple = None
 
     def __post_init__(self):
-        if not (_is_finite_real(self.n) and self.n >= 3):
-            raise InvalidWeight(f"need a real n >= 3, got n={self.n!r}")
+        n = self.n
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and 3 <= n <= MAX_DIMENSION):
+            raise InvalidWeight(f"need an integer n from 3 to {MAX_DIMENSION},"
+                                f" got n={n!r}")
         # tolist keeps an int too large for a float an int, which the
         # checks reject, where float() would raise OverflowError
         R = np.atleast_1d(self.R).tolist()

@@ -55,7 +55,6 @@ __all__ = [
     "closing_parameters",
     "fitted_mass",
     "eval_profile",
-    "make_glued_profile",
     "FillingMetric",
     "black_hole_metric",
     "cusp_metric",
@@ -397,11 +396,6 @@ def eval_profile(profile, r, deriv_order=0):
     return float(out) if scalar else out
 
 
-def make_glued_profile(R, n):
-    """Glued profile at gluing radius R, transition on [0.8 R, 0.9 R]."""
-    return GluedProfile(R=R, n=n)
-
-
 # ----------------------------------------------------------------------
 # Filling metrics
 # ----------------------------------------------------------------------
@@ -430,4 +424,4 @@ def cusp_metric(n):
 
 def glued_metric(R, n):
     """Glued approximate-Einstein metric at gluing radius R."""
-    return FillingMetric(make_glued_profile(R, n))
+    return FillingMetric(GluedProfile(R, n))

@@ -33,21 +33,21 @@ from dehnfill.linearized import (
     COEFFICIENTS,
     InvariantDeformation,
     apply_L,
-    assemble_L_blackhole,
-    assemble_L_cusp,
     compare_operators,
     indicial_roots,
     metric_deformation,
+    operator_coefficients,
 )
 from dehnfill.norms import WeightSpec, phi_c
 from dehnfill.numutil import fit_loglog, loggrid
 from dehnfill.profiles import (
+    CuspProfile,
+    GluedProfile,
     black_hole_metric,
     closing_parameters,
     cusp_metric,
     eval_profile,
     glued_metric,
-    make_glued_profile,
 )
 from dehnfill.solver import (
     newton_solve,
@@ -146,13 +146,13 @@ def test_criterion_5_indicial_dichotomy():
     # the residual over dyadic grids in log r; on [2, 2e4] every size sits
     # above the rounding floor, which the 9-node template reaches on [2, 6]
     # by N=100 (a fit there reads a spurious order of +1.5)
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     sups = []
     for npts in (100, 200, 400, 800):
         grid = loggrid(2.0, 2e4, npts)
         h = InvariantDeformation(n=4, grid=grid,
                                  components={"1j": grid ** (-4.0)})
-        sups.append(float(np.max(np.abs(apply_L(sys, h).block("1j")))))
+        sups.append(float(np.max(np.abs(apply_L(cusp, h).block("1j")))))
     order, _, _ = fit_loglog(np.array([100.0, 200.0, 400.0, 800.0]),
                              np.array(sups))
     ok = ok and order < -3.5
@@ -168,7 +168,7 @@ def test_criterion_6_newton_perturbation():
     ok = True
     for n in (4, 5):
         for R in (15.0, 50.0, 100.0):
-            res = newton_solve(make_glued_profile(R, n))
+            res = newton_solve(GluedProfile(R, n))
             m_dev = abs(res.fitted_m - 1.0)
             rp_dev = abs(res.r_plus - 2.0 ** (1.0 / (n - 1)))
             good = (res.converged and res.residuals[-1] < 1e-10
@@ -331,8 +331,7 @@ def test_criterion_10_exact_identity_suite():
     met = glued_metric(50.0, 4)
     cases.append((met, loggrid(met.profile.r_plus * 1.2, 49.9, 2000)))
     for met, grid in cases:
-        sys_l = assemble_L_blackhole(met)
-        out = apply_L(sys_l, metric_deformation(met.n, grid))
+        out = apply_L(met.profile, metric_deformation(met.n, grid))
         ric = ricci_and_deficit(met, grid).ric_diag
         worst_gauge = max(worst_gauge,
                           float(np.max(np.abs(out.diag_matrix() + 2.0 * ric))))
@@ -342,7 +341,7 @@ def test_criterion_10_exact_identity_suite():
     r = np.linspace(0.5, 30.0, 64)
     worst_sub = 0.0
     for n in (3, 4, 6, 8):
-        C = assemble_L_cusp(n).coefficients(r)
+        C = operator_coefficients(CuspProfile(n), r)
         # the coupling's six distinct entries: M00, M01 = M0j = 0, and 2
         # everywhere else
         euler = {"c2": -r**2, "c1": -n * r, "c12": 2.0 * (n - 1),

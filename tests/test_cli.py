@@ -13,10 +13,10 @@ import pytest
 from dehnfill import cli, linearized
 from dehnfill.cli import main
 from dehnfill.curvature import ricci_and_deficit
-from dehnfill.linearized import assemble_L_blackhole, assemble_L_cusp
+from dehnfill.linearized import operator_coefficients
 from dehnfill.numutil import loggrid
-from dehnfill.profiles import (black_hole_metric, cusp_metric, glued_metric,
-                               make_glued_profile)
+from dehnfill.profiles import (CuspProfile, GluedProfile, black_hole_metric,
+                               cusp_metric, glued_metric)
 from dehnfill.solver import NewtonConfig, newton_solve
 
 
@@ -333,7 +333,7 @@ def test_solve_unreachable_tol_exit_3(tmp_path, capsys):
     assert "error" in summary
     assert capsys.readouterr().err != ""
     # the files hold the returned best iterate: the header and N rows
-    result = newton_solve(make_glued_profile(15.0, 4),
+    result = newton_solve(GluedProfile(15.0, 4),
                           NewtonConfig(residual_tol=1e-30))
     assert summary == result.to_dict()
     assert len(report) == NewtonConfig.grid_size + 1
@@ -626,14 +626,14 @@ def test_linearize_each_profile_matches_library(tmp_path, profile):
         metric = _LIBRARY[profile](n)
         grid_text = manifest["config"]["grid"]
         if profile == "cusp":
-            sys_l = assemble_L_cusp(n)
+            prof = CuspProfile(n)
             assert grid_text == "0.5:50:64"
         else:
-            sys_l = assemble_L_blackhole(metric)
+            prof = metric.profile
             lo = float(grid_text.split(":")[0])
             assert lo == pytest.approx(1.05 * metric.profile.r_plus, rel=1e-5)
         grid = _grid(grid_text)
-        C = sys_l.coefficients(grid)
+        C = operator_coefficients(prof, grid)
         mjk = C[-1] if n == 5 else np.copysign(0.0, C[-1])
         expected = np.column_stack([grid, *C, mjk])
         assert report[0] == ("r,c2,c1,c12,c1j,c2j,cjk,"
@@ -802,8 +802,8 @@ def scipy_modules():
 
 import dehnfill, dehnfill.cli
 assert scipy_modules() == [], scipy_modules()
-from dehnfill import eval_profile, make_glued_profile, newton_solve
-result = newton_solve(make_glued_profile(50.0, 4))
+from dehnfill import GluedProfile, eval_profile, newton_solve
+result = newton_solve(GluedProfile(50.0, 4))
 assert result.converged, result.error
 # the banded solve loads scipy's LAPACK wrapper alone: neither scipy's nor
 # scipy.linalg's __init__ runs, nor the numpy modules the latter pulls in

@@ -24,7 +24,6 @@ from dehnfill.profiles import (
     cusp_metric,
     eval_profile,
     glued_metric,
-    make_glued_profile,
 )
 
 

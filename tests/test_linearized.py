@@ -24,16 +24,15 @@ from dehnfill.linearized import (
     COEFFICIENTS,
     InvariantDeformation,
     apply_L,
-    assemble_L_blackhole,
-    assemble_L_cusp,
     bump_deformation,
     compare_operators,
     indicial_roots,
     metric_deformation,
+    operator_coefficients,
 )
 from dehnfill.numutil import diff_matrix, fit_loglog, loggrid
-from dehnfill.profiles import (black_hole_metric, cusp_metric, eval_profile,
-                               glued_metric)
+from dehnfill.profiles import (CuspProfile, black_hole_metric, cusp_metric,
+                               eval_profile, glued_metric)
 
 
 def _named(C):
@@ -60,7 +59,7 @@ def test_gauge_identity_blackhole():
     # Einstein background; the residue is finite-difference rounding
     met = black_hole_metric(1.0, 4)
     grid = loggrid(met.profile.r_plus * 1.2, 60.0, 400)
-    out = apply_L(assemble_L_blackhole(met), metric_deformation(4, grid))
+    out = apply_L(met.profile, metric_deformation(4, grid))
     diag = out.diag_matrix()
     assert np.max(np.abs(diag - 2.0 * 3.0)) < 1e-9
     for label in ("12", "1j", "2j", "jk"):
@@ -68,9 +67,9 @@ def test_gauge_identity_blackhole():
 
 
 def test_gauge_identity_cusp():
-    sys = assemble_L_cusp(5)
+    cusp = CuspProfile(5)
     grid = loggrid(1.0, 30.0, 300)
-    out = apply_L(sys, metric_deformation(5, grid))
+    out = apply_L(cusp, metric_deformation(5, grid))
     assert np.max(np.abs(out.diag_matrix() - 2.0 * 4.0)) < 1e-9
 
 
@@ -82,7 +81,7 @@ def test_gauge_identity_glued_scales():
     for R in (30.0, 120.0):
         met = glued_metric(R, n)
         grid = loggrid(met.profile.r_plus * 1.2, R * 0.999, 3000)
-        out = apply_L(assemble_L_blackhole(met), metric_deformation(n, grid))
+        out = apply_L(met.profile, metric_deformation(n, grid))
         outs.append(np.max(np.abs(out.diag_matrix() - 2.0 * (n - 1))))
     assert outs[0] / outs[1] == pytest.approx(4.0 ** (n - 1), rel=0.25)
 
@@ -91,7 +90,8 @@ def test_gauge_identity_glued_scales():
 def test_cusp_maps_metric_to_2_n_minus_1_exactly(n):
     # the difference-form derivatives vanish on a constant, so only the
     # coupling's row sums remain, and on the cusp they are exact
-    out = apply_L(assemble_L_cusp(n), metric_deformation(n, loggrid(0.6, 40.0, 400)))
+    grid = loggrid(0.6, 40.0, 400)
+    out = apply_L(CuspProfile(n), metric_deformation(n, grid))
     assert np.all(out.diag_matrix() == 2.0 * (n - 1))
 
 
@@ -103,7 +103,7 @@ def test_gauge_residue_at_rounding_level(R):
 
     met = black_hole_metric(1.0, 4) if R is None else glued_metric(R, 4)
     grid = loggrid(met.profile.r_plus * 1.2, 49.9, 2000)
-    out = apply_L(assemble_L_blackhole(met), metric_deformation(4, grid))
+    out = apply_L(met.profile, metric_deformation(4, grid))
     ric = ricci_and_deficit(met, grid).ric_diag
     assert np.max(np.abs(out.diag_matrix() + 2.0 * ric)) <= 1e-13
 
@@ -113,7 +113,7 @@ def test_zero_deformation_maps_to_zero():
     grid = loggrid(met.profile.r_plus * 1.3, 20.0, 600)
     h = InvariantDeformation(n=4, grid=grid,
                              components={"11": np.zeros(600)})
-    out = apply_L(assemble_L_blackhole(met), h)
+    out = apply_L(met.profile, h)
     for label in BLOCK_LABELS:
         assert np.max(np.abs(out.block(label))) == 0.0
 
@@ -122,7 +122,7 @@ def test_zero_deformation_maps_to_zero():
 def test_cusp_coefficients_match_euler_model(n):
     # the shared assembly on V = r^2 gives the Euler model's constants
     r = np.geomspace(1e-3, 1e6, 200)
-    C = assemble_L_cusp(n).coefficients(r)
+    C = operator_coefficients(CuspProfile(n), r)
     assert C.shape == (len(COEFFICIENTS), r.size)
     coef, M = _named(C), _coupling(C, n)
     ulp = 8 * np.finfo(float).eps
@@ -143,9 +143,9 @@ def test_cusp_coefficients_match_euler_model(n):
 
 
 def test_cusp_offdiag_coefficients():
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     r = np.array([1.0, 3.0])
-    z = _named(sys.coefficients(r))
+    z = _named(operator_coefficients(cusp, r))
     assert np.allclose(z["c12"], 6.0)
     assert np.allclose(z["c1j"], 4.0)
     assert np.allclose(z["c2j"], 0.0)
@@ -156,13 +156,13 @@ def test_blackhole_12_coefficient_formula():
     # (Lh)_12 carries the zeroth coefficient (V')^2/V + 2(n-2)V/r^2 + 2K_12
     n, m = 4, 1.0
     met = black_hole_metric(m, n)
-    sys = assemble_L_blackhole(met)
     r = np.array([2.0, 5.0])
     V = r**2 - 2.0 * m / r
     V1 = 2.0 * r + 2.0 * m / r**2
     K12 = -1.0 + (n - 3) * (n - 2) * m / r ** (n - 1)
     expect = V1**2 / V + 2.0 * (n - 2) * V / r**2 + 2.0 * K12
-    assert np.allclose(_named(sys.coefficients(r))["c12"], expect, rtol=1e-13)
+    c12 = _named(operator_coefficients(met.profile, r))["c12"]
+    assert np.allclose(c12, expect, rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -173,7 +173,7 @@ def test_blackhole_mass_coefficients_exact(n):
     # (s = (n-1)u, e = 1-u) to a few ulps, however small u is
     ks = range(1, 30)
     r = np.array([2.0**k for k in ks])
-    coef = _named(assemble_L_blackhole(black_hole_metric(1.0, n)).coefficients(r))
+    coef = _named(operator_coefficients(black_hole_metric(1.0, n).profile, r))
     ulps = 4 * Fraction(2) ** -52
     for i, k in enumerate(ks):
         u = Fraction(2, 2 ** (k * (n - 1)))
@@ -200,7 +200,7 @@ def test_coupling_row_sums():
         r = np.concatenate([loggrid(1.2 * r_plus, 19.0, 11),
                             np.linspace(19.0, 24.0, 11)])
         for met in (black_hole_metric(1.0, n), cusp_metric(n), glued, sampled):
-            k = _named(assemble_L_blackhole(met).coefficients(r))
+            k = _named(operator_coefficients(met.profile, r))
             ric = ricci_and_deficit(met, r).ric_diag
             sums = (k["M00"] + k["M01"] + (n - 2) * k["M0j"],
                     k["M01"] + k["M11"] + (n - 2) * k["M1j"],
@@ -271,7 +271,7 @@ def test_euler_annihilation_decaying_root():
     # discretization error of the 9-node template in log r.  On [2, 2e4]
     # every size sits far above the rounding floor; N=800 would not (it
     # reads 1.91e-10 or 1.86e-10 depending on the BLAS kernel)
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     expected = {50: 6.151353e-3, 100: 1.579004e-4,
                 200: 2.295799e-6, 400: 2.462883e-8}
     sups = []
@@ -279,7 +279,7 @@ def test_euler_annihilation_decaying_root():
         grid = loggrid(2.0, 2e4, npts)
         h = InvariantDeformation(n=4, grid=grid,
                                  components={"1j": grid ** (-4.0)})
-        sup = float(np.max(np.abs(apply_L(sys, h).block("1j"))))
+        sup = float(np.max(np.abs(apply_L(cusp, h).block("1j"))))
         assert sup == pytest.approx(val, rel=1e-3)
         sups.append(sup)
     order, _, _ = fit_loglog(
@@ -289,7 +289,7 @@ def test_euler_annihilation_decaying_root():
 
 
 def test_euler_annihilation_growing_root():
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     s = indicial_roots("11", 4)[0]
     sups = []
     for npts in (12, 24, 48, 96):
@@ -298,7 +298,7 @@ def test_euler_annihilation_growing_root():
                                  components={"11": grid**s})
         # the 11 block couples into the diagonal sector; the residual of
         # an indicial solution shows up in its own component
-        out = apply_L(sys, h)
+        out = apply_L(cusp, h)
         sups.append(float(np.max(np.abs(out.block("11")))))
     # the order is fitted below N=96, whose error (0.9e-9 to 1.2e-9,
     # depending on the BLAS kernel) already sits at the rounding floor:
@@ -311,19 +311,39 @@ def test_euler_annihilation_growing_root():
 
 
 def test_constant_jk_annihilated():
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     grid = loggrid(2.0, 6.0, 200)
     h = InvariantDeformation(n=4, grid=grid,
                              components={"jk": np.ones((200, 1))})
-    assert np.max(np.abs(apply_L(sys, h).block("jk"))) < 1e-8
+    assert np.max(np.abs(apply_L(cusp, h).block("jk"))) < 1e-8
 
 
 def test_linear_1j_annihilated():
     # r^1 is the growing indicial solution of the 1j block
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     grid = loggrid(2.0, 6.0, 200)
     h = InvariantDeformation(n=4, grid=grid, components={"1j": grid.copy()})
-    assert np.max(np.abs(apply_L(sys, h).block("1j"))) < 1e-7
+    assert np.max(np.abs(apply_L(cusp, h).block("1j"))) < 1e-7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_cusp_annihilates_every_scalar_blocks_indicial_solutions(n):
+    # r^s for both roots s of indicial_roots solves its block of the cusp
+    # operator, 11 (the diagonal sector's decoupled row) included, and
+    # nothing leaks into another block: the roots and the operator read the
+    # same Euler constants.  The residue is the template's discretization
+    # error, at most 2.3e-8 of sup |h| measured (n = 8, blocks 11 and 12)
+    grid = loggrid(2.0, 6.0, 200)
+    widths = {"11": 1, "12": 1, "1j": 1, "2j": 1, "jk": (n - 2) * (n - 3) // 2}
+    for block, width in widths.items():
+        if not width:
+            continue
+        for s in indicial_roots(block, n):
+            h = InvariantDeformation(n=n, grid=grid, components={
+                block: np.tile((grid**s)[:, None], width)})
+            Lh = apply_L(CuspProfile(n), h).values
+            ratio = np.max(np.abs(Lh)) / np.max(np.abs(h.values))
+            assert ratio < 1e-7, (block, s)
 
 
 def test_bump_deformation_unit_size():
@@ -478,7 +498,7 @@ def test_compare_operators_builds_stencils_once(monkeypatch):
     assert built == []
     assert applied == [(1024,)]
     applied.clear()
-    apply_L(assemble_L_cusp(4), bump_deformation(4, grid, centers))
+    apply_L(CuspProfile(4), bump_deformation(4, grid, centers))
     # n = 4: 11, 22, two jj, 12, 1j, 2j and one jk column
     assert built == []
     assert applied == [(1024, 8)]
@@ -528,8 +548,8 @@ def test_compare_operators_applies_one_operator(monkeypatch):
     # the mass part alone: one zeroth-order pass (the black hole's mass
     # part, never the full coefficients) and one kernel call, on the one
     # 1-D column of the bumps
-    counts = {"_derivatives": 0, "coefficients": 0, "_x_coefficients": 0,
-              "_mass_part": 0}
+    counts = {"_derivatives": 0, "operator_coefficients": 0,
+              "_x_coefficients": 0, "_mass_part": 0}
     shapes = []
     real = linearized._derivatives
 
@@ -539,18 +559,18 @@ def test_compare_operators_applies_one_operator(monkeypatch):
         return real(values, stencils)
 
     monkeypatch.setattr(linearized, "_derivatives", counting)
-    for name in ("coefficients", "_x_coefficients", "_mass_part"):
-        real_method = getattr(linearized.ODESystemL, name)
+    for name in ("operator_coefficients", "_x_coefficients", "_mass_part"):
+        real_function = getattr(linearized, name)
 
-        def counting_method(sys, r, _real=real_method, _name=name):
+        def counting_function(profile, r, _real=real_function, _name=name):
             counts[_name] += 1
-            return _real(sys, r)
+            return _real(profile, r)
 
-        monkeypatch.setattr(linearized.ODESystemL, name, counting_method)
+        monkeypatch.setattr(linearized, name, counting_function)
     grid = loggrid(5.0, 500.0, 1024)
     compare_operators(4, grid, np.geomspace(7.5, 335.0, 12),
                       r_window=(5.0, 500.0))
-    assert counts == {"_derivatives": 1, "coefficients": 0,
+    assert counts == {"_derivatives": 1, "operator_coefficients": 0,
                       "_x_coefficients": 0, "_mass_part": 1}
     assert shapes == [(1024,)]
 
@@ -565,41 +585,38 @@ def test_compare_operators_accepts_centers_off_the_grid():
     assert math.isnan(cmp.slope)
 
 
-class _MassPartL(linearized.ODESystemL):
-    """The black hole's mass part as a whole operator, for apply_L."""
-
-    def _x_coefficients(self, r):
-        return self._mass_part(r)
-
-
 @pytest.mark.parametrize("N", [256, 4096])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_compare_operators_matches_mass_part_on_every_column(n, N):
+def test_compare_operators_matches_mass_part_on_every_column(
+        monkeypatch, n, N):
     # the one-column rows against the general operator on all K columns:
     # the same zero set and a few ulps of each point's value (n = 3 has no
     # jk row)
     grid = loggrid(5.0, 500.0, N)
     centers = np.geomspace(5.0 * math.exp(0.4), 500.0 * math.exp(-0.4), 12)
     h = bump_deformation(n, grid, centers)
-    sys = _MassPartL(black_hole_metric(1.0, n).profile)
-    want = np.abs(apply_L(sys, h).values).max(axis=1)
+    # the black hole's mass part as a whole operator, for apply_L
+    monkeypatch.setattr(linearized, "_x_coefficients", linearized._mass_part)
+    want = np.abs(apply_L(black_hole_metric(1.0, n).profile, h).values
+                  ).max(axis=1)
+    monkeypatch.undo()
     diff = compare_operators(n, grid, centers).diff
     assert np.array_equal(diff == 0, want == 0)
     assert np.all(np.abs(diff - want) <= 4 * np.finfo(float).eps * want)
 
 
-def _reference_apply_L(sys, grid, comps):
-    """The operator block by block from sys.coefficients, knowing nothing
-    of the packed layout: the diagonal sector (11, 22, jj) through M,
+def _reference_apply_L(profile, grid, comps):
+    """The operator block by block from operator_coefficients, knowing
+    nothing of the packed layout: the diagonal sector (11, 22, jj) through M,
     every other block through its own scalar coefficient.  The radial
     derivatives are dense 9-node differentiation matrices in x = log r,
     built on the integer nodes (whose differences are exact) and scaled by
     the step, and taken to r by the chain rule u_r = u_x / r,
     u_rr = (u_xx - u_x) / r^2.  Returns {label: (npts, m) array} and the
     largest term's size."""
-    C = sys.coefficients(grid)
+    C = operator_coefficients(profile, grid)
     c2, c1, off = C[0], C[1], _named(C)
-    M = _coupling(C, sys.n)
+    M = _coupling(C, profile.n)
     nodes = np.arange(grid.size, dtype=float)
     hx = (math.log(grid[-1]) - math.log(grid[0])) / (grid.size - 1)
     Dx = diff_matrix(nodes, 1, 9) / hx
@@ -635,9 +652,9 @@ def test_apply_L_matches_per_block_reference(n):
     # rounding of the stencil sums
     comps = {label: rng.normal(size=(grid.size, w))
              for label, w in widths.items()}
-    sys = assemble_L_blackhole(met)
-    got = apply_L(sys, InvariantDeformation(n=n, grid=grid, components=comps))
-    want, scale = _reference_apply_L(sys, grid, comps)
+    got = apply_L(met.profile,
+                  InvariantDeformation(n=n, grid=grid, components=comps))
+    want, scale = _reference_apply_L(met.profile, grid, comps)
     for label in BLOCK_LABELS:
         err = np.abs(got.block(label).reshape(grid.size, -1) - want[label])
         assert np.max(err, initial=0.0) <= 1e-14 * scale, label
@@ -651,8 +668,8 @@ def test_compare_operators_matches_two_apply_L(n):
     grid = loggrid(5.0, 500.0, 4096)
     centers = np.geomspace(5.0 * math.exp(0.4), 500.0 * math.exp(-0.4), 12)
     h = bump_deformation(n, grid, centers)
-    La = apply_L(assemble_L_cusp(n), h)
-    Lb = apply_L(assemble_L_blackhole(black_hole_metric(1.0, n)), h)
+    La = apply_L(CuspProfile(n), h)
+    Lb = apply_L(black_hole_metric(1.0, n).profile, h)
     expected = np.zeros(grid.size)
     scale = 0.0
     for label in BLOCK_LABELS:
@@ -705,11 +722,11 @@ def test_unit_bump_maxima_cached_and_lazy():
 
 
 def test_apply_L_grid_too_coarse():
-    sys = assemble_L_cusp(4)
+    cusp = CuspProfile(4)
     grid = loggrid(2.0, 6.0, 8)
     h = InvariantDeformation(n=4, grid=grid, components={"11": np.ones(8)})
     with pytest.raises(GridTooCoarse):
-        apply_L(sys, h)
+        apply_L(cusp, h)
 
 
 def test_apply_L_core_margin():
@@ -718,7 +735,7 @@ def test_apply_L_core_margin():
     grid = loggrid(rp + 1e-4, 10.0, 200)
     h = InvariantDeformation(n=4, grid=grid, components={"11": np.ones(200)})
     with pytest.raises(SingularAtCore):
-        apply_L(assemble_L_blackhole(met), h)
+        apply_L(met.profile, h)
 
 
 def test_deformation_validation():
@@ -766,7 +783,7 @@ def test_operator_rejects_grid_not_uniform_in_log_r(monkeypatch, grid):
     # raises before a stencil is built or applied
     built, applied = _count_stencils(monkeypatch)
     entry_points = [
-        lambda: apply_L(assemble_L_cusp(4), metric_deformation(4, grid)),
+        lambda: apply_L(CuspProfile(4), metric_deformation(4, grid)),
         lambda: compare_operators(4, grid, [50.0]),
         lambda: bump_deformation(4, grid, centers=[50.0]),
     ]

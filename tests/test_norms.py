@@ -189,8 +189,12 @@ def test_l2_window_square_summability():
     (lambda: WeightSpec(n=4, R=(50.0,), delta=10**400), InvalidWeight),
     (lambda: WeightSpec(n=4, R=(50.0,), r_c=10**400), InvalidWeight),
     (lambda: WeightSpec(n="4", R=(50.0,)), InvalidWeight),
+    # with delta and r_c given, no default checks n on the way
+    (lambda: WeightSpec(n=4.5, R=(50.0,), delta=1.0, r_c=(5.0,)), InvalidWeight),
+    (lambda: WeightSpec(n=40, R=(50.0,), delta=1.0, r_c=(5.0,)), InvalidWeight),
+    (lambda: WeightSpec(n=True, R=(50.0,), delta=1.0, r_c=(5.0,)), InvalidWeight),
 ], ids=["delta-nan", "delta-inf", "R-inf", "R-huge-int", "delta-huge-int",
-        "r_c-huge-int", "n-string"])
+        "r_c-huge-int", "n-string", "n-fractional", "n-above-max", "n-bool"])
 def test_constructors_reject_non_finite(build, error):
     with pytest.raises(error):
         build()

@@ -10,14 +10,16 @@ from dehnfill import (curvature, gluing, lattice, linearized, norms, profiles,
 
 MODULES = (curvature, gluing, lattice, linearized, norms, profiles, solver)
 
-# the 63 names the package exported when its __init__ still listed them by hand
+# the 63 names the package exported when its __init__ still listed them by
+# hand, less the operator's object and its two builders, which gave way to
+# operator_coefficients, and an alias of GluedProfile
 EXPORTED = {
     "__version__", "ApproximateSolution", "BlackHoleProfile", "BudgetReport",
     "CurvatureReport", "CuspProfile", "DecayScanResult", "DehnFillError",
     "DehnFillingData", "EinsteinSolveResult", "FillingMetric", "FlatLattice",
     "GeodesicClass", "GluedProfile", "InvariantDeformation", "NewtonConfig",
-    "ODESystemL", "OperatorComparison", "SampledProfile", "WeightSpec",
-    "apply_L", "assemble_L_blackhole", "assemble_L_cusp", "black_hole_metric",
+    "OperatorComparison", "SampledProfile", "WeightSpec", "apply_L",
+    "black_hole_metric",
     "build_approximate_solution", "bump_deformation", "closing_parameters",
     "compare_operators", "curvature_action", "cusp_metric",
     "cutoff_deficit_diag", "decay_scan", "decay_weight",
@@ -26,7 +28,7 @@ EXPORTED = {
     "euler_reconstruct", "eval_profile", "extend_to_basis",
     "fd_curvature_oracle", "filling_data", "filling_from_lengths",
     "fitted_mass", "geodesic_length", "glued_metric", "indicial_roots",
-    "make_glued_profile", "metric_deformation", "newton_solve",
+    "metric_deformation", "newton_solve", "operator_coefficients",
     "oscillation_bound", "oscillation_closed_form", "perturbation_budget",
     "phi_c", "phi_c_raw", "quotient_generators", "ricci_and_deficit",
     "sectional_curvatures", "sectional_matrix", "spectral_bound",
@@ -72,5 +74,5 @@ def test_star_import_and_dir_give_the_exported_names():
     namespace = {}
     exec("from dehnfill import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTED
-    assert len(dehnfill.__all__) == len(EXPORTED) == 63
+    assert len(dehnfill.__all__) == len(EXPORTED) == 60
     assert EXPORTED <= set(dir(dehnfill))

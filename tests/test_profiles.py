@@ -9,7 +9,7 @@ from dehnfill.errors import (
     OutOfDomain,
     RadiusTooSmall,
 )
-from dehnfill.linearized import assemble_L_cusp, indicial_roots
+from dehnfill.linearized import indicial_roots
 from dehnfill.profiles import (
     MAX_DIMENSION,
     BlackHoleProfile,
@@ -21,7 +21,7 @@ from dehnfill.profiles import (
     closing_parameters,
     cusp_metric,
     eval_profile,
-    make_glued_profile,
+    glued_metric,
 )
 from dehnfill.numutil import _smoothstep, loggrid, smoothstep
 from dehnfill.solver import einstein_residual
@@ -57,7 +57,7 @@ def test_eval_profile_rejects_nan_radius(r):
     # every comparison with nan is False, so a domain check written as
     # "any radius below or above" let it through to a RuntimeWarning
     with pytest.raises(OutOfDomain):
-        eval_profile(make_glued_profile(20.0, 4), r)
+        eval_profile(GluedProfile(20.0, 4), r)
 
 
 def test_closing_parameters_values():
@@ -94,7 +94,7 @@ def test_closing_identity_sweep():
 
 def test_cutoff_shape():
     # the cutoff of the glued profile at R = 10, from 1 below 8 to 0 above 9
-    lo, hi = make_glued_profile(10.0, 4).transition
+    lo, hi = GluedProfile(10.0, 4).transition
     assert (lo, hi) == (8.0, 9.0)
     r = np.linspace(7.0, 10.0, 301)
     chi = _cutoff_mass(r, lo, hi, 0)[0]
@@ -109,7 +109,7 @@ def test_cutoff_shape():
     assert np.all(chi_d2[outside] == 0.0)
 
 
-@pytest.mark.parametrize("build", [GluedProfile, make_glued_profile],
+@pytest.mark.parametrize("build", [GluedProfile, glued_metric],
                          ids=["class", "builder"])
 @pytest.mark.parametrize("R", [math.nan, math.inf, 3.0],
                          ids=["nan", "inf", "inside-core-margin"])
@@ -122,7 +122,7 @@ def test_glued_profile_rejects_bad_radius(build, R):
 @pytest.mark.parametrize("n", [3, 4, 7])
 @pytest.mark.parametrize("R", [4.5, 10.0, 123.4, 1e150])
 def test_glued_window_and_domain_follow_from_R(R, n):
-    prof = make_glued_profile(R, n)
+    prof = GluedProfile(R, n)
     assert prof.transition == (0.8 * R, 0.9 * R)
     assert prof.domain == (closing_parameters(1.0, n)[0], R)
     assert prof.outer_radius == R
@@ -130,7 +130,7 @@ def test_glued_window_and_domain_follow_from_R(R, n):
 
 
 def test_glued_profile_closed_form_regions():
-    prof = make_glued_profile(100.0, 4)
+    prof = GluedProfile(100.0, 4)
     # chi = 1 region: V(50) = 2500 - 2/50
     assert eval_profile(prof, 50.0, 0) == pytest.approx(2499.96, abs=1e-12)
     # chi = 0 region: pure cusp
@@ -138,7 +138,7 @@ def test_glued_profile_closed_form_regions():
 
 
 def test_glued_profile_matches_pieces_bitwise():
-    prof = make_glued_profile(100.0, 4)
+    prof = GluedProfile(100.0, 4)
     bh = BlackHoleProfile(m=1.0, n=4)
     lo, hi = prof.transition
     r_in = np.linspace(prof.domain[0] * 1.001, lo * 0.999, 97)
@@ -153,7 +153,7 @@ def test_glued_profile_matches_pieces_bitwise():
 def test_glued_profile_smooth_junctions():
     # R=10 puts the transition on [8, 9]; check C^4 by comparing one-sided
     # finite differences of V across each junction
-    prof = make_glued_profile(10.0, 5)
+    prof = GluedProfile(10.0, 5)
     for rj in prof.transition:
         h = 1e-2
         for order in (1, 2):
@@ -180,7 +180,7 @@ def test_analytic_derivatives_match_fd():
         (CuspProfile(n=4, domain=(0.5, 50.0)), np.linspace(1.0, 40.0, 23)),
         (BlackHoleProfile(m=1.0, n=4), np.linspace(1.5, 40.0, 23)),
         (BlackHoleProfile(m=2.0, n=7), np.linspace(1.6, 40.0, 23)),
-        (make_glued_profile(30.0, 5), np.linspace(2.0, 29.0, 41)),
+        (GluedProfile(30.0, 5), np.linspace(2.0, 29.0, 41)),
     ]
     for prof, rs in profiles:
         for r in rs:
@@ -190,9 +190,9 @@ def test_analytic_derivatives_match_fd():
                 assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
 
 
-def test_make_glued_profile_too_small():
+def test_glued_profile_too_small():
     with pytest.raises(RadiusTooSmall):
-        make_glued_profile(1.8, 4)
+        GluedProfile(1.8, 4)
 
 
 def test_sampled_profile_validation():
@@ -250,7 +250,7 @@ def test_dimension_above_the_bound_is_rejected(n):
 
 
 def test_positivity_above_core():
-    prof = make_glued_profile(40.0, 6)
+    prof = GluedProfile(40.0, 6)
     r = np.linspace(prof.r_plus * 1.01, 39.9, 500)
     assert np.all(eval_profile(prof, r, 0) > 0)
 
@@ -263,7 +263,7 @@ _GRID = np.geomspace(1.0, 20.0, 16)
     (lambda: closing_parameters(math.nan, 4), InvalidMass),
     (lambda: BlackHoleProfile(m=math.nan, n=4), InvalidMass),
     (lambda: black_hole_metric(True, 4), InvalidMass),
-    (lambda: make_glued_profile(True, 4), RadiusTooSmall),
+    (lambda: glued_metric(True, 4), RadiusTooSmall),
     (lambda: GluedProfile(R="50", n=4), RadiusTooSmall),
     (lambda: closing_parameters(10**400, 4), InvalidMass),
     (lambda: BlackHoleProfile(m=10**400, n=4), InvalidMass),
@@ -288,8 +288,8 @@ def test_cutoff_rejects_window_whose_squared_width_overflows():
     with pytest.raises(OutOfDomain, match="squared width overflows"):
         GluedProfile(R=1e200, n=4)
     with pytest.raises(OutOfDomain, match="squared width overflows"):
-        make_glued_profile(1e200, 4)
-    lo, hi = make_glued_profile(1e151, 4).transition
+        GluedProfile(1e200, 4)
+    lo, hi = GluedProfile(1e151, 4).transition
     assert math.isfinite(_cutoff_mass(0.5 * (lo + hi), lo, hi, 2)[2])
 
 
@@ -301,7 +301,7 @@ def test_cutoff_finite_where_the_step_variable_is_tiny():
     assert _cutoff_mass(1.0000000000000002, 1.0, 1e150, 1)[1] == 0.0
     assert _cutoff_mass(2.0, 1.0, 1e150, 2)[2] == 0.0
     assert _cutoff_mass(2.0, 1.0, 1e150, 0)[0] == 1.0
-    prof = make_glued_profile(2e150, 4)
+    prof = GluedProfile(2e150, 4)
     for order in (0, 1, 2):
         assert np.all(np.isfinite(eval_profile(prof, [1.3, 2.6], order)))
     # a subnormal t
@@ -319,6 +319,6 @@ def test_cusp_metric_rejects_non_integer_n(n):
     with pytest.raises(OutOfDomain, match="integer n > 2"):
         cusp_metric(n)
     with pytest.raises(OutOfDomain, match="integer n > 2"):
-        assemble_L_cusp(n)
+        CuspProfile(n)
     with pytest.raises(OutOfDomain, match="integer n > 2"):
-        make_glued_profile(30.0, n)
+        GluedProfile(30.0, n)

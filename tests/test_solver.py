@@ -23,7 +23,7 @@ from dehnfill.errors import (
 )
 from dehnfill.gluing import DecayScanResult
 from dehnfill.lattice import GeodesicClass
-from dehnfill.linearized import ODESystemL, bump_deformation, compare_operators
+from dehnfill.linearized import bump_deformation, compare_operators
 from dehnfill.norms import (WeightSpec, default_core_scale, default_delta,
                             phi_c, phi_c_raw)
 from dehnfill.numutil import diff_matrix, loggrid, stencil_weights
@@ -35,7 +35,6 @@ from dehnfill.profiles import (
     GluedProfile,
     SampledProfile,
     closing_parameters,
-    make_glued_profile,
 )
 from dehnfill.solver import (
     BudgetReport,
@@ -84,9 +83,9 @@ def test_euler_reconstruct_roundtrip():
 
 
 def test_euler_reconstruct_applyL_roundtrip():
-    # same loop with the rhs produced by the assembled operator instead
-    # of analytically; apply_L returns A f = -(r^2 f'' + n r f')
-    from dehnfill.linearized import InvariantDeformation, apply_L, assemble_L_cusp
+    # same loop with the rhs produced by the cusp's operator instead of
+    # analytically; apply_L returns A f = -(r^2 f'' + n r f')
+    from dehnfill.linearized import InvariantDeformation, apply_L
 
     n = 5
     grid = loggrid(1.0, 20.0, 8000)
@@ -94,7 +93,7 @@ def test_euler_reconstruct_applyL_roundtrip():
     # jk has one column per torus pair, (n-2)(n-3)/2 = 3 at n = 5
     h = InvariantDeformation(n=n, grid=grid,
                              components={"jk": np.tile(f_true[:, None], 3)})
-    out = apply_L(assemble_L_cusp(n), h)
+    out = apply_L(CuspProfile(n), h)
     rhs = -out.block("jk")[:, 0]
     _, f = euler_reconstruct(n, (grid, rhs), (1.0, 1.0))
     assert np.max(np.abs(f - f_true)) < 1e-6
@@ -172,7 +171,7 @@ def test_einstein_residual_exact_profiles():
 
 
 def test_einstein_residual_glued_support():
-    prof = make_glued_profile(50.0, 4)
+    prof = GluedProfile(50.0, 4)
     (g1, F1), (_, F2) = einstein_residual(prof)
     nz = np.abs(F1) > 1e-13
     assert g1[nz][0] > 0.8 * 50.0 * 0.99
@@ -251,7 +250,7 @@ def test_newton_from_exact_blackhole_at_any_mass(m, n):
 
 def test_newton_from_glued_recovers_blackhole():
     n = 4
-    res = newton_solve(make_glued_profile(50.0, n))
+    res = newton_solve(GluedProfile(50.0, n))
     assert res.converged
     assert res.iterations <= 8
     assert res.residuals[-1] < 1e-10
@@ -268,7 +267,7 @@ def test_newton_from_glued_recovers_blackhole():
 
 
 def test_newton_glued_n5_iteration_budget():
-    res = newton_solve(make_glued_profile(15.0, 5))
+    res = newton_solve(GluedProfile(15.0, 5))
     assert res.converged
     assert res.iterations <= 8
     assert res.quadratic_ratio < 1.0
@@ -288,7 +287,7 @@ def test_newton_max_iters_carries_result():
     # no solve reaches 1e-30, so one step always stops at max_iters (1e-12
     # can be reached in one step on some BLAS kernels)
     cfg = NewtonConfig(max_iters=1, residual_tol=1e-30)
-    res = newton_solve(make_glued_profile(50.0, 4), cfg=cfg)
+    res = newton_solve(GluedProfile(50.0, 4), cfg=cfg)
     assert res.converged is False
     assert res.error.endswith("above tol 1.0e-30 after 1 iterations")
     assert res.to_dict()["error"] == res.error
@@ -301,14 +300,14 @@ def test_newton_unreachable_tolerance():
     # rejected full step (it no longer cuts the residual by a quarter) or
     # at the iteration cap, and the solve returns its best profile
     cfg = NewtonConfig(residual_tol=1e-30)
-    res = newton_solve(make_glued_profile(15.0, 4), cfg=cfg)
+    res = newton_solve(GluedProfile(15.0, 4), cfg=cfg)
     assert not res.converged
     assert res.error.startswith(("no acceptable step", "residual "))
     assert res.residuals[-1] < 1e-9
     assert res.fitted_m == pytest.approx(1.0, abs=1e-5)
     # at N=2048 the default tolerance sits below the floor, and the first
     # step lands on it; the residual in the message depends on the kernel
-    res = newton_solve(make_glued_profile(50.0, 4),
+    res = newton_solve(GluedProfile(50.0, 4),
                        NewtonConfig(grid_size=2048))
     assert res.converged is False
     assert res.error.startswith("no acceptable step at iteration 1 ")
@@ -320,7 +319,7 @@ def test_newton_unreachable_tolerance():
 def test_solved_profile_satisfies_einstein_equations(n, N):
     # the returned profile is evaluated by the solver's own 9-node log-grid
     # stencils, so it solves the equations at the nodes and between them
-    res = newton_solve(make_glued_profile(50.0, n),
+    res = newton_solve(GluedProfile(50.0, n),
                        NewtonConfig(grid_size=N))
     assert res.converged, res.error
     prof = res.profile
@@ -335,7 +334,7 @@ def test_solved_profile_satisfies_einstein_equations(n, N):
 def test_solved_profile_vanishes_exactly_at_the_core(n, R):
     # row 0 of the system is W[0] = 0; a step that met it only to rounding
     # left about -2.6e-22 there, which the V < 0 check rejects
-    res = newton_solve(make_glued_profile(R, n))
+    res = newton_solve(GluedProfile(R, n))
     assert res.converged, res.error
     assert res.profile.values[0] == 0.0
     einstein_residual(res.profile)
@@ -344,7 +343,7 @@ def test_solved_profile_vanishes_exactly_at_the_core(n, R):
 def test_newton_solves_in_the_dimension_of_its_start():
     # n comes from the start alone: given a second n, the n=4 black hole
     # once "converged" at n=5 to m = 0.399
-    for start in (BlackHoleProfile(1.0, 4), make_glued_profile(50.0, 4)):
+    for start in (BlackHoleProfile(1.0, 4), GluedProfile(50.0, 4)):
         res = newton_solve(start)
         assert res.converged, res.error
         assert res.n == res.profile.n == 4
@@ -356,13 +355,13 @@ def test_newton_solves_in_the_dimension_of_its_start():
 def test_newton_restarts_from_its_solved_profile(n, R):
     # a sampled profile carries its own n, so a solve restarts from the last
     # one's profile alone and lands on the same black hole
-    first = newton_solve(make_glued_profile(R, n))
+    first = newton_solve(GluedProfile(R, n))
     again = newton_solve(first.profile)
     assert first.converged and again.converged, (first.error, again.error)
     assert again.n == n
     assert again.fitted_m == pytest.approx(first.fitted_m, abs=1e-7)
     p = first.profile
-    assert FillingMetric(p).n == ODESystemL(p).n == first.n == p.n == n
+    assert FillingMetric(p).n == first.n == p.n == n
 
 
 def test_newton_rejects_cusp_start():
@@ -437,7 +436,7 @@ def _dense_jacobian(jac):
 
 def _glued_points(n, N):
     """The glued start and a perturbed (W, p), with what the solver needs."""
-    prof = make_glued_profile(15.0, n)
+    prof = GluedProfile(15.0, n)
     r_plus, beta, m_hat = prof.core()
     p0, x_hi = math.log(r_plus), math.log(50.0 * r_plus)
     W0 = solver._initial_values(prof, np.exp(np.linspace(p0, x_hi, N)),
@@ -618,7 +617,7 @@ def test_singular_jacobian_returns_unconverged_result(monkeypatch, zeroed):
         return res, zeroed_jacobian
 
     monkeypatch.setattr(solver, "_residual", singular)
-    res = newton_solve(make_glued_profile(50.0, 4),
+    res = newton_solve(GluedProfile(50.0, 4),
                        cfg=NewtonConfig(grid_size=64))
     assert res.converged is False
     assert res.error.startswith("singular Jacobian: ")
@@ -630,7 +629,7 @@ def test_singular_jacobian_returns_unconverged_result(monkeypatch, zeroed):
 def test_newton_converges_at_grid_size_1024(n):
     # the glued start used to stall on the rounding floor just above the
     # default tolerance here (5.3e-11 > 5e-11)
-    res = newton_solve(make_glued_profile(50.0, n),
+    res = newton_solve(GluedProfile(50.0, n),
                        NewtonConfig(grid_size=1024))
     assert res.converged
     assert res.residuals[-1] < NewtonConfig().residual_tol
@@ -640,7 +639,7 @@ def test_newton_converges_at_grid_size_1024(n):
 @pytest.mark.parametrize("n", [4, 5])
 def test_newton_quadratic_ratio_at_grid_size_512(n, R):
     # a second step taken at the rounding floor made this ratio ~1e9
-    res = newton_solve(make_glued_profile(R, n),
+    res = newton_solve(GluedProfile(R, n),
                        NewtonConfig(grid_size=512))
     assert res.converged
     assert res.quadratic_ratio < 1.0
@@ -659,7 +658,7 @@ def test_newton_builds_stencils_once_per_grid_size(monkeypatch):
     for N in (64, 64, 128):
         before = len(calls)
         cfg = NewtonConfig(grid_size=N, max_iters=60)
-        res = newton_solve(make_glued_profile(50.0, 4), cfg=cfg)
+        res = newton_solve(GluedProfile(50.0, 4), cfg=cfg)
         assert res.converged
         made.append(len(calls) - before)
     # the first solve at a size builds the two templates, later ones reuse
@@ -699,7 +698,7 @@ def _solve_events(monkeypatch, *args):
 @pytest.mark.parametrize("N", [256, 512])
 @pytest.mark.parametrize("n", [4, 5])
 def test_newton_cold_and_warm_stencils_agree(monkeypatch, n, N):
-    start, cfg = make_glued_profile(50.0, n), NewtonConfig(grid_size=N)
+    start, cfg = GluedProfile(50.0, n), NewtonConfig(grid_size=N)
     solver._unit_stencils.cache_clear()
     cold, log = _solve_events(monkeypatch, start, cfg)
     warm = newton_solve(start, cfg)
@@ -725,7 +724,7 @@ def test_newton_evaluates_each_iterate_once(monkeypatch, R, n, N):
     # solves that stop short on a rejected full step: every iterate, the
     # rejected one included, is evaluated once, and the rejected one
     # builds no Jacobian
-    result, log = _solve_events(monkeypatch, make_glued_profile(R, n),
+    result, log = _solve_events(monkeypatch, GluedProfile(R, n),
                                 NewtonConfig(grid_size=N))
     assert not result.converged
     assert result.error.startswith("no acceptable step at iteration ")
@@ -741,7 +740,7 @@ def test_newton_stalled_glued_start_stops_short(n, R, N):
     # residual by a quarter, and damped steps from them reach a small
     # residual with a fitted mass up to 0.12 away from 1, so the solve
     # must stop short on its start rather than report converged
-    result = newton_solve(make_glued_profile(R, n),
+    result = newton_solve(GluedProfile(R, n),
                           NewtonConfig(grid_size=N))
     assert result.converged is False
     assert result.iterations == 0
@@ -871,7 +870,7 @@ def test_public_functions_reject_non_finite(call, error):
 def test_newton_rejects_r_out_whose_square_overflows(r_out):
     # the residual divides by r**2; this used to warn and then fail later
     with pytest.raises(OutOfDomain, match=r"r_out\*\*2 overflows"):
-        newton_solve(make_glued_profile(50.0, 4), NewtonConfig(r_out=r_out))
+        newton_solve(GluedProfile(50.0, 4), NewtonConfig(r_out=r_out))
 
 
 # Runs dgbsv on the systems saved in argv[1] and saves (lub, piv, x, info)
