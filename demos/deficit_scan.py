@@ -13,8 +13,8 @@ from dehnfill.gluing import (
     decay_scan,
     deficit_norm,
     filling_from_lengths,
+    perturbation_budget,
 )
-from dehnfill.solver import perturbation_budget
 
 n = 4
 

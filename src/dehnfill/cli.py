@@ -357,9 +357,7 @@ def cmd_lattice(cfg):
                 f"cusp {k}'s sigma must be a list, got {d['sigma']!r}")
         parsed.append(d)
         lat = lattice.FlatLattice(d["basis"])
-        sig = lattice.GeodesicClass(tuple(d["sigma"]))
-        sig.check_primitive(strict=False)
-        cusps.append((lat, sig))
+        cusps.append((lat, lattice.GeodesicClass(tuple(d["sigma"]))))
     cfg["cusp"] = parsed
     data = lattice.filling_data(cusps, n)
     rows = [f"{i},{line}" for i, line in

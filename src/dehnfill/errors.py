@@ -11,7 +11,8 @@ class DehnFillError(ValueError):
 
 
 class OutOfDomain(DehnFillError):
-    """Radius (or other coordinate) outside the profile's domain."""
+    """Radius (or other coordinate) outside the profile's domain; for
+    samples on a grid of radii, a radius that is not positive."""
 
 
 class DerivOrderUnsupported(DehnFillError):
@@ -47,16 +48,19 @@ class InvalidWeight(DehnFillError):
 
 
 class NonFiniteField(DehnFillError):
-    """Grid field contains NaN or infinity."""
+    """Grid field contains NaN or infinity; for samples on a grid of
+    radii, a NaN or inf in the grid or in the samples."""
 
 
 class GridTooCoarse(DehnFillError):
     """Too few grid points for the requested stencil or seminorm, or a grid
-    of the wrong shape for it: not increasing, or not uniform in log r."""
+    of the wrong shape for it: not 1-d, not strictly increasing, or not
+    uniform in log r."""
 
 
 class TooFewSamples(DehnFillError):
-    """A field or block has the wrong number of samples for its grid."""
+    """A field or block has the wrong number of samples for its grid: for
+    samples on a grid of radii, values not of the grid's shape."""
 
 
 class UnknownBlock(DehnFillError):

@@ -7,11 +7,13 @@ beta_1 (DehnFillingData.beta1) enter no deficit.  Its Einstein deficit is
 supported in the transition annuli and is measured in the weighted norm
 on those annuli alone, for all cusps (or all sizes of a scan) in one pass
 over an (S, G) stack of log grids; scanning the norm against the
-normalized filling size exhibits the O(size**(1-n)) decay law.
+normalized filling size exhibits the O(size**(1-n)) decay law, and
+inverting the fitted law gives the size that a perturbation step needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,8 @@ __all__ = [
     "filling_from_lengths",
     "deficit_norm",
     "decay_scan",
+    "BudgetReport",
+    "perturbation_budget",
 ]
 
 
@@ -176,3 +180,47 @@ def decay_scan(n, L_list, w=None, grid_size=512):
     slope, intercept, residual = fit_loglog(np.asarray(sizes), norms)
     return DecayScanResult(n=int(n), sizes=sizes, norms=tuple(norms.tolist()),
                            slope=slope, intercept=intercept, residual=residual)
+
+
+@dataclass(frozen=True)
+class BudgetReport:
+    """Feasibility of the perturbation step at a given inverse bound."""
+
+    threshold: float
+    min_size: float
+    current_size: float
+    current_norm: float
+    feasible_now: bool
+    slope: float
+    intercept: float
+
+
+def perturbation_budget(scan, Lambda, epsilon):
+    """Minimal filling size with deficit below epsilon / Lambda.
+
+    Inverts the fitted decay law norm = exp(intercept) * size**slope.
+    When the largest scanned size is already below the threshold it is
+    returned as-is.
+    """
+    if not isinstance(scan, DecayScanResult) or len(scan.sizes) == 0:
+        raise ScanMissing("perturbation_budget needs a completed decay scan")
+    if not (_is_finite_real(Lambda) and _is_finite_real(epsilon)
+            and Lambda > 0 and epsilon > 0):
+        raise OutOfDomain("Lambda and epsilon must be finite and positive")
+    if not (scan.slope < 0):
+        raise ScanMissing(f"scan shows no decay (slope {scan.slope})")
+    threshold = epsilon / Lambda
+    current_size = scan.sizes[-1]
+    current_norm = scan.norms[-1]
+    feasible_now = current_norm <= threshold
+    if feasible_now:
+        min_size = float(current_size)
+    else:
+        min_size = float(math.exp(
+            (math.log(threshold) - scan.intercept) / scan.slope
+        ))
+    return BudgetReport(threshold=float(threshold), min_size=min_size,
+                        current_size=float(current_size),
+                        current_norm=float(current_norm),
+                        feasible_now=feasible_now,
+                        slope=scan.slope, intercept=scan.intercept)

@@ -59,7 +59,7 @@ from .errors import (
     TooFewSamples,
     UnknownBlock,
 )
-from .numutil import fit_loglog, loggrid
+from .numutil import _checked_samples, fit_loglog, loggrid
 from .profiles import BlackHoleProfile, _check_dimension
 from .solver import _derivatives, _unit_stencils
 
@@ -95,19 +95,10 @@ def _blocks(values, n):
 
 
 def _checked_grid(grid):
-    """A read-only float copy of a deformation grid, so that its checks
-    hold for the copy's lifetime, and x = log r on it: at least 2 finite,
-    strictly increasing, positive points, uniform in log r."""
-    grid = np.array(grid, dtype=float)
-    grid.setflags(write=False)
-    if grid.ndim != 1 or grid.shape[0] < 2:
-        raise GridTooCoarse("deformation grid needs at least 2 points")
-    if not np.isfinite(grid).all():
-        raise NonFiniteField("deformation grid contains nan or inf")
-    if (np.diff(grid) <= 0).any():
-        raise GridTooCoarse("deformation grid must be strictly increasing")
-    if grid[0] <= 0:
-        raise OutOfDomain(f"deformation grid must be positive, got r = {grid[0]}")
+    """A read-only float copy of a deformation grid, checked by the rule
+    for samples on a radial grid (numutil._checked_samples) with at least
+    2 points, and x = log r on it; the grid must be uniform in log r."""
+    grid, = _checked_samples(grid, min_points=2)
     # the operator's template needs a grid uniform in x = log r; the
     # rounding of log and of the power that builds such a grid (as
     # numutil.loggrid does) moves x by a few ulps of |x_0| + |x_last|, up

@@ -8,7 +8,34 @@ import numbers
 
 import numpy as np
 
-from .errors import GridTooCoarse, OutOfDomain
+from .errors import GridTooCoarse, NonFiniteField, OutOfDomain, TooFewSamples
+
+
+def _checked_samples(grid, *values, min_points):
+    """Read-only float copies of a grid of radii and of the samples on it,
+    so that the checks hold for the copies' lifetime.  The one rule for
+    samples on a radial grid, checked in this order: a 1-d grid of at
+    least min_points points (GridTooCoarse), values of the grid's shape
+    (TooFewSamples), no NaN or inf anywhere (NonFiniteField), a strictly
+    increasing grid (GridTooCoarse) and a positive one (OutOfDomain)."""
+    arrays = [np.array(a, dtype=float) for a in (grid, *values)]
+    grid = arrays[0]
+    if grid.ndim != 1 or grid.shape[0] < min_points:
+        raise GridTooCoarse(f"a radial grid needs at least {min_points} "
+                            f"points in one dimension, got shape {grid.shape}")
+    for a in arrays:
+        if a.shape != grid.shape:
+            raise TooFewSamples(f"samples of shape {a.shape} on a grid of "
+                                f"shape {grid.shape}")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteField("grid or samples contain nan or inf")
+        a.setflags(write=False)
+    if (grid[1:] <= grid[:-1]).any():
+        raise GridTooCoarse("a radial grid must be strictly increasing")
+    if grid[0] <= 0:
+        raise OutOfDomain(f"radii must be positive, got r = {grid[0]}")
+    return arrays
 
 
 def _is_real(x):

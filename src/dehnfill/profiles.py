@@ -45,7 +45,8 @@ from .errors import (
     RadiusTooSmall,
     SingularAtCore,
 )
-from .numutil import _is_finite_real, _smoothstep, loggrid, stencil_weights
+from .numutil import (_checked_samples, _is_finite_real, _smoothstep, loggrid,
+                      stencil_weights)
 
 __all__ = [
     "CuspProfile",
@@ -108,13 +109,11 @@ def fitted_mass(grid, values, n):
     samples, where r^(3-n) is tiny, from amplifying noise.  The regressor
     is (r/r0)^(3-n), r0 = grid[0], so it stays O(1) at any mass.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
+    grid, values = _checked_samples(grid, values, min_points=1)
     r0 = float(grid[0])
     basis = (grid / r0) ** (3 - n)
+    # basis[0] = 1, so the sum is at least 1
     denom = float(np.sum(basis**2))
-    if denom == 0:
-        raise InvalidMass("degenerate grid for the mass fit")
     return float(np.sum((grid**2 - values) * basis) / (2.0 * denom)) * r0 ** (n - 3)
 
 
@@ -315,18 +314,7 @@ class SampledProfile(_Profile):
 
     def __post_init__(self):
         _check_dimension(self.n)
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 9:
-            raise OutOfDomain("sampled profile needs at least 9 grid points")
-        if np.any(np.diff(grid) <= 0):
-            raise OutOfDomain("sampled profile grid must be strictly increasing")
-        if values.shape != grid.shape:
-            raise OutOfDomain("sampled profile grid/values shape mismatch")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise OutOfDomain("sampled profile grid and values must be finite")
-        if grid[0] <= 0:
-            raise OutOfDomain("sampled profile grid must be positive (log r)")
+        grid, values = _checked_samples(self.grid, self.values, min_points=9)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "domain", (float(grid[0]), float(grid[-1])))

@@ -28,10 +28,9 @@ from .errors import (
     NonFiniteField,
     NonPositiveProfile,
     OutOfDomain,
-    ScanMissing,
-    TooFewSamples,
 )
-from .numutil import _is_finite_real, _window_starts, cumtrapz0, diff_matrix
+from .numutil import (_checked_samples, _is_finite_real, _window_starts,
+                      cumtrapz0, diff_matrix)
 from .profiles import (SampledProfile, _check_dimension, eval_profile,
                        fitted_mass)
 
@@ -43,26 +42,7 @@ __all__ = [
     "NewtonConfig",
     "EinsteinSolveResult",
     "newton_solve",
-    "BudgetReport",
-    "perturbation_budget",
 ]
-
-
-def _as_grid_function(gf):
-    grid, vals = gf
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if grid.ndim != 1 or grid.shape != vals.shape:
-        raise TooFewSamples("grid function must be a pair of equal 1-d arrays")
-    if grid.shape[0] < 3:
-        raise GridTooCoarse("need at least 3 grid points")
-    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals))):
-        raise NonFiniteField("grid function contains nan or inf")
-    if np.any(np.diff(grid) <= 0):
-        raise GridTooCoarse("grid must be strictly increasing")
-    if grid[0] <= 0:
-        raise OutOfDomain(f"radii must be positive, got {grid[0]}")
-    return grid, vals
 
 
 def euler_reconstruct(n, rhs, anchor):
@@ -79,7 +59,7 @@ def euler_reconstruct(n, rhs, anchor):
     Returns (grid, f).
     """
     _check_dimension(n)
-    grid, vals = _as_grid_function(rhs)
+    grid, vals = _checked_samples(*rhs, min_points=3)
     r0, f0 = anchor
     if not (grid[0] <= r0 <= grid[-1]):
         raise AnchorOutsideGrid(
@@ -125,7 +105,7 @@ def oscillation_bound(rhs, phi, r1, r2, n):
     the continuum limit.  phi is None (unit weight) or an array of
     positive weights on the grid.
     """
-    grid, vals = _as_grid_function(rhs)
+    grid, vals = _checked_samples(*rhs, min_points=3)
     if not (grid[0] <= r1 < r2 <= grid[-1]):
         raise OutOfDomain(
             f"need grid[0] <= r1 < r2 <= grid[-1], got r1={r1}, r2={r2}"
@@ -540,51 +520,3 @@ def newton_solve(initial, cfg=None):
                               f"full step {norm_new:.3e})")
         W, p, r, res, jacobian = W_new, p_new, r_new, res_new, jacobian_new
         history.append(norm_new)
-
-
-@dataclass(frozen=True)
-class BudgetReport:
-    """Feasibility of the perturbation step at a given inverse bound."""
-
-    threshold: float
-    min_size: float
-    current_size: float
-    current_norm: float
-    feasible_now: bool
-    slope: float
-    intercept: float
-
-
-def perturbation_budget(scan, Lambda, epsilon):
-    """Minimal filling size with deficit below epsilon / Lambda.
-
-    Inverts the fitted decay law norm = exp(intercept) * size**slope.
-    When the largest scanned size is already below the threshold it is
-    returned as-is.
-    """
-    # imported here: the solver needs gluing, and through it lattice and
-    # norms, only for this check
-    from .gluing import DecayScanResult
-
-    if not isinstance(scan, DecayScanResult) or len(scan.sizes) == 0:
-        raise ScanMissing("perturbation_budget needs a completed decay scan")
-    if not (_is_finite_real(Lambda) and _is_finite_real(epsilon)
-            and Lambda > 0 and epsilon > 0):
-        raise OutOfDomain("Lambda and epsilon must be finite and positive")
-    if not (scan.slope < 0):
-        raise ScanMissing(f"scan shows no decay (slope {scan.slope})")
-    threshold = epsilon / Lambda
-    current_size = scan.sizes[-1]
-    current_norm = scan.norms[-1]
-    feasible_now = current_norm <= threshold
-    if feasible_now:
-        min_size = float(current_size)
-    else:
-        min_size = float(math.exp(
-            (math.log(threshold) - scan.intercept) / scan.slope
-        ))
-    return BudgetReport(threshold=float(threshold), min_size=min_size,
-                        current_size=float(current_size),
-                        current_norm=float(current_norm),
-                        feasible_now=feasible_now,
-                        slope=scan.slope, intercept=scan.intercept)

@@ -5,7 +5,9 @@ import pytest
 
 from dehnfill.errors import (
     DerivOrderUnsupported,
+    GridTooCoarse,
     InvalidMass,
+    NonFiniteField,
     OutOfDomain,
     RadiusTooSmall,
 )
@@ -197,10 +199,10 @@ def test_glued_profile_too_small():
 
 def test_sampled_profile_validation():
     grid = np.linspace(1.0, 2.0, 8)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(GridTooCoarse):
         SampledProfile(grid=grid, values=grid**2, n=4)  # fewer than 9 points
     grid = np.array([1.0, 2.0, 1.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(GridTooCoarse):
         SampledProfile(grid=grid, values=grid**2, n=4)
 
 
@@ -269,9 +271,9 @@ _GRID = np.geomspace(1.0, 20.0, 16)
     (lambda: BlackHoleProfile(m=10**400, n=4), InvalidMass),
     (lambda: GluedProfile(R=10**400, n=4), RadiusTooSmall),
     (lambda: SampledProfile(grid=_GRID, values=np.where(_GRID > 5.0, np.nan, _GRID**2),
-                            n=4), OutOfDomain),
+                            n=4), NonFiniteField),
     (lambda: SampledProfile(grid=np.append(_GRID[:-1], np.inf), values=_GRID**2,
-                            n=4), OutOfDomain),
+                            n=4), NonFiniteField),
 ], ids=["closing-inf-mass", "closing-nan-mass", "blackhole-nan-mass",
         "blackhole-metric-mass-bool", "glued-helper-radius-bool",
         "glued-radius-str", "closing-int-mass-overflows",

@@ -20,10 +20,12 @@ from dehnfill.errors import (
     RadiusTooSmall,
     ScanMissing,
     SingularAtCore,
+    TooFewSamples,
 )
-from dehnfill.gluing import DecayScanResult
+from dehnfill.gluing import BudgetReport, DecayScanResult, perturbation_budget
 from dehnfill.lattice import GeodesicClass
-from dehnfill.linearized import bump_deformation, compare_operators
+from dehnfill.linearized import (InvariantDeformation, bump_deformation,
+                                 compare_operators)
 from dehnfill.norms import (WeightSpec, default_core_scale, default_delta,
                             phi_c, phi_c_raw)
 from dehnfill.numutil import diff_matrix, loggrid, stencil_weights
@@ -37,7 +39,6 @@ from dehnfill.profiles import (
     closing_parameters,
 )
 from dehnfill.solver import (
-    BudgetReport,
     EinsteinSolveResult,
     NewtonConfig,
     einstein_residual,
@@ -46,7 +47,6 @@ from dehnfill.solver import (
     newton_solve,
     oscillation_bound,
     oscillation_closed_form,
-    perturbation_budget,
 )
 
 
@@ -848,6 +848,13 @@ def _with_nan(a, i=10):
     (lambda: oscillation_closed_form(4, 10**400, 2.0, 3.0), OutOfDomain),
     (lambda: perturbation_budget(_BUDGET_SCAN, 10**400, 1e-3), OutOfDomain),
     (lambda: default_core_scale(10**400, 4), InvalidWeight),
+    (lambda: fitted_mass(_EULER_GRID, _with_nan(_EULER_RHS), 4),
+     NonFiniteField),
+    (lambda: fitted_mass(np.append(_EULER_GRID[:-1], math.inf), _EULER_RHS, 4),
+     NonFiniteField),
+    (lambda: fitted_mass(np.linspace(0.0, 10.0, 50), _EULER_RHS, 4),
+     OutOfDomain),
+    (lambda: fitted_mass(_EULER_GRID, _EULER_RHS[:-1], 4), TooFewSamples),
 ], ids=["budget-lambda-nan", "budget-epsilon-inf", "cutoff-hi-inf",
         "phi-c-r-nan",
         "bump-center-nan", "compare-center-nan", "oscillation-r-lo-nan",
@@ -860,10 +867,60 @@ def _with_nan(a, i=10):
         "delta-n-nan", "delta-n-inf", "delta-n-fraction", "core-scale-r-nan",
         "core-scale-r-inf", "core-scale-r-str",
         "oscillation-r-lo-numpy-overflow", "oscillation-r-lo-int-overflows",
-        "budget-lambda-int-overflows", "core-scale-r-int-overflows"])
+        "budget-lambda-int-overflows", "core-scale-r-int-overflows",
+        "fitted-mass-value-nan", "fitted-mass-radius-inf",
+        "fitted-mass-r0-zero", "fitted-mass-length-mismatch"])
 def test_public_functions_reject_non_finite(call, error):
     with pytest.raises(error):
         call()
+
+
+# (defect, whether it is in the grid alone, the class every entry point
+# raises for it); each takes a good (grid, values) pair and the entry
+# point's fewest points
+_SAMPLE_DEFECTS = {
+    "too-few-points": (lambda g, v, k: (g[:k - 1], v[:k - 1]), True,
+                       GridTooCoarse),
+    "2-d-grid": (lambda g, v, k: (np.stack([g, g]), np.stack([v, v])), True,
+                 GridTooCoarse),
+    "shape-mismatch": (lambda g, v, k: (g, v[:-1]), False, TooFewSamples),
+    "nan": (lambda g, v, k: (g, _with_nan(v, 5)), False, NonFiniteField),
+    "inf": (lambda g, v, k: (np.append(g[:-1], math.inf), v), True,
+            NonFiniteField),
+    "not-increasing": (lambda g, v, k: (g[[0, 1, 2, 4, 3, *range(5, g.size)]],
+                                        v), True, GridTooCoarse),
+    "r-not-positive": (lambda g, v, k: (g - g[0], v), True, OutOfDomain),
+}
+
+# (entry point on a (grid, values) pair, its fewest points, whether it
+# takes samples as well as a grid)
+_SAMPLE_ENTRY_POINTS = {
+    "euler_reconstruct": (
+        lambda g, v: euler_reconstruct(4, (g, v), (3.0, 0.0)), 3, True),
+    "oscillation_bound": (
+        lambda g, v: oscillation_bound((g, v), None, 3.0, 5.0, 4), 3, True),
+    "SampledProfile": (
+        lambda g, v: SampledProfile(grid=g, values=v, n=4), 9, True),
+    "InvariantDeformation": (
+        lambda g, v: InvariantDeformation(n=4, grid=g, components={}), 2,
+        False),
+    "fitted_mass": (lambda g, v: fitted_mass(g, v, 4), 1, True),
+}
+
+
+@pytest.mark.parametrize("entry, defect", [
+    (entry, defect) for entry, (_, _, takes_values) in _SAMPLE_ENTRY_POINTS.items()
+    for defect, (_, in_grid, _) in _SAMPLE_DEFECTS.items()
+    if in_grid or takes_values])
+def test_radial_samples_follow_one_rule(entry, defect):
+    # every function of samples on a grid of radii checks them by the one
+    # rule, so each defect raises the same class from every entry point
+    call, min_points, _ = _SAMPLE_ENTRY_POINTS[entry]
+    spoil, _, error = _SAMPLE_DEFECTS[defect]
+    grid = loggrid(2.0, 20.0, 16)
+    call(grid, grid**2)
+    with pytest.raises(error):
+        call(*spoil(grid, grid**2, min_points))
 
 
 @pytest.mark.parametrize("r_out", [1e155, 1e200, 1e300])
